@@ -7,11 +7,13 @@ this package handles (the largest scan touches 92459).
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 __all__ = [
     "primes_upto",
     "is_prime",
+    "prime_factors",
     "multiplicative_order",
     "is_squarefree_integer",
     "jacobi",
@@ -59,20 +61,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> List[int]:
+    """Distinct prime factors of n >= 1, ascending (trial division)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1."""
+    """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1.
+
+    The order divides phi(n): start from phi(n) and divide out each prime
+    factor r for as long as a^(k/r) = 1 still holds."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     a %= n
-    import math
-
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    k = 1
-    t = a
-    while t != 1:
-        t = t * a % n
-        k += 1
+    phi = n
+    for r in prime_factors(n):
+        phi = phi // r * (r - 1)
+    k = phi
+    for r in prime_factors(phi):
+        while k % r == 0 and pow(a, k // r, n) == 1:
+            k //= r
     return k
 
 

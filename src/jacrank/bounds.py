@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .arith import is_prime, is_squarefree_integer, multiplicative_order
+from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
+    prime_factors
 from .cyclosig import SophieGermainPair, certify_rho_infty
 from .f2 import VecF2, span_dimension
 from .factor import factor_over_Q
@@ -106,20 +107,6 @@ def _washington_D(m: int) -> int:
     return D
 
 
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def washington_local_certificate(m: int) -> GTrivialityCertificate:
     """Irreducibility of f_m over Q_v for all bad v: mod-2 reduction at v=2,
     Eisenstein after the shift x -> x - m/3 at every v | D."""
@@ -133,13 +120,13 @@ def washington_local_certificate(m: int) -> GTrivialityCertificate:
     expected = RationalPoly([D * (2 * m + 3), -9 * D, 0, 27])
     ok = ok and shifted == expected
     const = D * (2 * m + 3)
-    for v in _prime_factors(D):
+    for v in prime_factors(D):
         # Eisenstein at v: v does not divide the leading 27, v divides the
         # lower coefficients, v^2 does not divide the constant term
         ok = ok and 27 % v != 0 and (9 * D) % v == 0 and const % v == 0 \
             and const % (v * v) != 0
         evidence.append((v, "eisenstein-after-shift"))
-    return GTrivialityCertificate(tuple([2] + _prime_factors(D)),
+    return GTrivialityCertificate(tuple([2] + prime_factors(D)),
                                   tuple(evidence), ok)
 
 

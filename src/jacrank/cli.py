@@ -1,14 +1,13 @@
 """Command-line interface; the only module with I/O side effects.
 
 Output is machine-readable, one line per curve, and byte-identical across
-runs and thread counts. Exit codes: 0 success, 1 partial (missing data),
+runs. Exit codes: 0 success, 1 partial (missing data),
 2 invalid input, 3 certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -121,8 +120,7 @@ def _cmd_scan_rho(args: argparse.Namespace) -> int:
     if args.max_q < 7:
         print("pairs=0 certified=0 failures=0")
         return EXIT_OK
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    certs = scan_sophie_germain(args.max_q, threads=threads)
+    certs = scan_sophie_germain(args.max_q)
     failures = 0
     for cert in certs:
         ok = cert.rho_infty_zero
@@ -208,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="signature-matrix certificates for all pairs up to max-q")
     r.add_argument("--max-q", type=int, required=True, metavar="N")
     r.add_argument("--threads", type=int, default=0, metavar="T",
-                   help="worker threads (default: available parallelism)")
+                   help="accepted for compatibility; ignored, the scan "
+                        "runs serially and its output never depends on it")
     r.set_defaults(func=_cmd_scan_rho)
 
     lb = sub.add_parser("lower-bound",

@@ -16,15 +16,20 @@ full p x p version are rotations of a single orbit word w, so
 and the norm-1 relation makes the omitted column the sum of the kept ones.
 The certificate d_infty = p - 1 holds exactly when the gcd is x + 1. Both
 the gcd route and direct packed elimination are implemented and must agree.
+
+The gcd route reads w off the binary digits of 1/q, and skips the gcd when
+2 is a primitive root mod p: then x^p - 1 = (x + 1) Phi_p with Phi_p
+irreducible over F2 (every irreducible factor of Phi_p has degree ord_p(2);
+Lidl & Niederreiter, Finite Fields, Thm 2.47), so the gcd is fixed by the
+parity of w and by whether w is 0 or all-ones.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .arith import is_prime, primes_upto
+from .arith import is_prime, multiplicative_order, primes_upto
 from .f2 import MatF2, poly_gcd, rank
 
 __all__ = [
@@ -131,22 +136,20 @@ def doubling_permutation(pair: SophieGermainPair) -> DoublingPermutation:
 def orbit_word(pair: SophieGermainPair) -> int:
     """The length-p word w with w_k = psi(epsilon at phi^k of a fixed start
     index), packed with bit k = w_k. Rows of the full circulant sign matrix
-    are rotations of w; any start index gives the same gcd with x^p - 1."""
+    are rotations of w; any start index gives the same gcd with x^p - 1.
+
+    With t_k = 2^k mod q, w_k = 1 exactly when min(t_k, q - t_k) <= (p-1)/2
+    for p = 1 mod 4, and exactly when it is larger for p = 3 mod 4. Since
+    (p-1)/2 = floor(q/4) and q/4 is not an integer, the test asks whether
+    t_k/q lies within 1/4 of 0 or 1, that is whether binary digits k+1 and
+    k+2 of 1/q agree: t_k/q is 1/q shifted left by k places."""
     p, q = pair.p, pair.q
-    n = _n_minus(pair)
-    buf = bytearray((p + 7) // 8)
-    t = 1
+    x = (1 << (p + 2)) // q  # digits d_1..d_{p+2} of 1/q, d_1 the highest
+    # bit p-1-k of differ is d_{k+1} xor d_{k+2}, for k = 0..p-1
+    differ = ((x ^ (x >> 1)) >> 1) & ((1 << p) - 1)
     if p % 4 == 1:
-        for k in range(p):
-            if min(t, q - t) <= n:
-                buf[k >> 3] |= 1 << (k & 7)
-            t = 2 * t % q
-    else:
-        for k in range(p):
-            if p + 1 - min(t, q - t) <= n:
-                buf[k >> 3] |= 1 << (k & 7)
-            t = 2 * t % q
-    return int.from_bytes(bytes(buf), "little")
+        differ ^= (1 << p) - 1
+    return int(format(differ, f"0{p}b")[::-1], 2)
 
 
 def build_M_infty(pair: SophieGermainPair) -> MatF2:
@@ -164,28 +167,33 @@ def build_M_infty(pair: SophieGermainPair) -> MatF2:
     return MatF2(p, p - 1, tuple(rows))
 
 
+def _primitive_gcd_degree(w: int, p: int) -> int:
+    """deg gcd(w, x^p - 1) over F2 for a length-p word w, when 2 is a
+    primitive root mod p: x + 1 divides w iff its weight is even, and the
+    irreducible Phi_p of degree p-1 divides w iff w is 0 or all-ones."""
+    return (w.bit_count() % 2 == 0) + (p - 1) * (w in (0, (1 << p) - 1))
+
+
 def certify_rho_infty(pair: SophieGermainPair, method: str = "gcd") -> RhoInftyCertificate:
     """d_infty = rank of the sign matrix; rho_infty = 0 iff d_infty = p-1.
 
-    method="gcd" exploits the circulant structure: d = p - deg gcd(w, x^p-1).
+    method="gcd" exploits the circulant structure: d = p - deg gcd(w, x^p-1),
+    with the gcd read off w when 2 is a primitive root mod p.
     method="matrix" runs packed elimination on the assembled matrix."""
+    p = pair.p
     if method == "gcd":
-        g = poly_gcd(orbit_word(pair), (1 << pair.p) | 1)
-        d = pair.p - (g.bit_length() - 1)
+        w = orbit_word(pair)
+        if multiplicative_order(2, p) == p - 1:
+            d = p - _primitive_gcd_degree(w, p)
+        else:
+            d = p - (poly_gcd(w, (1 << p) | 1).bit_length() - 1)
     elif method == "matrix":
         d = rank(build_M_infty(pair))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return RhoInftyCertificate(pair, d, d == pair.p - 1)
+    return RhoInftyCertificate(pair, d, d == p - 1)
 
 
-def scan_sophie_germain(q_max: int, threads: int = 1) -> List[RhoInftyCertificate]:
-    """Certify every pair with q <= q_max; output sorted by q regardless of
-    thread count."""
-    pairs = sophie_germain_pairs(q_max)
-    if threads <= 1 or len(pairs) < 2:
-        return [certify_rho_infty(pr) for pr in pairs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        certs = list(pool.map(certify_rho_infty, pairs))
-    certs.sort(key=lambda c: c.pair.q)
-    return certs
+def scan_sophie_germain(q_max: int) -> List[RhoInftyCertificate]:
+    """Certify every pair with q <= q_max, in ascending q."""
+    return [certify_rho_infty(pr) for pr in sophie_germain_pairs(q_max)]

@@ -48,13 +48,13 @@ def report(n: int, message: str) -> None:
 
 def test_criterion_1_rho_infty_scan():
     start = time.monotonic()
-    gate = scan_sophie_germain(20000, threads=4)
+    gate = scan_sophie_germain(20000)
     gate_elapsed = time.monotonic() - start
     assert all(c.rho_infty_zero for c in gate)
     assert gate_elapsed < 10.0, f"20000-gate took {gate_elapsed:.1f}s"
 
     start = time.monotonic()
-    certs = scan_sophie_germain(92459, threads=4)
+    certs = scan_sophie_germain(92459)
     elapsed = time.monotonic() - start
     failures = [c for c in certs if not c.rho_infty_zero]
     assert failures == []

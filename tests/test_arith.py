@@ -7,6 +7,7 @@ search, Euler-criterion Legendre symbols.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from jacrank.arith import (
     is_squarefree_integer,
     jacobi,
     multiplicative_order,
+    prime_factors,
     primes_upto,
     primes_with_odd_order_of_two,
 )
@@ -41,14 +43,15 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def order_oracle(a: int, n: int) -> int:
-    """Smallest divisor d of lambda-candidate set with a^d = 1 (mod n).
+    """Smallest divisor d of the unit-group order with a^d = 1 (mod n).
 
-    For prime n the group order is n-1; scan its divisors in increasing
-    order. Structurally different from the implementation's direct walk.
+    The group order is counted unit by unit (n-1 for prime n); scan its
+    divisors in increasing order. Structurally different from the
+    implementation, which strips prime factors from a formula for phi(n).
     """
-    assert is_prime(n)
+    group = sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
     divs = sorted(
-        d for d in range(1, n) if (n - 1) % d == 0
+        d for d in range(1, group + 1) if group % d == 0
     )
     for d in divs:
         if pow(a, d, n) == 1:
@@ -91,6 +94,27 @@ def test_multiplicative_order_against_divisor_oracle():
         for _ in range(3):
             a = rng.randrange(1, p)
             assert multiplicative_order(a, p) == order_oracle(a, p)
+
+
+def test_multiplicative_order_composite_modulus():
+    rng = random.Random(13)
+    for n in (4, 9, 15, 91, 1024, 2016, 3 * 5 * 7 * 11 * 13):
+        for a in [rng.randrange(1, n) for _ in range(8)] + [1, n - 1]:
+            if math.gcd(a, n) == 1:
+                assert multiplicative_order(a, n) == order_oracle(a, n)
+
+
+def test_multiplicative_order_largest_scan_pair():
+    # q = 92459, p = 46229: the largest pair of the certified scan
+    for a in (2, 3, 5, 46228):
+        assert multiplicative_order(a, 92459) == order_oracle(a, 92459)
+        assert multiplicative_order(a, 46229) == order_oracle(a, 46229)
+
+
+def test_prime_factors_against_factorization():
+    assert prime_factors(1) == []
+    for n in range(1, 3000):
+        assert prime_factors(n) == sorted(factorize(n))
 
 
 def test_multiplicative_order_rejects_noncoprime():

@@ -2,29 +2,62 @@
 
 Oracles: exact real-root isolation for the numeric signature cross-check
 (small p), the matrix-rank route as an independent check of the gcd route,
-and frozen small cases worked by hand.
+the doubling-loop orbit word and the general F2 gcd as references for the
+closed-form word and the primitive-root shortcut on the whole certified
+range, and frozen small cases worked by hand.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from jacrank.arith import multiplicative_order
 from jacrank.cyclosig import (
     RhoInftyCertificate,
     SophieGermainPair,
+    _primitive_gcd_degree,
     build_M_infty,
     canonical_signature,
     certify_rho_infty,
     doubling_permutation,
+    orbit_word,
     scan_sophie_germain,
     sophie_germain_pairs,
 )
-from jacrank.f2 import rank
+from jacrank.f2 import poly_gcd, rank
 from jacrank.polys import min_poly_2cos
 from jacrank.roots import isolate_real_roots, sign_at
 from jacrank.polys import RationalPoly
+
+
+CERTIFIED_MAX_Q, CERTIFIED_PAIRS = 92459, 630
+
+
+def loop_orbit_word(pair: SophieGermainPair) -> int:
+    """Reference: the orbit word by walking t = 2^k mod q one step at a time."""
+    p, q = pair.p, pair.q
+    n = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
+    buf = bytearray((p + 7) // 8)
+    t = 1
+    if p % 4 == 1:
+        for k in range(p):
+            if min(t, q - t) <= n:
+                buf[k >> 3] |= 1 << (k & 7)
+            t = 2 * t % q
+    else:
+        for k in range(p):
+            if p + 1 - min(t, q - t) <= n:
+                buf[k >> 3] |= 1 << (k & 7)
+            t = 2 * t % q
+    return int.from_bytes(bytes(buf), "little")
+
+
+def gcd_degree(w: int, p: int) -> int:
+    """deg gcd(w, x^p + 1) over F2 by the general gcd."""
+    return poly_gcd(w, (1 << p) | 1).bit_length() - 1
 
 
 def test_pair_validation():
@@ -143,6 +176,37 @@ def test_gcd_route_equals_matrix_route():
         assert fast.d_infty <= pair.p - 1
 
 
+def test_closed_form_word_and_shortcut_on_certified_range():
+    pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
+    assert len(pairs) == CERTIFIED_PAIRS
+    primitive = 0
+    for pair in pairs:
+        w = orbit_word(pair)
+        assert w == loop_orbit_word(pair), pair
+        if multiplicative_order(2, pair.p) == pair.p - 1:
+            primitive += 1
+            shortcut_d = pair.p - _primitive_gcd_degree(w, pair.p)
+            assert shortcut_d == pair.p - gcd_degree(w, pair.p), pair
+            assert certify_rho_infty(pair).d_infty == shortcut_d
+    assert primitive == 282
+
+
+def test_primitive_shortcut_branches():
+    rng = random.Random(5)
+    for p in (3, 5, 11, 13, 19, 29):
+        assert multiplicative_order(2, p) == p - 1
+        ones = (1 << p) - 1
+        words = [0, ones]
+        while len(words) < 12:
+            w = rng.randrange(1, ones)
+            if w.bit_count() % 2 == len(words) % 2:
+                words.append(w)  # alternately even and odd weight
+        for w in words:
+            assert _primitive_gcd_degree(w, p) == gcd_degree(w, p), (p, w)
+        assert _primitive_gcd_degree(0, p) == p
+        assert _primitive_gcd_degree(ones, p) == p - 1
+
+
 def test_certify_rejects_unknown_method():
     with pytest.raises(ValueError):
         certify_rho_infty(SophieGermainPair(3, 7), method="lattice")
@@ -156,7 +220,7 @@ def test_scan_small():
 
 
 def test_scan_threads_deterministic():
-    one = scan_sophie_germain(2000, threads=1)
-    four = scan_sophie_germain(2000, threads=4)
-    assert one == four
-    assert [c.pair.q for c in one] == sorted(c.pair.q for c in one)
+    # the scan is serial: it equals the per-pair certificates in ascending q
+    certs = scan_sophie_germain(2000)
+    pairs = sorted(sophie_germain_pairs(2000), key=lambda pr: pr.q)
+    assert certs == [certify_rho_infty(pr) for pr in pairs]
