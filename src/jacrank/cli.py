@@ -134,7 +134,10 @@ def _cmd_scan_rho(args: argparse.Namespace) -> int:
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
     coeffs = [int(part) for part in args.poly.split(",")]
-    y0 = Fraction(args.y0)
+    try:
+        y0 = Fraction(args.y0)
+    except ZeroDivisionError:
+        raise ValueError(f"--y0 {args.y0}: zero denominator") from None
     lower, classes = lower_bound_from_points(RationalPoly(coeffs), y0)
     print(f"poly={args.poly} y0={y0} "
           f"factors={len(classes.representatives)} lower={lower}")

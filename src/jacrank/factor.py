@@ -16,30 +16,23 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .arith import is_prime
-from .modpoly import PrimePoly, factor_mod_p
-from .polys import RationalPoly
+from .modpoly import (PrimePoly, add, divmod_monic, factor_mod_p,
+                      is_squarefree_mod_p, mul, sub, trim, xgcd)
+from .polys import RationalPoly, monic_gcd
 
 __all__ = ["factor_over_Q"]
-
-
-def _gcd_q(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    while b.deg() >= 0:
-        a, b = b, a % b
-    if a.deg() < 0:
-        return a
-    return a.monic()
 
 
 def _yun_squarefree(f: RationalPoly) -> List[Tuple[RationalPoly, int]]:
     """Monic input, characteristic zero; [(monic squarefree part, multiplicity)]."""
     out: List[Tuple[RationalPoly, int]] = []
-    g = _gcd_q(f, f.derivative())
+    g = monic_gcd(f, f.derivative())
     w = f.divmod(g)[0]
     y = f.derivative().divmod(g)[0]
     z = y - w.derivative()
     i = 1
     while w.deg() > 0:
-        h = _gcd_q(w, z)
+        h = monic_gcd(w, z)
         if h.deg() > 0:
             out.append((h, i))
         w = w.divmod(h)[0]
@@ -47,78 +40,6 @@ def _yun_squarefree(f: RationalPoly) -> List[Tuple[RationalPoly, int]]:
         z = y - w.derivative()
         i += 1
     return out
-
-
-# --- integer polynomial arithmetic mod m (m a prime power; divisors monic) ---
-
-
-def _ztrim(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmul(a: List[int], b: List[int], m: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _ztrim(out)
-
-
-def _zsub(a: List[int], b: List[int], m: int) -> List[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _ztrim(out)
-
-
-def _zdivmod_monic(a: List[int], b: List[int], m: int) -> Tuple[List[int], List[int]]:
-    assert b and b[-1] == 1
-    r = [c % m for c in a]
-    if len(r) < len(b):
-        return [], _ztrim(r)
-    q = [0] * (len(r) - len(b) + 1)
-    db = len(b) - 1
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] % m
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                r[k + j] = (r[k + j] - c * b[j]) % m
-    return _ztrim(q), _ztrim(r)
-
-
-def _zadd(a: List[int], b: List[int], m: int) -> List[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _ztrim(out)
-
-
-def _xgcd_mod_p(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """For coprime a, b mod p (both degree >= 1) returns (s, t) with
-    s*a + t*b = 1; extended Euclid gives deg s < deg b, deg t < deg a."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        u = pow(r1[-1], p - 2, p)
-        q, _ = _zdivmod_monic([c * u % p for c in r0],
-                              [c * u % p for c in r1], p)
-        r0, r1 = r1, _zsub(r0, _zmul(q, r1, p), p)
-        s0, s1 = s1, _zsub(s0, _zmul(q, s1, p), p)
-        t0, t1 = t1, _zsub(t0, _zmul(q, t1, p), p)
-    assert len(r0) == 1, "inputs were not coprime"
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 class _Node:
@@ -145,14 +66,14 @@ def _build_tree(factors: List[List[int]], p: int) -> _Node:
     node.right = _build_tree(factors[mid:], p)
     node.g = _prod_mod(factors[:mid], p)
     node.h = _prod_mod(factors[mid:], p)
-    node.s, node.t = _xgcd_mod_p(node.g, node.h, p)
+    node.s, node.t = xgcd(node.g, node.h, p)
     return node
 
 
 def _prod_mod(factors: List[List[int]], m: int) -> List[int]:
     out = [1]
     for f in factors:
-        out = _zmul(out, f, m)
+        out = mul(out, f, m)
     return out
 
 
@@ -160,14 +81,14 @@ def _hensel_step(m: int, f: List[int], g: List[int], h: List[int],
                  s: List[int], t: List[int]):
     """Lift f = g*h and s*g + t*h = 1 from mod m to mod m^2; h stays monic."""
     mm = m * m
-    e = _zsub(f, _zmul(g, h, mm), mm)
-    q, r = _zdivmod_monic(_zmul(s, e, mm), h, mm)
-    g1 = _zadd(g, _zadd(_zmul(t, e, mm), _zmul(q, g, mm), mm), mm)
-    h1 = _zadd(h, r, mm)
-    b = _zsub(_zadd(_zmul(s, g1, mm), _zmul(t, h1, mm), mm), [1], mm)
-    c, d = _zdivmod_monic(_zmul(s, b, mm), h1, mm)
-    s1 = _zsub(s, d, mm)
-    t1 = _zsub(_zsub(t, _zmul(t, b, mm), mm), _zmul(c, g1, mm), mm)
+    e = sub(f, mul(g, h, mm), mm)
+    q, r = divmod_monic(mul(s, e, mm), h, mm)
+    g1 = add(g, add(mul(t, e, mm), mul(q, g, mm), mm), mm)
+    h1 = add(h, r, mm)
+    b = sub(add(mul(s, g1, mm), mul(t, h1, mm), mm), [1], mm)
+    c, d = divmod_monic(mul(s, b, mm), h1, mm)
+    s1 = sub(s, d, mm)
+    t1 = sub(sub(t, mul(t, b, mm), mm), mul(c, g1, mm), mm)
     return g1, h1, s1, t1
 
 
@@ -198,7 +119,7 @@ def _balanced(c: int, m: int) -> int:
 def _int_divmod_monic(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
     r = list(a)
     if len(r) < len(b):
-        return [], _ztrim(r)
+        return [], trim(r)
     q = [0] * (len(r) - len(b) + 1)
     db = len(b) - 1
     for k in range(len(q) - 1, -1, -1):
@@ -207,7 +128,7 @@ def _int_divmod_monic(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]
             q[k] = c
             for j in range(db + 1):
                 r[k + j] -= c * b[j]
-    return _ztrim(q), _ztrim(r)
+    return trim(q), trim(r)
 
 
 def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
@@ -221,27 +142,15 @@ def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
             p += 1
         if coeffs[-1] % p == 0:
             continue
-        fp = PrimePoly(p, coeffs)
-        dfp = PrimePoly(p, [i * c for i, c in enumerate(coeffs)][1:])
-        if _gcd_deg(fp, dfp) != 0:
+        if not is_squarefree_mod_p(coeffs, p):
             continue
-        factors = [list(g.coeffs) for g, _ in factor_mod_p(fp)]
+        factors = [list(g.coeffs) for g, _ in factor_mod_p(PrimePoly(p, coeffs))]
         found += 1
         if best is None or len(factors) < len(best[1]):
             best = (p, factors)
         if len(factors) == 1:
             break
     return best
-
-
-def _gcd_deg(a: PrimePoly, b: PrimePoly) -> int:
-    p = a.modulus
-    x, y = list(a.coeffs), list(b.coeffs)
-    while y:
-        inv = pow(y[-1], p - 2, p)
-        q, _ = _zdivmod_monic([c * inv % p for c in x], [c * inv % p for c in y], p)
-        x, y = y, _zsub(x, _zmul(q, y, p), p)
-    return len(x) - 1
 
 
 def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:

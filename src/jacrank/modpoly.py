@@ -1,4 +1,10 @@
-"""Polynomial arithmetic and factorization over prime fields F_p.
+"""Polynomial arithmetic mod m, and factorization over prime fields F_p.
+
+This is the package's one implementation of arithmetic on ascending integer
+coefficient lists mod m: `trim`, `mul`, `add`, `sub`, `divmod_monic` and
+`powmod` work for any modulus m >= 2 (Hensel lifting mod p^k, Newton lifting
+mod ell^k) because every divisor is monic; `monic`, `gcd`, `xgcd` and
+`is_squarefree_mod_p` need a prime modulus.
 
 Factorization is squarefree decomposition, then distinct-degree splitting by
 Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (trace map in
@@ -10,11 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .arith import is_prime
 
-__all__ = ["PrimePoly", "factor_mod_p", "is_irreducible_mod_p"]
+__all__ = ["PrimePoly", "factor_mod_p", "is_irreducible_mod_p",
+           "is_squarefree_mod_p", "trim", "mul", "add", "sub",
+           "divmod_monic", "monic", "gcd", "xgcd", "powmod"]
 
 Coeffs = Tuple[int, ...]
 
@@ -42,77 +50,116 @@ class PrimePoly:
         return self.coeffs[-1]
 
 
-def _trim(a: List[int]) -> List[int]:
+def trim(a: List[int]) -> List[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _mul(a: List[int], b: List[int], p: int) -> List[int]:
+def mul(a: List[int], b: List[int], m: int) -> List[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+                out[i + j] += x * y
+    return trim([c % m for c in out])
 
 
-def _divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], p - 2, p)
-    r = list(a)
+def add(a: List[int], b: List[int], m: int) -> List[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c % m
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % m
+    return trim(out)
+
+
+def sub(a: List[int], b: List[int], m: int) -> List[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c % m
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % m
+    return trim(out)
+
+
+def divmod_monic(a: List[int], b: List[int], m: int) -> Tuple[List[int], List[int]]:
+    """(q, r) with a = q*b + r mod m and deg r < deg b; b must be monic, so
+    any modulus m >= 2 works."""
+    assert b and b[-1] == 1, "divisor must be monic"
+    r = [c % m for c in a]
     if len(r) < len(b):
-        return [], _trim(r)
+        return [], trim(r)
     q = [0] * (len(r) - len(b) + 1)
     db = len(b) - 1
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] * inv % p
+        c = r[k + db]
         if c:
             q[k] = c
             for j in range(db + 1):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-    return _trim(q), _trim(r)
+                r[k + j] = (r[k + j] - c * b[j]) % m
+    return trim(q), trim(r)
 
 
-def _monic(a: List[int], p: int) -> List[int]:
-    if not a or a[-1] == 1:
-        return list(a)
+def monic(a: Sequence[int], p: int) -> List[int]:
+    """a scaled by the inverse of its leading coefficient mod a prime p."""
+    if not a:
+        return []
     inv = pow(a[-1], p - 2, p)
     return [c * inv % p for c in a]
 
 
-def _gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = list(a), list(b)
+def gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd mod a prime p; every remainder is made monic before it
+    divides, and gcd(0, 0) = []."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p)
+        b = monic(b, p)
+        a, b = b, divmod_monic(a, b, p)[1]
+    return monic(a, p)
 
 
-def _deriv(a: List[int], p: int) -> List[int]:
-    return _trim([i * c % p for i, c in enumerate(a)][1:])
+def xgcd(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """For coprime a, b mod a prime p (both degree >= 1) returns (s, t) with
+    s*a + t*b = 1; extended Euclid gives deg s < deg b, deg t < deg a."""
+    r0, r1 = trim([c % p for c in a]), trim([c % p for c in b])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        # quotient of r0 by r1 = quotient of u*r0 by the monic u*r1
+        u = pow(r1[-1], p - 2, p)
+        q = divmod_monic([c * u for c in r0], [c * u % p for c in r1], p)[0]
+        r0, r1 = r1, sub(r0, mul(q, r1, p), p)
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
+    assert len(r0) == 1, "inputs were not coprime"
+    inv = pow(r0[0], p - 2, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _powmod(base: List[int], e: int, mod: List[int], p: int) -> List[int]:
+def powmod(base: List[int], e: int, f: List[int], m: int) -> List[int]:
+    """base^e mod (f, m) for monic f."""
     result = [1]
-    base = _divmod(base, mod, p)[1]
+    base = divmod_monic(base, f, m)[1]
     while e:
         if e & 1:
-            result = _divmod(_mul(result, base, p), mod, p)[1]
-        base = _divmod(_mul(base, base, p), mod, p)[1]
+            result = divmod_monic(mul(result, base, m), f, m)[1]
+        base = divmod_monic(mul(base, base, m), f, m)[1]
         e >>= 1
     return result
 
 
-def _sub(a: List[int], b: List[int], p: int) -> List[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
+def _deriv(a: List[int], p: int) -> List[int]:
+    return trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def is_squarefree_mod_p(coeffs: Sequence[int], p: int) -> bool:
+    """True when f mod p has no repeated factor, i.e. gcd(f, f') = 1 mod p.
+    For f with a unit leading coefficient this is p not dividing disc(f)."""
+    f = trim([c % p for c in coeffs])
+    return len(gcd(f, _deriv(f, p), p)) == 1
 
 
 def _squarefree_decomposition(f: List[int], p: int) -> List[Tuple[List[int], int]]:
@@ -126,16 +173,16 @@ def _squarefree_decomposition(f: List[int], p: int) -> List[Tuple[List[int], int
             f = f[::p]
             e *= p
             continue
-        g = _gcd(f, fp, p)
-        w = _divmod(f, g, p)[0]
+        g = gcd(f, fp, p)
+        w = divmod_monic(f, g, p)[0]
         i = 1
         while len(w) > 1:
-            y = _gcd(w, g, p)
-            z = _divmod(w, y, p)[0]
+            y = gcd(w, g, p)
+            z = divmod_monic(w, y, p)[0]
             if len(z) > 1:
                 out.append((z, e * i))
             w = y
-            g = _divmod(g, y, p)[0]
+            g = divmod_monic(g, y, p)[0]
             i += 1
         f = g  # remaining part has all multiplicities divisible by p
     return out
@@ -145,16 +192,16 @@ def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
     """Monic squarefree input; returns [(product-of-degree-d-factors, d)]."""
     blocks: List[Tuple[List[int], int]] = []
     x = [0, 1]
-    h = _divmod(x, f, p)[1]
+    h = divmod_monic(x, f, p)[1]
     d = 0
     while len(f) - 1 > 2 * d:
         d += 1
-        h = _powmod(h, p, f, p)
-        g = _gcd(_sub(h, x, p), f, p)
+        h = powmod(h, p, f, p)
+        g = gcd(sub(h, x, p), f, p)
         if len(g) > 1:
             blocks.append((g, d))
-            f = _divmod(f, g, p)[0]
-            h = _divmod(h, f, p)[1]
+            f = divmod_monic(f, g, p)[0]
+            h = divmod_monic(h, f, p)[1]
     if len(f) > 1:
         blocks.append((f, len(f) - 1))
     return blocks
@@ -166,19 +213,19 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
     if n == d:
         return [f]
     while True:
-        r = _trim([rng.randrange(p) for _ in range(n)])
+        r = trim([rng.randrange(p) for _ in range(n)])
         if p == 2:
             t = list(r)  # trace map r + r^2 + ... + r^(2^(d-1))
             acc = list(r)
             for _ in range(d - 1):
-                acc = _divmod(_mul(acc, acc, p), f, p)[1]
-                t = _sub(t, acc, p)  # char 2: subtraction is addition
-            g = _gcd(t, f, p)
+                acc = divmod_monic(mul(acc, acc, p), f, p)[1]
+                t = sub(t, acc, p)  # char 2: subtraction is addition
+            g = gcd(t, f, p)
         else:
-            s = _powmod(r, (p**d - 1) // 2, f, p)
-            g = _gcd(_sub(s, [1], p), f, p)
+            s = powmod(r, (p**d - 1) // 2, f, p)
+            g = gcd(sub(s, [1], p), f, p)
         if 1 < len(g) < len(f):
-            other = _divmod(f, g, p)[0]
+            other = divmod_monic(f, g, p)[0]
             return _equal_degree(g, d, p, rng) + _equal_degree(other, d, p, rng)
 
 
@@ -188,7 +235,7 @@ def factor_mod_p(f: PrimePoly) -> List[Tuple[PrimePoly, int]]:
     p = f.modulus
     if not f.coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    work = _monic(list(f.coeffs), p)
+    work = monic(f.coeffs, p)
     rng = random.Random(f"{p}:{f.coeffs}")
     out: List[Tuple[PrimePoly, int]] = []
     for part, mult in _squarefree_decomposition(work, p):
@@ -207,18 +254,18 @@ def is_irreducible_mod_p(f: PrimePoly) -> bool:
         return False
     if n == 1:
         return True
-    work = _monic(list(f.coeffs), p)
+    work = monic(f.coeffs, p)
     x = [0, 1]
     # x^(p^n) = x mod f, and no proper Frobenius power fixes a factor
     h = list(x)
     for _ in range(n):
-        h = _powmod(h, p, work, p)
-    if _sub(h, x, p):
+        h = powmod(h, p, work, p)
+    if sub(h, x, p):
         return False
     for t in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
         h = list(x)
         for _ in range(n // t):
-            h = _powmod(h, p, work, p)
-        if len(_gcd(_sub(h, x, p), work, p)) > 1:
+            h = powmod(h, p, work, p)
+        if len(gcd(sub(h, x, p), work, p)) > 1:
             return False
     return True

@@ -27,8 +27,11 @@ from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .cyclosig import SignatureVector
-from .factor import factor_over_Q, _zdivmod_monic, _zmul, _zsub
-from .modpoly import PrimePoly, factor_mod_p, is_irreducible_mod_p
+from .f2 import MatF2, rank
+from .factor import factor_over_Q
+from .modpoly import (PrimePoly, divmod_monic, factor_mod_p,
+                      is_irreducible_mod_p, is_squarefree_mod_p, mul, powmod,
+                      sub)
 from .polys import RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
 from .arith import is_prime, jacobi
@@ -147,10 +150,8 @@ class NumberField:
                 ell += 1
             if any(d % ell == 0 for d in dens):
                 continue
-            fp = PrimePoly(ell, self._int_coeffs)
-            dfp = PrimePoly(ell, [i * c for i, c in enumerate(self._int_coeffs)][1:])
-            if _f2gcd_deg(fp, dfp) != 0:
-                continue  # f not squarefree mod ell, i.e. ell | disc(f)
+            if not is_squarefree_mod_p(self._int_coeffs, ell):
+                continue  # ell | disc(f)
             for r in self._roots_mod(ell):
                 if len(out) >= count:
                     break
@@ -165,9 +166,13 @@ class NumberField:
 
     @cached_property
     def _witness_prime(self) -> int:
-        """An odd prime = 3 mod 4 with f irreducible mod ell, so the residue
-        field is F_{ell^deg} and square roots there are single powerings."""
-        ell = 3
+        return self._next_witness_prime(-1)
+
+    def _next_witness_prime(self, after: int) -> int:
+        """The least prime ell = 3 mod 4 above `after` (-1 starts at 3)
+        with f irreducible mod ell, so the residue field is F_{ell^deg} and
+        square roots there are single powerings."""
+        ell = after + 4
         while ell < 100000:
             if is_prime(ell) and ell % 4 == 3 \
                     and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
@@ -210,22 +215,22 @@ class NumberField:
         am = [c % ell for c in acoeffs]
         # quadratic residue test in F_{ell^p}: exponent (ell^p - 1) / 2
         order = ell ** p - 1
-        s = _powmod_ring(am, order // 2, f, ell)
+        s = powmod(am, order // 2, f, ell)
         if s != [1]:
             return False, None  # nonresidue in an inert completion
-        x = _powmod_ring(am, (order + 2) // 4, f, ell)
-        twox = _zmul([2], x, ell)
-        z = _powmod_ring(twox, order - 1, f, ell)
+        x = powmod(am, (order + 2) // 4, f, ell)
+        twox = mul([2], x, ell)
+        z = powmod(twox, order - 1, f, ell)
         m = ell
         cap = 1 << 14
         while m.bit_length() < cap:
             mm = m * m
             amm = [c % mm for c in acoeffs]
             # Newton: x' = x - (x^2 - a) z ; z' = z (2 - 2 x' z)
-            e = _zsub(_zdivmod_monic(_zmul(x, x, mm), f, mm)[1], amm, mm)
-            x = _zsub(x, _zdivmod_monic(_zmul(e, z, mm), f, mm)[1], mm)
-            tz = _zdivmod_monic(_zmul(_zmul([2], x, mm), z, mm), f, mm)[1]
-            z = _zdivmod_monic(_zmul(z, _zsub([2], tz, mm), mm), f, mm)[1]
+            e = sub(divmod_monic(mul(x, x, mm), f, mm)[1], amm, mm)
+            x = sub(x, divmod_monic(mul(e, z, mm), f, mm)[1], mm)
+            tz = divmod_monic(mul(mul([2], x, mm), z, mm), f, mm)[1]
+            z = divmod_monic(mul(z, sub([2], tz, mm), mm), f, mm)[1]
             m = mm
             if m.bit_length() < 192:
                 continue
@@ -237,25 +242,6 @@ class NumberField:
         raise SquarenessUndetermined(
             "residue screens passed but no witness found at precision cap")
 
-    def _next_witness_prime(self, after: int) -> int:
-        ell = after + 4
-        while ell < 100000:
-            if is_prime(ell) and ell % 4 == 3 \
-                    and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
-                return ell
-            ell += 4
-        raise SquarenessUndetermined("no inert witness prime found")
-
-
-def _f2gcd_deg(a: PrimePoly, b: PrimePoly) -> int:
-    p = a.modulus
-    x, y = list(a.coeffs), list(b.coeffs)
-    while y:
-        inv = pow(y[-1], p - 2, p)
-        q, _ = _zdivmod_monic([c * inv % p for c in x], [c * inv % p for c in y], p)
-        x, y = y, _zsub(x, _zmul(q, y, p), p)
-    return len(x) - 1
-
 
 def _eval_mod(rep: RationalPoly, r: int, ell: int) -> int:
     acc = 0
@@ -264,17 +250,6 @@ def _eval_mod(rep: RationalPoly, r: int, ell: int) -> int:
         den = pow(c.denominator % ell, ell - 2, ell)
         acc = (acc * r + num * den) % ell
     return acc
-
-
-def _powmod_ring(base: List[int], e: int, f: List[int], m: int) -> List[int]:
-    result = [1]
-    base = _zdivmod_monic(base, f, m)[1]
-    while e:
-        if e & 1:
-            result = _zdivmod_monic(_zmul(result, base, m), f, m)[1]
-        base = _zdivmod_monic(_zmul(base, base, m), f, m)[1]
-        e >>= 1
-    return result
 
 
 def _rat_recon(c: int, m: int) -> Optional[Tuple[int, int]]:
@@ -431,8 +406,7 @@ def independence_rank_mod_squares(classes: SquareClassSet, cap: int = 16) -> int
         ok, _ = field.is_square(prod)
         if ok:
             kernel_masks.append(mask)
-    from .f2 import rank as _f2rank, MatF2
-    kdim = _f2rank(MatF2(len(kernel_masks), k, tuple(kernel_masks))) if kernel_masks else 0
+    kdim = rank(MatF2(len(kernel_masks), k, tuple(kernel_masks))) if kernel_masks else 0
     return k - kdim
 
 

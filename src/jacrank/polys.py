@@ -18,6 +18,7 @@ from .arith import is_prime
 
 __all__ = [
     "RationalPoly",
+    "monic_gcd",
     "resultant",
     "discriminant",
     "min_poly_2cos",
@@ -143,6 +144,15 @@ class RationalPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def monic_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """Monic gcd over Q by Euclid's algorithm; zero when a and b are zero."""
+    while b.deg() >= 0:
+        a, b = b, a % b
+    if a.deg() < 0:
+        return a
+    return a.monic()
 
 
 def _prem(a: List[int], b: List[int]) -> List[int]:

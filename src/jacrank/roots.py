@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Tuple
 
-from .polys import RationalPoly
+from .polys import RationalPoly, monic_gcd
 
 __all__ = ["RootInterval", "RootIntervals", "isolate_real_roots",
            "real_root_count", "sign_at"]
@@ -162,11 +162,9 @@ def sign_at(g: RationalPoly, f: RationalPoly, iv: RootInterval) -> int:
         return _sign(g.eval(iv.lo))
     fchain = _sturm_chain(f)
     # if g shares the root with f, the sign is 0
-    a, b = f, g
-    while b.deg() >= 0:
-        a, b = b, a % b
-    if a.deg() > 0:
-        dchain = _sturm_chain(a.monic())
+    d = monic_gcd(f, g)
+    if d.deg() > 0:
+        dchain = _sturm_chain(d)
         if _variations_at(dchain, iv.lo) - _variations_at(dchain, iv.hi) > 0:
             return 0
     # squarefree part of g for counting its roots

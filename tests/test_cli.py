@@ -121,6 +121,17 @@ def test_lower_bound_invalid_inputs(capsys):
     assert code == 2 and "square-free" in err
 
 
+def test_lower_bound_zero_denominator_is_invalid_input():
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacrank", "lower-bound", "--poly", "1,-4,1,1",
+         "--y0", "1/0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "y0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stats_command(capsys):
     code, out, _ = run(capsys, "stats", "--ranks", SYNTH_PATH,
                        "--intervals", "1..10,11..20")

@@ -10,9 +10,26 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 
 from jacrank.arith import primes_upto
-from jacrank.modpoly import PrimePoly, factor_mod_p, is_irreducible_mod_p
+from jacrank.modpoly import (
+    PrimePoly,
+    add,
+    divmod_monic,
+    factor_mod_p,
+    gcd,
+    is_irreducible_mod_p,
+    is_squarefree_mod_p,
+    mul,
+    powmod,
+    sub,
+    xgcd,
+)
+
+PRIMES = (2, 3, 7, 101)
+# p^k as in Hensel lifting and ell^k as in the Newton square-root lift
+PRIME_POWERS = (2 ** 10, 3 ** 4, 7 ** 8, 101 ** 3, 10007 ** 2)
 
 # ascending coefficients of the degree-11 cyclotomic curve polynomial minus 1
 Q23_MINUS_ONE = (0, -6, -15, 35, 35, -56, -28, 36, 9, -10, -1, 1)
@@ -119,3 +136,91 @@ def test_big_prime_splitting():
         f = PrimePoly(p, (1, 0, 1))
         n_factors = sum(e for _, e in factor_mod_p(f))
         assert (n_factors == 2) == (p % 4 == 1)
+
+
+def random_poly(rng: random.Random, deg: int, m: int, monic: bool = False) -> list:
+    """Degree exactly deg, coefficients reduced mod m."""
+    lead = 1 if monic else rng.randrange(1, m)
+    return [rng.randrange(m) for _ in range(deg)] + [lead]
+
+
+def sympy_gcd_deg(a: list, b: list, p: int) -> int:
+    x = sympy.Symbol("x")
+    pa = sympy.Poly(list(reversed(a)), x, modulus=p)
+    pb = sympy.Poly(list(reversed(b)), x, modulus=p)
+    return pa.gcd(pb).degree()
+
+
+def test_divmod_monic_identity():
+    rng = random.Random(41)
+    for m in PRIMES + PRIME_POWERS:
+        for _ in range(60):
+            a = random_poly(rng, rng.randrange(0, 12), m)
+            b = random_poly(rng, rng.randrange(0, 6), m, monic=True)
+            q, r = divmod_monic(a, b, m)
+            assert len(r) < len(b), (m, a, b)
+            assert add(mul(q, b, m), r, m) == a, (m, a, b)
+            assert all(0 <= c < m for c in q + r)
+
+
+def test_powmod_against_repeated_mul():
+    rng = random.Random(43)
+    for m in PRIMES + PRIME_POWERS:
+        for _ in range(15):
+            f = random_poly(rng, rng.randrange(1, 6), m, monic=True)
+            base = random_poly(rng, rng.randrange(0, 8), m)
+            expected = [1]
+            for e in range(13):
+                assert powmod(base, e, f, m) == divmod_monic(expected, f, m)[1], (m, e)
+                expected = mul(expected, base, m)
+
+
+def test_gcd_is_monic_common_divisor():
+    rng = random.Random(47)
+    for p in PRIMES:
+        for _ in range(60):
+            common = random_poly(rng, rng.randrange(0, 4), p)
+            a = mul(common, random_poly(rng, rng.randrange(0, 5), p), p)
+            b = mul(common, random_poly(rng, rng.randrange(0, 5), p), p)
+            g = gcd(a, b, p)
+            assert g and g[-1] == 1, (p, a, b)
+            assert divmod_monic(a, g, p)[1] == []
+            assert divmod_monic(b, g, p)[1] == []
+            assert len(g) - 1 == sympy_gcd_deg(a, b, p), (p, a, b)
+    assert gcd([], [], 5) == []
+    assert gcd([3, 0, 2], [], 5) == [4, 0, 1]
+
+
+def test_xgcd_bezout_identity():
+    rng = random.Random(53)
+    for p in PRIMES:
+        done = 0
+        while done < 40:
+            a = random_poly(rng, rng.randrange(1, 7), p)
+            b = random_poly(rng, rng.randrange(1, 7), p)
+            if sympy_gcd_deg(a, b, p) != 0:
+                continue
+            s, t = xgcd(a, b, p)
+            assert add(mul(s, a, p), mul(t, b, p), p) == [1], (p, a, b)
+            assert len(s) < len(b) and len(t) < len(a)
+            done += 1
+
+
+def test_is_squarefree_mod_p_against_discriminant():
+    rng = random.Random(59)
+    x = sympy.Symbol("x")
+    for p in PRIMES:
+        for _ in range(60):
+            deg = rng.randrange(1, 7)
+            lead = rng.choice([1, -1, p + 1])  # a unit mod p
+            f = lead * x ** deg + sum(rng.randrange(-9, 10) * x ** i for i in range(deg))
+            if rng.random() < 0.3:
+                f = sympy.expand(f * (x + rng.randrange(-3, 4)) ** 2)
+            coeffs = [int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+            disc = sympy.discriminant(f, x)
+            assert is_squarefree_mod_p(coeffs, p) == (disc % p != 0), (p, coeffs)
+
+
+def test_subtraction_reduces_both_operands():
+    assert sub([12, 5], [1], 7) == [4, 5]
+    assert sub([1, 2], [1, 2], 9) == []
