@@ -1,28 +1,11 @@
-"""Build script: compiles the optional F2 kernel extension.
+"""Build script: compiles the optional C polynomial gcd `jacrank._f2core`.
 
-The package works without the extension (a pure-Python backend is selected at
-import time), so any failure here degrades to a pure install instead of
-aborting.
+The package works without it (`jacrank.f2` falls back to a pure-Python
+loop), so `optional=True` turns a missing compiler into a pure install
+instead of an error.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "jacrank._f2core",
-                sources=["src/jacrank/_f2core.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - exercised only on broken toolchains
-    print(f"jacrank: skipping compiled F2 kernel ({exc}); pure backend will be used")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("jacrank._f2core", ["src/jacrank/_f2core.c"],
+                             optional=True)])

@@ -168,7 +168,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_minpoly(args: argparse.Namespace) -> int:
     p = (args.q - 1) // 2
-    negate = False if args.plain else (p % 2 == 1 and p % 4 == 3)
+    negate = False if args.plain else p % 4 == 3
     print(format_poly(min_poly_2cos(args.q, negate)))
     return EXIT_OK
 
@@ -247,7 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (StoreFormatError, FileNotFoundError, ValueError) as exc:
+    except (StoreFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (SquarenessUndetermined, RuntimeError) as exc:

@@ -1,40 +1,29 @@
 """Dense bit-packed linear algebra over F2.
 
-Matrices are immutable; elimination always works on copies, so values can be
-shared freely across threads. The heavy kernels live in a compiled extension
-when available, with a pure-Python fallback selected at import time; set
-JACRANK_F2_BACKEND=pure or =compiled to force one.
+Rows, vectors and polynomials are Python ints: bit i is column i, or the
+coefficient of x^i. Matrices are immutable; elimination always works on
+copies, so values can be shared freely across threads. The polynomial gcd
+runs in the optional C extension `jacrank._f2core` when it is built, and in
+the pure-Python loop here otherwise; everything else is pure Python.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+try:
+    from . import _f2core
+except ImportError:
+    _f2core = None
 
 __all__ = ["MatF2", "VecF2", "rank", "kernel_basis", "span_dimension",
            "poly_gcd", "backend_name"]
 
-_choice = os.environ.get("JACRANK_F2_BACKEND", "")
-if _choice == "pure":
-    from . import _f2pure as _kern
-    _NAME = "pure"
-elif _choice == "compiled":
-    from . import _f2core as _kern  # type: ignore[attr-defined]
-    _NAME = "compiled"
-elif _choice == "":
-    try:
-        from . import _f2core as _kern  # type: ignore[attr-defined]
-        _NAME = "compiled"
-    except ImportError:
-        from . import _f2pure as _kern
-        _NAME = "pure"
-else:
-    raise ImportError(f"JACRANK_F2_BACKEND must be 'pure' or 'compiled', got {_choice!r}")
-
 
 def backend_name() -> str:
-    return _NAME
+    """Which polynomial gcd runs: "compiled" or "pure"."""
+    return "pure" if _f2core is None else "compiled"
 
 
 @dataclass(frozen=True)
@@ -89,12 +78,50 @@ class MatF2:
         return VecF2(self.cols, self.bits[i])
 
 
+def _echelon_rank(rows: Iterable[int]) -> int:
+    pivots = {}
+    rk = 0
+    for row in rows:
+        cur = row
+        while cur:
+            m = cur.bit_length() - 1
+            if m in pivots:
+                cur ^= pivots[m]
+            else:
+                pivots[m] = cur
+                rk += 1
+                break
+    return rk
+
+
 def rank(m: MatF2) -> int:
-    return _kern.rank_rows(list(m.bits), m.cols)
+    return _echelon_rank(m.bits)
 
 
 def kernel_basis(m: MatF2) -> Tuple[VecF2, ...]:
-    return tuple(VecF2(m.cols, v) for v in _kern.kernel_rows(list(m.bits), m.cols))
+    """Basis of {x : every row r has parity(r & x) = 0}.
+
+    Columns are eliminated left to right; each dependent column emits the
+    accumulated combination, so the order is deterministic."""
+    pivots = {}
+    out: List[VecF2] = []
+    for j in range(m.cols):
+        cur = 0
+        for i, row in enumerate(m.bits):
+            cur |= ((row >> j) & 1) << i
+        tracker = 1 << j
+        while cur:
+            top = cur.bit_length() - 1
+            if top in pivots:
+                pc, pt = pivots[top]
+                cur ^= pc
+                tracker ^= pt
+            else:
+                pivots[top] = (cur, tracker)
+                break
+        if cur == 0:
+            out.append(VecF2(m.cols, tracker))
+    return tuple(out)
 
 
 def span_dimension(vectors: Sequence[VecF2]) -> int:
@@ -104,11 +131,24 @@ def span_dimension(vectors: Sequence[VecF2]) -> int:
     n = vs[0].length
     if any(v.length != n for v in vs):
         raise ValueError("vectors have mismatched lengths")
-    return _kern.rank_rows([v.bits for v in vs], n)
+    return _echelon_rank(v.bits for v in vs)
 
 
 def poly_gcd(a: int, b: int) -> int:
     """gcd of polynomials over F2, coefficients packed into int bits."""
     if a < 0 or b < 0:
         raise ValueError("packed polynomials must be nonnegative")
-    return _kern.poly_gcd(a, b)
+    if _f2core is not None:
+        n = (max(a.bit_length(), b.bit_length()) + 7) // 8
+        return int.from_bytes(
+            _f2core.poly_gcd(a.to_bytes(n, "little"), b.to_bytes(n, "little")),
+            "little")
+    while b:
+        db = b.bit_length() - 1
+        while a:
+            da = a.bit_length() - 1
+            if da < db:
+                break
+            a ^= b << (da - db)
+        a, b = b, a
+    return a

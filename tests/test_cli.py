@@ -157,6 +157,18 @@ def test_stats_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["washington", "--m", "1..3", "--clgroups"],
+                                  ["stats", "--ranks"]],
+                         ids=["washington", "stats"])
+def test_directory_as_data_file_is_invalid_input(argv, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "jacrank", *argv, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_minpoly_frozen(capsys):
     for q, expected in (
         (7, "x^3 - x^2 - 2x + 1"),

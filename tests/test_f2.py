@@ -1,25 +1,58 @@
 """Tests for bit-packed F2 linear algebra.
 
 Oracle: naive list-of-lists Gaussian elimination, plus a schoolbook
-polynomial gcd over F2. Both the pure-Python kernels and the compiled
-kernels (when built) are exercised with identical expectations.
+polynomial gcd over F2. `f2.poly_gcd` is exercised on both of its paths: the
+pure-Python loop, and the C kernel `_f2core.c`, built from the source tree
+into a temporary directory once per session.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
+import shutil
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from jacrank import _f2pure
-from jacrank.f2 import MatF2, VecF2, backend_name, kernel_basis, poly_gcd, rank, span_dimension
+from jacrank import f2
+from jacrank.arith import multiplicative_order
+from jacrank.cyclosig import orbit_word, sophie_germain_pairs
+from jacrank.f2 import MatF2, VecF2, backend_name, kernel_basis, rank, span_dimension
 
-KERNELS = [_f2pure]
-try:
-    from jacrank import _f2core
-    KERNELS.append(_f2core)
-except ImportError:
-    pass
+CORE_SOURCE = Path(f2.__file__).with_name("_f2core.c")
+
+
+@pytest.fixture(scope="session")
+def compiled_core(tmp_path_factory):
+    """`jacrank._f2core` compiled into a temporary directory, never into src/."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler found: {cc!r} is not on PATH")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("f2core")
+    cmd = build_ext(Distribution(
+        {"ext_modules": [Extension("jacrank._f2core", [str(CORE_SOURCE)])]}))
+    cmd.build_lib, cmd.build_temp = str(out / "lib"), str(out / "temp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "jacrank._f2core", cmd.get_ext_fullpath("jacrank._f2core"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def gcd(request, monkeypatch):
+    """`f2.poly_gcd` forced onto one of its two paths."""
+    core = request.getfixturevalue("compiled_core") if request.param == "compiled" else None
+    monkeypatch.setattr(f2, "_f2core", core)
+    return f2.poly_gcd
 
 
 def naive_rank(rows_bits, nrows, ncols):
@@ -48,79 +81,102 @@ def naive_poly_gcd(a, b):
     return a
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_rank_against_naive_oracle(kern):
+def clmul(a, b):
+    """Product of polynomials over F2 packed as ints."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def test_rank_against_naive_oracle():
     rng = random.Random(21701)
     for _ in range(10000):
         r = rng.randrange(1, 9)
         c = rng.randrange(1, 9)
         rows = [rng.randrange(1 << c) for _ in range(r)]
-        assert kern.rank_rows(rows, c) == naive_rank(rows, r, c)
+        assert rank(MatF2(r, c, tuple(rows))) == naive_rank(rows, r, c)
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_rank_transpose_property(kern):
+def test_rank_transpose_property():
     rng = random.Random(21713)
     for _ in range(500):
         r = rng.randrange(1, 12)
         c = rng.randrange(1, 12)
         rows = [rng.randrange(1 << c) for _ in range(r)]
         t = [sum(((rows[i] >> j) & 1) << i for i in range(r)) for j in range(c)]
-        assert kern.rank_rows(rows, c) == kern.rank_rows(t, r)
+        assert rank(MatF2(r, c, tuple(rows))) == rank(MatF2(c, r, tuple(t)))
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_kernel_rows(kern):
+def test_kernel_basis_against_rank():
     rng = random.Random(21727)
     for _ in range(800):
         r = rng.randrange(1, 10)
         c = rng.randrange(1, 10)
         rows = [rng.randrange(1 << c) for _ in range(r)]
-        ker = kern.kernel_rows(rows, c)
-        assert len(ker) == c - kern.rank_rows(rows, c)
+        m = MatF2(r, c, tuple(rows))
+        ker = [v.bits for v in kernel_basis(m)]
+        assert len(ker) == c - rank(m)
         for v in ker:
             assert 0 < v < (1 << c)
             for row in rows:
                 assert bin(row & v).count("1") % 2 == 0
-        assert kern.rank_rows(ker, c) == len(ker)
+        assert rank(MatF2(len(ker), c, tuple(ker))) == len(ker)
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_poly_gcd_against_schoolbook(kern):
+def test_poly_gcd_against_schoolbook(gcd):
     rng = random.Random(21739)
     for _ in range(2000):
         a = rng.randrange(1 << rng.randrange(1, 64))
         b = rng.randrange(1 << rng.randrange(1, 64))
-        assert kern.poly_gcd(a, b) == naive_poly_gcd(a, b)
+        assert gcd(a, b) == naive_poly_gcd(a, b)
     # a few wide operands crossing many words
     for _ in range(50):
         a = rng.randrange(1 << 700)
         b = rng.randrange(1 << 500)
-        assert kern.poly_gcd(a, b) == naive_poly_gcd(a, b)
+        assert gcd(a, b) == naive_poly_gcd(a, b)
 
 
-@pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.__name__.rsplit(".", 1)[-1])
-def test_poly_gcd_edge_cases(kern):
-    assert kern.poly_gcd(0, 0) == 0
-    assert kern.poly_gcd(0b101, 0) == 0b101
-    assert kern.poly_gcd(0, 0b11) == 0b11
+def test_poly_gcd_edge_cases(gcd):
+    assert gcd(0, 0) == 0
+    assert gcd(0b101, 0) == 0b101
+    assert gcd(0, 0b11) == 0b11
     # (x+1)^2 = x^2+1 over F2; gcd with x^2+x = x(x+1) is x+1
-    assert kern.poly_gcd(0b101, 0b110) == 0b11
+    assert gcd(0b101, 0b110) == 0b11
+    with pytest.raises(ValueError):
+        gcd(-1, 1)
 
 
-def test_backends_agree_when_compiled_present():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernels not built")
+def test_backends_agree_when_compiled_present(compiled_core, monkeypatch):
+    """f2.poly_gcd on the C kernel equals the pure loop it falls back to."""
     rng = random.Random(21751)
-    for _ in range(300):
-        r = rng.randrange(1, 20)
-        c = rng.randrange(1, 130)
-        rows = [rng.randrange(1 << c) for _ in range(r)]
-        assert _f2core.rank_rows(rows, c) == _f2pure.rank_rows(rows, c)
-        assert _f2core.kernel_rows(rows, c) == _f2pure.kernel_rows(rows, c)
-        a = rng.randrange(1 << 1000)
-        b = rng.randrange(1 << 900)
-        assert _f2core.poly_gcd(a, b) == _f2pure.poly_gcd(a, b)
+    pairs = [(rng.randrange(1 << 1000), rng.randrange(1 << 900)) for _ in range(300)]
+    known = {}  # pairs whose gcd is known in advance
+    for d in (0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 700):
+        a = (1 << d) | rng.randrange(1 << d)
+        known.update({(a, 0): a, (0, a): a, (a, a): a})
+    # shifted XORs whose offset and operand degrees straddle a 64-bit word
+    degrees = (63, 64, 65, 127, 128, 129)
+    for da in degrees:
+        for db in degrees:
+            a = (1 << da) | rng.randrange(1 << da)
+            b = (1 << db) | rng.randrange(1 << db)
+            pairs += [(a, b), (b, a)]
+            known.update({(a, clmul(a, b)): a, (clmul(a, b), b): b})
+    pairs += list(known)
+    # the orbit-word gcds certify_rho_infty computes: 2 not primitive mod p
+    pairs += [(orbit_word(pr), (1 << pr.p) | 1) for pr in sophie_germain_pairs(20000)
+              if multiplicative_order(2, pr.p) != pr.p - 1]
+
+    monkeypatch.setattr(f2, "_f2core", None)
+    pure = [f2.poly_gcd(a, b) for a, b in pairs]
+    monkeypatch.setattr(f2, "_f2core", compiled_core)
+    assert backend_name() == "compiled"
+    assert [f2.poly_gcd(a, b) for a, b in pairs] == pure
+    assert all(f2.poly_gcd(a, b) == g for (a, b), g in known.items())
 
 
 def test_matf2_construction_and_rank_examples():

@@ -1,5 +1,6 @@
-"""Module structure: no private helper shared between jacrank modules, and
-every layer the traced benchmark wraps by name still exists."""
+"""Module structure: no private helper shared between jacrank modules, no
+module reading the environment, no generated or Cython source, and every
+layer the traced benchmark wraps by name still exists."""
 
 from __future__ import annotations
 
@@ -21,6 +22,30 @@ def test_no_private_name_imported_across_modules():
                 offenders += [f"{path.name}:{node.lineno} from .{node.module} "
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour is chosen from what the code can observe, never by a knob."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                              for alias in node.names
+                              if alias.name in ("environ", "getenv", "*")]
+    assert offenders == []
+
+
+def test_no_generated_or_cython_sources():
+    """Every source in the package is hand-written and builds without Cython."""
+    offenders = []
+    for path in sorted(p for p in PACKAGE_DIR.iterdir() if p.is_file()):
+        with path.open("rb") as fh:
+            if path.suffix == ".pyx" or b"Generated by" in fh.readline():
+                offenders.append(path.name)
     assert offenders == []
 
 
