@@ -16,6 +16,10 @@ Sturm intervals, and squareness by screen-then-witness:
 Accepts always carry verified witnesses; rejects always carry a sound
 obstruction. If the precision ladder is exhausted without either, the
 (never-yet-observed) outcome is a SquarenessUndetermined error, not a guess.
+
+A field finds its split primes, with the roots of f mod each, and its real
+root intervals, with their Sturm chain, once, and reuses them for every
+element.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cyclosig import SignatureVector
 from .f2 import MatF2, rank
 from .factor import factor_over_Q
-from .modpoly import (PrimePoly, divmod_monic, factor_mod_p,
-                      is_irreducible_mod_p, is_squarefree_mod_p, mul, powmod,
-                      sub)
+from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
+                      is_squarefree_mod_p, mul, powmod, roots_mod_p, sub)
 from .polys import RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
 from .arith import is_prime, jacobi
@@ -66,6 +69,9 @@ class NumberField:
             raise ValueError("defining polynomial must be irreducible")
         self.poly = poly
         self.degree = poly.deg()
+        # the split primes among the odd primes up to _ell_scanned
+        self._split_primes: List[Tuple[int, List[int]]] = []
+        self._ell_scanned = 2
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberField) and self.poly.coeffs == other.poly.coeffs
@@ -120,8 +126,7 @@ class NumberField:
         ivs = self.root_intervals
         if len(ivs) != self.degree:
             raise ValueError("field is not totally real")
-        rep = RationalPoly(a.coords)
-        return SignatureVector(tuple(sign_at(rep, self.poly, iv) for iv in ivs))
+        return SignatureVector(sign_at(RationalPoly(a.coords), ivs))
 
     # -- squareness ----------------------------------------------------------
 
@@ -132,27 +137,36 @@ class NumberField:
         n, d = x.numerator, x.denominator
         return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
-    def _roots_mod(self, ell: int) -> List[int]:
-        fp = PrimePoly(ell, self._int_coeffs)
-        return sorted((-g.coeffs[0]) % ell
-                      for g, _ in factor_mod_p(fp) if g.deg() == 1)
+    def _split_prime(self, i: int) -> Tuple[int, List[int]]:
+        """The i-th split prime, counting from 0: (ell, roots of f mod ell)
+        for the odd primes ell not dividing disc(f) at which f has a root.
+        Each prime is examined once per field."""
+        while len(self._split_primes) <= i:
+            ell = self._ell_scanned + 1
+            while not is_prime(ell):
+                ell += 1
+            self._ell_scanned = ell
+            if not is_squarefree_mod_p(self._int_coeffs, ell):
+                continue  # ell | disc(f)
+            roots = roots_mod_p(self._int_coeffs, ell)
+            if roots:
+                self._split_primes.append((ell, roots))
+        return self._split_primes[i]
 
     def _degree_one_ideals(self, count: int,
                            avoid: Sequence["FieldElement"]) -> List[Tuple[int, int]]:
-        """(ell, root) pairs at which every element of `avoid` is a unit."""
+        """The first `count` (ell, root) pairs, by ell then root, at which
+        every element of `avoid` is a unit."""
         dens = [c.denominator for a in avoid for c in a.coords]
         reps = [RationalPoly(a.coords) for a in avoid]
         out: List[Tuple[int, int]] = []
-        ell = 2
+        i = 0
         while len(out) < count:
-            ell += 1
-            while not is_prime(ell):
-                ell += 1
+            ell, roots = self._split_prime(i)
+            i += 1
             if any(d % ell == 0 for d in dens):
                 continue
-            if not is_squarefree_mod_p(self._int_coeffs, ell):
-                continue  # ell | disc(f)
-            for r in self._roots_mod(ell):
+            for r in roots:
                 if len(out) >= count:
                     break
                 if all(_eval_mod(rep, r, ell) != 0 for rep in reps):
@@ -206,11 +220,9 @@ class NumberField:
             d = d * c.denominator // gcd(d, c.denominator)
         scaled = [c * d * d for c in a.coords]
         acoeffs = [int(c) for c in scaled]
+        nrm = self.norm(self.element(scaled)).numerator
         ell = self._witness_prime
-        while True:
-            nrm = self.norm(self.element(scaled))
-            if nrm.numerator % ell != 0:
-                break
+        while nrm % ell == 0:
             ell = self._next_witness_prime(ell)
         am = [c % ell for c in acoeffs]
         # quadratic residue test in F_{ell^p}: exponent (ell^p - 1) / 2

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .arith import is_prime
 
 __all__ = [
     "RationalPoly",
     "monic_gcd",
+    "prem",
     "resultant",
     "discriminant",
     "min_poly_2cos",
@@ -155,9 +156,10 @@ def monic_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     return a.monic()
 
 
-def _prem(a: List[int], b: List[int]) -> List[int]:
-    """Pseudo-remainder: long division of lc(b)^(deg a - deg b + 1) * a by b.
-    Every division step is exact over Z thanks to the pre-scaling."""
+def prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Pseudo-remainder of integer polynomials with deg a >= deg b: the
+    remainder of lc(b)^(deg a - deg b + 1) * a on division by b. Every
+    division step is exact over Z thanks to the pre-scaling."""
     db = len(b) - 1
     lb = b[-1]
     d = len(a) - len(b)
@@ -188,7 +190,7 @@ def _int_resultant(a: List[int], b: List[int]) -> int:
         d = da - db
         if (da % 2) and (db % 2):
             s = -s
-        r = _prem(a, b)
+        r = prem(a, b)
         if not r:
             return 0
         div = g * h**d

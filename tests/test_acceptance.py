@@ -109,18 +109,12 @@ def test_criterion_3_worked_example_end_to_end():
 
 def test_criterion_4_lower_bounds_desk_scale():
     got = {}
-    for q, expected in ((11, 2), (23, 4), (47, 6)):
+    for q, expected in ((11, 2), (23, 4), (47, 6), (59, 4)):
         lower, _ = lower_bound_from_points(curve_min_poly(q), Fraction(1))
         assert lower == expected, f"q={q}: lower {lower} != {expected}"
         got[(q - 1) // 2] = lower
-    message = f"lower bounds p=5,11,23 -> {got[5]},{got[11]},{got[23]}"
-    if os.environ.get("JACRANK_TABLE4_P29"):
-        lower, _ = lower_bound_from_points(curve_min_poly(59), Fraction(1))
-        assert lower == 4
-        message += " and p=29 -> 4"
-    else:
-        message += " (set JACRANK_TABLE4_P29=1 to include p=29)"
-    report(4, message)
+    report(4, "lower bounds p=5,11,23,29 -> "
+              + ",".join(str(got[p]) for p in (5, 11, 23, 29)))
 
 
 def test_criterion_5_washington_pipeline():

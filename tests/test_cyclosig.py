@@ -96,7 +96,7 @@ def test_canonical_signature_matches_sorted_conjugates():
         ivs = isolate_real_roots(f)
         assert len(ivs) == p
         xpoly = RationalPoly([0, 1])
-        signs = tuple(sign_at(xpoly, f, iv) for iv in ivs)
+        signs = sign_at(xpoly, ivs)
         assert signs == canonical_signature(pair).signs
 
 

@@ -13,6 +13,7 @@ import pytest
 import sympy
 
 from jacrank.arith import primes_upto
+from jacrank.bounds import curve_min_poly, washington_curve_poly
 from jacrank.modpoly import (
     PrimePoly,
     add,
@@ -23,9 +24,11 @@ from jacrank.modpoly import (
     is_squarefree_mod_p,
     mul,
     powmod,
+    roots_mod_p,
     sub,
     xgcd,
 )
+from jacrank.polys import RationalPoly, discriminant
 
 PRIMES = (2, 3, 7, 101)
 # p^k as in Hensel lifting and ell^k as in the Newton square-root lift
@@ -224,3 +227,39 @@ def test_is_squarefree_mod_p_against_discriminant():
 def test_subtraction_reduces_both_operands():
     assert sub([12, 5], [1], 7) == [4, 5]
     assert sub([1, 2], [1, 2], 9) == []
+
+
+def _roots_by_factoring(coeffs, ell):
+    return sorted(-g.coeffs[0] % ell
+                  for g, _ in factor_mod_p(PrimePoly(ell, coeffs)) if g.deg() == 1)
+
+
+def test_roots_mod_p_matches_linear_factors():
+    """roots_mod_p equals the degree-one factors of factor_mod_p at every
+    prime ell < 800 not dividing disc(f)."""
+    polys = [curve_min_poly(q).int_coeffs() for q in (11, 23, 47, 59)]
+    polys += [washington_curve_poly(m).int_coeffs() for m in (1, 2, 5, 11, 143)]
+    rng = random.Random(59)
+    while len(polys) < 29:
+        f = [rng.randrange(-40, 41) for _ in range(rng.randrange(1, 9))] + [1]
+        if discriminant(RationalPoly(f)) != 0:
+            polys.append(f)
+    pairs = 0
+    for f in polys:
+        disc = discriminant(RationalPoly(f))
+        for ell in primes_upto(800):
+            if disc % ell == 0:
+                continue
+            assert roots_mod_p(f, ell) == _roots_by_factoring(f, ell), (f, ell)
+            pairs += 1
+    assert pairs > 3500
+
+
+def test_roots_mod_p_edge_cases():
+    assert roots_mod_p([1, 0, 1], 2) == [1]          # (x + 1)^2 mod 2
+    assert roots_mod_p([0, 0, 0, 1], 7) == [0]       # x^3
+    assert roots_mod_p([6, 11, 6, 1], 3) == [0, 1, 2]  # (x+1)(x+2)(x+3)
+    assert roots_mod_p([3, 5], 5) == []              # a nonzero constant mod 5
+    assert roots_mod_p([2, 3], 5) == [1]             # 3x + 2, not monic
+    with pytest.raises(ValueError):
+        roots_mod_p([7, 14], 7)

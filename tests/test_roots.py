@@ -13,7 +13,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from jacrank.polys import RationalPoly, min_poly_2cos
+from jacrank.arith import is_squarefree_integer
+from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
+    washington_curve_poly
+from jacrank.numberfield import NumberField
+from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
 from jacrank.roots import isolate_real_roots, real_root_count, sign_at
 
 X = sympy.symbols("x")
@@ -119,10 +123,10 @@ def test_sign_at_root():
     f = min_poly_2cos(11, True)
     g = RationalPoly([-3, 0, 1])
     ivs = isolate_real_roots(f)
-    signs = [sign_at(g, f, iv) for iv in ivs]
+    signs = list(sign_at(g, ivs))
     assert signs == [-1, -1, -1, -1, 1]
     h = RationalPoly([0, 1])  # sign of the root itself
-    assert [sign_at(h, f, iv) for iv in ivs] == [-1, -1, 1, 1, 1]
+    assert list(sign_at(h, ivs)) == [-1, -1, 1, 1, 1]
 
 
 def test_refinement_width():
@@ -130,3 +134,106 @@ def test_refinement_width():
     ivs = isolate_real_roots(f).refined(Fraction(1, 2**40))
     for iv in ivs:
         assert iv.hi - iv.lo <= Fraction(1, 2**40)
+
+
+# -- reference: the Fraction-based per-root sign_at this module replaced -----
+
+
+def _ref_sturm_chain(f):
+    chain = [f, f.derivative()]
+    while chain[-1].deg() > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.deg() < 0:
+            break
+        chain.append(-rem)
+    return chain
+
+
+def _ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _ref_variations_at(chain, x):
+    signs = [s for s in (_ref_sign(g.eval(x)) for g in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_count_in(chain, a, b):
+    return _ref_variations_at(chain, a) - _ref_variations_at(chain, b)
+
+
+def ref_sign_at(g, f, iv):
+    """Reference: sign of g at the unique root of f inside iv, rebuilding
+    every Sturm chain over Q on each call."""
+    if g.deg() < 0:
+        return 0
+    if iv.lo == iv.hi:
+        return _ref_sign(g.eval(iv.lo))
+    fchain = _ref_sturm_chain(f)
+    d = monic_gcd(f, g)
+    if d.deg() > 0:
+        dchain = _ref_sturm_chain(d)
+        if _ref_variations_at(dchain, iv.lo) - _ref_variations_at(dchain, iv.hi) > 0:
+            return 0
+    gchain = _ref_sturm_chain(g)
+    if gchain[-1].deg() > 0:
+        gsf = g.divmod(gchain[-1])[0]
+        gchain = _ref_sturm_chain(gsf)
+    lo, hi = iv.lo, iv.hi
+    while True:
+        if _ref_count_in(gchain, lo, hi) == 0:
+            s = _ref_sign(g.eval((lo + hi) / 2))
+            if s != 0:
+                return s
+        m = (lo + hi) / 2
+        v = f.eval(m)
+        if v == 0:
+            return _ref_sign(g.eval(m))
+        if _ref_count_in(fchain, lo, m) == 1:
+            hi = m
+        else:
+            lo = m
+
+
+def _assert_matches_reference(g, ivs):
+    want = tuple(ref_sign_at(g, ivs.poly, iv) for iv in ivs)
+    assert sign_at(g, ivs) == want, (g, ivs.poly)
+
+
+def test_sign_at_matches_reference_on_washington_units():
+    fields = 0
+    for m in range(1, 301):
+        if not is_squarefree_integer(m * m + 3 * m + 9):
+            continue
+        field = NumberField(washington_curve_poly(m))
+        th = field.theta()
+        for unit in (th, (field.one() - th).inverse(), field.one() - th.inverse()):
+            _assert_matches_reference(RationalPoly(unit.coords), field.root_intervals)
+        fields += 1
+    assert fields == 186
+
+
+def test_sign_at_matches_reference_on_class_representatives():
+    for q in (11, 23):
+        _, classes = lower_bound_from_points(curve_min_poly(q), Fraction(1))
+        ivs = classes.field.root_intervals
+        for a in classes.representatives:
+            _assert_matches_reference(RationalPoly(a.coords), ivs)
+
+
+def test_sign_at_matches_reference_on_shared_and_repeated_roots():
+    # g sharing roots with f, g with a repeated root, g constant, g zero;
+    # a linear f has the exact interval [1/3, 1/3]
+    f = RationalPoly([1]) * RationalPoly([-1, 1]) * RationalPoly([2, 1]) \
+        * RationalPoly([-2, 0, 1])
+    ivs = isolate_real_roots(f)
+    gs = [RationalPoly([-1, 1]) * RationalPoly([3, 1]),
+          RationalPoly([-2, 0, 1]),
+          RationalPoly([Fraction(1, 3), 1]) * RationalPoly([Fraction(1, 3), 1]),
+          RationalPoly([-5]),
+          RationalPoly([])]
+    for g in gs:
+        _assert_matches_reference(g, ivs)
+        _assert_matches_reference(g, ivs.refined(Fraction(1, 2**10)))
+        _assert_matches_reference(g, isolate_real_roots(RationalPoly([-1, 3])))
+    assert sign_at(RationalPoly([]), ivs) == (0, 0, 0, 0)
