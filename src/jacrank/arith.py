@@ -17,7 +17,6 @@ __all__ = [
     "multiplicative_order",
     "is_squarefree_integer",
     "jacobi",
-    "primes_with_odd_order_of_two",
 ]
 
 # exact for all n < 3_317_044_064_679_887_385_961_981 per Sorenson-Webster
@@ -131,12 +130,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def primes_with_odd_order_of_two(limit: int) -> List[int]:
-    """Odd primes p < limit for which the order of 2 mod p is odd."""
-    return [
-        p
-        for p in primes_upto(limit - 1)
-        if p != 2 and multiplicative_order(2, p) % 2 == 1
-    ]

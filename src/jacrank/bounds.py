@@ -12,21 +12,27 @@ certificates are in hand):
     cyclotomic field, a signature-matrix certificate, or assumed from the
     Davis-Taussky conjecture (flagged as conditional).
 
-Class-group 2-ranks are external inputs carried by a ClassGroupStore.
+For the simplest cubics both certificates are exact integer checks in m:
+f_m(0) = 1 and f_m(1) = -1 place one real root in each of (-inf, 0), (0, 1)
+and (1, inf), which fixes the unit signatures and leaves f_m without a root
+mod 2, and the shift identity 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3)
+gives Eisenstein at every v | D. No number field is built for them.
+
+Lower bounds take odd-degree f. Class-group 2-ranks are external inputs
+carried by a ClassGroupStore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
     prime_factors
 from .cyclosig import SophieGermainPair, certify_rho_infty
 from .f2 import VecF2, span_dimension
 from .factor import factor_over_Q
-from .modpoly import PrimePoly, is_irreducible_mod_p
 from .numberfield import NumberField, SquareClassSet, delta_class_of_factor, \
     independence_rank_mod_squares
 from .polys import RationalPoly, min_poly_2cos
@@ -94,9 +100,14 @@ class BoundReport:
 # -- Washington's simplest cubic family -------------------------------------
 
 
+def _washington_coeffs(m: int) -> Tuple[int, int, int, int]:
+    """Ascending integer coefficients of f_m."""
+    return (1, -(m + 3), m, 1)
+
+
 def washington_curve_poly(m: int) -> RationalPoly:
     """f_m = x^3 + m x^2 - (m+3) x + 1."""
-    return RationalPoly([Fraction(1), Fraction(-(m + 3)), Fraction(m), Fraction(1)])
+    return RationalPoly(_washington_coeffs(m))
 
 
 def _washington_D(m: int) -> int:
@@ -107,38 +118,66 @@ def _washington_D(m: int) -> int:
     return D
 
 
+def _eval_int(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _shift_by_minus_third(coeffs: Sequence[int], m: int) -> List[int]:
+    """27 f(x - m/3) for a cubic f, as sum_k c_k 3^(3-k) (3x - m)^k."""
+    out = [0] * 4
+    power = [1]  # (3x - m)^k, ascending
+    for k, c in enumerate(coeffs):
+        for i, a in enumerate(power):
+            out[i] += c * 3 ** (3 - k) * a
+        power = [3 * b - m * a for a, b in zip(power + [0], [0] + power)]
+    return out
+
+
 def washington_local_certificate(m: int) -> GTrivialityCertificate:
-    """Irreducibility of f_m over Q_v for all bad v: mod-2 reduction at v=2,
+    """Irreducibility of f_m over Q_v for all bad v: at v=2, f_m(0) and
+    f_m(1) are odd, so the cubic has no root mod 2 and is irreducible there;
     Eisenstein after the shift x -> x - m/3 at every v | D."""
     D = _washington_D(m)
-    f = washington_curve_poly(m)
+    coeffs = _washington_coeffs(m)
     evidence: List[Tuple[int, str]] = []
-    ok = is_irreducible_mod_p(PrimePoly(2, f.int_coeffs()))
+    ok = _eval_int(coeffs, 0) % 2 == 1 and _eval_int(coeffs, 1) % 2 == 1
     evidence.append((2, "irreducible-mod-p"))
     # 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3); check the identity once
-    shifted = f.compose(RationalPoly([Fraction(-m, 3), Fraction(1)])).scale(27)
-    expected = RationalPoly([D * (2 * m + 3), -9 * D, 0, 27])
-    ok = ok and shifted == expected
     const = D * (2 * m + 3)
-    for v in prime_factors(D):
+    ok = ok and _shift_by_minus_third(coeffs, m) == [const, -9 * D, 0, 27]
+    bad = prime_factors(D)
+    for v in bad:
         # Eisenstein at v: v does not divide the leading 27, v divides the
         # lower coefficients, v^2 does not divide the constant term
         ok = ok and 27 % v != 0 and (9 * D) % v == 0 and const % v == 0 \
             and const % (v * v) != 0
         evidence.append((v, "eisenstein-after-shift"))
-    return GTrivialityCertificate(tuple([2] + prime_factors(D)),
-                                  tuple(evidence), ok)
+    return GTrivialityCertificate(tuple([2] + bad), tuple(evidence), ok)
 
 
 def washington_rho_certificate(m: int) -> int:
     """rho_infty = 0 for L_m: the signatures of the three conjugate root
     units theta, 1/(1-theta), 1-1/theta span F_2^3, so every totally
-    positive unit is a square. Returns 0; a span defect raises."""
+    positive unit is a square. Returns 0; a span defect raises.
+
+    The signs come from f_m(0) = 1 and f_m(1) = -1 alone. A monic cubic
+    with these values has one real root r in each of (-inf, 0), (0, 1) and
+    (1, inf); N(theta) = -f(0) and N(1 - theta) = f(1) make theta and
+    1 - theta units. At r, theta has the sign of r, 1/(1-theta) the sign of
+    1 - r, and 1 - 1/theta = (theta - 1)/theta the sign of (r - 1) r."""
     _washington_D(m)
-    field = NumberField(washington_curve_poly(m))
-    th = field.theta()
-    conjugates = (th, (field.one() - th).inverse(), field.one() - th.inverse())
-    vecs = [VecF2(3, field.signature(a).psi_bits()) for a in conjugates]
+    coeffs = _washington_coeffs(m)
+    if _eval_int(coeffs, 0) != 1 or _eval_int(coeffs, 1) != -1:
+        raise RuntimeError(f"certificate failed: f_{m}(0) != 1 or "
+                           f"f_{m}(1) != -1")
+    # (sign of r, sign of 1 - r) at the ascending roots
+    roots = ((-1, 1), (1, 1), (1, -1))
+    conjugates = ([s for s, _ in roots], [t for _, t in roots],
+                  [-t * s for s, t in roots])
+    vecs = [VecF2.from_bits(s < 0 for s in signs) for signs in conjugates]
     if span_dimension(vecs) != 3:
         raise RuntimeError(f"certificate failed: unit signatures of L_{m} "
                            "do not span the full sign space")
@@ -284,7 +323,8 @@ def lower_bound_from_points(f: RationalPoly,
     """Constructive rank lower bound from the point (x two-torsion free): the
     irreducible factors g of f - y0^2 map to square classes
     (-1)^deg(g) g(theta), and the number of independent classes bounds the
-    rank from below."""
+    rank from below. f must have odd degree: then the curve has one point at
+    infinity, J(Q) has no 2-torsion and the descent map is injective."""
     y0 = Fraction(y0)
     if y0 == 0:
         raise ValueError("y0 must be nonzero; factors of f itself would "
@@ -294,6 +334,9 @@ def lower_bound_from_points(f: RationalPoly,
     _, factors = factor_over_Q(split)
     if any(mult > 1 for _, mult in factors):
         raise ValueError("f - y0^2 must be square-free")
+    if field.degree % 2 == 0:
+        raise ValueError("f must have odd degree for a square-class lower "
+                         f"bound, got degree {field.degree}")
     classes = tuple(delta_class_of_factor(g, y0, field) for g, _ in factors)
     class_set = SquareClassSet(field, classes)
     return independence_rank_mod_squares(class_set), class_set

@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lb = sub.add_parser("lower-bound",
                         help="independent square classes from a rational point")
     lb.add_argument("--poly", required=True, metavar="C0,C1,...",
-                    help="ascending integer coefficients of a monic irreducible polynomial")
+                    help="ascending integer coefficients of a monic "
+                         "irreducible polynomial of odd degree")
     lb.add_argument("--y0", default="1", metavar="RAT",
                     help="y-coordinate of the rational point (default 1)")
     lb.add_argument("--verbose", action="store_true")

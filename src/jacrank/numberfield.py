@@ -184,8 +184,8 @@ class NumberField:
 
     def _next_witness_prime(self, after: int) -> int:
         """The least prime ell = 3 mod 4 above `after` (-1 starts at 3)
-        with f irreducible mod ell, so the residue field is F_{ell^deg} and
-        square roots there are single powerings."""
+        with f irreducible mod ell, so the residue field is F_{ell^deg} and,
+        at odd degree, square roots there are single powerings."""
         ell = after + 4
         while ell < 100000:
             if is_prime(ell) and ell % 4 == 3 \
@@ -198,9 +198,15 @@ class NumberField:
                   residue_primes: int = 20) -> Tuple[bool, Optional["FieldElement"]]:
         """True plus an exactly verified witness, or False with a sound
         obstruction behind it. Raises SquarenessUndetermined only if every
-        screen passes and reconstruction fails at the precision cap."""
+        screen passes and reconstruction fails at the precision cap, and
+        ValueError for a = 0 or an even-degree field."""
         if a.is_zero():
             raise ValueError("squareness of zero is undefined")
+        if self.degree % 2 == 0:
+            # the witness square root x = a^((ell^deg + 1) / 4) needs
+            # ell^deg = 3 mod 4, which fails for every ell at even degree
+            raise ValueError(f"squareness needs an odd-degree field, got "
+                             f"degree {self.degree}")
         n = self.norm(a)
         if not self._is_rational_square(n):
             return False, None

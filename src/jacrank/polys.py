@@ -3,8 +3,7 @@
 Coefficients are stored ascending as Fractions with trailing zeros trimmed,
 so the zero polynomial has an empty coefficient tuple and deg() == -1.
 Resultants use the integer subresultant remainder sequence after clearing
-denominators; discriminants follow the sign convention
-disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f).
+denominators.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "monic_gcd",
     "prem",
     "resultant",
-    "discriminant",
     "min_poly_2cos",
     "format_poly",
 ]
@@ -217,15 +215,6 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
     cg, pg = g.primitive()
     base = _int_resultant(pf.int_coeffs(), pg.int_coeffs())
     return cf**n * cg**m * base
-
-
-def discriminant(f: RationalPoly) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.deg()
-    if n < 1:
-        raise ValueError("constant polynomial has no discriminant")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc()
 
 
 def min_poly_2cos(q: int, negate: bool) -> RationalPoly:

@@ -19,8 +19,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .polys import RationalPoly, monic_gcd, prem
 
-__all__ = ["RootInterval", "RootIntervals", "isolate_real_roots",
-           "real_root_count", "sign_at"]
+__all__ = ["RootInterval", "RootIntervals", "isolate_real_roots", "sign_at"]
 
 IntPoly = Tuple[int, ...]
 Chain = Tuple[IntPoly, ...]
@@ -100,18 +99,6 @@ def _variations_at(chain: Chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations_inf(chain: Chain, positive: bool) -> int:
-    signs = []
-    for g in chain:
-        if not g:
-            continue
-        s = _sign(g[-1])
-        if not positive and len(g) % 2 == 0:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 @dataclass(frozen=True)
 class RootIntervals:
     poly: RationalPoly
@@ -184,18 +171,6 @@ def isolate_real_roots(f: RationalPoly) -> RootIntervals:
         stack.append((m, hi))
     found.sort(key=lambda iv: iv.lo)
     return RootIntervals(f, tuple(found), chain)
-
-
-def real_root_count(f: RationalPoly) -> int:
-    """Number of distinct real roots, from Sturm variations at minus and plus
-    infinity."""
-    if f.deg() < 0:
-        raise ValueError("zero polynomial")
-    if f.deg() == 0:
-        return 0
-    chain = _sturm_chain(_int_poly(f))
-    _require_squarefree(chain)
-    return _variations_inf(chain, positive=False) - _variations_inf(chain, positive=True)
 
 
 def sign_at(g: RationalPoly, ivs: RootIntervals) -> Tuple[int, ...]:

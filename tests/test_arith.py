@@ -19,8 +19,18 @@ from jacrank.arith import (
     multiplicative_order,
     prime_factors,
     primes_upto,
-    primes_with_odd_order_of_two,
 )
+
+
+
+def primes_with_odd_order_of_two(limit: int) -> list[int]:
+    """Odd primes p < limit for which the order of 2 mod p is odd."""
+    return [
+        p
+        for p in primes_upto(limit - 1)
+        if p != 2 and multiplicative_order(2, p) % 2 == 1
+    ]
+
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,

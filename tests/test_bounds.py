@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from jacrank.arith import is_squarefree_integer, multiplicative_order
+from jacrank.arith import is_squarefree_integer, multiplicative_order, \
+    prime_factors
 from jacrank.bounds import (
     BoundReport,
     GTrivialityCertificate,
@@ -20,6 +21,7 @@ from jacrank.bounds import (
     washington_local_certificate,
     washington_rho_certificate,
 )
+from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.stores import builtin_class_groups, parse_class_groups
@@ -27,6 +29,29 @@ from jacrank.stores import builtin_class_groups, parse_class_groups
 
 def clg(lines: str) -> object:
     return parse_class_groups("clgroup v1\n" + lines)
+
+
+def ref_local_certificate(m: int) -> GTrivialityCertificate:
+    """The Fraction-based certificate: irreducibility mod 2 by factoring,
+    and the shift identity by composing with x - m/3 over Q."""
+    D = m * m + 3 * m + 9
+    if not is_squarefree_integer(D):
+        raise ValueError(
+            f"outside family: D = {D} is not square-free for m = {m}")
+    f = washington_curve_poly(m)
+    evidence = []
+    ok = is_irreducible_mod_p(PrimePoly(2, f.int_coeffs()))
+    evidence.append((2, "irreducible-mod-p"))
+    shifted = f.compose(RationalPoly([Fraction(-m, 3), Fraction(1)])).scale(27)
+    expected = RationalPoly([D * (2 * m + 3), -9 * D, 0, 27])
+    ok = ok and shifted == expected
+    const = D * (2 * m + 3)
+    for v in prime_factors(D):
+        ok = ok and 27 % v != 0 and (9 * D) % v == 0 and const % v == 0 \
+            and const % (v * v) != 0
+        evidence.append((v, "eisenstein-after-shift"))
+    return GTrivialityCertificate(tuple([2] + prime_factors(D)),
+                                  tuple(evidence), ok)
 
 
 # -- Washington family ---------------------------------------------------
@@ -68,6 +93,16 @@ def test_eisenstein_shift_identity():
         assert shifted == RationalPoly([D * (2 * m + 3), -9 * D, 0, 27])
 
 
+def test_local_certificate_matches_reference():
+    checked = 0
+    for m in range(-3000, 3001):
+        if not is_squarefree_integer(m * m + 3 * m + 9):
+            continue
+        assert washington_local_certificate(m) == ref_local_certificate(m), m
+        checked += 1
+    assert checked == 3732
+
+
 def test_local_certificates_sweep():
     for m in range(1, 80):
         if is_squarefree_integer(m * m + 3 * m + 9):
@@ -87,6 +122,22 @@ def test_rho_certificate_frozen_signatures():
         for i, c in enumerate(washington_curve_poly(1).coeffs):
             acc = acc + a ** i * c
         assert acc.is_zero()
+
+
+def test_rho_certificate_closed_form_matches_sturm_signatures():
+    # the closed-form sign pattern against Sturm signatures in L_m, on both
+    # sides of m = -3/2 (m and -m-3 share D) and at two large m
+    ms = [m for m in range(-300, 301) if is_squarefree_integer(m * m + 3 * m + 9)]
+    ms += [10**6 + 1, 10**9 + 7]
+    assert len(ms) == 375
+    for m in ms:
+        assert is_squarefree_integer(m * m + 3 * m + 9)
+        field = NumberField(washington_curve_poly(m))
+        th = field.theta()
+        conj = (th, (field.one() - th).inverse(), field.one() - th.inverse())
+        signs = [field.signature(a).signs for a in conj]
+        assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)], m
+        assert washington_rho_certificate(m) == 0
 
 
 def test_rho_certificate_values():

@@ -132,6 +132,19 @@ def test_lower_bound_zero_denominator_is_invalid_input():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("poly", ["2,0,1", "4,0,1"])
+def test_lower_bound_even_degree_is_invalid_input(poly):
+    # y^2 = x^2 + 2 has genus 0 (no rank to bound); x^2 + 4 once ended in a
+    # certification failure from the odd-degree square root
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacrank", "lower-bound", f"--poly={poly}"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "lower=" not in proc.stdout
+    assert proc.stderr.startswith("error:") and "odd degree" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_stats_command(capsys):
     code, out, _ = run(capsys, "stats", "--ranks", SYNTH_PATH,
                        "--intervals", "1..10,11..20")

@@ -163,6 +163,12 @@ def test_screens_never_reject_squares():
         assert all(s > 0 for s in Q11.signature(a).signs)
 
 
+def test_is_square_rejects_even_degree_field():
+    gauss = NumberField(RationalPoly([1, 0, 1]))  # Q(i), where -1 is a square
+    with pytest.raises(ValueError, match="odd-degree"):
+        gauss.is_square(-gauss.one())
+
+
 def test_independence_rank_example():
     th = Q11.theta()
     classes = SquareClassSet(Q11, (-th, th * th - 3, th * th + th - 1))

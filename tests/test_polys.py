@@ -14,11 +14,19 @@ import pytest
 
 from jacrank.polys import (
     RationalPoly,
-    discriminant,
     format_poly,
     min_poly_2cos,
     resultant,
 )
+
+
+def discriminant(f: RationalPoly) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    n = f.deg()
+    if n < 1:
+        raise ValueError("constant polynomial has no discriminant")
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(f, f.derivative()) / f.lc()
 
 
 def sylvester_resultant(f: RationalPoly, g: RationalPoly) -> Fraction:

@@ -18,9 +18,34 @@ from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
     washington_curve_poly
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
-from jacrank.roots import isolate_real_roots, real_root_count, sign_at
+from jacrank.roots import _int_poly, _require_squarefree, _sturm_chain, \
+    isolate_real_roots, sign_at
 
 X = sympy.symbols("x")
+
+
+def _variations_inf(chain, positive: bool) -> int:
+    signs = []
+    for g in chain:
+        if not g:
+            continue
+        s = 1 if g[-1] > 0 else -1
+        if not positive and len(g) % 2 == 0:
+            s = -s
+        signs.append(s)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def real_root_count(f: RationalPoly) -> int:
+    """Number of distinct real roots, from Sturm variations at minus and plus
+    infinity."""
+    if f.deg() < 0:
+        raise ValueError("zero polynomial")
+    if f.deg() == 0:
+        return 0
+    chain = _sturm_chain(_int_poly(f))
+    _require_squarefree(chain)
+    return _variations_inf(chain, positive=False) - _variations_inf(chain, positive=True)
 
 
 def to_sympy(f: RationalPoly):
