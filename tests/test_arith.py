@@ -22,7 +22,6 @@ from jacrank.arith import (
 )
 
 
-
 def primes_with_odd_order_of_two(limit: int) -> list[int]:
     """Odd primes p < limit for which the order of 2 mod p is odd."""
     return [

@@ -134,8 +134,9 @@ def test_lower_bound_zero_denominator_is_invalid_input():
 
 @pytest.mark.parametrize("poly", ["2,0,1", "4,0,1"])
 def test_lower_bound_even_degree_is_invalid_input(poly):
-    # y^2 = x^2 + 2 has genus 0 (no rank to bound); x^2 + 4 once ended in a
-    # certification failure from the odd-degree square root
+    # y^2 = x^2 + 2 has genus 0, so there is no rank to bound; in
+    # Q[x]/(x^2 + 4) = Q(i), -1 is a square that the odd-degree square-root
+    # witness cannot produce
     proc = subprocess.run(
         [sys.executable, "-m", "jacrank", "lower-bound", f"--poly={poly}"],
         capture_output=True, text=True)
