@@ -117,10 +117,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_rho(args: argparse.Namespace) -> int:
-    if args.max_q < 7:
-        print("pairs=0 certified=0 failures=0")
-        return EXIT_OK
-    certs = scan_sophie_germain(args.max_q)
+    certs = scan_sophie_germain(args.max_q, workers=args.threads)
     failures = 0
     for cert in certs:
         ok = cert.rho_infty_zero
@@ -209,8 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="signature-matrix certificates for all pairs up to max-q")
     r.add_argument("--max-q", type=int, required=True, metavar="N")
     r.add_argument("--threads", type=int, default=0, metavar="T",
-                   help="accepted for compatibility; ignored, the scan "
-                        "runs serially and its output never depends on it")
+                   help="worker processes certifying pairs in parallel: "
+                        "1 runs serially, 0 (default) one per available "
+                        "CPU, larger values are clamped to the CPUs and "
+                        "pairs; the output never depends on it")
     r.set_defaults(func=_cmd_scan_rho)
 
     lb = sub.add_parser("lower-bound",

@@ -22,10 +22,15 @@ The gcd route reads w off the binary digits of 1/q, and skips the gcd when
 irreducible over F2 (every irreducible factor of Phi_p has degree ord_p(2);
 Lidl & Niederreiter, Finite Fields, Thm 2.47), so the gcd is fixed by the
 parity of w and by whether w is 0 or all-ones.
+
+The scan spreads the pairs over forked worker processes: the gcd is pure
+Python, so threads would share one core under the interpreter lock.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -194,6 +199,111 @@ def certify_rho_infty(pair: SophieGermainPair, method: str = "gcd") -> RhoInftyC
     return RhoInftyCertificate(pair, d, d == p - 1)
 
 
-def scan_sophie_germain(q_max: int) -> List[RhoInftyCertificate]:
-    """Certify every pair with q <= q_max, in ascending q."""
-    return [certify_rho_infty(pr) for pr in sophie_germain_pairs(q_max)]
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(pairs: List[SophieGermainPair], n: int) -> List[List[int]]:
+    """Indices of pairs split into n shares of near-equal estimated work,
+    longest first: p^2 bit steps for a gcd, p for the primitive-root
+    shortcut."""
+    work = [pr.p if multiplicative_order(2, pr.p) == pr.p - 1 else pr.p * pr.p
+            for pr in pairs]
+    shares: List[List[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(pairs)), key=work.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += work[i]
+    return shares
+
+
+def _fork_share(pairs: List[SophieGermainPair], share: List[int]) -> Tuple[int, int]:
+    """Fork a child that certifies pairs[i] for i in share and writes their
+    d_infty as decimal text to a pipe; return its pid and the read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # os._exit in finally ends the child on any exception before a
+        # traceback prints, and skips the parent's atexit hooks and stdio
+        # buffers; the parent reads a failure from the exit status.
+        status = 1
+        try:
+            os.close(read_end)
+            text = " ".join(str(certify_rho_infty(pairs[i]).d_infty) for i in share)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(text.encode())
+            status = 0
+        finally:
+            os._exit(status)
+    # a later child must not inherit this write end, or the pipe never ends
+    os.close(write_end)
+    return pid, read_end
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _scan_forked(pairs: List[SophieGermainPair], workers: int) -> List[RhoInftyCertificate]:
+    """The parent certifies the first share while a forked child certifies
+    each other one; every child is reaped before this returns or raises."""
+    shares = _shares(pairs, workers)
+    own = list(shares[0])
+    children: List[Tuple[int, int, List[int]]] = []  # pid, read end, share
+    outputs: List[bytes] = []
+    try:
+        for share in shares[1:]:
+            try:
+                pid, read_end = _fork_share(pairs, share)
+            except OSError:  # no process or pipe to spare: certify it here
+                own += share
+                continue
+            children.append((pid, read_end, share))
+        d_infty = {i: certify_rho_infty(pairs[i]).d_infty for i in own}
+        outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read_end, _ in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, share), out, status in zip(children, outputs, statuses):
+        values = [int(v) for v in out.split()]
+        if status != 0 or len(values) != len(share):
+            values = [certify_rho_infty(pairs[i]).d_infty for i in share]
+        d_infty.update(zip(share, values))
+    return [RhoInftyCertificate(pr, d_infty[i], d_infty[i] == pr.p - 1)
+            for i, pr in enumerate(pairs)]
+
+
+def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificate]:
+    """Certify every pair with q <= q_max, in ascending q.
+
+    workers > 1 forks up to workers - 1 child processes, never more than
+    the pairs or the CPUs available to the process allow, and the parent
+    certifies one share itself; workers = 0 means one per available CPU.
+    The result does not depend on workers. A child that fails has its
+    share certified again by the parent, so an exception surfaces as on
+    the serial path."""
+    if workers < 0:
+        raise ValueError(f"worker count must be non-negative, got {workers}")
+    pairs = sophie_germain_pairs(q_max)
+    cpus = _available_cpus()
+    workers = min(workers or cpus, len(pairs), cpus)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [certify_rho_infty(pr) for pr in pairs]
+    return _scan_forked(pairs, workers)

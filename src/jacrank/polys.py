@@ -111,12 +111,6 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "RationalPoly") -> "RationalPoly":
-        acc = RationalPoly([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPoly([c])
-        return acc
-
     def monic(self) -> "RationalPoly":
         return self.scale(1 / self.lc())
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -94,6 +95,33 @@ def test_scan_rho_thread_count_does_not_change_bytes(capsys):
     _, out1, _ = run(capsys, "scan-rho", "--max-q", "300", "--threads", "1")
     _, out4, _ = run(capsys, "scan-rho", "--max-q", "300", "--threads", "4")
     assert out1 == out4
+
+
+def test_scan_rho_threads_clamped_to_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    _, serial, _ = run(capsys, "scan-rho", "--max-q", "300", "--threads", "1")
+    assert forks == []
+    code, out, _ = run(capsys, "scan-rho", "--max-q", "300",
+                       "--threads", "1000000")
+    assert code == 0 and out == serial
+    assert len(forks) == 3  # four workers: the parent and three children
+
+
+def test_scan_rho_negative_threads_is_invalid(capsys):
+    for max_q in ("300", "6"):
+        code, out, err = run(capsys, "scan-rho", "--max-q", max_q,
+                             "--threads", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "-1" in err
 
 
 def test_lower_bound_command(capsys):

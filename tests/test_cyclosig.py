@@ -9,16 +9,22 @@ range, and frozen small cases worked by hand.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import random
+import signal
 
 import pytest
 
+from jacrank import cyclosig
 from jacrank.arith import multiplicative_order
+from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
     SophieGermainPair,
     _primitive_gcd_degree,
+    _shares,
     build_M_infty,
     canonical_signature,
     certify_rho_infty,
@@ -37,22 +43,47 @@ CERTIFIED_MAX_Q, CERTIFIED_PAIRS = 92459, 630
 
 
 def loop_orbit_word(pair: SophieGermainPair) -> int:
-    """Reference: the orbit word by walking t = 2^k mod q one step at a time."""
+    """Reference: the orbit word by walking t = 2^k mod q one step at a time.
+
+    w_k = 1 when min(t, q - t) <= n for p = 1 mod 4, and when
+    p + 1 - min(t, q - t) <= n, that is min(t, q - t) >= p + 1 - n, for
+    p = 3 mod 4. The digits are kept as ASCII text, w_0 first."""
     p, q = pair.p, pair.q
     n = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
-    buf = bytearray((p + 7) // 8)
+    digits = bytearray(b"0" * p)
     t = 1
     if p % 4 == 1:
         for k in range(p):
-            if min(t, q - t) <= n:
-                buf[k >> 3] |= 1 << (k & 7)
-            t = 2 * t % q
+            if t <= n or t >= q - n:
+                digits[k] = 49  # "1"
+            t += t
+            if t >= q:
+                t -= q
     else:
+        m = p + 1 - n
         for k in range(p):
-            if p + 1 - min(t, q - t) <= n:
-                buf[k >> 3] |= 1 << (k & 7)
-            t = 2 * t % q
-    return int.from_bytes(bytes(buf), "little")
+            if m <= t <= q - m:
+                digits[k] = 49  # "1"
+            t += t
+            if t >= q:
+                t -= q
+    return int(digits[::-1], 2)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError instead of hanging, e.g. on a pipe whose
+    write end some process still holds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def gcd_degree(w: int, p: int) -> int:
@@ -176,19 +207,26 @@ def test_gcd_route_equals_matrix_route():
         assert fast.d_infty <= pair.p - 1
 
 
-def test_closed_form_word_and_shortcut_on_certified_range():
+def test_closed_form_word_and_shortcut_on_certified_range(certified_scan):
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     assert len(pairs) == CERTIFIED_PAIRS
+    certs, _ = certified_scan
+    assert [c.pair for c in certs] == pairs
     primitive = 0
-    for pair in pairs:
+    for pair, cert in zip(pairs, certs):
         w = orbit_word(pair)
         assert w == loop_orbit_word(pair), pair
         if multiplicative_order(2, pair.p) == pair.p - 1:
             primitive += 1
             shortcut_d = pair.p - _primitive_gcd_degree(w, pair.p)
             assert shortcut_d == pair.p - gcd_degree(w, pair.p), pair
-            assert certify_rho_infty(pair).d_infty == shortcut_d
+            assert cert.d_infty == shortcut_d
     assert primitive == 282
+
+
+def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert scan_sophie_germain(CERTIFIED_MAX_Q, workers=2) == certified_scan[0]
 
 
 def test_primitive_shortcut_branches():
@@ -219,8 +257,61 @@ def test_scan_small():
     assert scan_sophie_germain(6) == []
 
 
-def test_scan_threads_deterministic():
-    # the scan is serial: it equals the per-pair certificates in ascending q
-    certs = scan_sophie_germain(2000)
+def test_scan_threads_deterministic(monkeypatch):
+    # four CPUs, so that workers = 4 forks three children even on a
+    # smaller host; every worker count gives the per-pair certificates
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     pairs = sorted(sophie_germain_pairs(2000), key=lambda pr: pr.q)
-    assert certs == [certify_rho_infty(pr) for pr in pairs]
+    expected = [certify_rho_infty(pr) for pr in pairs]
+    for workers in (1, 2, 4):
+        with deadline(60):
+            certs = scan_sophie_germain(2000, workers=workers)
+        assert certs == expected, workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+def test_scan_certifies_unforked_shares_in_parent(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert scan_sophie_germain(300, workers=3) == scan_sophie_germain(300)
+
+
+def test_scan_shares_balance_estimated_work():
+    pairs = sophie_germain_pairs(20000)
+    shares = _shares(pairs, 3)
+    assert sorted(i for share in shares for i in share) == list(range(len(pairs)))
+    work = [sum(pairs[i].p if multiplicative_order(2, pairs[i].p) == pairs[i].p - 1
+                else pairs[i].p ** 2 for i in share) for share in shares]
+    assert max(work) - min(work) <= max(pr.p for pr in pairs) ** 2
+
+
+@pytest.mark.parametrize("share", [0, 1], ids=["parent-share", "child-share"])
+def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pairs = sophie_germain_pairs(2000)
+    bad = pairs[_shares(pairs, 2)[share][0]]
+    real = cyclosig.certify_rho_infty
+
+    def failing(pair, method="gcd"):
+        if pair == bad:
+            raise RuntimeError(f"injected failure at q={pair.q}")
+        return real(pair, method)
+
+    monkeypatch.setattr(cyclosig, "certify_rho_infty", failing)
+    message = f"injected failure at q={bad.q}"
+    with pytest.raises(RuntimeError, match=message):
+        scan_sophie_germain(2000)
+    with pytest.raises(RuntimeError, match=message), deadline(60):
+        scan_sophie_germain(2000, workers=2)
+    with deadline(60):
+        assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"certification failure: {message}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped

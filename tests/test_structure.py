@@ -1,11 +1,14 @@
 """Module structure: no private helper shared between jacrank modules, no
-module reading the environment, no generated or Cython source, and every
-layer the traced benchmark wraps by name still exists."""
+module reading the environment, no generated or Cython source, a CLI import
+that pulls in no process-pool or pickling machinery, and every layer the
+traced benchmark wraps by name still exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import jacrank
@@ -47,6 +50,17 @@ def test_no_generated_or_cython_sources():
             if path.suffix == ".pyx" or b"Generated by" in fh.readline():
                 offenders.append(path.name)
     assert offenders == []
+
+
+def test_cli_import_stays_flat():
+    """The scan forks its workers with os.fork; importing the CLI loads none
+    of the heavier process machinery, which start-up time would pay for."""
+    heavy = ("multiprocessing", "concurrent.futures", "subprocess", "pickle")
+    probe = ("import sys, jacrank.cli; "
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, cwd=PACKAGE_DIR.parent)
+    assert proc.stdout.split() == []
 
 
 def _traced_layers():
