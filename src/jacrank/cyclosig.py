@@ -298,7 +298,8 @@ def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificat
     certifies one share itself; workers = 0 means one per available CPU.
     The result does not depend on workers. A child that fails has its
     share certified again by the parent, so an exception surfaces as on
-    the serial path."""
+    the serial path. A caller running other threads should keep
+    workers = 1: a forked child gets only the calling thread."""
     if workers < 0:
         raise ValueError(f"worker count must be non-negative, got {workers}")
     pairs = sophie_germain_pairs(q_max)

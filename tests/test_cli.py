@@ -10,6 +10,7 @@ from importlib import resources
 import pytest
 
 from jacrank.cli import main
+from test_cyclosig import deadline
 
 SYNTH_PATH = str(resources.files("jacrank").joinpath("data/synthetic_ranks.txt"))
 
@@ -110,8 +111,9 @@ def test_scan_rho_threads_clamped_to_cpus(capsys, monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     _, serial, _ = run(capsys, "scan-rho", "--max-q", "300", "--threads", "1")
     assert forks == []
-    code, out, _ = run(capsys, "scan-rho", "--max-q", "300",
-                       "--threads", "1000000")
+    with deadline(60):
+        code, out, _ = run(capsys, "scan-rho", "--max-q", "300",
+                           "--threads", "1000000")
     assert code == 0 and out == serial
     assert len(forks) == 3  # four workers: the parent and three children
 

@@ -226,7 +226,9 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan):
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert scan_sophie_germain(CERTIFIED_MAX_Q, workers=2) == certified_scan[0]
+    with deadline(300):
+        certs = scan_sophie_germain(CERTIFIED_MAX_Q, workers=2)
+    assert certs == certified_scan[0]
 
 
 def test_primitive_shortcut_branches():
