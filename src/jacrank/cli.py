@@ -117,7 +117,11 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_rho(args: argparse.Namespace) -> int:
-    certs = scan_sophie_germain(args.max_q, workers=args.threads)
+    try:
+        certs = scan_sophie_germain(args.max_q, workers=args.threads)
+    except MemoryError:  # the prime sieve up to max_q is the first to fail
+        raise ValueError(f"--max-q {args.max_q}: not enough memory to sieve "
+                         "the primes up to it") from None
     failures = 0
     for cert in certs:
         ok = cert.rho_infty_zero

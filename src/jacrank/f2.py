@@ -10,15 +10,15 @@ the pure-Python loop here otherwise; everything else is pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 try:
     from . import _f2core
 except ImportError:
     _f2core = None
 
-__all__ = ["MatF2", "VecF2", "rank", "kernel_basis", "span_dimension",
-           "poly_gcd", "backend_name"]
+__all__ = ["MatF2", "VecF2", "rank", "echelon_rank", "kernel_basis",
+           "span_dimension", "poly_gcd", "backend_name"]
 
 
 def backend_name() -> str:
@@ -78,7 +78,11 @@ class MatF2:
         return VecF2(self.cols, self.bits[i])
 
 
-def _echelon_rank(rows: Iterable[int]) -> int:
+def echelon_rank(rows: Iterable[int], stop_at: Optional[int] = None) -> int:
+    """Rank over F2 of packed rows, eliminated in the order given.
+
+    No row is read after the one that brings the rank to stop_at, so rows
+    may be a generator that is costly to run to its end."""
     pivots = {}
     rk = 0
     for row in rows:
@@ -91,11 +95,13 @@ def _echelon_rank(rows: Iterable[int]) -> int:
                 pivots[m] = cur
                 rk += 1
                 break
+        if rk == stop_at:
+            break
     return rk
 
 
 def rank(m: MatF2) -> int:
-    return _echelon_rank(m.bits)
+    return echelon_rank(m.bits)
 
 
 def kernel_basis(m: MatF2) -> Tuple[VecF2, ...]:
@@ -131,7 +137,7 @@ def span_dimension(vectors: Sequence[VecF2]) -> int:
     n = vs[0].length
     if any(v.length != n for v in vs):
         raise ValueError("vectors have mismatched lengths")
-    return _echelon_rank(v.bits for v in vs)
+    return echelon_rank(v.bits for v in vs)
 
 
 def poly_gcd(a: int, b: int) -> int:

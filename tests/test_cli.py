@@ -126,6 +126,20 @@ def test_scan_rho_negative_threads_is_invalid(capsys):
         assert err.startswith("error:") and "-1" in err
 
 
+def test_scan_rho_too_large_for_memory_is_invalid():
+    # under a 1 GiB address-space cap the sieve's bytearray is refused at
+    # once, so the test never allocates it
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from jacrank.cli import main\n"
+             "sys.exit(main(['scan-rho', '--max-q', '1000000000000000']))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: --max-q 1000000000000000: not enough "
+                           "memory to sieve the primes up to it\n")
+
+
 def test_lower_bound_command(capsys):
     code, out, _ = run(capsys, "lower-bound", "--poly", "1,-2,-1,1")
     assert code == 0

@@ -3,8 +3,9 @@
 Oracles: exact real-root isolation for the numeric signature cross-check
 (small p), the matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
-closed-form word and the primitive-root shortcut on the whole certified
-range, and frozen small cases worked by hand.
+closed-form word, the primitive-root shortcut and the coset probe on the
+whole certified range and on words built to vanish on a coset, and frozen
+small cases worked by hand.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
     SophieGermainPair,
+    _coset_masks,
     _primitive_gcd_degree,
+    _probe_gcd_degree,
+    _route,
     _shares,
     build_M_infty,
     canonical_signature,
@@ -37,6 +41,7 @@ from jacrank.f2 import poly_gcd, rank
 from jacrank.polys import min_poly_2cos
 from jacrank.roots import isolate_real_roots, sign_at
 from jacrank.polys import RationalPoly
+from test_f2 import clmul
 
 
 CERTIFIED_MAX_Q, CERTIFIED_PAIRS = 92459, 630
@@ -89,6 +94,18 @@ def deadline(seconds: int):
 def gcd_degree(w: int, p: int) -> int:
     """deg gcd(w, x^p + 1) over F2 by the general gcd."""
     return poly_gcd(w, (1 << p) | 1).bit_length() - 1
+
+
+def counting_poly_gcd(monkeypatch) -> list:
+    """Replace the gcd the probe falls back on by one that logs its calls."""
+    calls = []
+
+    def logged(a, b):
+        calls.append(b.bit_length() - 1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(cyclosig, "poly_gcd", logged)
+    return calls
 
 
 def test_pair_validation():
@@ -212,16 +229,18 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan):
     assert len(pairs) == CERTIFIED_PAIRS
     certs, _ = certified_scan
     assert [c.pair for c in certs] == pairs
-    primitive = 0
+    routes = {"primitive": 0, "probe": 0, "gcd": 0}
     for pair, cert in zip(pairs, certs):
         w = orbit_word(pair)
         assert w == loop_orbit_word(pair), pair
-        if multiplicative_order(2, pair.p) == pair.p - 1:
-            primitive += 1
-            shortcut_d = pair.p - _primitive_gcd_degree(w, pair.p)
-            assert shortcut_d == pair.p - gcd_degree(w, pair.p), pair
-            assert cert.d_infty == shortcut_d
-    assert primitive == 282
+        route, m, _ = _route(pair.p)
+        routes[route] += 1
+        assert m == multiplicative_order(2, pair.p)
+        # every route, the probe included, equals the general gcd
+        assert cert.d_infty == pair.p - gcd_degree(w, pair.p), pair
+        if route == "primitive":
+            assert cert.d_infty == pair.p - _primitive_gcd_degree(w, pair.p)
+    assert routes == {"primitive": 282, "probe": 332, "gcd": 16}
 
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
@@ -245,6 +264,72 @@ def test_primitive_shortcut_branches():
             assert _primitive_gcd_degree(w, p) == gcd_degree(w, p), (p, w)
         assert _primitive_gcd_degree(0, p) == p
         assert _primitive_gcd_degree(ones, p) == p - 1
+
+
+# e = 2 with p = 1 and 7 mod 8, e = 3, e = 4 and e >= 5; up to p = 47 the
+# probe reads all p rows, from p = 71 on it falls back to the gcd
+VANISHING_PRIMES = (17, 23, 31, 43, 71, 97, 113, 127, 251, 257, 281)
+
+
+def test_coset_masks_partition_residues_into_doubling_orbits():
+    for p in VANISHING_PRIMES + (8191,):  # e = 630: representatives up to 4k
+        m = multiplicative_order(2, p)
+        masks = _coset_masks(p, m)
+        assert len(masks) == (p - 1) // m
+        assert masks[0] == sum(1 << pow(2, k, p) for k in range(m))
+        union = 0
+        for mask in masks:
+            assert mask.bit_count() == m and mask & union == 0
+            n = (mask & -mask).bit_length() - 1
+            assert mask == sum(1 << (n * pow(2, k, p) % p) for k in range(m)), p
+            union |= mask
+        assert union == (1 << p) - 2
+
+
+@pytest.mark.parametrize("p", VANISHING_PRIMES)
+def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
+    rng = random.Random(p)
+    m = multiplicative_order(2, p)
+    e = (p - 1) // m
+    masks = _coset_masks(p, m)
+    full = (1 << p) | 1
+    ones = (1 << p) - 1
+    words = [0, ones, 1, rng.randrange(1, ones)]
+    for _ in range(24):
+        # D_i + c takes the value c + 1 at the roots of the cosets where D_i
+        # is 0 or 1, so its gcd with x^p - 1 is a product of coset factors
+        d = rng.choice(masks) ^ rng.randrange(2)
+        product = clmul(poly_gcd(d, full), rng.randrange(1, ones))
+        words.append((product & ones) ^ (product >> p))  # mod x^p - 1
+    calls = counting_poly_gcd(monkeypatch)
+    vanishing = 0
+    for w in words:
+        want = gcd_degree(w, p)
+        del calls[:]
+        assert _probe_gcd_degree(w, p, m) == want, (p, w)
+        vanishes = want >= m  # w is 0 at the roots of a whole coset
+        vanishing += vanishes
+        # rank short of e + 1 - [wt even] within e + 64 < p rows: the gcd
+        assert calls == ([p] if vanishes and e + 64 < p else []), (p, w)
+    assert vanishing >= 8
+
+
+def test_probe_falls_back_to_gcd_when_rows_run_out(monkeypatch):
+    monkeypatch.setattr(cyclosig, "_PROBE_SPARE_ROWS", 0)
+    calls = counting_poly_gcd(monkeypatch)
+    fallbacks = 0
+    for pair in sophie_germain_pairs(5000):
+        route, m, _ = _route(pair.p)
+        if route != "probe":
+            continue
+        w = orbit_word(pair)
+        del calls[:]
+        assert _probe_gcd_degree(w, pair.p, m) == gcd_degree(w, pair.p), pair
+        # e rows cannot reach rank e + 1 when the weight is odd
+        if w.bit_count() % 2:
+            assert calls == [pair.p], pair
+        fallbacks += len(calls)
+    assert fallbacks >= 10
 
 
 def test_certify_rejects_unknown_method():
@@ -287,9 +372,9 @@ def test_scan_shares_balance_estimated_work():
     pairs = sophie_germain_pairs(20000)
     shares = _shares(pairs, 3)
     assert sorted(i for share in shares for i in share) == list(range(len(pairs)))
-    work = [sum(pairs[i].p if multiplicative_order(2, pairs[i].p) == pairs[i].p - 1
-                else pairs[i].p ** 2 for i in share) for share in shares]
-    assert max(work) - min(work) <= max(pr.p for pr in pairs) ** 2
+    estimate = [_route(pr.p)[2] for pr in pairs]
+    work = [sum(estimate[i] for i in share) for share in shares]
+    assert max(work) - min(work) <= max(estimate)
 
 
 @pytest.mark.parametrize("share", [0, 1], ids=["parent-share", "child-share"])

@@ -20,7 +20,8 @@ import pytest
 from jacrank import f2
 from jacrank.arith import multiplicative_order
 from jacrank.cyclosig import orbit_word, sophie_germain_pairs
-from jacrank.f2 import MatF2, VecF2, backend_name, kernel_basis, rank, span_dimension
+from jacrank.f2 import MatF2, VecF2, backend_name, echelon_rank, kernel_basis, rank, \
+    span_dimension
 
 CORE_SOURCE = Path(f2.__file__).with_name("_f2core.c")
 
@@ -99,6 +100,22 @@ def test_rank_against_naive_oracle():
         c = rng.randrange(1, 9)
         rows = [rng.randrange(1 << c) for _ in range(r)]
         assert rank(MatF2(r, c, tuple(rows))) == naive_rank(rows, r, c)
+
+
+def test_echelon_rank_reads_no_row_past_stop_at():
+    rng = random.Random(21737)
+    for _ in range(2000):
+        r = rng.randrange(1, 12)
+        c = rng.randrange(1, 9)
+        rows = [rng.randrange(1 << c) for _ in range(r)]
+        full = naive_rank(rows, r, c)
+        assert echelon_rank(rows) == echelon_rank(iter(rows), stop_at=full + 1) == full
+        for stop in range(1, full + 1):
+            read = []
+            assert echelon_rank((read.append(row) or row for row in rows),
+                                stop_at=stop) == stop
+            # the last row read is the one that brought the rank to stop
+            assert naive_rank(read[:-1], len(read) - 1, c) == stop - 1
 
 
 def test_rank_transpose_property():
