@@ -217,9 +217,11 @@ def _route(p: int) -> Tuple[str, int, int]:
 
     The gcd runs about p shift-xors of p-bit words, p^2 bit operations.
     The probe's rows cost about e^2 AND-and-popcounts of p bits, some 8 e^2
-    shift-xors, plus its coset labelling. It is taken when 8 e^2 <= p; on
-    every such pair with q <= 92459 it was measured no slower than the
-    gcd. The primitive-root closed form reads the weight of w, p bits."""
+    shift-xors, plus its coset labelling. It is taken when 8 e^2 <= p. On
+    such pairs with q <= 92459 it measured (pure Python) a median 3x
+    faster than the gcd below p = 2000 and 17x above p = 30000, and slower
+    only at p = 41, 911 and 1013, by under 0.1 ms. The primitive-root
+    closed form reads the weight of w, p bits."""
     m = multiplicative_order(2, p)
     e = (p - 1) // m
     if e == 1:

@@ -18,7 +18,7 @@ import signal
 
 import pytest
 
-from jacrank import cyclosig
+from jacrank import cyclosig, f2
 from jacrank.arith import multiplicative_order
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
@@ -224,7 +224,14 @@ def test_gcd_route_equals_matrix_route():
         assert fast.d_infty <= pair.p - 1
 
 
-def test_closed_form_word_and_shortcut_on_certified_range(certified_scan):
+def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, request,
+                                                          monkeypatch):
+    # the reference gcd runs on the C kernel when a compiler is present,
+    # a few times faster than the pure loop it is checked against in test_f2
+    try:
+        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
+    except pytest.skip.Exception:
+        pass
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     assert len(pairs) == CERTIFIED_PAIRS
     certs, _ = certified_scan

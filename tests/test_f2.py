@@ -3,17 +3,12 @@
 Oracle: naive list-of-lists Gaussian elimination, plus a schoolbook
 polynomial gcd over F2. `f2.poly_gcd` is exercised on both of its paths: the
 pure-Python loop, and the C kernel `_f2core.c`, built from the source tree
-into a temporary directory once per session.
+into a temporary directory once per session (`compiled_core` in conftest).
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import random
-import shutil
-import sysconfig
-from pathlib import Path
 
 import pytest
 
@@ -22,30 +17,6 @@ from jacrank.arith import multiplicative_order
 from jacrank.cyclosig import orbit_word, sophie_germain_pairs
 from jacrank.f2 import MatF2, VecF2, backend_name, echelon_rank, kernel_basis, rank, \
     span_dimension
-
-CORE_SOURCE = Path(f2.__file__).with_name("_f2core.c")
-
-
-@pytest.fixture(scope="session")
-def compiled_core(tmp_path_factory):
-    """`jacrank._f2core` compiled into a temporary directory, never into src/."""
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler found: {cc!r} is not on PATH")
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    out = tmp_path_factory.mktemp("f2core")
-    cmd = build_ext(Distribution(
-        {"ext_modules": [Extension("jacrank._f2core", [str(CORE_SOURCE)])]}))
-    cmd.build_lib, cmd.build_temp = str(out / "lib"), str(out / "temp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "jacrank._f2core", cmd.get_ext_fullpath("jacrank._f2core"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(params=["pure", "compiled"])
@@ -184,7 +155,8 @@ def test_backends_agree_when_compiled_present(compiled_core, monkeypatch):
             pairs += [(a, b), (b, a)]
             known.update({(a, clmul(a, b)): a, (clmul(a, b), b): b})
     pairs += list(known)
-    # the orbit-word gcds certify_rho_infty computes: 2 not primitive mod p
+    # orbit words with 2 not primitive mod p, the words the probe and the
+    # gcd route of certify_rho_infty handle
     pairs += [(orbit_word(pr), (1 << pr.p) | 1) for pr in sophie_germain_pairs(20000)
               if multiplicative_order(2, pr.p) != pr.p - 1]
 
