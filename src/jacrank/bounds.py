@@ -330,13 +330,13 @@ def lower_bound_from_points(f: RationalPoly,
         raise ValueError("y0 must be nonzero; factors of f itself would "
                          "share roots with the defining polynomial")
     field = NumberField(f)
+    if field.degree % 2 == 0:
+        raise ValueError("f must have odd degree for a square-class lower "
+                         f"bound, got degree {field.degree}")
     split = f - RationalPoly([y0 * y0])
     _, factors = factor_over_Q(split)
     if any(mult > 1 for _, mult in factors):
         raise ValueError("f - y0^2 must be square-free")
-    if field.degree % 2 == 0:
-        raise ValueError("f must have odd degree for a square-class lower "
-                         f"bound, got degree {field.degree}")
     classes = tuple(delta_class_of_factor(g, y0, field) for g, _ in factors)
     class_set = SquareClassSet(field, classes)
     return independence_rank_mod_squares(class_set), class_set

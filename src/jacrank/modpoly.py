@@ -10,8 +10,6 @@ Factorization is squarefree decomposition, then distinct-degree splitting by
 Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (trace map in
 characteristic 2). The splitting RNG is seeded from the input so repeated runs
 are identical; output order is (degree, coefficient tuple) regardless.
-`roots_mod_p` needs only the linear factors, so it skips the squarefree and
-distinct-degree stages: one Frobenius power and one gcd isolate them.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import List, Sequence, Tuple
 from .arith import is_prime
 
 __all__ = ["PrimePoly", "factor_mod_p", "is_irreducible_mod_p",
-           "is_squarefree_mod_p", "roots_mod_p", "trim", "mul", "add", "sub",
+           "is_squarefree_mod_p", "trim", "mul", "add", "sub",
            "divmod_monic", "monic", "gcd", "xgcd", "powmod"]
 
 Coeffs = Tuple[int, ...]
@@ -246,23 +244,6 @@ def factor_mod_p(f: PrimePoly) -> List[Tuple[PrimePoly, int]]:
                 out.append((PrimePoly(p, irr), mult))
     out.sort(key=lambda ge: (len(ge[0].coeffs), ge[0].coeffs))
     return out
-
-
-def roots_mod_p(coeffs: Sequence[int], p: int) -> List[int]:
-    """Sorted distinct roots of f mod a prime p. The roots are those of
-    g = gcd(x^p - x, f), the product of f's distinct linear factors: one
-    Frobenius power x^p mod f, one gcd, then an equal-degree split of g."""
-    f = trim([c % p for c in coeffs])
-    if not f:
-        raise ValueError("cannot find the roots of the zero polynomial")
-    if len(f) == 1:
-        return []
-    f = monic(f, p)
-    g = gcd(sub(powmod([0, 1], p, f, p), [0, 1], p), f, p)
-    if len(g) == 1:
-        return []
-    rng = random.Random(f"{p}:{tuple(f)}")
-    return sorted(-lin[0] % p for lin in _equal_degree(g, 1, p, rng))
 
 
 def is_irreducible_mod_p(f: PrimePoly) -> bool:

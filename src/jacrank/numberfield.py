@@ -19,7 +19,10 @@ obstruction. If the precision ladder is exhausted without either, the
 
 A field finds its split primes, with the roots of f mod each, and its real
 root intervals, with their Sturm chain, once, and reuses them for every
-element.
+element. The split primes come from a value sieve over windows of primes:
+ell has a root r < ell exactly when ell divides f(r), so one gcd of f(t)
+with the window's prime product per t < max(window) finds them all, with no
+Frobenius power mod ell.
 """
 
 from __future__ import annotations
@@ -27,17 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple, Union
+from math import gcd, isqrt, prod
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cyclosig import SignatureVector
 from .f2 import MatF2, rank
 from .factor import factor_over_Q
 from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
-                      is_squarefree_mod_p, mul, powmod, roots_mod_p, sub)
+                      is_squarefree_mod_p, mul, powmod, sub)
 from .polys import RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
-from .arith import is_prime, jacobi
+from .arith import is_prime, jacobi, primes_upto
 
 __all__ = [
     "NumberField",
@@ -140,17 +143,13 @@ class NumberField:
     def _split_prime(self, i: int) -> Tuple[int, List[int]]:
         """The i-th split prime, counting from 0: (ell, roots of f mod ell)
         for the odd primes ell not dividing disc(f) at which f has a root.
-        Each prime is examined once per field."""
+        The primes are sieved a window at a time, each window reaching
+        twice as far as the last."""
         while len(self._split_primes) <= i:
-            ell = self._ell_scanned + 1
-            while not is_prime(ell):
-                ell += 1
-            self._ell_scanned = ell
-            if not is_squarefree_mod_p(self._int_coeffs, ell):
-                continue  # ell | disc(f)
-            roots = roots_mod_p(self._int_coeffs, ell)
-            if roots:
-                self._split_primes.append((ell, roots))
+            lo = self._ell_scanned
+            hi = max(2 * lo, _FIRST_WINDOW)
+            self._split_primes += _sieve_split_primes(self._int_coeffs, lo, hi)
+            self._ell_scanned = hi
         return self._split_primes[i]
 
     def _degree_one_ideals(self, count: int,
@@ -259,6 +258,47 @@ class NumberField:
                     return True, w
         raise SquarenessUndetermined(
             "residue screens passed but no witness found at precision cap")
+
+
+_FIRST_WINDOW = 64  # the first sieve window is the odd primes up to this
+
+
+def _sieve_split_primes(coeffs: Sequence[int], lo: int,
+                        hi: int) -> List[Tuple[int, List[int]]]:
+    """(ell, sorted roots of f mod ell) for the primes lo < ell <= hi, lo >= 2,
+    that do not divide disc(f) and at which the monic integer polynomial f
+    has a root, ascending in ell.
+
+    A value sieve (Dedekind-Kummer: the degree-one primes over an unramified
+    ell are the (ell, theta - r) with f(r) = 0 mod ell): with P the product
+    of the window's primes above t, gcd(f(t), P) is the product of those ell
+    of which t is a root, and each residue mod ell is met once in [0, ell).
+    """
+    window = [ell for ell in primes_upto(hi) if ell > lo]
+    if not window:
+        return []
+    roots: Dict[int, List[int]] = {ell: [] for ell in window}
+    rev = coeffs[::-1]
+    big = prod(window)
+    k = 0  # window[k:] are the primes above t, and big is their product
+    for t in range(window[-1]):
+        while window[k] <= t:
+            big //= window[k]
+            k += 1
+        v = 0
+        for c in rev:
+            v = v * t + c
+        g = gcd(v, big)
+        if g == 1:
+            continue
+        for ell in window[k:]:
+            if g % ell == 0:
+                roots[ell].append(t)
+                g //= ell
+                if g == 1:
+                    break
+    return [(ell, rs) for ell, rs in roots.items()
+            if rs and is_squarefree_mod_p(coeffs, ell)]  # else ell | disc(f)
 
 
 def _eval_mod(rep: RationalPoly, r: int, ell: int) -> int:

@@ -7,7 +7,9 @@ A Sturm chain is built once per polynomial and kept on its RootIntervals.
 Each member is stored as a primitive integer polynomial, a positive rational
 multiple of the member over Q, so it has the same signs. A member of degree
 k is evaluated at n/d (d > 0) as the integer sum c_0 d^k + c_1 n d^(k-1) +
-... + c_k n^k, which is d^k times its value.
+... + c_k n^k, which is d^k times its value. The chain counts roots while
+they are isolated; an interval that already isolates one simple root between
+non-root endpoints is halved by the sign of f alone.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class RootIntervals:
 
     def refined(self, width: Fraction) -> "RootIntervals":
         width = Fraction(width)
-        out = [_refine(self.chain, iv, width) for iv in self.intervals]
+        out = [_refine(self.chain[0], iv, width) for iv in self.intervals]
         return RootIntervals(self.poly, tuple(out), self.chain)
 
 
@@ -125,13 +127,19 @@ def _count_in(chain: Chain, a: Fraction, b: Fraction) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def _refine(chain: Chain, iv: RootInterval, width: Fraction) -> RootInterval:
+def _refine(f: IntPoly, iv: RootInterval, width: Fraction) -> RootInterval:
+    """Halve iv, which isolates one simple root of f between non-root
+    endpoints, until it is at most `width` wide. The root lies in (lo, m)
+    exactly when f changes sign there, so f's sign at lo, which never
+    changes, and at m decide each halving."""
     lo, hi = iv.lo, iv.hi
+    s_lo = _sign_at_point(f, lo)
     while hi - lo > width:
         m = (lo + hi) / 2
-        if _sign_at_point(chain[0], m) == 0:
+        s = _sign_at_point(f, m)
+        if s == 0:
             return RootInterval(m, m)
-        if _count_in(chain, lo, m) == 1:
+        if s != s_lo:
             hi = m
         else:
             lo = m
@@ -187,27 +195,31 @@ def sign_at(g: RationalPoly, ivs: RootIntervals) -> Tuple[int, ...]:
     gchain = _sturm_chain(gint)
     if len(gchain[-1]) > 1:
         gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
-    return tuple(_sign_at_root(gint, gchain, dchain, ivs.chain, iv) for iv in ivs)
+    f = ivs.chain[0]
+    return tuple(_sign_at_root(gint, gchain, dchain, f, iv) for iv in ivs)
 
 
 def _sign_at_root(g: IntPoly, gchain: Chain, dchain: Optional[Chain],
-                  fchain: Chain, iv: RootInterval) -> int:
-    """Sign of g at the one root of f = fchain[0] inside iv: halve iv until
-    g has no root in it, then read g's sign at the midpoint."""
+                  f: IntPoly, iv: RootInterval) -> int:
+    """Sign of g at the one root of f inside iv: halve iv until g has no
+    root in it, then read g's sign at the midpoint. The halving follows f's
+    sign change, as in _refine."""
     lo, hi = iv.lo, iv.hi
     if lo == hi:
         return _sign_at_point(g, lo)
     if dchain is not None and _count_in(dchain, lo, hi) > 0:
         return 0
+    s_lo = _sign_at_point(f, lo)
     while True:
         if _count_in(gchain, lo, hi) == 0:
             s = _sign_at_point(g, (lo + hi) / 2)
             if s != 0:
                 return s
         m = (lo + hi) / 2
-        if _sign_at_point(fchain[0], m) == 0:
+        s = _sign_at_point(f, m)
+        if s == 0:
             return _sign_at_point(g, m)
-        if _count_in(fchain, lo, m) == 1:
+        if s != s_lo:
             hi = m
         else:
             lo = m

@@ -291,7 +291,11 @@ def test_lower_bound_q11_example():
 
 
 def test_lower_bound_rejects_non_squarefree_split():
+    # x^3 - x^2 + 1 - 1 = x^2 (x - 1); the even-degree x^2 - 2x + 2, whose
+    # f - 1 = (x - 1)^2 is not square-free either, fails on its degree
     with pytest.raises(ValueError, match="square-free"):
+        lower_bound_from_points(RationalPoly([1, 0, -1, 1]), Fraction(1))
+    with pytest.raises(ValueError, match="odd degree"):
         lower_bound_from_points(RationalPoly([2, -2, 1]), Fraction(1))
 
 

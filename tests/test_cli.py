@@ -161,7 +161,8 @@ def test_lower_bound_invalid_inputs(capsys):
     code, _, err = run(capsys, "lower-bound", "--poly", "1,-2,-1,1",
                        "--y0", "0")
     assert code == 2 and "y0" in err
-    code, _, err = run(capsys, "lower-bound", "--poly", "2,-2,1")
+    # x^3 - x^2 + 1 is irreducible, and f - 1 = x^2 (x - 1)
+    code, _, err = run(capsys, "lower-bound", "--poly", "1,0,-1,1")
     assert code == 2 and "square-free" in err
 
 
@@ -188,6 +189,17 @@ def test_lower_bound_even_degree_is_invalid_input(poly):
     assert "lower=" not in proc.stdout
     assert proc.stderr.startswith("error:") and "odd degree" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_lower_bound_even_degree_is_reported_before_the_split():
+    # f - 1 = x^2 is not square-free either, but the fault is the degree
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacrank", "lower-bound", "--poly=1,0,1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: f must have odd degree for a square-class "
+                           "lower bound, got degree 2\n")
 
 
 def test_stats_command(capsys):

@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from jacrank import numberfield
+from jacrank.arith import primes_upto
+from jacrank.bounds import curve_min_poly
 from jacrank.cyclosig import SophieGermainPair, canonical_signature
+from jacrank.factor import factor_over_Q
+from jacrank.modpoly import is_squarefree_mod_p
 from jacrank.numberfield import (
     NumberField,
     SquareClassSet,
@@ -21,6 +26,7 @@ from jacrank.numberfield import (
     independence_rank_mod_squares,
 )
 from jacrank.polys import RationalPoly, min_poly_2cos
+from test_modpoly import root_test_polys, roots_mod_p
 
 Q7 = NumberField(min_poly_2cos(7, True))            # x^3 - x^2 - 2x + 1
 Q11 = NumberField(min_poly_2cos(11, False))         # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
@@ -216,3 +222,85 @@ def test_delta_product_is_square():
 
 def test_undetermined_is_an_exception_type():
     assert issubclass(SquarenessUndetermined, RuntimeError)
+
+
+# -- split primes: the value sieve against the Frobenius reference -----------
+
+
+def frobenius_split_primes(coeffs, lo, hi):
+    """Reference: (ell, roots of f mod ell) for the primes lo < ell <= hi
+    (lo >= 2) not dividing disc(f) at which f has a root, one Frobenius
+    power per prime."""
+    out = []
+    for ell in primes_upto(hi):
+        if ell > lo and is_squarefree_mod_p(coeffs, ell):
+            roots = roots_mod_p(coeffs, ell)
+            if roots:
+                out.append((ell, roots))
+    return out
+
+
+def sieved_split_primes(field, hi):
+    """The field's split primes up to hi, by `_split_prime`."""
+    out = []
+    while True:
+        ell, roots = field._split_prime(len(out))
+        if ell > hi:
+            return out
+        out.append((ell, roots))
+
+
+def random_irreducible_polys(seed, count):
+    rng = random.Random(seed)
+    polys = []
+    while len(polys) < count:
+        f = RationalPoly([rng.randrange(-30, 31)
+                          for _ in range(rng.randrange(2, 12))] + [1])
+        _, factors = factor_over_Q(f)
+        if len(factors) == 1 and factors[0][1] == 1:
+            polys.append(f)
+    return polys
+
+
+def test_sieve_matches_frobenius_roots_below_800():
+    """The sieve's roots equal the Frobenius reference at every odd prime
+    ell < 800 on the 29 test polynomials of test_modpoly, with the windows
+    `_split_prime` uses."""
+    for f in root_test_polys():
+        sieved, lo = [], 2
+        while lo < 800:
+            hi = max(2 * lo, numberfield._FIRST_WINDOW)
+            sieved += numberfield._sieve_split_primes(f, lo, hi)
+            lo = hi
+        assert [s for s in sieved if s[0] < 800] \
+            == frobenius_split_primes(f, 2, 799), f
+
+
+def test_split_prime_matches_frobenius_reference():
+    """Table-4 fields and seeded random irreducible polynomials of degree 2
+    to 11, through the five sieve windows that reach past 600."""
+    polys = [curve_min_poly(q) for q in (11, 23, 47, 59)]
+    polys += random_irreducible_polys(61, 16)
+    for f in polys:
+        field = NumberField(f)
+        want = frobenius_split_primes(f.int_coeffs(), 2, 600)
+        assert sieved_split_primes(field, 600) == want, f
+
+
+def test_sieve_window_edges():
+    f = (-2, 0, 1)  # x^2 - 2: ell splits iff ell = +-1 mod 8
+    # 257 = 1 mod 8 is the first prime above the window boundary 256; its
+    # roots 60 and 197 recur at t = 317 and 454 < 512, which must not count
+    field = NumberField(RationalPoly(f))
+    split = dict(sieved_split_primes(field, 600))
+    assert split[257] == [60, 197]
+    assert numberfield._sieve_split_primes(f, 256, 512)[0] == (257, [60, 197])
+    assert split[7] == [3, 4]  # t = 10, 11, ..., 60 in the first window
+    # windows that start just below a split prime, end on one, hold one
+    # prime or none, on a field split only at ell = +-1 mod 47
+    g = curve_min_poly(47).int_coeffs()
+    for lo, hi in ((280, 300), (2, 281), (281, 283), (186, 189), (2, 3)):
+        assert numberfield._sieve_split_primes(g, lo, hi) \
+            == frobenius_split_primes(g, lo, hi), (lo, hi)
+    assert numberfield._sieve_split_primes(g, 280, 282)[0][0] == 281
+    assert numberfield._sieve_split_primes(f, 4, 4) == []

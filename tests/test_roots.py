@@ -18,8 +18,9 @@ from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
     washington_curve_poly
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
-from jacrank.roots import _int_poly, _require_squarefree, _sturm_chain, \
-    isolate_real_roots, sign_at
+from jacrank.roots import RootInterval, _count_in, _int_poly, \
+    _require_squarefree, _sign_at_point, _sturm_chain, isolate_real_roots, \
+    sign_at
 
 X = sympy.symbols("x")
 
@@ -234,6 +235,8 @@ def test_sign_at_matches_reference_on_washington_units():
         th = field.theta()
         for unit in (th, (field.one() - th).inverse(), field.one() - th.inverse()):
             _assert_matches_reference(RationalPoly(unit.coords), field.root_intervals)
+        _assert_halving_matches_chain_counts(
+            [th, (field.one() - th).inverse()], field.root_intervals)
         fields += 1
     assert fields == 186
 
@@ -262,3 +265,80 @@ def test_sign_at_matches_reference_on_shared_and_repeated_roots():
         _assert_matches_reference(g, ivs.refined(Fraction(1, 2**10)))
         _assert_matches_reference(g, isolate_real_roots(RationalPoly([-1, 3])))
     assert sign_at(RationalPoly([]), ivs) == (0, 0, 0, 0)
+
+
+# -- reference: halving by Sturm-chain counts, which the sign of f replaced --
+
+
+def _chain_halve(fchain, lo, hi):
+    """One halving of (lo, hi), which isolates a root of fchain[0]: the
+    half holding the root by counting chain variations, or the midpoint
+    itself when it is the root."""
+    m = (lo + hi) / 2
+    if _sign_at_point(fchain[0], m) == 0:
+        return m, m
+    return (lo, m) if _count_in(fchain, lo, m) == 1 else (m, hi)
+
+
+def chain_refined(ivs, width):
+    out = []
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        while hi - lo > width:
+            lo, hi = _chain_halve(ivs.chain, lo, hi)
+        out.append(RootInterval(lo, hi))
+    return tuple(out)
+
+
+def chain_sign_at(g, ivs):
+    """sign_at as it was before halving followed the sign of f: the same
+    chains of gcd(f, g) and of g's squarefree part, with each halving of the
+    root interval decided by chain counts."""
+    if g.deg() < 0:
+        return (0,) * len(ivs)
+    gint = _int_poly(g)
+    d = monic_gcd(ivs.poly, g)
+    dchain = _sturm_chain(_int_poly(d)) if d.deg() > 0 else None
+    gchain = _sturm_chain(gint)
+    if len(gchain[-1]) > 1:
+        gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
+    out = []
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        if lo == hi:
+            out.append(_sign_at_point(gint, lo))
+            continue
+        if dchain is not None and _count_in(dchain, lo, hi) > 0:
+            out.append(0)
+            continue
+        while True:
+            if _count_in(gchain, lo, hi) == 0:
+                s = _sign_at_point(gint, (lo + hi) / 2)
+                if s != 0:
+                    break
+            lo, hi = _chain_halve(ivs.chain, lo, hi)
+            if lo == hi:
+                s = _sign_at_point(gint, lo)
+                break
+        out.append(s)
+    return tuple(out)
+
+
+def _assert_halving_matches_chain_counts(elements, ivs):
+    for width in (Fraction(1, 2**10), Fraction(1, 2**40)):
+        assert ivs.refined(width).intervals == chain_refined(ivs, width)
+    for a in elements:
+        g = RationalPoly(a.coords)
+        assert sign_at(g, ivs) == chain_sign_at(g, ivs), (g, ivs.poly)
+
+
+def test_halving_by_sign_matches_chain_counts_on_table4_fields():
+    """Refined intervals and sign_at tuples are those of the chain-count
+    halving, on the four Table-4 fields: their class representatives, theta
+    and theta^2 - 2."""
+    for q in (11, 23, 47, 59):
+        _, classes = lower_bound_from_points(curve_min_poly(q), Fraction(1))
+        field = classes.field
+        th = field.theta()
+        elements = list(classes.representatives) + [th, th * th - 2]
+        _assert_halving_matches_chain_counts(elements, field.root_intervals)
