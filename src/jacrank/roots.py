@@ -195,8 +195,8 @@ def sign_at(g: RationalPoly, ivs: RootIntervals) -> Tuple[int, ...]:
     gchain = _sturm_chain(gint)
     if len(gchain[-1]) > 1:
         gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
-    f = ivs.chain[0]
-    return tuple(_sign_at_root(gint, gchain, dchain, f, iv) for iv in ivs)
+    return tuple(_sign_at_root(gint, gchain, dchain, ivs.chain[0], iv)
+                 for iv in ivs)
 
 
 def _sign_at_root(g: IntPoly, gchain: Chain, dchain: Optional[Chain],
