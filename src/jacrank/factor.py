@@ -1,7 +1,10 @@
 """Exact irreducible factorization over Q.
 
-Pipeline: content/primitive split, Yun squarefree decomposition, reduction at
-a good prime (smallest of five candidates giving the fewest modular factors),
+Pipeline: content/primitive split, Yun squarefree decomposition (skipped when
+the primitive part is squarefree mod a small prime not dividing its leading
+coefficient, since then its discriminant is nonzero), reduction at a good
+prime (smallest of five candidates giving the fewest modular factors, counted
+from the distinct-degree blocks; only the chosen prime is factored fully),
 quadratic Hensel lifting on a subproduct tree past twice the Mignotte bound,
 then subset recombination in increasing cardinality. Non-monic inputs are
 monicized first via G(y) = lc^(n-1) f(y/lc), so every lifted object is monic
@@ -16,11 +19,15 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .arith import is_prime
-from .modpoly import (PrimePoly, add, divmod_monic, factor_mod_p,
-                      is_squarefree_mod_p, mul, sub, trim, xgcd)
+from .modpoly import (PrimePoly, add, divmod_monic, factor_count_mod_p,
+                      factor_mod_p, is_squarefree_mod_p, mul, sub, trim, xgcd)
 from .polys import RationalPoly, monic_gcd
 
 __all__ = ["factor_over_Q"]
+
+# the primes tried before Yun's decomposition: f squarefree mod one of them
+# (not dividing lc f) is squarefree over Q
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _yun_squarefree(f: RationalPoly) -> List[Tuple[RationalPoly, int]]:
@@ -132,7 +139,8 @@ def _int_divmod_monic(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]
 
 
 def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
-    """Smallest of the first five usable primes with the fewest modular factors."""
+    """Smallest of the first five usable primes with the fewest modular
+    factors, and the factors there; only that prime is factored fully."""
     best = None
     found = 0
     p = 1
@@ -144,13 +152,17 @@ def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
             continue
         if not is_squarefree_mod_p(coeffs, p):
             continue
-        factors = [list(g.coeffs) for g, _ in factor_mod_p(PrimePoly(p, coeffs))]
+        count = factor_count_mod_p(PrimePoly(p, coeffs))
         found += 1
-        if best is None or len(factors) < len(best[1]):
-            best = (p, factors)
-        if len(factors) == 1:
+        if best is None or count < best[1]:
+            best = (p, count)
+        if count == 1:
             break
-    return best
+    p, count = best
+    fp = PrimePoly(p, coeffs)
+    if count == 1:
+        return p, [list(fp.coeffs)]  # coeffs is monic: its own one factor
+    return p, [list(g.coeffs) for g, _ in factor_mod_p(fp)]
 
 
 def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
@@ -207,8 +219,13 @@ def factor_over_Q(f: RationalPoly) -> Tuple[Fraction, List[Tuple[RationalPoly, i
     lc = prim.lc()
     content *= lc
     monic = prim.monic()
+    ilc, pcoeffs = int(lc), prim.int_coeffs()
+    if any(ilc % p and is_squarefree_mod_p(pcoeffs, p) for p in _SMALL_PRIMES):
+        parts = [(monic, 1)]  # disc(prim) is nonzero mod p, so nonzero
+    else:
+        parts = _yun_squarefree(monic)
     out: List[Tuple[RationalPoly, int]] = []
-    for part, mult in _yun_squarefree(monic):
+    for part, mult in parts:
         _, ipart = part.primitive()
         plc = int(ipart.lc())
         icoeffs = [int(c) for c in ipart.coeffs]

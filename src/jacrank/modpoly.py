@@ -10,6 +10,8 @@ Factorization is squarefree decomposition, then distinct-degree splitting by
 Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (trace map in
 characteristic 2). The splitting RNG is seeded from the input so repeated runs
 are identical; output order is (degree, coefficient tuple) regardless.
+`factor_count_mod_p` stops after the distinct-degree step, which already
+fixes how many factors there are.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import List, Sequence, Tuple
 
 from .arith import is_prime
 
-__all__ = ["PrimePoly", "factor_mod_p", "is_irreducible_mod_p",
-           "is_squarefree_mod_p", "trim", "mul", "add", "sub",
-           "divmod_monic", "monic", "gcd", "xgcd", "powmod"]
+__all__ = ["PrimePoly", "factor_mod_p", "factor_count_mod_p",
+           "is_irreducible_mod_p", "is_squarefree_mod_p", "trim", "mul", "add",
+           "sub", "divmod_monic", "monic", "gcd", "xgcd", "powmod"]
 
 Coeffs = Tuple[int, ...]
 
@@ -122,8 +124,9 @@ def gcd(a: List[int], b: List[int], p: int) -> List[int]:
 
 
 def xgcd(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """For coprime a, b mod a prime p (both degree >= 1) returns (s, t) with
-    s*a + t*b = 1; extended Euclid gives deg s < deg b, deg t < deg a."""
+    """For coprime a, b mod a prime p (b of degree >= 1) returns (s, t) with
+    s*a + t*b = 1; extended Euclid gives deg s < deg b, deg t < deg a. With
+    b monic irreducible, s is the inverse of a in F_p[x]/(b)."""
     r0, r1 = trim([c % p for c in a]), trim([c % p for c in b])
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -244,6 +247,17 @@ def factor_mod_p(f: PrimePoly) -> List[Tuple[PrimePoly, int]]:
                 out.append((PrimePoly(p, irr), mult))
     out.sort(key=lambda ge: (len(ge[0].coeffs), ge[0].coeffs))
     return out
+
+
+def factor_count_mod_p(f: PrimePoly) -> int:
+    """len(factor_mod_p(f)) without the equal-degree splitting: a
+    distinct-degree block of degree-d factors holds deg(block) / d of them."""
+    p = f.modulus
+    if not f.coeffs:
+        raise ValueError("cannot factor the zero polynomial")
+    return sum((len(block) - 1) // d
+               for part, _ in _squarefree_decomposition(monic(f.coeffs, p), p)
+               for block, d in _distinct_degree(part, p))
 
 
 def is_irreducible_mod_p(f: PrimePoly) -> bool:

@@ -34,10 +34,10 @@ from math import gcd, isqrt, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cyclosig import SignatureVector
-from .f2 import MatF2, rank
+from .f2 import MatF2, kernel_basis
 from .factor import factor_over_Q
 from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
-                      is_squarefree_mod_p, mul, powmod, sub)
+                      is_squarefree_mod_p, mul, powmod, sub, xgcd)
 from .polys import RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
 from .arith import is_prime, jacobi, primes_upto
@@ -229,15 +229,13 @@ class NumberField:
         ell = self._witness_prime
         while nrm % ell == 0:
             ell = self._next_witness_prime(ell)
-        am = [c % ell for c in acoeffs]
-        # quadratic residue test in F_{ell^p}: exponent (ell^p - 1) / 2
-        order = ell ** p - 1
-        s = powmod(am, order // 2, f, ell)
-        if s != [1]:
+        # a is a square in F_{ell^p} exactly when its norm to F_ell, the
+        # rational norm mod ell since ell is inert, is a square mod ell
+        if jacobi(nrm, ell) < 0:
             return False, None  # nonresidue in an inert completion
-        x = powmod(am, (order + 2) // 4, f, ell)
-        twox = mul([2], x, ell)
-        z = powmod(twox, order - 1, f, ell)
+        am = [c % ell for c in acoeffs]
+        x = powmod(am, (ell ** p + 1) // 4, f, ell)
+        z = xgcd(mul([2], x, ell), f, ell)[0]  # 1 / (2x) in F_{ell^p}
         m = ell
         cap = 1 << 14
         while m.bit_length() < cap:
@@ -425,47 +423,68 @@ class SquareClassSet:
                 raise ValueError("representative from a different field")
 
 
-def independence_rank_mod_squares(classes: SquareClassSet, cap: int = 16) -> int:
+def independence_rank_mod_squares(classes: SquareClassSet) -> int:
     """Dimension of the subgroup of L*/(L*)^2 generated by the
-    representatives: all 2^k - 1 nonempty products are tested for squareness
-    (with shared norm, residue, and signature screens precomputed per class),
-    and the rank is k minus the dimension of the square-product kernel."""
+    representatives, for an odd-degree field.
+
+    A quadratic character, a homomorphism L* -> {+1, -1}, kills squares, so
+    every product of classes that is a square lies in the kernel of the F2
+    matrix with one column per class and one row per character: the residue
+    symbols at 20 degree-one primes, the real signs when the field is totally
+    real, and Legendre symbols of the norms at primes found on demand. While
+    a kernel basis product has a norm that is not a rational square, a prime
+    at which that norm is a nonresidue adds a row and the kernel shrinks.
+    Then each basis product is proved a square by the witness, so the kernel
+    is exactly the set of square products and the rank is k minus its
+    dimension."""
     field = classes.field
     reps = classes.representatives
     k = len(reps)
     if k == 0:
         return 0
-    if k > cap:
-        raise ValueError(f"class count {k} exceeds the sweep cap {cap}")
-    norms = [field.norm(a) for a in reps]
+    if field.degree % 2 == 0:
+        raise ValueError(f"square-class rank needs an odd-degree field, got "
+                         f"degree {field.degree}")
     ideals = field._degree_one_ideals(20, reps)
-    symbol_bits = []
-    for a in reps:
-        sym = field._residue_symbols(a, ideals)
-        symbol_bits.append(sum(1 << i for i, s in enumerate(sym) if s < 0))
-    totally_real = len(field.root_intervals) == field.degree
-    sig_bits = [field.signature(a).psi_bits() for a in reps] if totally_real else [0] * k
-    kernel_masks = []
-    for mask in range(1, 1 << k):
-        norm_prod = Fraction(1)
-        sym = 0
-        sig = 0
+    columns = [field._residue_symbols(a, ideals) for a in reps]
+    if len(field.root_intervals) == field.degree:
+        columns = [sym + list(field.signature(a).signs)
+                   for sym, a in zip(columns, reps)]
+    rows = [sum(1 << i for i, col in enumerate(columns) if col[r] < 0)
+            for r in range(len(columns[0]))]
+    # n/d and n*d have the same Legendre symbols, and n*d is an integer
+    norms = [n.numerator * n.denominator for n in map(field.norm, reps)]
+    while True:
+        kernel = [v.bits for v in kernel_basis(MatF2(len(rows), k, tuple(rows)))]
+        kernel_norms = (prod(norms[i] for i in range(k) if m >> i & 1)
+                        for m in kernel)
+        nonsquare = next((n for n in kernel_norms
+                          if not NumberField._is_rational_square(n)), None)
+        if nonsquare is None:
+            break
+        ell = _nonresidue_prime(nonsquare, norms)
+        rows.append(sum(1 << i for i, n in enumerate(norms)
+                        if jacobi(n, ell) < 0))
+    for mask in kernel:
+        w = field.one()
         for i in range(k):
-            if (mask >> i) & 1:
-                norm_prod *= norms[i]
-                sym ^= symbol_bits[i]
-                sig ^= sig_bits[i]
-        if sym or sig or not NumberField._is_rational_square(norm_prod):
-            continue
-        prod = field.one()
-        for i in range(k):
-            if (mask >> i) & 1:
-                prod = prod * reps[i]
-        ok, _ = field.is_square(prod)
-        if ok:
-            kernel_masks.append(mask)
-    kdim = rank(MatF2(len(kernel_masks), k, tuple(kernel_masks))) if kernel_masks else 0
-    return k - kdim
+            if mask >> i & 1:
+                w = w * reps[i]
+        ok, _ = field._reconstruct_root(w)
+        if not ok:  # never: the witness's residuosity test is a norm row
+            raise SquarenessUndetermined("kernel product failed its witness")
+    return k - len(kernel)
+
+
+def _nonresidue_prime(n: int, units: Sequence[int]) -> int:
+    """The least odd prime ell dividing none of `units` with n a nonresidue
+    mod ell. A nonsquare n is a nonresidue at infinitely many primes
+    (quadratic reciprocity and Dirichlet), so the search ends."""
+    ell = 3
+    while True:
+        if is_prime(ell) and all(u % ell for u in units) and jacobi(n, ell) < 0:
+            return ell
+        ell += 2
 
 
 def delta_class_of_factor(g: RationalPoly, y0: Fraction,

@@ -8,8 +8,9 @@ Each member is stored as a primitive integer polynomial, a positive rational
 multiple of the member over Q, so it has the same signs. A member of degree
 k is evaluated at n/d (d > 0) as the integer sum c_0 d^k + c_1 n d^(k-1) +
 ... + c_k n^k, which is d^k times its value. The chain counts roots while
-they are isolated; an interval that already isolates one simple root between
-non-root endpoints is halved by the sign of f alone.
+they are isolated, starting from Fujiwara's bound on the roots; an interval
+that already isolates one simple root between non-root endpoints is halved by
+the sign of f alone.
 """
 
 from __future__ import annotations
@@ -146,6 +147,29 @@ def _refine(f: IntPoly, iv: RootInterval, width: Fraction) -> RootInterval:
     return RootInterval(lo, hi)
 
 
+def _ceil_root(c: int, i: int) -> int:
+    """The least integer r >= 0 with r^i >= c, for c >= 0 and i >= 1."""
+    if c <= 1 or i == 1:
+        return c
+    t = 1 << -(-c.bit_length() // i)  # at least the i-th root of c
+    while True:  # Newton's method on integers falls to the floor root
+        u = ((i - 1) * t + c // t ** (i - 1)) // i
+        if u >= t:
+            break
+        t = u
+    return t if t ** i >= c else t + 1
+
+
+def _root_bound(f: IntPoly) -> int:
+    """An integer B with every complex root z of f in |z| < B, when f has a
+    nonzero coefficient below the leading one: Fujiwara's bound
+    2 max_i |c_(n-i) / c_n|^(1/i), each i-th root rounded up to an integer."""
+    n = len(f) - 1
+    lc = abs(f[-1])
+    return 2 * max(_ceil_root(-(-abs(f[n - i]) // lc), i)
+                   for i in range(1, n + 1))
+
+
 def isolate_real_roots(f: RationalPoly) -> RootIntervals:
     """One isolating interval per real root, ascending. Rejects non-squarefree
     input; the endpoints of every returned interval with lo < hi are non-roots."""
@@ -158,8 +182,7 @@ def isolate_real_roots(f: RationalPoly) -> RootIntervals:
     if f.deg() == 1:
         r = -f.coeffs[0] / f.coeffs[1]
         return RootIntervals(f, (RootInterval(r, r),), chain)
-    bound = Fraction(1) + max(abs(c) for c in f.coeffs[:-1]) / abs(f.lc())
-    b = Fraction(bound.__ceil__())
+    b = Fraction(_root_bound(chain[0]))
     found: List[RootInterval] = []
     stack = [(-b, b)]
     while stack:
