@@ -10,12 +10,21 @@ Sturm intervals, and squareness by screen-then-witness:
      denominators;
   3. signature screen: a must be totally positive (totally real case);
   4. witness: a square root is constructed by Hensel lifting an exact square
-     root in the residue field of an inert prime, with rational
-     reconstruction of the coordinates, and verified by exact squaring.
+     root in the residue field F_{ell^deg} of an inert prime ell, with
+     rational reconstruction of the coordinates, and verified by exact
+     squaring. Residuosity there is the Jacobi symbol of the norm mod ell,
+     the root one powering, and 1/(2x) for the Newton step an extended gcd.
 
 Accepts always carry verified witnesses; rejects always carry a sound
 obstruction. If the precision ladder is exhausted without either, the
 (never-yet-observed) outcome is a SquarenessUndetermined error, not a guess.
+
+The rank of a set of square classes comes from an F2 matrix of quadratic
+characters (homomorphisms to {+1, -1} that kill squares): residue symbols,
+real signs and Legendre symbols of norms, one column per class. Its kernel
+holds every square product; the witness proves each kernel basis product a
+square, so the rank is the class count minus the kernel dimension, with no
+sweep over the 2^k products.
 
 A field finds its split primes, with the roots of f mod each, and its real
 root intervals, with their Sturm chain, once, and reuses them for every
@@ -196,7 +205,9 @@ class NumberField:
     def is_square(self, a: "FieldElement",
                   residue_primes: int = 20) -> Tuple[bool, Optional["FieldElement"]]:
         """True plus an exactly verified witness, or False with a sound
-        obstruction behind it. Raises SquarenessUndetermined only if every
+        obstruction behind it: a nonsquare norm, a nonresidue at a
+        degree-one prime, a negative real embedding, or a nonsquare norm mod
+        the inert witness prime. Raises SquarenessUndetermined only if every
         screen passes and reconstruction fails at the precision cap, and
         ValueError for a = 0 or an even-degree field."""
         if a.is_zero():
@@ -218,6 +229,12 @@ class NumberField:
         return self._reconstruct_root(a)
 
     def _reconstruct_root(self, a: "FieldElement") -> Tuple[bool, Optional["FieldElement"]]:
+        """The witness step: (True, w) with w * w == a checked exactly, or
+        (False, None) when a is a nonresidue at the inert prime ell, which
+        is when N(a) is a nonresidue mod ell. x = a^((ell^p + 1) / 4) is a
+        square root mod ell (ell^p = 3 mod 4 at odd p), Newton's iteration
+        lifts it with z = 1 / (2x) mod ell^k, and the coordinates are read
+        back by rational reconstruction."""
         p = self.degree
         f = list(self._int_coeffs)
         d = 1

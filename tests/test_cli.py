@@ -157,6 +157,19 @@ def test_lower_bound_verbose_lists_classes(capsys):
     assert lines[3] == "class=-1,1,1,0,0"
 
 
+def test_lower_bound_beyond_sixteen_factors(capsys):
+    # f = (x - 1)(x - 2)...(x - 17) + 1: f - 1 has 17 linear factors, whose
+    # classes multiply to (-1)^17 (f - 1)(theta) = 1, so the rank is 16
+    f = [1]
+    for r in range(1, 18):
+        f = [a - r * b for a, b in zip([0] + f, f + [0])]
+    f[0] += 1
+    poly = ",".join(map(str, f))
+    code, out, err = run(capsys, "lower-bound", f"--poly={poly}", "--y0", "1")
+    assert (code, err) == (0, "")
+    assert out == f"poly={poly} y0=1 factors=17 lower=16\n"
+
+
 def test_lower_bound_invalid_inputs(capsys):
     code, _, err = run(capsys, "lower-bound", "--poly", "1,-2,-1,1",
                        "--y0", "0")

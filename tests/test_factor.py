@@ -1,7 +1,9 @@
 """Tests for exact factorization over Q.
 
 Oracle: sympy.factor_list, plus exact product round-trips computed with the
-package's own Fraction polynomial arithmetic.
+package's own Fraction polynomial arithmetic. The Yun-always pipeline and the
+prime choice that factored every candidate fully are kept here as references
+for the shortcuts that replaced them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from jacrank import factor
+from jacrank.arith import is_prime
+from jacrank.bounds import curve_min_poly
 from jacrank.factor import factor_over_Q
+from jacrank.modpoly import PrimePoly, factor_mod_p, is_squarefree_mod_p
 from jacrank.polys import RationalPoly
 
 
@@ -149,3 +155,118 @@ def test_random_products_recover_known_factors():
             continue
         roundtrip(f)
         assert ours_factor_set(f) == sympy_factor_set(f)
+
+
+# -- fast paths against the full paths they replace ---------------------------
+
+
+def yun_factor_over_Q(f: RationalPoly):
+    """Reference: factor_over_Q with Yun's decomposition always run, as
+    before the squarefree-mod-p shortcut."""
+    content, prim = f.primitive()
+    lc = prim.lc()
+    content *= lc
+    out = []
+    for part, mult in factor._yun_squarefree(prim.monic()):
+        _, ipart = part.primitive()
+        plc = int(ipart.lc())
+        icoeffs = [int(c) for c in ipart.coeffs]
+        if plc == 1:
+            work, scale = icoeffs, 1
+        else:
+            n = len(icoeffs) - 1
+            work = [icoeffs[i] * plc ** (n - 1 - i) for i in range(n)] + [1]
+            scale = plc
+        for g in factor._factor_squarefree_monic_int(work):
+            d = len(g) - 1
+            out.append((RationalPoly([Fraction(g[i], scale ** (d - i))
+                                      for i in range(d + 1)]), mult))
+    out.sort(key=lambda gm: (gm[0].deg(), gm[0].coeffs))
+    return content, out
+
+
+def ref_good_prime(coeffs):
+    """Reference: the smallest of the first five usable primes with the
+    fewest modular factors, each prime factored fully."""
+    best = None
+    found = 0
+    p = 1
+    while found < 5:
+        p += 1
+        while not is_prime(p):
+            p += 1
+        if coeffs[-1] % p == 0:
+            continue
+        if not is_squarefree_mod_p(coeffs, p):
+            continue
+        factors = [list(g.coeffs) for g, _ in factor_mod_p(PrimePoly(p, coeffs))]
+        found += 1
+        if best is None or len(factors) < len(best[1]):
+            best = (p, factors)
+        if len(factors) == 1:
+            break
+    return best
+
+
+def squarefree_shortcut_polys():
+    rng = random.Random(60113)
+    polys = []
+    for _ in range(40):
+        deg = rng.randrange(1, 8)
+        polys.append(RationalPoly(
+            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+             for _ in range(deg)] + [rng.choice([1, -1, 2, Fraction(3, 2)])]))
+    for _ in range(30):  # repeated factors
+        f = RationalPoly([rng.choice([1, 2, -3])])
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.randrange(1, 4)
+            g = RationalPoly([rng.randrange(-5, 6) for _ in range(d)]
+                             + [rng.choice([1, 2])])
+            for _ in range(rng.randrange(1, 4)):
+                f = f * g
+        polys.append(f)
+    for q in (11, 23, 47, 59):
+        f = curve_min_poly(q)
+        polys += [f, f - RationalPoly([1])]
+    # squares that drop to a squarefree polynomial mod the primes dividing
+    # their leading coefficient: (2x + 1)^2 = 1 mod 2
+    for g in (RationalPoly([1, 2]), RationalPoly([1, 6])):
+        polys += [g * g, g * g * RationalPoly([-1, 1])]
+    return [f for f in polys if f.deg() >= 1]
+
+
+def test_factor_over_Q_matches_yun_path():
+    for f in squarefree_shortcut_polys():
+        assert factor_over_Q(f) == yun_factor_over_Q(f), f
+
+
+def test_squarefree_but_not_mod_any_small_prime_falls_back_to_yun():
+    # x^2 - 2*3*5*...*37 is squarefree over Q, and x^2 mod each of these
+    # primes is not
+    n = 1
+    for p in factor._SMALL_PRIMES:
+        n *= p
+    f = RationalPoly([-n, 0, 1])
+    assert not any(is_squarefree_mod_p(f.int_coeffs(), p)
+                   for p in factor._SMALL_PRIMES)
+    assert factor_over_Q(f) == yun_factor_over_Q(f) == (1, [(f, 1)])
+    g = f * f * RationalPoly([-n, 1])
+    assert factor_over_Q(g) == yun_factor_over_Q(g) \
+        == (1, [(RationalPoly([-n, 1]), 1), (f, 2)])
+
+
+def test_good_prime_matches_full_factorization_reference():
+    """The same prime and the same modular factors as when every candidate
+    prime was factored fully: Table-4 polynomials, f - 1, and seeded monic
+    squarefree integer polynomials."""
+    polys = []
+    for q in (11, 23, 47, 59):
+        f = curve_min_poly(q).int_coeffs()
+        polys += [f, [f[0] - 1] + f[1:]]
+    rng = random.Random(60127)
+    while len(polys) < 60:
+        f = [rng.randrange(-20, 21) for _ in range(rng.randrange(2, 10))] + [1]
+        if all(m == 1 for _, m in factor_over_Q(RationalPoly(f))[1]):
+            polys.append(f)
+    for f in polys:
+        assert factor._good_prime(f) == ref_good_prime(f), f

@@ -19,6 +19,7 @@ from jacrank.modpoly import (
     _equal_degree,
     add,
     divmod_monic,
+    factor_count_mod_p,
     factor_mod_p,
     gcd,
     is_irreducible_mod_p,
@@ -113,6 +114,32 @@ def test_factor_roundtrip_random():
         # deterministic ordering: by degree then coefficient tuple
         keys = [(len(g.coeffs), g.coeffs) for g, _ in factors]
         assert keys == sorted(keys)
+
+
+def test_factor_count_matches_full_factorization():
+    """The count read from distinct-degree blocks equals len(factor_mod_p)
+    on seeded polynomials, repeated and p-th power factors included, and on
+    the Table-4 polynomials and f - 1 at the primes _good_prime tries."""
+    rng = random.Random(37)
+    cases = []
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 13, 101])
+        f = random_poly(rng, rng.randrange(1, 10), p)
+        if rng.random() < 0.3:  # a repeated factor
+            g = random_poly(rng, rng.randrange(1, 3), p)
+            f = list(mul_mod(tuple(f), mul_mod(tuple(g), tuple(g), p), p))
+        cases.append(PrimePoly(p, f))
+    cases += [PrimePoly(3, (2, 0, 0, 1)), PrimePoly(2, (1, 0, 1, 0, 1)),
+              PrimePoly(5, (4,))]
+    for q in (11, 23, 47, 59):
+        f = curve_min_poly(q).int_coeffs()
+        for g in (f, [f[0] - 1] + f[1:]):
+            cases += [PrimePoly(p, g) for p in primes_upto(30)
+                      if is_squarefree_mod_p(g, p)]
+    for f in cases:
+        assert factor_count_mod_p(f) == len(factor_mod_p(f)), f
+    with pytest.raises(ValueError):
+        factor_count_mod_p(PrimePoly(7, ()))
 
 
 def test_multiplicity_detection():

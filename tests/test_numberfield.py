@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from jacrank import numberfield
-from jacrank.arith import primes_upto
-from jacrank.bounds import curve_min_poly
+from jacrank.arith import jacobi, primes_upto
+from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.cyclosig import SophieGermainPair, canonical_signature
+from jacrank.f2 import MatF2, kernel_basis, rank
 from jacrank.factor import factor_over_Q
-from jacrank.modpoly import is_squarefree_mod_p
+from jacrank.modpoly import is_squarefree_mod_p, powmod, xgcd
 from jacrank.numberfield import (
     NumberField,
     SquareClassSet,
@@ -187,9 +188,13 @@ def test_independence_rank_degenerate():
     assert independence_rank_mod_squares(SquareClassSet(Q7, (th, th))) == 1
     with pytest.raises(ValueError):
         SquareClassSet(Q7, (Q7.zero(),))
-    with pytest.raises(ValueError):
-        independence_rank_mod_squares(
-            SquareClassSet(Q7, tuple(Q7.element([k]) for k in range(2, 19))))
+    # a rational is a square in an odd-degree field iff it is one in Q, so
+    # 2..18 span the classes of the seven primes up to 17
+    assert independence_rank_mod_squares(
+        SquareClassSet(Q7, tuple(Q7.element([k]) for k in range(2, 19)))) == 7
+    gauss = NumberField(RationalPoly([1, 0, 1]))
+    with pytest.raises(ValueError, match="odd-degree"):
+        independence_rank_mod_squares(SquareClassSet(gauss, (gauss.theta(),)))
 
 
 def test_delta_classes_example():
@@ -304,3 +309,130 @@ def test_sieve_window_edges():
             == frobenius_split_primes(g, lo, hi), (lo, hi)
     assert numberfield._sieve_split_primes(g, 280, 282)[0][0] == 281
     assert numberfield._sieve_split_primes(f, 4, 4) == []
+
+
+# -- the character-matrix rank and the witness against the full paths --------
+
+
+def sweep_rank(classes):
+    """Reference: the rank from testing all 2^k - 1 nonempty products for
+    squareness, with the norm, residue and signature screens shared."""
+    field = classes.field
+    reps = classes.representatives
+    k = len(reps)
+    if k == 0:
+        return 0
+    norms = [field.norm(a) for a in reps]
+    ideals = field._degree_one_ideals(20, reps)
+    symbol_bits = []
+    for a in reps:
+        sym = field._residue_symbols(a, ideals)
+        symbol_bits.append(sum(1 << i for i, s in enumerate(sym) if s < 0))
+    totally_real = len(field.root_intervals) == field.degree
+    sig_bits = [field.signature(a).psi_bits() for a in reps] if totally_real else [0] * k
+    kernel_masks = []
+    for mask in range(1, 1 << k):
+        norm_prod = Fraction(1)
+        sym = 0
+        sig = 0
+        for i in range(k):
+            if (mask >> i) & 1:
+                norm_prod *= norms[i]
+                sym ^= symbol_bits[i]
+                sig ^= sig_bits[i]
+        if sym or sig or not NumberField._is_rational_square(norm_prod):
+            continue
+        prod = field.one()
+        for i in range(k):
+            if (mask >> i) & 1:
+                prod = prod * reps[i]
+        ok, _ = field.is_square(prod)
+        if ok:
+            kernel_masks.append(mask)
+    kdim = rank(MatF2(len(kernel_masks), k, tuple(kernel_masks))) if kernel_masks else 0
+    return k - kdim
+
+
+def residue_and_sign_rank(classes):
+    """k minus the kernel dimension of the residue-symbol and sign rows
+    alone, before any norm row: a lower bound on the rank."""
+    field = classes.field
+    reps = classes.representatives
+    ideals = field._degree_one_ideals(20, reps)
+    columns = [field._residue_symbols(a, ideals) for a in reps]
+    if len(field.root_intervals) == field.degree:
+        columns = [c + list(field.signature(a).signs)
+                   for c, a in zip(columns, reps)]
+    rows = tuple(sum(1 << i for i, c in enumerate(columns) if c[r] < 0)
+                 for r in range(len(columns[0])))
+    return len(reps) - len(kernel_basis(MatF2(len(rows), len(reps), rows)))
+
+
+def random_class_sets(seed, count):
+    """Seeded class sets of k <= 10 in odd-degree fields with dependencies
+    built in: each class is a product of a few base elements times a square."""
+    rng = random.Random(seed)
+    fields = [NumberField(f) for f in random_irreducible_polys(seed, 90)
+              if f.deg() in (3, 5)][:count]
+    out = []
+    for field in fields:
+        bases = []
+        while len(bases) < rng.randrange(2, 5):
+            b = rand_elem(field, rng, span=2)
+            if not b.is_zero():
+                bases.append(b)
+        reps = []
+        while len(reps) < rng.randrange(len(bases) + 1, 11):
+            a = field.one()
+            for b in bases:
+                if rng.random() < 0.5:
+                    a = a * b
+            c = field.element([rng.randrange(-2, 3) for _ in range(field.degree)])
+            if not c.is_zero():
+                reps.append(a * c * c)
+        out.append(SquareClassSet(field, tuple(reps)))
+    return out
+
+
+def test_character_rank_matches_sweep_on_table4_classes():
+    for q, want in ((11, 2), (23, 4), (47, 6), (59, 4)):
+        r, classes = lower_bound_from_points(curve_min_poly(q))
+        assert r == sweep_rank(classes) == want, q
+
+
+def test_character_rank_matches_sweep_on_random_fields():
+    sets = random_class_sets(71, 6)
+    assert len(sets) == 6
+    for classes in sets:
+        assert independence_rank_mod_squares(classes) == sweep_rank(classes)
+
+
+def test_character_rank_adds_norm_rows_when_residues_fall_short():
+    # Q7 splits only at ell = +-1 mod 7, so its first 20 degree-one primes
+    # lie over 7 rational primes: too few residue rows for the 9 primes up
+    # to 23, which only the norm rows tell apart
+    classes = SquareClassSet(Q7, tuple(
+        Q7.element([k]) for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 30)))
+    assert residue_and_sign_rank(classes) < 9
+    assert independence_rank_mod_squares(classes) == sweep_rank(classes) == 9
+
+
+def test_witness_norm_residuosity_and_xgcd_inverse_match_powering():
+    """In F_{ell^p} at the witness prime: a is a square, a^((ell^p-1)/2) = 1,
+    exactly when its norm is a square mod ell, and the inverse from xgcd is
+    a^(ell^p - 2)."""
+    rng = random.Random(40189)
+    for field in (Q7, Q11, F143, NumberField(curve_min_poly(23))):
+        ell, p = field._witness_prime, field.degree
+        f = list(field.poly.int_coeffs())
+        order = ell ** p - 1
+        for _ in range(12):
+            a = [rng.randrange(-50, 51) for _ in range(p)]
+            nrm = field.norm(field.element(a)).numerator
+            am = [c % ell for c in a]
+            if nrm % ell == 0:
+                continue
+            want = [1] if jacobi(nrm, ell) > 0 else [ell - 1]
+            assert powmod(am, order // 2, f, ell) == want
+            assert xgcd(am, f, ell)[0] == powmod(am, order - 1, f, ell)
+        assert xgcd([2], f, ell)[0] == [(ell + 1) // 2]

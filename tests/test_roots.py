@@ -18,9 +18,9 @@ from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
     washington_curve_poly
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
-from jacrank.roots import RootInterval, _count_in, _int_poly, \
-    _require_squarefree, _sign_at_point, _sturm_chain, isolate_real_roots, \
-    sign_at
+from jacrank.roots import RootInterval, _ceil_root, _count_in, _int_poly, \
+    _require_squarefree, _root_bound, _sign_at_point, _sturm_chain, \
+    isolate_real_roots, sign_at
 
 X = sympy.symbols("x")
 
@@ -141,6 +141,60 @@ def test_random_against_sympy_count_and_values():
         assert len(ivs) == len(want)
         for iv, w in zip(ivs, want):
             assert float(iv.midpoint()) == pytest.approx(w, abs=1e-7)
+
+
+def root_test_polys():
+    """The squarefree polynomials of degree >= 2 the tests above isolate,
+    non-monic ones included, and the Table-4 fields."""
+    polys = [RationalPoly([-2, 0, 1]), RationalPoly([1, 0, 1]),
+             RationalPoly([1, -146, 143, 1]), min_poly_2cos(11, True),
+             RationalPoly([1]) * RationalPoly([-1, 1]) * RationalPoly([2, 1])
+             * RationalPoly([Fraction(-1, 2), 1])]
+    rng = random.Random(8831)
+    for _ in range(50):
+        f = RationalPoly([1])
+        for r in rng.sample(range(-30, 31), rng.randrange(2, 7)):
+            f = f * RationalPoly([-r, 1])
+        polys.append(f)
+    rng = random.Random(8837)
+    for _ in range(40):
+        deg = rng.randrange(2, 7)
+        f = RationalPoly([rng.randrange(-8, 9) for _ in range(deg)]
+                         + [rng.choice([1, -1, 2])])
+        if f.deg() >= 2 and monic_gcd(f, f.derivative()).deg() == 0:
+            polys.append(f)
+    polys += [curve_min_poly(q) for q in (11, 23, 47, 59)]
+    return polys
+
+
+def test_ceil_root_is_least_upper_integer_root():
+    for i in range(1, 7):
+        for c in range(0, 3000):
+            r = _ceil_root(c, i)
+            assert r ** i >= c and (r == 0 or (r - 1) ** i < c), (c, i)
+    for c in (10**40, 10**40 + 1, 2**200 - 1, 2**200, 3**150 + 7):
+        for i in (2, 3, 5, 17, 29):
+            r = _ceil_root(c, i)
+            assert r ** i >= c > (r - 1) ** i, (c, i)
+
+
+def test_fujiwara_interval_holds_every_real_root():
+    """Isolation starts from [-B, B] with Fujiwara's B; it holds as many
+    roots as the Cauchy interval [-C, C], C = ceil(1 + max |c_i / c_n|),
+    that isolation started from before, and every real root."""
+    polys = root_test_polys()
+    assert any(not f.is_monic() for f in polys)
+    for f in polys:
+        chain = _sturm_chain(_int_poly(f))
+        b = Fraction(_root_bound(chain[0]))
+        c = Fraction((1 + max(abs(x) for x in f.coeffs[:-1])
+                      / abs(f.lc())).__ceil__())
+        assert _sign_at_point(chain[0], -b) != 0
+        assert _count_in(chain, -b, b) == _count_in(chain, -c, c) \
+            == real_root_count(f), f
+    # on the Table-4 fields C is 5, 57, 12377 and 203491
+    assert [_root_bound(curve_min_poly(q).int_coeffs())
+            for q in (11, 23, 47, 59)] == [4, 8, 10, 12]
 
 
 def test_sign_at_root():
