@@ -143,7 +143,7 @@ def test_random_against_sympy_count_and_values():
             assert float(iv.midpoint()) == pytest.approx(w, abs=1e-7)
 
 
-def root_test_polys():
+def isolation_test_polys():
     """The squarefree polynomials of degree >= 2 the tests above isolate,
     non-monic ones included, and the Table-4 fields."""
     polys = [RationalPoly([-2, 0, 1]), RationalPoly([1, 0, 1]),
@@ -182,7 +182,7 @@ def test_fujiwara_interval_holds_every_real_root():
     """Isolation starts from [-B, B] with Fujiwara's B; it holds as many
     roots as the Cauchy interval [-C, C], C = ceil(1 + max |c_i / c_n|),
     that isolation started from before, and every real root."""
-    polys = root_test_polys()
+    polys = isolation_test_polys()
     assert any(not f.is_monic() for f in polys)
     for f in polys:
         chain = _sturm_chain(_int_poly(f))
