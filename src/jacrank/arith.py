@@ -27,12 +27,14 @@ def primes_upto(n: int) -> List[int]:
     """All primes <= n, ascending (sieve of Eratosthenes)."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+    # bytearray(k) fails cleanly with MemoryError; a failed bytearray
+    # repeat can first print a spurious SystemError (CPython 3.11 frees the
+    # half-built object with its export count unset)
+    composite = bytearray(n + 1)
     for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+        if not composite[i]:
+            composite[i * i :: i] = b"\x01" * len(range(i * i, n + 1, i))
+    return [i for i in range(2, n + 1) if not composite[i]]
 
 
 def is_prime(n: int) -> bool:

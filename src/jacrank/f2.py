@@ -40,9 +40,6 @@ class VecF2:
         es = [int(bool(e)) for e in entries]
         return cls(len(es), sum(b << i for i, b in enumerate(es)))
 
-    def to_bits(self) -> Tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
-
 
 @dataclass(frozen=True)
 class MatF2:
@@ -56,26 +53,6 @@ class MatF2:
         for r in self.bits:
             if not 0 <= r < (1 << self.cols):
                 raise ValueError("row value exceeds column width")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MatF2":
-        packed = []
-        cols = None
-        for row in rows:
-            es = [int(bool(e)) for e in row]
-            if cols is None:
-                cols = len(es)
-            elif len(es) != cols:
-                raise ValueError("ragged rows")
-            packed.append(sum(b << i for i, b in enumerate(es)))
-        return cls(len(packed), cols or 0, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "MatF2":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def row(self, i: int) -> VecF2:
-        return VecF2(self.cols, self.bits[i])
 
 
 def echelon_rank(rows: Iterable[int], stop_at: Optional[int] = None) -> int:

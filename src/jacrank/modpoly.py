@@ -11,7 +11,8 @@ Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (trace map in
 characteristic 2). The splitting RNG is seeded from the input so repeated runs
 are identical; output order is (degree, coefficient tuple) regardless.
 `factor_count_mod_p` stops after the distinct-degree step, which already
-fixes how many factors there are.
+fixes how many factors there are; `is_irreducible_mod_p` asks it for a
+squarefree f.
 """
 
 from __future__ import annotations
@@ -261,25 +262,6 @@ def factor_count_mod_p(f: PrimePoly) -> int:
 
 
 def is_irreducible_mod_p(f: PrimePoly) -> bool:
-    """Rabin's irreducibility test."""
-    p = f.modulus
-    n = f.deg()
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    work = monic(f.coeffs, p)
-    x = [0, 1]
-    # x^(p^n) = x mod f, and no proper Frobenius power fixes a factor
-    h = list(x)
-    for _ in range(n):
-        h = powmod(h, p, work, p)
-    if sub(h, x, p):
-        return False
-    for t in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
-        h = list(x)
-        for _ in range(n // t):
-            h = powmod(h, p, work, p)
-        if len(gcd(sub(h, x, p), work, p)) > 1:
-            return False
-    return True
+    """True when f mod p is squarefree and has one irreducible factor."""
+    return f.deg() > 0 and is_squarefree_mod_p(f.coeffs, f.modulus) \
+        and factor_count_mod_p(f) == 1

@@ -105,12 +105,6 @@ class RationalPoly:
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self) -> "RationalPoly":
         return self.scale(1 / self.lc())
 

@@ -1,16 +1,21 @@
-"""Real root isolation for rational polynomials by Sturm sequences.
+"""Real roots of rational polynomials: isolation by Sturm counts, signs by
+the Cauchy index.
 
 All arithmetic is exact. Intervals are [lo, hi] with rational endpoints; a
 degenerate interval lo == hi marks an exact rational root.
 
-A Sturm chain is built once per polynomial and kept on its RootIntervals.
-Each member is stored as a primitive integer polynomial, a positive rational
-multiple of the member over Q, so it has the same signs. A member of degree
-k is evaluated at n/d (d > 0) as the integer sum c_0 d^k + c_1 n d^(k-1) +
-... + c_k n^k, which is d^k times its value. The chain counts roots while
-they are isolated, starting from Fujiwara's bound on the roots; an interval
-that already isolates one simple root between non-root endpoints is halved by
-the sign of f alone.
+Every chain here is a signed remainder chain: two polynomials, then each
+next member -rem(a, b) of the two before it. Each member is stored as a
+primitive integer polynomial, a positive rational multiple of the member
+over Q, so it has the same signs. A member of degree k is evaluated at n/d
+(d > 0) as the integer sum c_0 d^k + c_1 n d^(k-1) + ... + c_k n^k, which
+is d^k times its value.
+
+The Sturm chain (f, f', ...) is built once per polynomial and kept on its
+RootIntervals; its variation counts isolate the roots, starting from
+Fujiwara's bound on them. The sign of g at the one root of f in (lo, hi)
+comes from the chain of f and g mod f: by Sturm's theorem for the Cauchy
+index, Var(lo) - Var(hi) is sign g(root) * sign f(hi).
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from .polys import RationalPoly, monic_gcd, prem
+from .polys import RationalPoly, prem
 
 __all__ = ["RootInterval", "RootIntervals", "isolate_real_roots", "sign_at"]
 
@@ -32,12 +37,6 @@ Chain = Tuple[IntPoly, ...]
 class RootInterval:
     lo: Fraction
     hi: Fraction
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _primitive(cs: Sequence[int]) -> IntPoly:
@@ -55,11 +54,11 @@ def _int_poly(f: RationalPoly) -> IntPoly:
     return tuple(cs) if content > 0 else tuple(-c for c in cs)
 
 
-def _sturm_chain(f: IntPoly) -> Chain:
-    """f, f', then each next member -rem(a, b) of the two before it, all
+def _remainder_chain(a: IntPoly, b: IntPoly) -> Chain:
+    """a, b, then each next member -rem(a, b) of the two before it, all
     scaled positively to primitive integer polynomials; the last member is
-    gcd(f, f') up to a constant."""
-    chain = [f, _primitive([i * c for i, c in enumerate(f)][1:])]
+    gcd(a, b) up to a constant."""
+    chain = [a, b]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         rem = prem(a, b)
@@ -70,6 +69,11 @@ def _sturm_chain(f: IntPoly) -> Chain:
             rem = [-c for c in rem]
         chain.append(_primitive(rem))
     return tuple(chain)
+
+
+def _sturm_chain(f: IntPoly) -> Chain:
+    """f, f', ...; the last member is gcd(f, f') up to a constant."""
+    return _remainder_chain(f, _primitive([i * c for i, c in enumerate(f)][1:]))
 
 
 def _require_squarefree(chain: Chain) -> None:
@@ -96,9 +100,13 @@ def _sign_at_point(g: IntPoly, x: Fraction) -> int:
     return _sign(_scaled_value(g, x.numerator, x.denominator))
 
 
-def _variations_at(chain: Chain, x: Fraction) -> int:
+def _signs_at(chain: Chain, x: Fraction) -> List[int]:
     n, d = x.numerator, x.denominator
-    signs = [s for s in (_sign(_scaled_value(g, n, d)) for g in chain) if s != 0]
+    return [_sign(_scaled_value(g, n, d)) for g in chain]
+
+
+def _variations(signs: Sequence[int]) -> int:
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -117,34 +125,10 @@ class RootIntervals:
     def __iter__(self) -> Iterator[RootInterval]:
         return iter(self.intervals)
 
-    def refined(self, width: Fraction) -> "RootIntervals":
-        width = Fraction(width)
-        out = [_refine(self.chain[0], iv, width) for iv in self.intervals]
-        return RootIntervals(self.poly, tuple(out), self.chain)
-
 
 def _count_in(chain: Chain, a: Fraction, b: Fraction) -> int:
     """Roots in (a, b]; requires f(a) != 0."""
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
-def _refine(f: IntPoly, iv: RootInterval, width: Fraction) -> RootInterval:
-    """Halve iv, which isolates one simple root of f between non-root
-    endpoints, until it is at most `width` wide. The root lies in (lo, m)
-    exactly when f changes sign there, so f's sign at lo, which never
-    changes, and at m decide each halving."""
-    lo, hi = iv.lo, iv.hi
-    s_lo = _sign_at_point(f, lo)
-    while hi - lo > width:
-        m = (lo + hi) / 2
-        s = _sign_at_point(f, m)
-        if s == 0:
-            return RootInterval(m, m)
-        if s != s_lo:
-            hi = m
-        else:
-            lo = m
-    return RootInterval(lo, hi)
+    return _variations(_signs_at(chain, a)) - _variations(_signs_at(chain, b))
 
 
 def _ceil_root(c: int, i: int) -> int:
@@ -206,43 +190,24 @@ def isolate_real_roots(f: RationalPoly) -> RootIntervals:
 
 def sign_at(g: RationalPoly, ivs: RootIntervals) -> Tuple[int, ...]:
     """Signs of g at the roots of ivs.poly (squarefree), one per interval of
-    ivs and in its order. The gcd with ivs.poly and the Sturm chain of g's
-    squarefree part are built once, for all the roots."""
+    ivs and in its order. One remainder chain of f and g mod f serves all
+    the roots, and each distinct endpoint is evaluated once."""
     if g.deg() < 0:
         return (0,) * len(ivs)
     gint = _int_poly(g)
-    # g vanishes at a root of f exactly where gcd(f, g) does
-    d = monic_gcd(ivs.poly, g)
-    dchain = _sturm_chain(_int_poly(d)) if d.deg() > 0 else None
-    # the squarefree part of g, for counting its roots
-    gchain = _sturm_chain(gint)
-    if len(gchain[-1]) > 1:
-        gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
-    return tuple(_sign_at_root(gint, gchain, dchain, ivs.chain[0], iv)
+    f = ivs.chain[0]
+    r: Sequence[int] = gint
+    if len(gint) >= len(f):
+        r = prem(gint, f)
+        # r = lc(f)^e * (g mod f) with e = deg g - deg f + 1
+        if f[-1] < 0 and (len(gint) - len(f)) % 2 == 0:
+            r = [-c for c in r]
+    chain = _remainder_chain(f, _primitive(r))
+    signs = {x: _signs_at(chain, x)
+             for iv in ivs if iv.lo != iv.hi for x in (iv.lo, iv.hi)}
+    # Var(lo) - Var(hi) is the Cauchy index of g/f over (lo, hi), and
+    # signs[hi][0] is the sign of f at hi
+    return tuple(_sign_at_point(gint, iv.lo) if iv.lo == iv.hi
+                 else (_variations(signs[iv.lo]) - _variations(signs[iv.hi]))
+                 * signs[iv.hi][0]
                  for iv in ivs)
-
-
-def _sign_at_root(g: IntPoly, gchain: Chain, dchain: Optional[Chain],
-                  f: IntPoly, iv: RootInterval) -> int:
-    """Sign of g at the one root of f inside iv: halve iv until g has no
-    root in it, then read g's sign at the midpoint. The halving follows f's
-    sign change, as in _refine."""
-    lo, hi = iv.lo, iv.hi
-    if lo == hi:
-        return _sign_at_point(g, lo)
-    if dchain is not None and _count_in(dchain, lo, hi) > 0:
-        return 0
-    s_lo = _sign_at_point(f, lo)
-    while True:
-        if _count_in(gchain, lo, hi) == 0:
-            s = _sign_at_point(g, (lo + hi) / 2)
-            if s != 0:
-                return s
-        m = (lo + hi) / 2
-        s = _sign_at_point(f, m)
-        if s == 0:
-            return _sign_at_point(g, m)
-        if s != s_lo:
-            hi = m
-        else:
-            lo = m

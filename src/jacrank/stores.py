@@ -20,7 +20,6 @@ bound; `status=exact` asserts that `lo` is the true rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -204,5 +203,5 @@ def ingest_rank_data(path: Union[str, Path]) -> RankStore:
 
 
 def builtin_class_groups() -> ClassGroupStore:
-    data = resources.files("jacrank").joinpath("data/class_groups.txt")
+    data = Path(__file__).with_name("data") / "class_groups.txt"
     return parse_class_groups(data.read_text(), "builtin:class_groups.txt")

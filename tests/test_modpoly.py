@@ -12,7 +12,7 @@ import random
 import pytest
 import sympy
 
-from jacrank.arith import primes_upto
+from jacrank.arith import is_prime, primes_upto
 from jacrank.bounds import curve_min_poly, washington_curve_poly
 from jacrank.modpoly import (
     PrimePoly,
@@ -140,6 +140,57 @@ def test_factor_count_matches_full_factorization():
         assert factor_count_mod_p(f) == len(factor_mod_p(f)), f
     with pytest.raises(ValueError):
         factor_count_mod_p(PrimePoly(7, ()))
+
+
+def rabin_is_irreducible(f: PrimePoly) -> bool:
+    """Reference: Rabin's test. f of degree n > 1 is irreducible exactly
+    when x^(p^n) = x mod f and gcd(x^(p^(n/t)) - x, f) = 1 for every prime
+    t dividing n."""
+    p, n = f.modulus, f.deg()
+    if n <= 1:
+        return n == 1
+    work = monic(f.coeffs, p)
+    x = [0, 1]
+    # h(x)^p = h(x^p), so each Frobenius power composes with x^p: a sum of
+    # the precomputed powers x^(i p) mod f
+    xp = powmod(x, p, work, p)
+    pows = [[1]]
+    for _ in range(n - 1):
+        pows.append(divmod_monic(mul(pows[-1], xp, p), work, p)[1])
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(n):
+        acc: list = []
+        for c, xip in zip(frob[-1], pows):
+            acc = add(acc, [c * v for v in xip], p)
+        frob.append(acc)
+    if sub(frob[n], x, p):
+        return False
+    return all(len(gcd(sub(frob[n // t], x, p), work, p)) == 1
+               for t in range(2, n + 1) if n % t == 0 and is_prime(t))
+
+
+def test_is_irreducible_matches_rabin():
+    """The squarefree-and-one-factor test equals Rabin's on seeded
+    polynomials, repeated factors included, and on the Table-4 polynomials
+    at the primes ell = 3 mod 4 below 400 that the witness search tries."""
+    rng = random.Random(41)
+    cases = [PrimePoly(5, (4,)), PrimePoly(3, (2, 0, 0, 1))]
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for _ in range(120):
+            f = random_poly(rng, rng.randrange(1, 9), p)
+            if rng.random() < 0.25:  # a repeated factor
+                g = random_poly(rng, rng.randrange(1, 3), p)
+                f = list(mul_mod(tuple(f), mul_mod(tuple(g), tuple(g), p), p))
+            cases.append(PrimePoly(p, f))
+    for q in (11, 23, 47, 59):
+        f = curve_min_poly(q).int_coeffs()
+        cases += [PrimePoly(ell, f) for ell in primes_upto(400) if ell % 4 == 3]
+    irreducible = 0
+    for f in cases:
+        want = rabin_is_irreducible(f)
+        assert is_irreducible_mod_p(f) == want, f
+        irreducible += want
+    assert 0 < irreducible < len(cases)
 
 
 def test_multiplicity_detection():

@@ -1,8 +1,9 @@
-"""Tests for Sturm-sequence real root isolation.
+"""Tests for Sturm-sequence real root isolation and signs at real roots.
 
-Oracle: sympy.Poly.real_roots (exact algebraic numbers), evaluated to high
+Oracles: sympy.Poly.real_roots (exact algebraic numbers), evaluated to high
 precision, plus hand-built products of distinct linear factors whose roots
-are known exactly.
+are known exactly; for signs, `chain_sign_at`, which halves each root
+interval until g has no root in it, where `sign_at` reads a Cauchy index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
     washington_curve_poly
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
-from jacrank.roots import RootInterval, _ceil_root, _count_in, _int_poly, \
+from jacrank.roots import RootInterval, RootIntervals, _ceil_root, _count_in, _int_poly, \
     _require_squarefree, _root_bound, _sign_at_point, _sturm_chain, \
     isolate_real_roots, sign_at
 
@@ -58,15 +59,78 @@ def sympy_real_roots(f: RationalPoly):
     return [sympy.nsimplify(r) for r in to_sympy(f).real_roots()]
 
 
+# -- oracle: root intervals halved by Sturm-chain counts -------------------
+
+
+def _chain_halve(fchain, lo, hi):
+    """One halving of (lo, hi), which isolates a root of fchain[0]: the
+    half holding the root by counting chain variations, or the midpoint
+    itself when it is the root."""
+    m = (lo + hi) / 2
+    if _sign_at_point(fchain[0], m) == 0:
+        return m, m
+    return (lo, m) if _count_in(fchain, lo, m) == 1 else (m, hi)
+
+
+def chain_refined(ivs, width):
+    """ivs with each interval halved until it is at most `width` wide."""
+    out = []
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        while hi - lo > width:
+            lo, hi = _chain_halve(ivs.chain, lo, hi)
+        out.append(RootInterval(lo, hi))
+    return RootIntervals(ivs.poly, tuple(out), ivs.chain)
+
+
+def midpoint(iv):
+    return (iv.lo + iv.hi) / 2
+
+
+def chain_sign_at(g, ivs):
+    """Signs of g at the roots of ivs.poly by bisection: zero where the
+    Sturm chain of gcd(f, g) counts a root in the interval, else the
+    interval is halved until the chain of g's squarefree part counts none,
+    and g is read at its midpoint."""
+    if g.deg() < 0:
+        return (0,) * len(ivs)
+    gint = _int_poly(g)
+    d = monic_gcd(ivs.poly, g)
+    dchain = _sturm_chain(_int_poly(d)) if d.deg() > 0 else None
+    gchain = _sturm_chain(gint)
+    if len(gchain[-1]) > 1:
+        gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
+    out = []
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        if lo == hi:
+            out.append(_sign_at_point(gint, lo))
+            continue
+        if dchain is not None and _count_in(dchain, lo, hi) > 0:
+            out.append(0)
+            continue
+        while True:
+            if _count_in(gchain, lo, hi) == 0:
+                s = _sign_at_point(gint, (lo + hi) / 2)
+                if s != 0:
+                    break
+            lo, hi = _chain_halve(ivs.chain, lo, hi)
+            if lo == hi:
+                s = _sign_at_point(gint, lo)
+                break
+        out.append(s)
+    return tuple(out)
+
+
 def test_sqrt_two():
     f = RationalPoly([-2, 0, 1])
     ivs = isolate_real_roots(f)
     assert len(ivs) == 2
-    ivs = ivs.refined(Fraction(1, 10**8))
+    ivs = chain_refined(ivs, Fraction(1, 10**8))
     lo, hi = ivs[0].lo, ivs[0].hi
     assert lo <= Fraction(-141421357, 10**8) <= hi or lo <= -Fraction(2)**Fraction(1, 2) <= hi
-    assert float(ivs[0].midpoint()) == pytest.approx(-1.41421356, abs=1e-6)
-    assert float(ivs[1].midpoint()) == pytest.approx(1.41421356, abs=1e-6)
+    assert float(midpoint(ivs[0])) == pytest.approx(-1.41421356, abs=1e-6)
+    assert float(midpoint(ivs[1])) == pytest.approx(1.41421356, abs=1e-6)
 
 
 def test_no_real_roots():
@@ -78,7 +142,7 @@ def test_washington_cubic_root_ordering_m143():
     # roots lie in -m-2 < a < -m-1 < 0 < b < 1 < c < 2
     m = 143
     f = RationalPoly([1, -(m + 3), m, 1])
-    ivs = isolate_real_roots(f).refined(Fraction(1, 1000))
+    ivs = chain_refined(isolate_real_roots(f), Fraction(1, 1000))
     assert len(ivs) == 3
     a, b, c = ivs
     assert Fraction(-m - 2) < a.lo and a.hi < Fraction(-m - 1)
@@ -89,19 +153,19 @@ def test_washington_cubic_root_ordering_m143():
 def test_quintic_cosine_field_roots():
     # minimal polynomial of -(zeta_11 + zeta_11^-1)
     f = min_poly_2cos(11, True)
-    ivs = isolate_real_roots(f).refined(Fraction(1, 10**6))
+    ivs = chain_refined(isolate_real_roots(f), Fraction(1, 10**6))
     assert len(ivs) == 5
     approx = [-1.68, -0.83, 0.28, 1.31, 1.92]
     for iv, want in zip(ivs, approx):
-        assert float(iv.midpoint()) == pytest.approx(want, abs=0.005)
+        assert float(midpoint(iv)) == pytest.approx(want, abs=0.005)
 
 
 def test_exact_rational_roots_isolated():
     # (x-1)(x+2)(x-1/2), distinct rational roots
     f = RationalPoly([1]) * RationalPoly([-1, 1]) * RationalPoly([2, 1]) \
         * RationalPoly([Fraction(-1, 2), 1])
-    ivs = isolate_real_roots(f).refined(Fraction(1, 10**4))
-    mids = [float(iv.midpoint()) for iv in ivs]
+    ivs = chain_refined(isolate_real_roots(f), Fraction(1, 10**4))
+    mids = [float(midpoint(iv)) for iv in ivs]
     assert mids == pytest.approx([-2.0, 0.5, 1.0], abs=1e-3)
 
 
@@ -118,7 +182,7 @@ def test_random_linear_products():
         f = RationalPoly([1])
         for r in roots:
             f = f * RationalPoly([-r, 1])
-        ivs = isolate_real_roots(f).refined(Fraction(1, 100))
+        ivs = chain_refined(isolate_real_roots(f), Fraction(1, 100))
         assert len(ivs) == len(roots)
         for iv, r in zip(ivs, roots):
             assert iv.lo <= r <= iv.hi
@@ -137,10 +201,10 @@ def test_random_against_sympy_count_and_values():
             continue
         want = [complex(r.evalf(30)).real for r in fs.real_roots()]
         assert real_root_count(f) == len(want)
-        ivs = isolate_real_roots(f).refined(Fraction(1, 10**9))
+        ivs = chain_refined(isolate_real_roots(f), Fraction(1, 10**9))
         assert len(ivs) == len(want)
         for iv, w in zip(ivs, want):
-            assert float(iv.midpoint()) == pytest.approx(w, abs=1e-7)
+            assert float(midpoint(iv)) == pytest.approx(w, abs=1e-7)
 
 
 def isolation_test_polys():
@@ -209,75 +273,8 @@ def test_sign_at_root():
     assert list(sign_at(h, ivs)) == [-1, -1, 1, 1, 1]
 
 
-def test_refinement_width():
-    f = RationalPoly([-2, 0, 1])
-    ivs = isolate_real_roots(f).refined(Fraction(1, 2**40))
-    for iv in ivs:
-        assert iv.hi - iv.lo <= Fraction(1, 2**40)
-
-
-# -- reference: the Fraction-based per-root sign_at this module replaced -----
-
-
-def _ref_sturm_chain(f):
-    chain = [f, f.derivative()]
-    while chain[-1].deg() > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.deg() < 0:
-            break
-        chain.append(-rem)
-    return chain
-
-
-def _ref_sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _ref_variations_at(chain, x):
-    signs = [s for s in (_ref_sign(g.eval(x)) for g in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _ref_count_in(chain, a, b):
-    return _ref_variations_at(chain, a) - _ref_variations_at(chain, b)
-
-
-def ref_sign_at(g, f, iv):
-    """Reference: sign of g at the unique root of f inside iv, rebuilding
-    every Sturm chain over Q on each call."""
-    if g.deg() < 0:
-        return 0
-    if iv.lo == iv.hi:
-        return _ref_sign(g.eval(iv.lo))
-    fchain = _ref_sturm_chain(f)
-    d = monic_gcd(f, g)
-    if d.deg() > 0:
-        dchain = _ref_sturm_chain(d)
-        if _ref_variations_at(dchain, iv.lo) - _ref_variations_at(dchain, iv.hi) > 0:
-            return 0
-    gchain = _ref_sturm_chain(g)
-    if gchain[-1].deg() > 0:
-        gsf = g.divmod(gchain[-1])[0]
-        gchain = _ref_sturm_chain(gsf)
-    lo, hi = iv.lo, iv.hi
-    while True:
-        if _ref_count_in(gchain, lo, hi) == 0:
-            s = _ref_sign(g.eval((lo + hi) / 2))
-            if s != 0:
-                return s
-        m = (lo + hi) / 2
-        v = f.eval(m)
-        if v == 0:
-            return _ref_sign(g.eval(m))
-        if _ref_count_in(fchain, lo, m) == 1:
-            hi = m
-        else:
-            lo = m
-
-
-def _assert_matches_reference(g, ivs):
-    want = tuple(ref_sign_at(g, ivs.poly, iv) for iv in ivs)
-    assert sign_at(g, ivs) == want, (g, ivs.poly)
+def _assert_matches_oracle(g, ivs):
+    assert sign_at(g, ivs) == chain_sign_at(g, ivs), (g, ivs.poly)
 
 
 def test_sign_at_matches_reference_on_washington_units():
@@ -288,9 +285,7 @@ def test_sign_at_matches_reference_on_washington_units():
         field = NumberField(washington_curve_poly(m))
         th = field.theta()
         for unit in (th, (field.one() - th).inverse(), field.one() - th.inverse()):
-            _assert_matches_reference(RationalPoly(unit.coords), field.root_intervals)
-        _assert_halving_matches_chain_counts(
-            [th, (field.one() - th).inverse()], field.root_intervals)
+            _assert_matches_oracle(RationalPoly(unit.coords), field.root_intervals)
         fields += 1
     assert fields == 186
 
@@ -300,7 +295,7 @@ def test_sign_at_matches_reference_on_class_representatives():
         _, classes = lower_bound_from_points(curve_min_poly(q), Fraction(1))
         ivs = classes.field.root_intervals
         for a in classes.representatives:
-            _assert_matches_reference(RationalPoly(a.coords), ivs)
+            _assert_matches_oracle(RationalPoly(a.coords), ivs)
 
 
 def test_sign_at_matches_reference_on_shared_and_repeated_roots():
@@ -315,84 +310,38 @@ def test_sign_at_matches_reference_on_shared_and_repeated_roots():
           RationalPoly([-5]),
           RationalPoly([])]
     for g in gs:
-        _assert_matches_reference(g, ivs)
-        _assert_matches_reference(g, ivs.refined(Fraction(1, 2**10)))
-        _assert_matches_reference(g, isolate_real_roots(RationalPoly([-1, 3])))
+        _assert_matches_oracle(g, ivs)
+        _assert_matches_oracle(g, chain_refined(ivs, Fraction(1, 2**10)))
+        _assert_matches_oracle(g, isolate_real_roots(RationalPoly([-1, 3])))
     assert sign_at(RationalPoly([]), ivs) == (0, 0, 0, 0)
 
 
-# -- reference: halving by Sturm-chain counts, which the sign of f replaced --
+def test_sign_at_pseudo_remainder_sign_with_negative_leading_coefficient():
+    """sign_at takes g mod f as the pseudo-remainder lc(f)^e (g mod f),
+    e = deg g - deg f + 1, whose sign flips when lc(f) < 0 and e is odd.
+    Both parities of e, with and without g vanishing at the root 1/2."""
+    f = RationalPoly([-3, 6, 1, -2])  # -(2x - 1)(x^2 - 3)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == 3 and ivs.chain[0][-1] < 0
+    rng = random.Random(8849)
+    for extra in range(4):  # deg g - deg f
+        for _ in range(10):
+            g = RationalPoly([rng.randrange(-9, 10) for _ in range(f.deg() + extra)]
+                             + [rng.choice([1, -1, 3])])
+            _assert_matches_oracle(g, ivs)
+            h = RationalPoly([rng.randrange(-9, 10) for _ in range(f.deg() + extra - 1)]
+                             + [rng.choice([1, -1, 3])])
+            g = RationalPoly([-1, 2]) * h
+            _assert_matches_oracle(g, ivs)
+            assert sign_at(g, ivs)[1] == 0
 
 
-def _chain_halve(fchain, lo, hi):
-    """One halving of (lo, hi), which isolates a root of fchain[0]: the
-    half holding the root by counting chain variations, or the midpoint
-    itself when it is the root."""
-    m = (lo + hi) / 2
-    if _sign_at_point(fchain[0], m) == 0:
-        return m, m
-    return (lo, m) if _count_in(fchain, lo, m) == 1 else (m, hi)
-
-
-def chain_refined(ivs, width):
-    out = []
-    for iv in ivs:
-        lo, hi = iv.lo, iv.hi
-        while hi - lo > width:
-            lo, hi = _chain_halve(ivs.chain, lo, hi)
-        out.append(RootInterval(lo, hi))
-    return tuple(out)
-
-
-def chain_sign_at(g, ivs):
-    """sign_at as it was before halving followed the sign of f: the same
-    chains of gcd(f, g) and of g's squarefree part, with each halving of the
-    root interval decided by chain counts."""
-    if g.deg() < 0:
-        return (0,) * len(ivs)
-    gint = _int_poly(g)
-    d = monic_gcd(ivs.poly, g)
-    dchain = _sturm_chain(_int_poly(d)) if d.deg() > 0 else None
-    gchain = _sturm_chain(gint)
-    if len(gchain[-1]) > 1:
-        gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
-    out = []
-    for iv in ivs:
-        lo, hi = iv.lo, iv.hi
-        if lo == hi:
-            out.append(_sign_at_point(gint, lo))
-            continue
-        if dchain is not None and _count_in(dchain, lo, hi) > 0:
-            out.append(0)
-            continue
-        while True:
-            if _count_in(gchain, lo, hi) == 0:
-                s = _sign_at_point(gint, (lo + hi) / 2)
-                if s != 0:
-                    break
-            lo, hi = _chain_halve(ivs.chain, lo, hi)
-            if lo == hi:
-                s = _sign_at_point(gint, lo)
-                break
-        out.append(s)
-    return tuple(out)
-
-
-def _assert_halving_matches_chain_counts(elements, ivs):
-    for width in (Fraction(1, 2**10), Fraction(1, 2**40)):
-        assert ivs.refined(width).intervals == chain_refined(ivs, width)
-    for a in elements:
-        g = RationalPoly(a.coords)
-        assert sign_at(g, ivs) == chain_sign_at(g, ivs), (g, ivs.poly)
-
-
-def test_halving_by_sign_matches_chain_counts_on_table4_fields():
-    """Refined intervals and sign_at tuples are those of the chain-count
-    halving, on the four Table-4 fields: their class representatives, theta
-    and theta^2 - 2."""
+def test_sign_at_matches_chain_oracle_on_table4_fields():
+    """sign_at tuples equal the bisection oracle's on the four Table-4
+    fields: their class representatives, theta and theta^2 - 2."""
     for q in (11, 23, 47, 59):
         _, classes = lower_bound_from_points(curve_min_poly(q), Fraction(1))
         field = classes.field
         th = field.theta()
-        elements = list(classes.representatives) + [th, th * th - 2]
-        _assert_halving_matches_chain_counts(elements, field.root_intervals)
+        for a in list(classes.representatives) + [th, th * th - 2]:
+            _assert_matches_oracle(RationalPoly(a.coords), field.root_intervals)
