@@ -4,80 +4,73 @@ Upper bounds come from 2-descent dimension counts driven by unit-signature
 certificates and ingested class-group 2-ranks; lower bounds come from rational
 points constructed by factoring f(x) - y0^2 and measuring the multiplicative
 independence of the resulting classes modulo squares.
+
+Importing the package runs no submodule body. Each submodule is registered
+in `sys.modules` as a lazy module whose body runs on its first attribute
+access, and the public names below resolve through `__getattr__`, so a CLI
+subcommand loads only the modules its route uses.
 """
 
 from __future__ import annotations
 
-from .bounds import (
-    BoundReport,
-    GTrivialityCertificate,
-    curve_min_poly,
-    lower_bound_from_points,
-    sophie_local_certificate,
-    sophie_upper_bound,
-    two_inert_in_real_cyclotomic,
-    washington_bound,
-    washington_curve_poly,
-    washington_local_certificate,
-    washington_rho_certificate,
-)
-from .cyclosig import (
-    RhoInftyCertificate,
-    SophieGermainPair,
-    certify_rho_infty,
-    scan_sophie_germain,
-    sophie_germain_pairs,
-)
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    SquareClassSet,
-    SquarenessUndetermined,
-    delta_class_of_factor,
-    independence_rank_mod_squares,
-)
-from .polys import RationalPoly, format_poly, min_poly_2cos
-from .stats import sharpness_stats
-from .stores import (
-    ClassGroupRecord,
-    RankRecord,
-    builtin_class_groups,
-    ingest_class_groups,
-    ingest_rank_data,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ClassGroupRecord",
-    "FieldElement",
-    "GTrivialityCertificate",
-    "NumberField",
-    "RankRecord",
-    "RationalPoly",
-    "RhoInftyCertificate",
-    "SophieGermainPair",
-    "SquareClassSet",
-    "SquarenessUndetermined",
-    "builtin_class_groups",
-    "certify_rho_infty",
-    "curve_min_poly",
-    "delta_class_of_factor",
-    "format_poly",
-    "independence_rank_mod_squares",
-    "ingest_class_groups",
-    "ingest_rank_data",
-    "lower_bound_from_points",
-    "min_poly_2cos",
-    "scan_sophie_germain",
-    "sharpness_stats",
-    "sophie_germain_pairs",
-    "sophie_local_certificate",
-    "sophie_upper_bound",
-    "two_inert_in_real_cyclotomic",
-    "washington_bound",
-    "washington_curve_poly",
-    "washington_local_certificate",
-    "washington_rho_certificate",
-]
+# every public name and the submodule that defines it
+_EXPORTS = {
+    "BoundReport": "bounds",
+    "ClassGroupRecord": "stores",
+    "FieldElement": "numberfield",
+    "GTrivialityCertificate": "bounds",
+    "NumberField": "numberfield",
+    "RankRecord": "stores",
+    "RationalPoly": "polys",
+    "RhoInftyCertificate": "cyclosig",
+    "SophieGermainPair": "cyclosig",
+    "SquareClassSet": "numberfield",
+    "SquarenessUndetermined": "numberfield",
+    "builtin_class_groups": "stores",
+    "certify_rho_infty": "cyclosig",
+    "curve_min_poly": "bounds",
+    "delta_class_of_factor": "numberfield",
+    "format_poly": "polys",
+    "independence_rank_mod_squares": "numberfield",
+    "ingest_class_groups": "stores",
+    "ingest_rank_data": "stores",
+    "lower_bound_from_points": "bounds",
+    "min_poly_2cos": "polys",
+    "scan_sophie_germain": "cyclosig",
+    "sharpness_stats": "stats",
+    "sophie_germain_pairs": "cyclosig",
+    "sophie_local_certificate": "bounds",
+    "sophie_upper_bound": "bounds",
+    "two_inert_in_real_cyclotomic": "bounds",
+    "washington_bound": "bounds",
+    "washington_curve_poly": "bounds",
+    "washington_local_certificate": "bounds",
+    "washington_rho_certificate": "bounds",
+}
+
+__all__ = sorted(_EXPORTS)
+
+# `cli` is left out: it is the entry point, loaded only when a command runs
+for _name in ("arith", "bounds", "cyclosig", "f2", "factor", "modpoly",
+              "numberfield", "polys", "roots", "stats", "stores"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(globals()[_EXPORTS[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

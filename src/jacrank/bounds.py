@@ -28,15 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+# used qualified, so the washington route never runs these modules
+from . import cyclosig, factor, numberfield, polys
 from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
     prime_factors
-from .cyclosig import SophieGermainPair, certify_rho_infty
 from .f2 import VecF2, span_dimension
-from .factor import factor_over_Q
-from .numberfield import NumberField, SquareClassSet, delta_class_of_factor, \
-    independence_rank_mod_squares
-from .polys import RationalPoly, min_poly_2cos
-from .stores import ClassGroupRecord, ClassGroupStore
+from .stores import ClassGroupStore
 
 __all__ = [
     "BoundReport",
@@ -105,9 +102,9 @@ def _washington_coeffs(m: int) -> Tuple[int, int, int, int]:
     return (1, -(m + 3), m, 1)
 
 
-def washington_curve_poly(m: int) -> RationalPoly:
+def washington_curve_poly(m: int) -> polys.RationalPoly:
     """f_m = x^3 + m x^2 - (m+3) x + 1."""
-    return RationalPoly(_washington_coeffs(m))
+    return polys.RationalPoly(_washington_coeffs(m))
 
 
 def _washington_D(m: int) -> int:
@@ -191,7 +188,7 @@ def washington_bound(m: int, oracle: ClassGroupStore) -> BoundReport:
     if not local.conclusion:
         raise RuntimeError(f"local certificate failed for m = {m}")
     washington_rho_certificate(m)
-    key = washington_curve_poly(m).int_coeffs()
+    key = _washington_coeffs(m)
     rec = oracle.get(key)
     if rec is None:
         raise LookupError("class group unknown for poly="
@@ -219,18 +216,18 @@ def two_inert_in_real_cyclotomic(p: int) -> bool:
     return order == (p - 1) // 2
 
 
-def _sophie_pair(q: int) -> SophieGermainPair:
+def _sophie_pair(q: int) -> cyclosig.SophieGermainPair:
     p, r = divmod(q - 1, 2)
     if q < 7 or r != 0 or not is_prime(q) or not is_prime(p):
         raise ValueError(f"q = {q} is not a Sophie Germain modulus "
                          "(need q and (q-1)/2 both prime, q >= 7)")
-    return SophieGermainPair(p, q)
+    return cyclosig.SophieGermainPair(p, q)
 
 
-def curve_min_poly(q: int) -> RationalPoly:
+def curve_min_poly(q: int) -> polys.RationalPoly:
     """Defining polynomial with constant term +1, so (0,1) is on the curve."""
     pair = _sophie_pair(q)
-    return min_poly_2cos(q, pair.p % 4 == 3)
+    return polys.min_poly_2cos(q, pair.p % 4 == 3)
 
 
 def sophie_local_certificate(q: int) -> GTrivialityCertificate:
@@ -276,7 +273,7 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
     if two_inert_in_real_cyclotomic(p):
         rho_zero = True
         hyp = ("2-inert-in-real-cyclotomic",)
-    elif q <= scan_bound and certify_rho_infty(pair).rho_infty_zero:
+    elif q <= scan_bound and cyclosig.certify_rho_infty(pair).rho_infty_zero:
         rho_zero = True
         hyp = ("q-below-scan-bound",)
 
@@ -317,9 +314,9 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
 # -- lower bounds from a rational point --------------------------------------
 
 
-def lower_bound_from_points(f: RationalPoly,
+def lower_bound_from_points(f: polys.RationalPoly,
                             y0: Fraction = Fraction(1)
-                            ) -> Tuple[int, SquareClassSet]:
+                            ) -> Tuple[int, numberfield.SquareClassSet]:
     """Constructive rank lower bound from the point (x two-torsion free): the
     irreducible factors g of f - y0^2 map to square classes
     (-1)^deg(g) g(theta), and the number of independent classes bounds the
@@ -329,14 +326,15 @@ def lower_bound_from_points(f: RationalPoly,
     if y0 == 0:
         raise ValueError("y0 must be nonzero; factors of f itself would "
                          "share roots with the defining polynomial")
-    field = NumberField(f)
+    field = numberfield.NumberField(f)
     if field.degree % 2 == 0:
         raise ValueError("f must have odd degree for a square-class lower "
                          f"bound, got degree {field.degree}")
-    split = f - RationalPoly([y0 * y0])
-    _, factors = factor_over_Q(split)
+    split = f - polys.RationalPoly([y0 * y0])
+    _, factors = factor.factor_over_Q(split)
     if any(mult > 1 for _, mult in factors):
         raise ValueError("f - y0^2 must be square-free")
-    classes = tuple(delta_class_of_factor(g, y0, field) for g, _ in factors)
-    class_set = SquareClassSet(field, classes)
-    return independence_rank_mod_squares(class_set), class_set
+    classes = tuple(numberfield.delta_class_of_factor(g, y0, field)
+                    for g, _ in factors)
+    class_set = numberfield.SquareClassSet(field, classes)
+    return numberfield.independence_rank_mod_squares(class_set), class_set

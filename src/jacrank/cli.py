@@ -13,24 +13,9 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+# used qualified: a lazy module's body runs only when a route reaches it
+from . import bounds, cyclosig, polys, stats, stores
 from .arith import is_squarefree_integer
-from .bounds import (
-    curve_min_poly,
-    lower_bound_from_points,
-    sophie_upper_bound,
-    washington_bound,
-)
-from .cyclosig import scan_sophie_germain
-from .numberfield import SquarenessUndetermined
-from .polys import RationalPoly, format_poly, min_poly_2cos
-from .stats import (
-    format_cross_table,
-    format_first_occurrences,
-    format_sharp_table,
-    sharpness_stats,
-)
-from .stores import StoreFormatError, builtin_class_groups, \
-    ingest_class_groups, ingest_rank_data
 
 __all__ = ["main"]
 
@@ -56,8 +41,8 @@ def _parse_intervals(text: str) -> List[Tuple[int, int]]:
 
 def _load_store(path: Optional[str]):
     if path is None:
-        return builtin_class_groups()
-    return ingest_class_groups(path)
+        return stores.builtin_class_groups()
+    return stores.ingest_class_groups(path)
 
 
 def _cmd_washington(args: argparse.Namespace) -> int:
@@ -70,7 +55,7 @@ def _cmd_washington(args: argparse.Namespace) -> int:
         if not is_squarefree_integer(m * m + 3 * m + 9):
             continue
         try:
-            report = washington_bound(m, store)
+            report = bounds.washington_bound(m, store)
         except LookupError:
             missing.append(m)
             continue
@@ -89,7 +74,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
     rows: List[Tuple[int, int, int, Optional[int]]] = []
     for q in qs:
         try:
-            report = sophie_upper_bound(
+            report = bounds.sophie_upper_bound(
                 q, store, assume_davis_taussky=args.assume_davis_taussky,
                 scan_bound=args.scan_bound)
         except ValueError as exc:
@@ -101,7 +86,8 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
             partial = True
             continue
         if args.lower:
-            lower, _ = lower_bound_from_points(curve_min_poly(q), Fraction(1))
+            f = bounds.curve_min_poly(q)
+            lower, _ = bounds.lower_bound_from_points(f, Fraction(1))
             report = replace(report, lower_bound=lower)
         rows.append(((q - 1) // 2, q, report.upper_bound, report.lower_bound))
         print(report.describe() if args.verbose else report.line())
@@ -118,7 +104,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
 
 def _cmd_scan_rho(args: argparse.Namespace) -> int:
     try:
-        certs = scan_sophie_germain(args.max_q, workers=args.threads)
+        certs = cyclosig.scan_sophie_germain(args.max_q, workers=args.threads)
     except MemoryError:  # the prime sieve up to max_q is the first to fail
         raise ValueError(f"--max-q {args.max_q}: not enough memory to sieve "
                          "the primes up to it") from None
@@ -139,7 +125,8 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         y0 = Fraction(args.y0)
     except ZeroDivisionError:
         raise ValueError(f"--y0 {args.y0}: zero denominator") from None
-    lower, classes = lower_bound_from_points(RationalPoly(coeffs), y0)
+    lower, classes = bounds.lower_bound_from_points(
+        polys.RationalPoly(coeffs), y0)
     print(f"poly={args.poly} y0={y0} "
           f"factors={len(classes.representatives)} lower={lower}")
     if args.verbose:
@@ -149,18 +136,18 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    store = ingest_rank_data(args.ranks)
+    store = stores.ingest_rank_data(args.ranks)
     if args.intervals:
         intervals = _parse_intervals(args.intervals)
     else:
         top = max((rec.m for rec in store.records()), default=0)
         intervals = [(k * 1000 + 1, (k + 1) * 1000)
                      for k in range((top + 999) // 1000)]
-    tables = sharpness_stats(store, intervals)
-    print(format_sharp_table(tables))
+    tables = stats.sharpness_stats(store, intervals)
+    print(stats.format_sharp_table(tables))
     print()
-    print(format_cross_table(tables))
-    first = format_first_occurrences(tables)
+    print(stats.format_cross_table(tables))
+    first = stats.format_first_occurrences(tables)
     if first:
         print()
         print(first)
@@ -170,7 +157,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_minpoly(args: argparse.Namespace) -> int:
     p = (args.q - 1) // 2
     negate = False if args.plain else p % 4 == 3
-    print(format_poly(min_poly_2cos(args.q, negate)))
+    print(polys.format_poly(polys.min_poly_2cos(args.q, negate)))
     return EXIT_OK
 
 
@@ -251,10 +238,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (StoreFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (SquarenessUndetermined, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERT_FAILURE
 

@@ -11,6 +11,7 @@ import pytest
 
 from jacrank.cli import main
 from test_cyclosig import deadline
+from test_structure import modules_run
 
 SYNTH_PATH = str(resources.files("jacrank").joinpath("data/synthetic_ranks.txt"))
 
@@ -250,6 +251,26 @@ def test_directory_as_data_file_is_invalid_input(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_error_paths_load_no_number_field(tmp_path):
+    """A store format error is a ValueError and a failed certificate a
+    RuntimeError: each is reported on one stderr line without loading the
+    number-field layers to name its type."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("clgroup v1\npoly=1,-4,1,1 cl2=x source=test\n")
+    failing = ("import jacrank.bounds\n"
+               "def fail(m):\n"
+               "    raise RuntimeError('signatures do not span')\n"
+               "jacrank.bounds.washington_rho_certificate = fail\n")
+    for setup, argv, code, prefix in (
+            ("", ["--clgroups", str(bad)], 2, f"error: {bad}:2:"),
+            (failing, [], 3, "certification failure: signatures")):
+        got, out, err, ran = modules_run(
+            ["washington", "--m", "1..30", *argv], setup)
+        assert (got, out) == (code, [])
+        assert len(err) == 1 and err[0].startswith(prefix), err
+        assert "numberfield" not in ran
 
 
 def test_minpoly_frozen(capsys):

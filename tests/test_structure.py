@@ -1,20 +1,50 @@
 """Module structure: no private helper shared between jacrank modules, no
 module reading the environment, no generated or Cython source, a CLI import
-that pulls in no process-pool or pickling machinery, and every layer the
-traced benchmark wraps by name still exists."""
+that pulls in no process-pool or pickling machinery, each subcommand running
+only the module bodies of its route, a lazy public API, and every layer the
+traced benchmark wraps by name still exists and is traced."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import jacrank
 
 PACKAGE_DIR = Path(jacrank.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ENV = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+
+# prints the jacrank modules whose body has run; a lazy one not yet loaded
+# is a subclass of ModuleType
+RAN = ("print(' '.join(sorted(k[len('jacrank.'):] "
+       "for k, m in sys.modules.items() if k.startswith('jacrank.') "
+       "and type(m) is types.ModuleType)))")
+
+
+def modules_run(argv, setup=""):
+    """Exit code, output lines and the module bodies run by one
+    `python -m jacrank ARGV` after the code SETUP; the last stdout line is
+    the module list."""
+    probe = (f"import runpy, sys, types\n{setup}"
+             f"sys.argv = ['jacrank', *{list(argv)!r}]\n"
+             "try:\n"
+             "    runpy.run_module('jacrank', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             f"{RAN}\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=ENV, timeout=120)
+    *out, ran = proc.stdout.splitlines()
+    return proc.returncode, out, proc.stderr.splitlines(), set(ran.split())
 
 
 def test_no_private_name_imported_across_modules():
@@ -82,3 +112,66 @@ def test_traced_layers_resolve():
             assert hasattr(obj, part), (module, attr)
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+ROUTES = {
+    "washington": (["washington", "--m", "1..300"],
+                   {"cli", "arith", "f2", "stores", "bounds"}),
+    "scan-rho": (["scan-rho", "--max-q", "300", "--threads", "1"],
+                 {"cli", "arith", "f2", "cyclosig"}),
+    "sophie-lower": (["sophie", "--q", "11", "--lower"],
+                     {p.stem for p in PACKAGE_DIR.glob("*.py")}
+                     - {"__init__", "__main__", "stats"}),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_subcommand_runs_only_its_route(route):
+    argv, expected = ROUTES[route]
+    code, out, _, ran = modules_run(argv)
+    assert code in (0, 1) and out
+    assert ran == expected
+
+
+def test_package_import_runs_no_module_body_and_registers_layers():
+    """`perfbench/tracer.py` imports `jacrank` and `jacrank.cli`, then looks
+    every layer module up in sys.modules."""
+    probe = (f"import sys, types, jacrank\n{RAN}\n"
+             "import jacrank.cli\n"
+             "print(' '.join(k for k in sys.modules if k.startswith('jacrank.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=ENV, check=True)
+    ran, registered = proc.stdout.splitlines()
+    assert ran == ""
+    assert {f"jacrank.{module}" for module, _ in _traced_layers()} \
+        <= set(registered.split())
+
+
+@pytest.mark.parametrize("argv,span", [
+    (["washington", "--m", "1..30"], "bounds.washington_local_certificate"),
+    (["sophie", "--q", "11", "--lower"],
+     "numberfield.independence_rank_mod_squares"),
+], ids=["washington", "sophie-lower"])
+def test_traced_run_prints_the_same_and_spans_its_layers(argv, span, tmp_path):
+    spans = tmp_path / "spans.jsonl"
+    plain = subprocess.run([sys.executable, "-m", "jacrank", *argv],
+                           capture_output=True, env=ENV, timeout=120)
+    traced = subprocess.run([sys.executable, str(TRACER), str(spans), *argv],
+                            capture_output=True, env=ENV, timeout=120)
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    names = {json.loads(line)[1] for line in spans.read_text().splitlines()}
+    assert {"cli.main", span} <= names
+
+
+def test_public_names_resolve_lazily():
+    for name in jacrank.__all__:
+        obj = getattr(jacrank, name)
+        assert obj.__module__.startswith("jacrank."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(jacrank.__all__) <= set(dir(jacrank))
+    namespace: dict = {}
+    exec("from jacrank import *", namespace)
+    assert all(namespace[name] is getattr(jacrank, name)
+               for name in jacrank.__all__)
+    with pytest.raises(AttributeError):
+        jacrank.no_such_name
