@@ -48,7 +48,6 @@ _EXPORTS = {
     "sophie_upper_bound": "bounds",
     "two_inert_in_real_cyclotomic": "bounds",
     "washington_bound": "bounds",
-    "washington_curve_poly": "bounds",
     "washington_local_certificate": "bounds",
     "washington_rho_certificate": "bounds",
 }

@@ -44,7 +44,6 @@ __all__ = [
     "sophie_upper_bound",
     "two_inert_in_real_cyclotomic",
     "washington_bound",
-    "washington_curve_poly",
     "washington_local_certificate",
     "washington_rho_certificate",
 ]
@@ -100,11 +99,6 @@ class BoundReport:
 def _washington_coeffs(m: int) -> Tuple[int, int, int, int]:
     """Ascending integer coefficients of f_m."""
     return (1, -(m + 3), m, 1)
-
-
-def washington_curve_poly(m: int) -> polys.RationalPoly:
-    """f_m = x^3 + m x^2 - (m+3) x + 1."""
-    return polys.RationalPoly(_washington_coeffs(m))
 
 
 def _washington_D(m: int) -> int:

@@ -2,29 +2,24 @@
 
 Elements are coordinate vectors over the power basis 1, theta, ...,
 theta^(deg-1). Everything is exact: norms via resultants, embedding signs via
-Sturm intervals, and squareness by screen-then-witness:
+Sturm intervals, and squareness in odd degree by one engine.
 
-  1. norm screen: norm(a) must be a rational square;
-  2. residue screen: a must be a quadratic residue at degree-one prime
-     ideals of >= `residue_primes` split primes away from disc(f) and the
-     denominators;
-  3. signature screen: a must be totally positive (totally real case);
-  4. witness: a square root is constructed by Hensel lifting an exact square
-     root in the residue field F_{ell^deg} of an inert prime ell, with
-     rational reconstruction of the coordinates, and verified by exact
-     squaring. Residuosity there is the Jacobi symbol of the norm mod ell,
-     the root one powering, and 1/(2x) for the Newton step an extended gcd.
+The square products of a set of classes come from an F2 matrix of quadratic
+characters (homomorphisms to {+1, -1} that kill squares): residue symbols at
+20 degree-one primes, real signs and Legendre symbols of norms, one column
+per class. Its kernel holds every square product; the witness proves each
+kernel basis product a square, so the rank is the class count minus the
+kernel dimension, with no sweep over the 2^k products. `is_square` is the
+one-class case: a is a square exactly when no character is -1 on it, and
+then the kernel's witness is its square root.
 
-Accepts always carry verified witnesses; rejects always carry a sound
-obstruction. If the precision ladder is exhausted without either, the
+The witness is a square root constructed by Hensel lifting an exact square
+root in the residue field F_{ell^deg} of an inert prime ell, with rational
+reconstruction of the coordinates, and verified by exact squaring: one
+powering for the root, an extended gcd for 1/(2x) in the Newton step.
+A square always carries a verified witness, and a nonsquare a character
+that is -1 on it. If the precision cap is reached without a witness, the
 (never-yet-observed) outcome is a SquarenessUndetermined error, not a guess.
-
-The rank of a set of square classes comes from an F2 matrix of quadratic
-characters (homomorphisms to {+1, -1} that kill squares): residue symbols,
-real signs and Legendre symbols of norms, one column per class. Its kernel
-holds every square product; the witness proves each kernel basis product a
-square, so the rank is the class count minus the kernel dimension, with no
-sweep over the 2^k products.
 
 A field finds its split primes, with the roots of f mod each, and its real
 root intervals, with their Sturm chain, once, and reuses them for every
@@ -128,8 +123,6 @@ class NumberField:
         rep = RationalPoly(a.coords)
         if rep.deg() < 0:
             return Fraction(0)
-        if rep.deg() == 0:
-            return rep.coeffs[0] ** self.degree
         return resultant(self.poly, rep)
 
     def signature(self, a: "FieldElement") -> SignatureVector:
@@ -193,48 +186,36 @@ class NumberField:
     def _next_witness_prime(self, after: int) -> int:
         """The least prime ell = 3 mod 4 above `after` (-1 starts at 3)
         with f irreducible mod ell, so the residue field is F_{ell^deg} and,
-        at odd degree, square roots there are single powerings."""
+        at odd degree, square roots there are single powerings. Every ell
+        tried is 3 mod 4: the walk starts at 3 or at such a prime and steps
+        by 4."""
         ell = after + 4
         while ell < 100000:
-            if is_prime(ell) and ell % 4 == 3 \
-                    and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
+            if is_prime(ell) and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
                 return ell
             ell += 4
         raise SquarenessUndetermined("no inert witness prime found")
 
-    def is_square(self, a: "FieldElement",
-                  residue_primes: int = 20) -> Tuple[bool, Optional["FieldElement"]]:
-        """True plus an exactly verified witness, or False with a sound
-        obstruction behind it: a nonsquare norm, a nonresidue at a
-        degree-one prime, a negative real embedding, or a nonsquare norm mod
-        the inert witness prime. Raises SquarenessUndetermined only if every
-        screen passes and reconstruction fails at the precision cap, and
-        ValueError for a = 0 or an even-degree field."""
+    def is_square(self, a: "FieldElement") -> Tuple[bool, Optional["FieldElement"]]:
+        """True plus an exactly verified witness, or False with a quadratic
+        character at which a is -1: the one-class case of the square-class
+        kernel. Raises SquarenessUndetermined only if every character passes
+        and reconstruction fails at the precision cap, and ValueError for
+        a = 0 or an even-degree field."""
         if a.is_zero():
             raise ValueError("squareness of zero is undefined")
-        if self.degree % 2 == 0:
-            # the witness square root x = a^((ell^deg + 1) / 4) needs
-            # ell^deg = 3 mod 4, which fails for every ell at even degree
-            raise ValueError(f"squareness needs an odd-degree field, got "
-                             f"degree {self.degree}")
-        n = self.norm(a)
-        if not self._is_rational_square(n):
-            return False, None
-        ideals = self._degree_one_ideals(residue_primes, [a])
-        if any(s < 0 for s in self._residue_symbols(a, ideals)):
-            return False, None
-        if len(self.root_intervals) == self.degree:
-            if any(s < 0 for s in self.signature(a).signs):
-                return False, None
-        return self._reconstruct_root(a)
+        kernel = _square_kernel(self, (a,))
+        return (True, kernel[0][1]) if kernel else (False, None)
 
-    def _reconstruct_root(self, a: "FieldElement") -> Tuple[bool, Optional["FieldElement"]]:
-        """The witness step: (True, w) with w * w == a checked exactly, or
-        (False, None) when a is a nonresidue at the inert prime ell, which
-        is when N(a) is a nonresidue mod ell. x = a^((ell^p + 1) / 4) is a
-        square root mod ell (ell^p = 3 mod 4 at odd p), Newton's iteration
-        lifts it with z = 1 / (2x) mod ell^k, and the coordinates are read
-        back by rational reconstruction."""
+    def _reconstruct_root(self, a: "FieldElement") -> "FieldElement":
+        """The witness step: w with w * w == a checked exactly, for an a
+        whose norm is a rational square. Then d^(2p) N(a) is a square
+        integer, so a is a square in F_{ell^p} at the inert prime ell, whose
+        norm to F_ell is the rational norm mod ell. x = a^((ell^p + 1) / 4)
+        is a square root mod ell (ell^p = 3 mod 4 at odd p), Newton's
+        iteration lifts it with z = 1 / (2x) mod ell^k, and the coordinates
+        are read back by rational reconstruction. Raises
+        SquarenessUndetermined if none squares to a by the precision cap."""
         p = self.degree
         f = list(self._int_coeffs)
         d = 1
@@ -246,10 +227,6 @@ class NumberField:
         ell = self._witness_prime
         while nrm % ell == 0:
             ell = self._next_witness_prime(ell)
-        # a is a square in F_{ell^p} exactly when its norm to F_ell, the
-        # rational norm mod ell since ell is inert, is a square mod ell
-        if jacobi(nrm, ell) < 0:
-            return False, None  # nonresidue in an inert completion
         am = [c % ell for c in acoeffs]
         x = powmod(am, (ell ** p + 1) // 4, f, ell)
         z = xgcd(mul([2], x, ell), f, ell)[0]  # 1 / (2x) in F_{ell^p}
@@ -270,9 +247,9 @@ class NumberField:
             if cand is not None:
                 w = self.element([c / d for c in cand])
                 if w * w == a:
-                    return True, w
+                    return w
         raise SquarenessUndetermined(
-            "residue screens passed but no witness found at precision cap")
+            "every character passed but no witness found at precision cap")
 
 
 _FIRST_WINDOW = 64  # the first sieve window is the odd primes up to this
@@ -442,7 +419,16 @@ class SquareClassSet:
 
 def independence_rank_mod_squares(classes: SquareClassSet) -> int:
     """Dimension of the subgroup of L*/(L*)^2 generated by the
-    representatives, for an odd-degree field.
+    representatives, for an odd-degree field: their count minus the
+    dimension of the square products among them."""
+    reps = classes.representatives
+    return len(reps) - len(_square_kernel(classes.field, reps))
+
+
+def _square_kernel(field: NumberField, reps: Sequence[FieldElement]
+                   ) -> List[Tuple[int, FieldElement]]:
+    """A basis of the products of `reps` that are squares in L, each as
+    (mask, w): bit i of mask selects reps[i], and w * w is the product.
 
     A quadratic character, a homomorphism L* -> {+1, -1}, kills squares, so
     every product of classes that is a square lies in the kernel of the F2
@@ -452,15 +438,14 @@ def independence_rank_mod_squares(classes: SquareClassSet) -> int:
     a kernel basis product has a norm that is not a rational square, a prime
     at which that norm is a nonresidue adds a row and the kernel shrinks.
     Then each basis product is proved a square by the witness, so the kernel
-    is exactly the set of square products and the rank is k minus its
-    dimension."""
-    field = classes.field
-    reps = classes.representatives
+    is exactly the set of square products."""
     k = len(reps)
     if k == 0:
-        return 0
+        return []
     if field.degree % 2 == 0:
-        raise ValueError(f"square-class rank needs an odd-degree field, got "
+        # the witness square root x = a^((ell^deg + 1) / 4) needs
+        # ell^deg = 3 mod 4, which fails for every ell at even degree
+        raise ValueError(f"squareness needs an odd-degree field, got "
                          f"degree {field.degree}")
     ideals = field._degree_one_ideals(20, reps)
     columns = [field._residue_symbols(a, ideals) for a in reps]
@@ -482,15 +467,11 @@ def independence_rank_mod_squares(classes: SquareClassSet) -> int:
         ell = _nonresidue_prime(nonsquare, norms)
         rows.append(sum(1 << i for i, n in enumerate(norms)
                         if jacobi(n, ell) < 0))
+    out = []
     for mask in kernel:
-        w = field.one()
-        for i in range(k):
-            if mask >> i & 1:
-                w = w * reps[i]
-        ok, _ = field._reconstruct_root(w)
-        if not ok:  # never: the witness's residuosity test is a norm row
-            raise SquarenessUndetermined("kernel product failed its witness")
-    return k - len(kernel)
+        w = prod((reps[i] for i in range(k) if mask >> i & 1), start=field.one())
+        out.append((mask, field._reconstruct_root(w)))
+    return out
 
 
 def _nonresidue_prime(n: int, units: Sequence[int]) -> int:

