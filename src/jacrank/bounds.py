@@ -182,11 +182,9 @@ def washington_bound(m: int, oracle: ClassGroupStore) -> BoundReport:
     if not local.conclusion:
         raise RuntimeError(f"local certificate failed for m = {m}")
     washington_rho_certificate(m)
-    key = _washington_coeffs(m)
-    rec = oracle.get(key)
+    rec = oracle.get(_washington_coeffs(m))
     if rec is None:
-        raise LookupError("class group unknown for poly="
-                          + ",".join(str(c) for c in key))
+        raise LookupError(f"class group unknown for cubic-m{m} (degree 3)")
     return BoundReport(curve=f"cubic-m{m}", genus=1, rho_infty="0",
                        j_infty_bound=1, cl2_used=rec.cl2_rank,
                        cl2_source=rec.source, g_kernel_dim=0,
@@ -253,7 +251,6 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
     p = pair.p
     g = pair.genus
     sophie_local_certificate(q)
-    key = curve_min_poly(q).int_coeffs()
 
     if assume_davis_taussky:
         return BoundReport(curve=f"cyclo-q{q}", genus=g, rho_infty="0",
@@ -271,10 +268,11 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
         rho_zero = True
         hyp = ("q-below-scan-bound",)
 
-    rec = oracle.get(key)
+    # the key is f itself, O(p^2) bits, so it is built only here and the
+    # message names the curve instead
+    rec = oracle.get(curve_min_poly(q).int_coeffs())
     if rec is None:
-        raise LookupError("class group unknown for poly="
-                          + ",".join(str(c) for c in key))
+        raise LookupError(f"class group unknown for cyclo-q{q} (degree {p})")
 
     if rho_zero:
         # rho_infty = 0 forces narrow = plain 2-rank

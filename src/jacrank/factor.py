@@ -3,12 +3,14 @@
 Pipeline: content/primitive split, Yun squarefree decomposition (skipped when
 the primitive part is squarefree mod a small prime not dividing its leading
 coefficient, since then its discriminant is nonzero), reduction at a good
-prime (smallest of five candidates giving the fewest modular factors, counted
-from the distinct-degree blocks; only the chosen prime is factored fully),
-quadratic Hensel lifting on a subproduct tree past twice the Mignotte bound,
-then subset recombination in increasing cardinality. Non-monic inputs are
-monicized first via G(y) = lc^(n-1) f(y/lc), so every lifted object is monic
-and recombination candidates can be tested by exact integer division.
+prime (smallest of five candidates, each with f squarefree mod it, giving the
+fewest modular factors, counted from the distinct-degree blocks; only the
+chosen prime is factored fully), quadratic Hensel lifting past twice the
+Mignotte bound, first of one half of the factors against the other, then of
+each half recursively, then subset recombination in increasing cardinality.
+Non-monic inputs are monicized first via G(y) = lc^(n-1) f(y/lc), so every
+lifted object is monic and recombination candidates can be tested by exact
+integer division.
 """
 
 from __future__ import annotations
@@ -49,34 +51,6 @@ def _yun_squarefree(f: RationalPoly) -> List[Tuple[RationalPoly, int]]:
     return out
 
 
-class _Node:
-    __slots__ = ("leaf", "poly", "left", "right", "g", "h", "s", "t")
-
-    def __init__(self) -> None:
-        self.leaf = False
-        self.poly: List[int] = []
-        self.left = self.right = None
-        self.g: List[int] = []
-        self.h: List[int] = []
-        self.s: List[int] = []
-        self.t: List[int] = []
-
-
-def _build_tree(factors: List[List[int]], p: int) -> _Node:
-    node = _Node()
-    if len(factors) == 1:
-        node.leaf = True
-        node.poly = list(factors[0])
-        return node
-    mid = len(factors) // 2
-    node.left = _build_tree(factors[:mid], p)
-    node.right = _build_tree(factors[mid:], p)
-    node.g = _prod_mod(factors[:mid], p)
-    node.h = _prod_mod(factors[mid:], p)
-    node.s, node.t = xgcd(node.g, node.h, p)
-    return node
-
-
 def _prod_mod(factors: List[List[int]], m: int) -> List[int]:
     out = [1]
     for f in factors:
@@ -99,23 +73,24 @@ def _hensel_step(m: int, f: List[int], g: List[int], h: List[int],
     return g1, h1, s1, t1
 
 
-def _lift_tree(node: _Node, target: List[int], m: int) -> None:
-    """target given mod m^2, congruent mod m to the node's product."""
-    if node.leaf:
-        node.poly = target
-        return
-    g1, h1, s1, t1 = _hensel_step(m, target, node.g, node.h, node.s, node.t)
-    node.g, node.h, node.s, node.t = g1, h1, s1, t1
-    _lift_tree(node.left, g1, m)
-    _lift_tree(node.right, h1, m)
-
-
-def _leaves(node: _Node, out: List[List[int]]) -> None:
-    if node.leaf:
-        out.append(node.poly)
-        return
-    _leaves(node.left, out)
-    _leaves(node.right, out)
+def _hensel_lift(f: List[int], factors: List[List[int]], p: int,
+                 M: int) -> List[List[int]]:
+    """The monic, pairwise coprime factors mod p of the monic f, lifted to
+    monic factors mod M = p^(2^k). f = g*h for the products g, h of the two
+    halves is lifted from p to M, then each half is lifted with its lifted
+    product as the target. Monic lifts are unique, so every level sees the
+    values a subproduct tree would hold (MCA, section 15.5)."""
+    if len(factors) == 1:
+        return [f]
+    mid = len(factors) // 2
+    g, h = _prod_mod(factors[:mid], p), _prod_mod(factors[mid:], p)
+    s, t = xgcd(g, h, p)
+    m = p
+    while m < M:
+        g, h, s, t = _hensel_step(m, [c % (m * m) for c in f], g, h, s, t)
+        m *= m
+    return (_hensel_lift(g, factors[:mid], p, M)
+            + _hensel_lift(h, factors[mid:], p, M))
 
 
 def _balanced(c: int, m: int) -> int:
@@ -162,7 +137,7 @@ def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
     fp = PrimePoly(p, coeffs)
     if count == 1:
         return p, [list(fp.coeffs)]  # coeffs is monic: its own one factor
-    return p, [list(g.coeffs) for g, _ in factor_mod_p(fp)]
+    return p, [list(g.coeffs) for g in factor_mod_p(fp)]
 
 
 def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
@@ -176,13 +151,10 @@ def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
     # Mignotte: factor coefficients bounded by 2^n * l2norm(f)
     norm = math.isqrt(sum(c * c for c in coeffs)) + 1
     bound = 2 * (norm << n) + 1
-    tree = _build_tree(mod_factors, p)
     m = p
     while m < bound:
-        _lift_tree(tree, [c % (m * m) for c in coeffs], m)
         m *= m
-    lifted: List[List[int]] = []
-    _leaves(tree, lifted)
+    lifted = _hensel_lift(coeffs, mod_factors, p, m)
     # recombination over subsets of lifted factors, smallest first
     remaining = list(range(len(lifted)))
     result: List[List[int]] = []

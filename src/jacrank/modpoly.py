@@ -6,13 +6,15 @@ coefficient lists mod m: `trim`, `mul`, `add`, `sub`, `divmod_monic` and
 mod ell^k) because every divisor is monic; `monic`, `gcd`, `xgcd` and
 `is_squarefree_mod_p` need a prime modulus.
 
-Factorization is squarefree decomposition, then distinct-degree splitting by
-Frobenius powers, then Cantor-Zassenhaus equal-degree splitting (trace map in
-characteristic 2). The splitting RNG is seeded from the input so repeated runs
-are identical; output order is (degree, coefficient tuple) regardless.
-`factor_count_mod_p` stops after the distinct-degree step, which already
-fixes how many factors there are; `is_irreducible_mod_p` asks it for a
-squarefree f.
+Factorization takes only f squarefree mod p and raises ValueError on any
+other: every caller tests gcd(f, f') = 1 mod p first (the choice of a prime
+for factoring over Q, the irreducibility test). It is distinct-degree
+splitting by Frobenius powers, then Cantor-Zassenhaus equal-degree splitting
+(trace map in characteristic 2). The splitting RNG is seeded from the input
+so repeated runs are identical; output order is (degree, coefficient tuple)
+regardless. `factor_count_mod_p` stops after the distinct-degree step, which
+already fixes how many factors there are; `is_irreducible_mod_p` asks it for
+a squarefree f.
 """
 
 from __future__ import annotations
@@ -166,32 +168,6 @@ def is_squarefree_mod_p(coeffs: Sequence[int], p: int) -> bool:
     return len(gcd(f, _deriv(f, p), p)) == 1
 
 
-def _squarefree_decomposition(f: List[int], p: int) -> List[Tuple[List[int], int]]:
-    """Monic input; returns [(monic squarefree, multiplicity)] with distinct parts."""
-    out: List[Tuple[List[int], int]] = []
-    e = 1
-    while len(f) > 1:
-        fp = _deriv(f, p)
-        if not fp:
-            # f = h(x^p) = h(x)^p over F_p
-            f = f[::p]
-            e *= p
-            continue
-        g = gcd(f, fp, p)
-        w = divmod_monic(f, g, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = gcd(w, g, p)
-            z = divmod_monic(w, y, p)[0]
-            if len(z) > 1:
-                out.append((z, e * i))
-            w = y
-            g = divmod_monic(g, y, p)[0]
-            i += 1
-        f = g  # remaining part has all multiplicities divisible by p
-    return out
-
-
 def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
     """Monic squarefree input; returns [(product-of-degree-d-factors, d)]."""
     blocks: List[Tuple[List[int], int]] = []
@@ -233,32 +209,32 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
             return _equal_degree(g, d, p, rng) + _equal_degree(other, d, p, rng)
 
 
-def factor_mod_p(f: PrimePoly) -> List[Tuple[PrimePoly, int]]:
-    """Monic irreducible factors with multiplicities; product times lc(f)
-    reproduces f. Sorted by (degree, coefficient tuple)."""
+def _blocks(f: PrimePoly) -> List[Tuple[List[int], int]]:
+    """The distinct-degree blocks of an f that is squarefree mod p."""
     p = f.modulus
     if not f.coeffs:
         raise ValueError("cannot factor the zero polynomial")
-    work = monic(f.coeffs, p)
+    if not is_squarefree_mod_p(f.coeffs, p):
+        raise ValueError(f"polynomial is not squarefree mod {p}")
+    return _distinct_degree(monic(f.coeffs, p), p)
+
+
+def factor_mod_p(f: PrimePoly) -> List[PrimePoly]:
+    """Monic irreducible factors of an f that is squarefree mod p; their
+    product times lc(f) reproduces f. Sorted by (degree, coefficient tuple).
+    Raises ValueError on the zero polynomial or a repeated factor."""
+    p = f.modulus
     rng = random.Random(f"{p}:{f.coeffs}")
-    out: List[Tuple[PrimePoly, int]] = []
-    for part, mult in _squarefree_decomposition(work, p):
-        for block, d in _distinct_degree(part, p):
-            for irr in _equal_degree(block, d, p, rng):
-                out.append((PrimePoly(p, irr), mult))
-    out.sort(key=lambda ge: (len(ge[0].coeffs), ge[0].coeffs))
+    out = [PrimePoly(p, irr) for block, d in _blocks(f)
+           for irr in _equal_degree(block, d, p, rng)]
+    out.sort(key=lambda g: (len(g.coeffs), g.coeffs))
     return out
 
 
 def factor_count_mod_p(f: PrimePoly) -> int:
     """len(factor_mod_p(f)) without the equal-degree splitting: a
     distinct-degree block of degree-d factors holds deg(block) / d of them."""
-    p = f.modulus
-    if not f.coeffs:
-        raise ValueError("cannot factor the zero polynomial")
-    return sum((len(block) - 1) // d
-               for part, _ in _squarefree_decomposition(monic(f.coeffs, p), p)
-               for block, d in _distinct_degree(part, p))
+    return sum((len(block) - 1) // d for block, d in _blocks(f))
 
 
 def is_irreducible_mod_p(f: PrimePoly) -> bool:

@@ -375,34 +375,6 @@ class FieldElement:
     def __rmul__(self, other: Scalar) -> "FieldElement":
         return self.__mul__(other)
 
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        r0, r1 = RationalPoly(self.coords), self.field.poly
-        s0, s1 = RationalPoly([1]), RationalPoly([])
-        while r1.deg() >= 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        assert r0.deg() == 0
-        return self.field.from_poly(s0.scale(1 / r0.coeffs[0]))
-
-    def __truediv__(self, other: Union["FieldElement", Scalar]) -> "FieldElement":
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
 
 @dataclass(frozen=True)
 class SquareClassSet:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .arith import is_prime
@@ -209,25 +209,16 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     """Minimal polynomial of 2cos(2*pi/q) for prime q >= 5, degree (q-1)/2;
     with negate=True, of -2cos(2*pi/q).
 
-    Built from the recurrence V0 = 2, V1 = y, V_{n+1} = y*Vn - V_{n-1}
-    (so Vn(2cos t) = 2cos nt) and P(y) = 1 + sum_{n=1..p} Vn(y), whose roots
-    are exactly the p distinct values 2cos(2*pi*k/q).
+    With p = (q-1)/2 this is W_p(y/2), W_p the Chebyshev polynomial of the
+    fourth kind: W_p(cos t) = sin((p + 1/2) t) / sin(t/2) vanishes exactly
+    at the p distinct values cos(2*pi*k/q), k = 1..p. Its coefficient of
+    y^(p-j) is (-1)^floor(j/2) * C(p - ceil(j/2), floor(j/2)).
     """
     if q < 5 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     p = (q - 1) // 2
-    v_prev = [2]
-    v_cur = [0, 1]
-    total = [1, 1]  # 1 + V1
-    for _ in range(2, p + 1):
-        v_next = [0] + v_cur
-        for i, c in enumerate(v_prev):
-            v_next[i] -= c
-        v_prev, v_cur = v_cur, v_next
-        for i, c in enumerate(v_cur):
-            while len(total) <= i:
-                total.append(0)
-            total[i] += c
+    total = [(-1) ** (j // 2) * comb(p - (j + 1) // 2, j // 2)
+             for j in range(p, -1, -1)]
     if negate:
         total = [c if i % 2 == 0 else -c for i, c in enumerate(total)]
         if p % 2:

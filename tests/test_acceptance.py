@@ -30,7 +30,7 @@ from jacrank.cyclosig import (
     sophie_germain_pairs,
 )
 from jacrank.factor import factor_over_Q
-from jacrank.modpoly import PrimePoly, factor_mod_p
+from jacrank.modpoly import PrimePoly, factor_mod_p, is_squarefree_mod_p
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, format_poly, min_poly_2cos
 from jacrank.stats import (
@@ -236,15 +236,14 @@ def test_criterion_8c_factorization_roundtrips():
                                for c in f.coeffs])
             if fp.deg() != f.deg():
                 continue
-            parts = factor_mod_p(fp)
-            if any(mult > 1 for _, mult in parts):
+            if not is_squarefree_mod_p(fp.coeffs, p):
                 continue
-            whole = sorted(g.deg() for g, _ in parts)
+            whole = sorted(g.deg() for g in factor_mod_p(fp))
             refined = []
             for g, mult in factors:
                 gp = PrimePoly(p, [c.numerator * pow(c.denominator, -1, p) % p
                                    for c in g.coeffs])
-                refined.extend(h.deg() for h, _ in factor_mod_p(gp)
+                refined.extend(h.deg() for h in factor_mod_p(gp)
                                for _ in range(mult))
             assert sorted(refined) == whole
             break

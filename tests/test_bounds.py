@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacrank import bounds
 from jacrank.arith import is_squarefree_integer, multiplicative_order, \
     prime_factors
 from jacrank.bounds import (
@@ -115,18 +116,32 @@ def test_local_certificates_sweep():
             assert washington_local_certificate(m).conclusion
 
 
+def washington_units(m: int, field: NumberField) -> tuple:
+    """theta, 1/(1-theta) and 1-1/theta in L_m = Q[x]/(f_m). The inverses
+    are read off f_m: theta (theta^2 + m theta - m - 3) = -1 and
+    (1 - theta)(theta^2 + (m+1) theta - 2) = -f_m(1) = 1, so
+    1/theta = -theta^2 - m theta + m + 3 and
+    1/(1-theta) = -theta^2 - (m+1) theta + 2; each is checked by
+    multiplication."""
+    th, one = field.theta(), field.one()
+    inv_th = field.element([m + 3, -m, -1])
+    inv_one_minus_th = field.element([2, -(m + 1), -1])
+    assert th * inv_th == one
+    assert (one - th) * inv_one_minus_th == one
+    return th, inv_one_minus_th, one - inv_th
+
+
 def test_rho_certificate_frozen_signatures():
     # conjugates of theta are theta, 1/(1-theta), 1-1/theta; their signs at
     # the ascending roots span all of F_2^3
     field = NumberField(washington_curve_poly(1))
-    th = field.theta()
-    conj = (th, (field.one() - th).inverse(), field.one() - th.inverse())
+    conj = washington_units(1, field)
     signs = [field.signature(a).signs for a in conj]
     assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)]
     for a in conj:  # each is a genuine root of the defining polynomial
         acc = field.zero()
-        for i, c in enumerate(washington_curve_poly(1).coeffs):
-            acc = acc + a ** i * c
+        for c in reversed(washington_curve_poly(1).coeffs):
+            acc = acc * a + c
         assert acc.is_zero()
 
 
@@ -139,9 +154,7 @@ def test_rho_certificate_closed_form_matches_sturm_signatures():
     for m in ms:
         assert is_squarefree_integer(m * m + 3 * m + 9)
         field = NumberField(washington_curve_poly(m))
-        th = field.theta()
-        conj = (th, (field.one() - th).inverse(), field.one() - th.inverse())
-        signs = [field.signature(a).signs for a in conj]
+        signs = [field.signature(a).signs for a in washington_units(m, field)]
         assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)], m
         assert washington_rho_certificate(m) == 0
 
@@ -163,7 +176,8 @@ def test_washington_bounds_fixture():
 
 
 def test_washington_bound_missing_record():
-    with pytest.raises(LookupError, match=r"1,-7,4,1"):
+    with pytest.raises(LookupError,
+                       match=r"^class group unknown for cubic-m4 \(degree 3\)$"):
         washington_bound(4, clg(""))  # D = 37 squarefree, no record
 
 
@@ -263,8 +277,20 @@ def test_sophie_fallback_no_narrow_odd_order():
 
 
 def test_sophie_missing_record():
-    with pytest.raises(LookupError):
+    with pytest.raises(LookupError,
+                       match=r"^class group unknown for cyclo-q11 \(degree 5\)$"):
         sophie_upper_bound(11, clg(""))
+
+
+def test_davis_taussky_route_builds_no_store_key(monkeypatch):
+    """The store key is f itself, O(p^2) bits; the Davis-Taussky route
+    never reads the store, so it never builds f."""
+    def no_key(q):
+        raise AssertionError(f"store key built for q = {q}")
+    monkeypatch.setattr(bounds, "curve_min_poly", no_key)
+    report = sophie_upper_bound(16139, clg(""), assume_davis_taussky=True)
+    assert (report.upper_bound, report.hypotheses) == (
+        4034, ("davis-taussky-assumed",))
 
 
 # -- lower bounds from points ----------------------------------------------

@@ -57,6 +57,14 @@ def test_sophie_single(capsys):
                            "hyps=2-inert-in-real-cyclotomic")
 
 
+def test_sophie_missing_class_group_is_one_short_line(capsys):
+    """The message names the curve, not its O(p^2)-bit polynomial."""
+    code, out, err = run(capsys, "sophie", "--q", "1019")
+    assert (code, out) == (1, "")
+    assert err == "q=1019: class group unknown for cyclo-q1019 (degree 509)\n"
+    assert len(err.encode()) < 200
+
+
 def test_sophie_lower_and_table(capsys):
     code, out, _ = run(capsys, "sophie", "--q", "11", "--lower", "--table")
     assert code == 0

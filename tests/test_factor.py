@@ -199,7 +199,7 @@ def ref_good_prime(coeffs):
             continue
         if not is_squarefree_mod_p(coeffs, p):
             continue
-        factors = [list(g.coeffs) for g, _ in factor_mod_p(PrimePoly(p, coeffs))]
+        factors = [list(g.coeffs) for g in factor_mod_p(PrimePoly(p, coeffs))]
         found += 1
         if best is None or len(factors) < len(best[1]):
             best = (p, factors)

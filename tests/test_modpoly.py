@@ -83,15 +83,13 @@ def test_every_f2_cubic_against_exhaustive_oracle():
 
 def test_x2_minus_1_mod_3():
     f = PrimePoly(3, (2, 0, 1))
-    factors = factor_mod_p(f)
-    assert [(g.coeffs, e) for g, e in factors] == [((1, 1), 1), ((2, 1), 1)]
+    assert [g.coeffs for g in factor_mod_p(f)] == [(1, 1), (2, 1)]
 
 
 def test_q23_degree_patterns():
     for p, expected in Q23_PATTERNS.items():
         f = PrimePoly(p, tuple(c % p for c in Q23_MINUS_ONE))
-        factors = factor_mod_p(f)
-        degs = sorted(len(g.coeffs) - 1 for g, e in factors for _ in range(e))
+        degs = sorted(g.deg() for g in factor_mod_p(f))
         assert degs == expected, (p, degs)
 
 
@@ -103,23 +101,27 @@ def test_factor_roundtrip_random():
         deg = rng.randrange(1, 9)
         coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
         f = PrimePoly(p, tuple(coeffs))
+        if not is_squarefree_mod_p(coeffs, p):
+            with pytest.raises(ValueError):
+                factor_mod_p(f)
+            continue
         factors = factor_mod_p(f)
         prod = (f.lc(),)
-        for g, e in factors:
+        for g in factors:
             assert g.lc() == 1
             assert is_irreducible_mod_p(g)
-            for _ in range(e):
-                prod = mul_mod(prod, g.coeffs, p)
+            prod = mul_mod(prod, g.coeffs, p)
         assert prod == f.coeffs
         # deterministic ordering: by degree then coefficient tuple
-        keys = [(len(g.coeffs), g.coeffs) for g, _ in factors]
+        keys = [(len(g.coeffs), g.coeffs) for g in factors]
         assert keys == sorted(keys)
 
 
 def test_factor_count_matches_full_factorization():
     """The count read from distinct-degree blocks equals len(factor_mod_p)
-    on seeded polynomials, repeated and p-th power factors included, and on
-    the Table-4 polynomials and f - 1 at the primes _good_prime tries."""
+    on seeded polynomials squarefree mod p, and on the Table-4 polynomials
+    and f - 1 at the primes _good_prime tries; both raise ValueError on the
+    seeded ones with a repeated factor."""
     rng = random.Random(37)
     cases = []
     for _ in range(300):
@@ -136,8 +138,16 @@ def test_factor_count_matches_full_factorization():
         for g in (f, [f[0] - 1] + f[1:]):
             cases += [PrimePoly(p, g) for p in primes_upto(30)
                       if is_squarefree_mod_p(g, p)]
+    repeated = 0
     for f in cases:
-        assert factor_count_mod_p(f) == len(factor_mod_p(f)), f
+        if is_squarefree_mod_p(f.coeffs, f.modulus):
+            assert factor_count_mod_p(f) == len(factor_mod_p(f)), f
+            continue
+        repeated += 1
+        for fn in (factor_count_mod_p, factor_mod_p):
+            with pytest.raises(ValueError):
+                fn(f)
+    assert repeated > 50
     with pytest.raises(ValueError):
         factor_count_mod_p(PrimePoly(7, ()))
 
@@ -193,18 +203,17 @@ def test_is_irreducible_matches_rabin():
     assert 0 < irreducible < len(cases)
 
 
-def test_multiplicity_detection():
-    # (x+1)^2 (x+2) mod 5
-    f = PrimePoly(5, mul_mod(mul_mod((1, 1), (1, 1), 5), (2, 1), 5))
-    factors = factor_mod_p(f)
-    assert sorted(((g.coeffs, e) for g, e in factors)) == [((1, 1), 2), ((2, 1), 1)]
-
-
-def test_pth_power_structure():
-    # x^3 + 2 = (x + ...)^3 shape mod 3: x^3+2 = (x+2)^3 mod 3
-    f = PrimePoly(3, (2, 0, 0, 1))
-    factors = factor_mod_p(f)
-    assert [(g.coeffs, e) for g, e in factors] == [((2, 1), 3)]
+@pytest.mark.parametrize("f", [
+    PrimePoly(5, mul_mod(mul_mod((1, 1), (1, 1), 5), (2, 1), 5)),  # (x+1)^2 (x+2)
+    PrimePoly(3, (2, 0, 0, 1)),  # x^3 + 2 = (x + 2)^3 mod 3
+], ids=["repeated-factor", "pth-power"])
+def test_repeated_factor_is_rejected(f):
+    """Factoring takes only f squarefree mod p; the irreducibility test
+    says False on anything else."""
+    for fn in (factor_mod_p, factor_count_mod_p):
+        with pytest.raises(ValueError, match="not squarefree"):
+            fn(f)
+    assert not is_irreducible_mod_p(f)
 
 
 def test_rejects_composite_modulus():
@@ -218,8 +227,7 @@ def test_big_prime_splitting():
         if p == 2:
             continue
         f = PrimePoly(p, (1, 0, 1))
-        n_factors = sum(e for _, e in factor_mod_p(f))
-        assert (n_factors == 2) == (p % 4 == 1)
+        assert (len(factor_mod_p(f)) == 2) == (p % 4 == 1)
 
 
 def random_poly(rng: random.Random, deg: int, m: int, monic: bool = False) -> list:
@@ -348,7 +356,7 @@ def root_test_polys():
 
 def _roots_by_factoring(coeffs, ell):
     return sorted(-g.coeffs[0] % ell
-                  for g, _ in factor_mod_p(PrimePoly(ell, coeffs)) if g.deg() == 1)
+                  for g in factor_mod_p(PrimePoly(ell, coeffs)) if g.deg() == 1)
 
 
 def test_roots_mod_p_matches_linear_factors():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacrank.arith import primes_upto
 from jacrank.polys import (
     RationalPoly,
     format_poly,
@@ -161,6 +162,39 @@ def test_min_poly_2cos_frozen():
     assert min_poly_2cos(23, negate=True).coeffs == (
         1, -6, -15, 35, 35, -56, -28, 36, 9, -10, -1, 1,
     )
+
+
+def min_poly_2cos_by_recurrence(q: int, negate: bool) -> tuple:
+    """Reference: P(y) = 1 + sum_{n=1..p} V_n(y) with V_0 = 2, V_1 = y,
+    V_{n+1} = y V_n - V_{n-1} (so V_n(2cos t) = 2cos nt), whose roots are
+    the p values 2cos(2*pi*k/q); O(p^2) coefficient additions."""
+    p = (q - 1) // 2
+    v_prev, v_cur = [2], [0, 1]
+    total = [1, 1]  # 1 + V_1
+    for _ in range(2, p + 1):
+        v_next = [0] + v_cur
+        for i, c in enumerate(v_prev):
+            v_next[i] -= c
+        v_prev, v_cur = v_cur, v_next
+        total += [0] * (len(v_cur) - len(total))
+        for i, c in enumerate(v_cur):
+            total[i] += c
+    if negate:
+        total = [c if i % 2 == 0 else -c for i, c in enumerate(total)]
+        if p % 2:
+            total = [-c for c in total]
+    return tuple(total)
+
+
+def test_min_poly_2cos_matches_recurrence():
+    """The closed-form coefficients equal the recurrence for every prime
+    5 <= q < 400, in both sign conventions."""
+    qs = [q for q in primes_upto(400) if q >= 5]
+    assert len(qs) == 76
+    for q in qs:
+        for negate in (False, True):
+            assert min_poly_2cos(q, negate).coeffs == \
+                min_poly_2cos_by_recurrence(q, negate), (q, negate)
 
 
 def test_min_poly_2cos_shape():

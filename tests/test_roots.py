@@ -21,6 +21,7 @@ from jacrank.polys import RationalPoly, min_poly_2cos, monic_gcd
 from jacrank.roots import RootInterval, RootIntervals, _ceil_root, _count_in, _int_poly, \
     _require_squarefree, _root_bound, _sign_at_point, _sturm_chain, \
     isolate_real_roots, sign_at
+from test_bounds import washington_units
 
 X = sympy.symbols("x")
 
@@ -282,8 +283,7 @@ def test_sign_at_matches_reference_on_washington_units():
         if not is_squarefree_integer(m * m + 3 * m + 9):
             continue
         field = NumberField(RationalPoly([1, -(m + 3), m, 1]))
-        th = field.theta()
-        for unit in (th, (field.one() - th).inverse(), field.one() - th.inverse()):
+        for unit in washington_units(m, field):
             _assert_matches_oracle(RationalPoly(unit.coords), field.root_intervals)
         fields += 1
     assert fields == 186
