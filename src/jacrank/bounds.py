@@ -24,9 +24,8 @@ carried by a ClassGroupStore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, \
+    Tuple, Union
 
 # used qualified, so the washington route never runs these modules
 from . import cyclosig, factor, numberfield, polys
@@ -34,6 +33,9 @@ from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
     prime_factors
 from .f2 import VecF2, span_dimension
 from .stores import ClassGroupStore
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BoundReport",
@@ -49,16 +51,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GTrivialityCertificate:
+class GTrivialityCertificate(NamedTuple):
     """Per-prime evidence that f is irreducible over Q_v for every bad v."""
     bad_primes: Tuple[int, ...]
     evidence: Tuple[Tuple[int, str], ...]
     conclusion: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     curve: str
     genus: int
     rho_infty: str  # "0", "pm1" (the generic p-1 bound), or "unk"
@@ -307,13 +307,15 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
 
 
 def lower_bound_from_points(f: polys.RationalPoly,
-                            y0: Fraction = Fraction(1)
+                            y0: Union[int, Fraction] = 1
                             ) -> Tuple[int, numberfield.SquareClassSet]:
     """Constructive rank lower bound from the point (x two-torsion free): the
     irreducible factors g of f - y0^2 map to square classes
     (-1)^deg(g) g(theta), and the number of independent classes bounds the
     rank from below. f must have odd degree: then the curve has one point at
     infinity, J(Q) has no 2-torsion and the descent map is injective."""
+    from fractions import Fraction  # here, so the upper-bound routes skip it
+
     y0 = Fraction(y0)
     if y0 == 0:
         raise ValueError("y0 must be nonzero; factors of f itself would "

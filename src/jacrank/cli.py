@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 # used qualified: a lazy module's body runs only when a route reaches it
@@ -87,8 +85,8 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
             continue
         if args.lower:
             f = bounds.curve_min_poly(q)
-            lower, _ = bounds.lower_bound_from_points(f, Fraction(1))
-            report = replace(report, lower_bound=lower)
+            lower, _ = bounds.lower_bound_from_points(f)
+            report = report._replace(lower_bound=lower)
         rows.append(((q - 1) // 2, q, report.upper_bound, report.lower_bound))
         print(report.describe() if args.verbose else report.line())
     if args.table and rows:
@@ -120,6 +118,8 @@ def _cmd_scan_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
+    from fractions import Fraction  # here, so the other routes skip it
+
     coeffs = [int(part) for part in args.poly.split(",")]
     try:
         y0 = Fraction(args.y0)

@@ -61,9 +61,8 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .arith import is_prime, multiplicative_order, primes_upto
 from .f2 import MatF2, echelon_rank, poly_gcd, rank
@@ -83,48 +82,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SophieGermainPair:
+class _SophieGermainPair(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.q != 2 * self.p + 1:
-            raise ValueError(f"q must equal 2p+1, got p={self.p}, q={self.q}")
-        if not is_prime(self.q):
-            raise ValueError(f"q must be prime, got {self.q}")
+
+class SophieGermainPair(_SophieGermainPair):
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "SophieGermainPair":
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if q != 2 * p + 1:
+            raise ValueError(f"q must equal 2p+1, got p={p}, q={q}")
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        return super().__new__(cls, p, q)
 
     @property
     def genus(self) -> int:
         return (self.p - 1) // 2
 
 
-@dataclass(frozen=True)
-class SignatureVector:
+class _SignatureVector(NamedTuple):
     signs: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
+
+class SignatureVector(_SignatureVector):
+    __slots__ = ()
+
+    def __new__(cls, signs: Tuple[int, ...]) -> "SignatureVector":
+        if any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        return super().__new__(cls, signs)
 
     def psi_bits(self) -> int:
         """psi(-1) = 1, psi(+1) = 0, packed with bit i = entry i."""
         return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
 
 
-@dataclass(frozen=True)
-class DoublingPermutation:
+class _DoublingPermutation(NamedTuple):
     images: Tuple[int, ...]  # 1-based: images[i-1] = phi(i)
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+
+class DoublingPermutation(_DoublingPermutation):
+    __slots__ = ()
+
+    def __new__(cls, images: Tuple[int, ...]) -> "DoublingPermutation":
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a permutation of 1..p")
+        return super().__new__(cls, images)
 
 
-@dataclass(frozen=True)
-class RhoInftyCertificate:
+class RhoInftyCertificate(NamedTuple):
     pair: SophieGermainPair
     d_infty: int
     rho_infty_zero: bool
@@ -134,12 +144,14 @@ def sophie_germain_pairs(q_max: int) -> List[SophieGermainPair]:
     """All pairs (p, q) with q <= q_max, q = 2p+1, both prime, p odd."""
     if q_max < 7:
         return []
-    sieve = set(primes_upto(q_max))
+    primes = primes_upto(q_max)
+    sieve = set(primes)
     out = []
-    for q in sorted(sieve):
+    for q in primes:
         p = (q - 1) // 2
         if q >= 7 and q % 2 == 1 and p in sieve:
-            out.append(SophieGermainPair(p, q))
+            # the sieve proved p and q prime: build without the checks
+            out.append(_SophieGermainPair.__new__(SophieGermainPair, p, q))
     return out
 
 

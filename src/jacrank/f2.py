@@ -9,8 +9,7 @@ the pure-Python loop here otherwise; everything else is pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 try:
     from . import _f2core
@@ -26,14 +25,18 @@ def backend_name() -> str:
     return "pure" if _f2core is None else "compiled"
 
 
-@dataclass(frozen=True)
-class VecF2:
+class _VecF2(NamedTuple):
     length: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0 or not 0 <= self.bits < (1 << self.length):
+
+class VecF2(_VecF2):
+    __slots__ = ()
+
+    def __new__(cls, length: int, bits: int) -> "VecF2":
+        if length < 0 or not 0 <= bits < (1 << length):
             raise ValueError("bits exceed vector length")
+        return super().__new__(cls, length, bits)
 
     @classmethod
     def from_bits(cls, entries: Iterable[int]) -> "VecF2":
@@ -41,18 +44,22 @@ class VecF2:
         return cls(len(es), sum(b << i for i, b in enumerate(es)))
 
 
-@dataclass(frozen=True)
-class MatF2:
+class _MatF2(NamedTuple):
     rows: int
     cols: int
     bits: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
+
+class MatF2(_MatF2):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, bits: Tuple[int, ...]) -> "MatF2":
+        if len(bits) != rows:
             raise ValueError("bit storage length does not match row count")
-        for r in self.bits:
-            if not 0 <= r < (1 << self.cols):
+        for r in bits:
+            if not 0 <= r < (1 << cols):
                 raise ValueError("row value exceeds column width")
+        return super().__new__(cls, rows, cols, bits)
 
 
 def echelon_rank(rows: Iterable[int], stop_at: Optional[int] = None) -> int:

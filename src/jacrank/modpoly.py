@@ -20,8 +20,7 @@ a squarefree f.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .arith import is_prime
 
@@ -32,19 +31,21 @@ __all__ = ["PrimePoly", "factor_mod_p", "factor_count_mod_p",
 Coeffs = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimePoly:
+class _PrimePoly(NamedTuple):
     modulus: int
     coeffs: Coeffs
 
-    def __init__(self, modulus: int, coeffs) -> None:
+
+class PrimePoly(_PrimePoly):
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, coeffs) -> "PrimePoly":
         if not is_prime(modulus):
             raise ValueError(f"modulus must be prime, got {modulus}")
         cs = [c % modulus for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return super().__new__(cls, modulus, tuple(cs))
 
     def deg(self) -> int:
         return len(self.coeffs) - 1

@@ -31,18 +31,17 @@ Frobenius power mod ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cyclosig import SignatureVector
 from .f2 import MatF2, kernel_basis
 from .factor import factor_over_Q
 from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
                       is_squarefree_mod_p, mul, powmod, sub, xgcd)
-from .polys import RationalPoly, resultant
+from .polys import Frozen, RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
 from .arith import is_prime, jacobi, primes_upto
 
@@ -330,10 +329,28 @@ def _rational_coords(x: List[int], m: int, p: int) -> Optional[List[Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
+    __slots__ = ("field", "coords")
     field: NumberField
     coords: Tuple[Fraction, ...]
+
+    def __init__(self, field: NumberField, coords: Tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (self.field, self.coords) == (other.field, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coords))
+
+    def __repr__(self) -> str:
+        return f"FieldElement(field={self.field!r}, coords={self.coords!r})"
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -376,17 +393,22 @@ class FieldElement:
         return self.__mul__(other)
 
 
-@dataclass(frozen=True)
-class SquareClassSet:
+class _SquareClassSet(NamedTuple):
     field: NumberField
     representatives: Tuple[FieldElement, ...]
 
-    def __post_init__(self) -> None:
-        for a in self.representatives:
+
+class SquareClassSet(_SquareClassSet):
+    __slots__ = ()
+
+    def __new__(cls, field: NumberField,
+                representatives: Tuple[FieldElement, ...]) -> "SquareClassSet":
+        for a in representatives:
             if a.is_zero():
                 raise ValueError("square class representatives must be nonzero")
-            if a.field != self.field:
+            if a.field != field:
                 raise ValueError("representative from a different field")
+        return super().__new__(cls, field, representatives)
 
 
 def independence_rank_mod_squares(classes: SquareClassSet) -> int:

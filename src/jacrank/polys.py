@@ -8,14 +8,14 @@ denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .arith import is_prime
 
 __all__ = [
+    "Frozen",
     "RationalPoly",
     "monic_gcd",
     "prem",
@@ -25,8 +25,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class Frozen:
+    """Base of the slotted value types: `__init__` sets each field once
+    through object.__setattr__, and assigning or deleting one afterwards
+    raises AttributeError. Each subclass defines `__reduce__`, so that copy
+    and pickle rebuild it through `__init__` rather than assign its slots."""
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RationalPoly(Frozen):
+    __slots__ = ("coeffs",)
     coeffs: Tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable) -> None:
@@ -34,6 +48,20 @@ class RationalPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RationalPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"RationalPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return RationalPoly, (self.coeffs,)
 
     def deg(self) -> int:
         return len(self.coeffs) - 1
@@ -205,6 +233,17 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
     return cf**n * cg**m * base
 
 
+def _diagonal_binomials(n: int) -> List[int]:
+    """C(n - k, k) for k = 0, ..., n // 2, each from the one before:
+    C(n - k - 1, k + 1) = C(n - k, k) (n - 2k)(n - 2k - 1) / ((k + 1)(n - k)),
+    one multiplication by a small factor and one exact division."""
+    out = [1]
+    for k in range(n // 2):
+        out.append(out[-1] * ((n - 2 * k) * (n - 2 * k - 1))
+                   // ((k + 1) * (n - k)))
+    return out
+
+
 def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     """Minimal polynomial of 2cos(2*pi/q) for prime q >= 5, degree (q-1)/2;
     with negate=True, of -2cos(2*pi/q).
@@ -217,7 +256,8 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     if q < 5 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     p = (q - 1) // 2
-    total = [(-1) ** (j // 2) * comb(p - (j + 1) // 2, j // 2)
+    even, odd = _diagonal_binomials(p), _diagonal_binomials(p - 1)
+    total = [(-1) ** (j // 2) * (odd if j % 2 else even)[j // 2]
              for j in range(p, -1, -1)]
     if negate:
         total = [c if i % 2 == 0 else -c for i, c in enumerate(total)]

@@ -20,12 +20,11 @@ index, Var(lo) - Var(hi) is sign g(root) * sign f(hi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .polys import RationalPoly, prem
+from .polys import Frozen, RationalPoly, prem
 
 __all__ = ["RootInterval", "RootIntervals", "isolate_real_roots", "sign_at"]
 
@@ -33,8 +32,7 @@ IntPoly = Tuple[int, ...]
 Chain = Tuple[IntPoly, ...]
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
@@ -110,11 +108,34 @@ def _variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
-class RootIntervals:
+class RootIntervals(Frozen):
+    """The root intervals of poly, ascending, with its Sturm chain; the
+    chain is derived from poly, so it stays out of equality and repr."""
+    __slots__ = ("poly", "intervals", "chain")
     poly: RationalPoly
     intervals: Tuple[RootInterval, ...]
-    chain: Chain = field(repr=False, compare=False)  # Sturm chain of poly
+    chain: Chain
+
+    def __init__(self, poly: RationalPoly, intervals: Tuple[RootInterval, ...],
+                 chain: Chain) -> None:
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "chain", chain)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RootIntervals:
+            return NotImplemented
+        return (self.poly, self.intervals) == (other.poly, other.intervals)
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.intervals))
+
+    def __repr__(self) -> str:
+        return (f"RootIntervals(poly={self.poly!r}, "
+                f"intervals={self.intervals!r})")
+
+    def __reduce__(self):
+        return RootIntervals, (self.poly, self.intervals, self.chain)
 
     def __len__(self) -> int:
         return len(self.intervals)

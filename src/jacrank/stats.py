@@ -9,9 +9,8 @@ sharpness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .stores import RankStore
 
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SharpRow:
+class SharpRow(NamedTuple):
     lo: int
     hi: int
     numerator: int    # members whose exact rank equals the upper bound
@@ -38,8 +36,7 @@ class SharpRow:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class StatsTables:
+class StatsTables(NamedTuple):
     sharp_rows: Tuple[SharpRow, ...]
     r_values: Tuple[int, ...]
     b_values: Tuple[int, ...]

@@ -19,9 +19,8 @@ bound; `status=exact` asserts that `lo` is the true rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "ClassGroupRecord",
@@ -45,16 +44,14 @@ def _fail(name: str, lineno: int, msg: str) -> None:
     raise StoreFormatError(f"{name}:{lineno}: {msg}")
 
 
-@dataclass(frozen=True)
-class ClassGroupRecord:
+class ClassGroupRecord(NamedTuple):
     poly: Tuple[int, ...]
     cl2_rank: int
     narrow_cl2_rank: Optional[int]
     source: str
 
 
-@dataclass(frozen=True)
-class RankRecord:
+class RankRecord(NamedTuple):
     m: int
     status: str
     lo: int

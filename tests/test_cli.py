@@ -287,7 +287,7 @@ def test_error_paths_load_no_number_field(tmp_path):
     for setup, argv, code, prefix in (
             ("", ["--clgroups", str(bad)], 2, f"error: {bad}:2:"),
             (failing, [], 3, "certification failure: signatures")):
-        got, out, err, ran = modules_run(
+        got, out, err, ran, _ = modules_run(
             ["washington", "--m", "1..30", *argv], setup)
         assert (got, out) == (code, [])
         assert len(err) == 1 and err[0].startswith(prefix), err

@@ -123,6 +123,22 @@ def test_pair_validation():
     assert SophieGermainPair(11, 23).genus == 5
 
 
+def test_sieve_pairs_equal_validated_pairs():
+    """The sieve builds its pairs without re-running the primality checks;
+    each still equals the validated SophieGermainPair(p, q), in type too,
+    while the public constructor keeps rejecting bad input."""
+    pairs = sophie_germain_pairs(92459)
+    assert len(pairs) == 630
+    for pr in pairs:
+        checked = SophieGermainPair(pr.p, pr.q)
+        assert type(pr) is SophieGermainPair
+        assert pr == checked and hash(pr) == hash(checked)
+        assert repr(pr) == repr(checked)
+    for p, q in ((4, 9), (5, 13)):
+        with pytest.raises(ValueError):
+            SophieGermainPair(p, q)
+
+
 def test_pair_enumeration():
     assert [(pr.p, pr.q) for pr in sophie_germain_pairs(30)] == [(3, 7), (5, 11), (11, 23)]
     assert sophie_germain_pairs(6) == []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -195,6 +196,18 @@ def test_min_poly_2cos_matches_recurrence():
         for negate in (False, True):
             assert min_poly_2cos(q, negate).coeffs == \
                 min_poly_2cos_by_recurrence(q, negate), (q, negate)
+
+
+@pytest.mark.parametrize("q", [q for q in primes_upto(600) if q >= 5]
+                         + [2039, 16139])
+def test_min_poly_2cos_matches_binomial_formula(q):
+    """Each coefficient comes from the one before by a ratio; the result
+    equals the binomial formula (-1)^floor(j/2) C(p - ceil(j/2), floor(j/2))
+    for the coefficient of y^(p-j), for every p < 300 and p = 1019, 8069."""
+    p = (q - 1) // 2
+    want = tuple((-1) ** (j // 2) * comb(p - (j + 1) // 2, j // 2)
+                 for j in range(p, -1, -1))
+    assert min_poly_2cos(q, False).coeffs == want
 
 
 def test_min_poly_2cos_shape():

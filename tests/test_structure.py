@@ -1,9 +1,10 @@
 """Module structure: no private helper shared between jacrank modules, no
 public name without a use in the package, no module reading the
-environment, no generated or Cython source, a CLI import that pulls in no
-process-pool or pickling machinery, each subcommand running only the module
-bodies of its route, a lazy public API, and every layer the traced benchmark
-wraps by name still exists and is traced."""
+environment, no generated or Cython source, no module importing
+`dataclasses`, a CLI import that pulls in no process-pool, pickling,
+class-generation or Fraction machinery, each subcommand running only the
+module bodies of its route, a lazy public API, and every layer the traced
+benchmark wraps by name still exists and is traced."""
 
 from __future__ import annotations
 
@@ -29,24 +30,32 @@ ENV = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
 RAN = ("print(' '.join(sorted(k[len('jacrank.'):] "
        "for k, m in sys.modules.items() if k.startswith('jacrank.') "
        "and type(m) is types.ModuleType)))")
+# standard modules whose import start-up pays for: process pools and
+# pickling, the class generation of `dataclasses` with what it imports, and
+# `fractions` with `decimal`
+HEAVY = ("multiprocessing", "concurrent.futures", "subprocess", "pickle",
+         "dataclasses", "inspect", "fractions", "decimal")
+# HEAVY modules loaded, printed as the second-to-last line by `modules_run`
+LOADED = f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
 
 
 def modules_run(argv, setup=""):
-    """Exit code, output lines and the module bodies run by one
-    `python -m jacrank ARGV` after the code SETUP; the last stdout line is
-    the module list."""
+    """Exit code, output lines, the module bodies run and the HEAVY modules
+    loaded by one `python -m jacrank ARGV` after the code SETUP; the last
+    two stdout lines are the two module lists."""
     probe = (f"import runpy, sys, types\n{setup}"
              f"sys.argv = ['jacrank', *{list(argv)!r}]\n"
              "try:\n"
              "    runpy.run_module('jacrank', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exc:\n"
              "    code = exc.code\n"
-             f"{RAN}\n"
+             f"{LOADED}\n{RAN}\n"
              "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=ENV, timeout=120)
-    *out, ran = proc.stdout.splitlines()
-    return proc.returncode, out, proc.stderr.splitlines(), set(ran.split())
+    *out, heavy, ran = proc.stdout.splitlines()
+    return (proc.returncode, out, proc.stderr.splitlines(), set(ran.split()),
+            set(heavy.split()))
 
 
 def test_no_private_name_imported_across_modules():
@@ -116,12 +125,27 @@ def test_no_generated_or_cython_sources():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples and value types are slotted classes: a
+    dataclass generates and compiles its methods at import."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "dataclasses"]
+    assert offenders == []
+
+
 def test_cli_import_stays_flat():
     """The scan forks its workers with os.fork; importing the CLI loads none
-    of the heavier process machinery, which start-up time would pay for."""
-    heavy = ("multiprocessing", "concurrent.futures", "subprocess", "pickle")
-    probe = ("import sys, jacrank.cli; "
-             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    of the HEAVY modules, which start-up time would pay for."""
+    probe = f"import sys, jacrank.cli; {LOADED}"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, cwd=PACKAGE_DIR.parent)
     assert proc.stdout.split() == []
@@ -148,23 +172,27 @@ def test_traced_layers_resolve():
         assert callable(obj), (module, attr)
 
 
+# argv, the module bodies it runs, and the HEAVY modules it may load: only
+# the lower-bound route builds Fractions
 ROUTES = {
     "washington": (["washington", "--m", "1..300"],
-                   {"cli", "arith", "f2", "stores", "bounds"}),
+                   {"cli", "arith", "f2", "stores", "bounds"}, set()),
     "scan-rho": (["scan-rho", "--max-q", "300", "--threads", "1"],
-                 {"cli", "arith", "f2", "cyclosig"}),
+                 {"cli", "arith", "f2", "cyclosig"}, set()),
     "sophie-lower": (["sophie", "--q", "11", "--lower"],
                      {p.stem for p in PACKAGE_DIR.glob("*.py")}
-                     - {"__init__", "__main__", "stats"}),
+                     - {"__init__", "__main__", "stats"},
+                     {"fractions", "decimal"}),
 }
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_subcommand_runs_only_its_route(route):
-    argv, expected = ROUTES[route]
-    code, out, _, ran = modules_run(argv)
+    argv, expected, allowed = ROUTES[route]
+    code, out, _, ran, heavy = modules_run(argv)
     assert code in (0, 1) and out
     assert ran == expected
+    assert heavy <= allowed
 
 
 def test_package_import_runs_no_module_body_and_registers_layers():
