@@ -1,4 +1,5 @@
-"""Exact integer utilities: primes, multiplicative orders, squarefree tests.
+"""Exact integer utilities: primes, multiplicative orders, squarefree tests,
+and `CheckedRecord`, the base of the package's validated records.
 
 Everything here is deterministic. Primality below 3.3e14 uses a fixed
 Miller-Rabin base set known to be exact in that range, far above any input
@@ -8,16 +9,32 @@ this package handles (the largest scan touches 92459).
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Iterable, List
 
 __all__ = [
+    "CheckedRecord",
     "primes_upto",
     "is_prime",
     "prime_factors",
     "multiplicative_order",
+    "order_dividing",
     "is_squarefree_integer",
     "jacobi",
 ]
+
+
+class CheckedRecord:
+    """Base of a NamedTuple subclass whose `__new__` checks its fields. The
+    namedtuple `_make` builds with `tuple.__new__` and skips the checks;
+    this one builds through the class, and so does `_replace`, which calls
+    `_make`. It goes first among the bases and adds no slot."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
 
 # exact for all n < 3_317_044_064_679_887_385_961_981 per Sorenson-Webster
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,8 +97,7 @@ def prime_factors(n: int) -> List[int]:
 def multiplicative_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1.
 
-    The order divides phi(n): start from phi(n) and divide out each prime
-    factor r for as long as a^(k/r) = 1 still holds."""
+    The order divides phi(n), which `order_dividing` starts from."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     a %= n
@@ -90,8 +106,15 @@ def multiplicative_order(a: int, n: int) -> int:
     phi = n
     for r in prime_factors(n):
         phi = phi // r * (r - 1)
-    k = phi
-    for r in prime_factors(phi):
+    return order_dividing(a, n, phi)
+
+
+def order_dividing(a: int, n: int, k: int) -> int:
+    """Least j >= 1 with a^j = 1 (mod n), given a multiple k of it, that is
+    a^k = 1 (mod n): start from k and divide out each prime factor r for as
+    long as a^(k/r) = 1 still holds. For a prime n, k = n - 1 spares the
+    factoring of n that `multiplicative_order` does."""
+    for r in prime_factors(k):
         while k % r == 0 and pow(a, k // r, n) == 1:
             k //= r
     return k

@@ -17,12 +17,15 @@ and the norm-1 relation makes the omitted column the sum of the kept ones.
 The certificate d_infty = p - 1 holds exactly when the gcd is x + 1. Both
 the gcd route and direct packed elimination are implemented and must agree.
 
-The gcd route reads w off the binary digits of 1/q and finds the degree of
-the gcd in one of three exact ways. Let m = ord_p(2) and e = (p-1)/m. Over
-F2, x^p - 1 is x + 1 times one irreducible factor of degree m for each of
-the e cosets C_0, ..., C_{e-1} of H = <2> in (Z/p)^x: the roots zeta^n,
-n in C_i, are one Frobenius orbit (Lidl & Niederreiter, Finite Fields,
-Thm 2.47).
+The gcd route reads w off the binary digits of 1/q, packed in the order the
+digits come (bit p-1-k = w_k), which as a polynomial is the reversal
+x^(p-1) w(1/x). Since x -> 1/x is an automorphism of F2[x]/(x^p - 1) and x
+a unit there, the reversal has the gcd degree of w; below, w stands for
+the packed word. The degree of the gcd is found in one of three exact
+ways. Let m = ord_p(2) and e = (p-1)/m. Over F2, x^p - 1 is x + 1 times
+one irreducible factor of degree m for each of the e cosets C_0, ...,
+C_{e-1} of H = <2> in (Z/p)^x: the roots zeta^n, n in C_i, are one
+Frobenius orbit (Lidl & Niederreiter, Finite Fields, Thm 2.47).
 
 - e = 1 (2 is a primitive root mod p): x^p - 1 = (x + 1) Phi_p with Phi_p
   irreducible, so the gcd is fixed by the parity of w and by whether w is
@@ -45,9 +48,12 @@ Thm 2.47).
   are eliminated until the rank reaches e + 1 - [wt w even], which proves
   deg gcd = [wt w even]. All p rows give dim w A, as do any k consecutive
   ones, k = dim R w, since they are an information set of the cyclic code
-  R w; on the certified range the rank is reached within e + 14 rows.
+  R w; on the certified range the rank is reached within e + 10 rows.
   After e + 64 rows, unless that is all p of them, the word goes to the
-  general gcd.
+  general gcd. The coset masks come from a walk of half of <2> or less,
+  completed by doublings n -> 2n, and each coset from the one before by
+  n -> gn, each such map a few slices of an array of p digits
+  (`_coset_masks`).
 - Otherwise (8 e^2 > p, where the probe would cost more) the general gcd
   in `f2.poly_gcd`.
 
@@ -61,10 +67,13 @@ from __future__ import annotations
 
 import os
 import signal
+from functools import lru_cache
 from itertools import islice
-from typing import Iterator, List, NamedTuple, Tuple
+from math import isqrt
+from typing import Iterator, List, NamedTuple, Tuple, Union
 
-from .arith import is_prime, multiplicative_order, primes_upto
+from .arith import CheckedRecord, is_prime, order_dividing, prime_factors, \
+    primes_upto
 from .f2 import MatF2, echelon_rank, poly_gcd, rank
 
 __all__ = [
@@ -87,7 +96,7 @@ class _SophieGermainPair(NamedTuple):
     q: int
 
 
-class SophieGermainPair(_SophieGermainPair):
+class SophieGermainPair(CheckedRecord, _SophieGermainPair):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "SophieGermainPair":
@@ -108,7 +117,7 @@ class _SignatureVector(NamedTuple):
     signs: Tuple[int, ...]
 
 
-class SignatureVector(_SignatureVector):
+class SignatureVector(CheckedRecord, _SignatureVector):
     __slots__ = ()
 
     def __new__(cls, signs: Tuple[int, ...]) -> "SignatureVector":
@@ -125,7 +134,7 @@ class _DoublingPermutation(NamedTuple):
     images: Tuple[int, ...]  # 1-based: images[i-1] = phi(i)
 
 
-class DoublingPermutation(_DoublingPermutation):
+class DoublingPermutation(CheckedRecord, _DoublingPermutation):
     __slots__ = ()
 
     def __new__(cls, images: Tuple[int, ...]) -> "DoublingPermutation":
@@ -183,8 +192,14 @@ def doubling_permutation(pair: SophieGermainPair) -> DoublingPermutation:
 
 def orbit_word(pair: SophieGermainPair) -> int:
     """The length-p word w with w_k = psi(epsilon at phi^k of a fixed start
-    index), packed with bit k = w_k. Rows of the full circulant sign matrix
-    are rotations of w; any start index gives the same gcd with x^p - 1.
+    index), packed in the order its digits come: bit p-1-k = w_k. Rows of
+    the full circulant sign matrix are rotations of w; any start index
+    gives the same gcd with x^p - 1.
+
+    Read as a polynomial the packed word is x^(p-1) w(1/x), the reversal of
+    w. As x -> 1/x is an automorphism of F2[x]/(x^p - 1) and x is a unit
+    there, deg gcd(w, x^p - 1), and with it every route of
+    `certify_rho_infty`, is the same for w and its reversal.
 
     With t_k = 2^k mod q, w_k = 1 exactly when min(t_k, q - t_k) <= (p-1)/2
     for p = 1 mod 4, and exactly when it is larger for p = 3 mod 4. Since
@@ -197,7 +212,7 @@ def orbit_word(pair: SophieGermainPair) -> int:
     differ = ((x ^ (x >> 1)) >> 1) & ((1 << p) - 1)
     if p % 4 == 1:
         differ ^= (1 << p) - 1
-    return int(format(differ, f"0{p}b")[::-1], 2)
+    return differ
 
 
 def build_M_infty(pair: SophieGermainPair) -> MatF2:
@@ -219,13 +234,20 @@ def build_M_infty(pair: SophieGermainPair) -> MatF2:
 _PROBE_SPARE_ROWS = 64
 # a probe's coset labelling costs about as much as this many of the gcd's
 # p-bit shift-xors (pure Python, p near 40000)
-_PROBE_LABEL_WORK = 2048
+_PROBE_LABEL_WORK = 1152
+# a doubling of the coset labelling, two slices and an OR of p digits, costs
+# about as much as p / _WALK_STEPS_PER_DOUBLING steps of its Python walk
+_WALK_STEPS_PER_DOUBLING = 64
 
 
+@lru_cache(maxsize=None)
 def _route(p: int) -> Tuple[str, int, int]:
     """How certify_rho_infty finds deg gcd(w, x^p - 1) for the prime p: the
     route ("primitive", "probe" or "gcd"), m = ord_p(2), and the route's
-    estimated work in bit operations, which `_shares` balances.
+    estimated work in bit operations, which `_shares` balances. It is
+    cached, so a scan finds each order once: `_shares` in the parent, then
+    `certify_rho_infty` in the parent or in a forked child, which inherits
+    the cache.
 
     The gcd runs about p shift-xors of p-bit words, p^2 bit operations.
     The probe's rows cost about e^2 AND-and-popcounts of p bits, some 8 e^2
@@ -234,7 +256,7 @@ def _route(p: int) -> Tuple[str, int, int]:
     faster than the gcd below p = 2000 and 17x above p = 30000, and slower
     only at p = 41, 911 and 1013, by under 0.1 ms. The primitive-root
     closed form reads the weight of w, p bits."""
-    m = multiplicative_order(2, p)
+    m = order_dividing(2, p, p - 1)  # p is prime: (Z/p)^x has order p - 1
     e = (p - 1) // m
     if e == 1:
         return "primitive", m, p
@@ -256,37 +278,69 @@ def _poly_gcd_degree(w: int, p: int) -> int:
     return poly_gcd(w, (1 << p) | 1).bit_length() - 1
 
 
-def _coset_masks(p: int, m: int) -> List[int]:
-    """The masks sum of 2^n over n in C of the (p-1)/m cosets C of H = <2>
-    in (Z/p)^x, H first.
+def _dilate(digits: Union[bytes, bytearray], p: int, g: int) -> bytearray:
+    """The p digits of the set gS = {gn mod p : n in S} from those of S,
+    digit n being 1 exactly for n in S: the n in [ceil(jp/g),
+    ceil((j+1)p/g)) land on gn - jp, one slice of stride g for each j < g."""
+    out = bytearray(p)
+    for j in range(g):
+        lo = -(-j * p // g)
+        out[g * lo - j * p::g] = digits[lo:-(-(j + 1) * p // g)]
+    return out
 
-    H is walked once, n -> 2n mod p, into ASCII digits. The coset aH of the
-    least residue a not yet covered is H's indicator moved by n -> an mod
-    p: the n in [ceil(jp/a), ceil((j+1)p/a)) land on an - jp, one slice of
-    stride a for each j < a. So the labelling costs m steps of Python and
-    about the sum of the e representatives a in slices, which is small
-    when e is; it holds O(p) bytes besides the e masks of p bits."""
-    h = bytearray(b"0") * p
-    n = 1
-    for _ in range(m):
-        h[n] = 49  # "1"
-        n += n
-        if n >= p:
-            n -= p
-    residues = (1 << p) - 2  # bits 1..p-1
-    masks: List[int] = []
-    covered = 0
-    a = 1
-    while covered != residues:
-        digits = bytearray(p)
-        for j in range(a):
-            lo = -(-j * p // a)
-            digits[a * lo - j * p::a] = h[lo:-(-(j + 1) * p // a)]
-        mask = int(digits[::-1], 2)
-        masks.append(mask)
-        covered |= mask
-        free = residues & ~covered
-        a = (free & -free).bit_length() - 1
+
+def _coset_masks(p: int, m: int) -> List[int]:
+    """The masks sum of 2^n over n in C of the e = (p-1)/m >= 2 cosets C
+    of H = <2> in (Z/p)^x, H first.
+
+    Each coset C is built as the p ASCII digits of -C, digit n' being 1
+    exactly when n' is in -C. Read as a binary number, digit 0 the highest,
+    they give the mask of C shifted right by one: digit n' lands on bit
+    p-1-n' = n-1 for n = p-n' in C. So no digits are reversed.
+
+    -H is walked as -2^(dk) for k < ceil(m/d) and completed by ORing in the
+    d - 1 doublings n -> 2n of those marks, two slices each (`_dilate`); d
+    balances the walk against the doublings. When m is even, -1 = 2^(m/2)
+    lies in H, so the walk covers half of H and marks both n and -n. Each
+    further coset is g times the one before, in g slices, where g is the
+    least residue whose class generates the cyclic group (Z/p)^x / H of
+    order e, and the last coset is what the others leave. The labelling
+    costs about m / d steps of Python, d + e - 3 dilations and e - 1
+    conversions of p digits, and holds O(p) bytes besides the e masks."""
+    e = (p - 1) // m
+    half = m if m % 2 else m // 2
+    d = max(1, isqrt(_WALK_STEPS_PER_DOUBLING * half // p))
+    step = pow(2, d, p)
+    digits = bytearray(b"0") * p
+    n = p - 1
+    if m % 2:
+        for _ in range(-(-half // d)):
+            digits[n] = 49  # "1"
+            n = n * step % p
+    else:
+        for _ in range(-(-half // d)):
+            digits[n] = digits[p - n] = 49
+            n = n * step % p
+    if d > 1:
+        # an OR of big-endian integers with a byte per digit: 48 | 49 = 49
+        marks = digits
+        union = int.from_bytes(marks, "big")
+        for _ in range(d - 1):
+            marks = _dilate(marks, p, 2)
+            union |= int.from_bytes(marks, "big")
+        digits = union.to_bytes(p, "big")
+    masks = [int(digits, 2) << 1]
+    # g generates the cyclic (Z/p)^x / H when no g^((p-1)/r) = 1, r | e prime
+    factors = prime_factors(e)
+    g = 3
+    while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
+        g += 1
+    covered = masks[0]
+    for _ in range(e - 2):
+        digits = _dilate(digits, p, g)
+        masks.append(int(digits, 2) << 1)
+        covered |= masks[-1]
+    masks.append(((1 << p) - 2) ^ covered)
     return masks
 
 

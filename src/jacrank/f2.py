@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .arith import CheckedRecord
+
 try:
     from . import _f2core
 except ImportError:
@@ -30,7 +32,7 @@ class _VecF2(NamedTuple):
     bits: int
 
 
-class VecF2(_VecF2):
+class VecF2(CheckedRecord, _VecF2):
     __slots__ = ()
 
     def __new__(cls, length: int, bits: int) -> "VecF2":
@@ -50,7 +52,7 @@ class _MatF2(NamedTuple):
     bits: Tuple[int, ...]
 
 
-class MatF2(_MatF2):
+class MatF2(CheckedRecord, _MatF2):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, bits: Tuple[int, ...]) -> "MatF2":

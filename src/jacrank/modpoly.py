@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .arith import is_prime
+from .arith import CheckedRecord, is_prime
 
 __all__ = ["PrimePoly", "factor_mod_p", "factor_count_mod_p",
            "is_irreducible_mod_p", "is_squarefree_mod_p", "trim", "mul", "add",
@@ -36,7 +36,7 @@ class _PrimePoly(NamedTuple):
     coeffs: Coeffs
 
 
-class PrimePoly(_PrimePoly):
+class PrimePoly(CheckedRecord, _PrimePoly):
     __slots__ = ()
 
     def __new__(cls, modulus: int, coeffs) -> "PrimePoly":

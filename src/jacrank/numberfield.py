@@ -43,7 +43,7 @@ from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
                       is_squarefree_mod_p, mul, powmod, sub, xgcd)
 from .polys import Frozen, RationalPoly, resultant
 from .roots import RootIntervals, isolate_real_roots, sign_at
-from .arith import is_prime, jacobi, primes_upto
+from .arith import CheckedRecord, is_prime, jacobi, primes_upto
 
 __all__ = [
     "NumberField",
@@ -398,7 +398,7 @@ class _SquareClassSet(NamedTuple):
     representatives: Tuple[FieldElement, ...]
 
 
-class SquareClassSet(_SquareClassSet):
+class SquareClassSet(CheckedRecord, _SquareClassSet):
     __slots__ = ()
 
     def __new__(cls, field: NumberField,

@@ -4,8 +4,9 @@ Oracles: exact real-root isolation for the numeric signature cross-check
 (small p), the matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
 closed-form word, the primitive-root shortcut and the coset probe on the
-whole certified range and on words built to vanish on a coset, and frozen
-small cases worked by hand.
+whole certified range and on words built to vanish on a coset, the walk of
+<2> as the reference coset labelling, and frozen small cases worked by
+hand.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import signal
 import pytest
 
 from jacrank import cyclosig, f2
-from jacrank.arith import multiplicative_order
+from jacrank.arith import multiplicative_order, order_dividing
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
     SophieGermainPair,
     _coset_masks,
+    _poly_gcd_degree,
     _primitive_gcd_degree,
     _probe_gcd_degree,
     _route,
@@ -52,7 +54,8 @@ def loop_orbit_word(pair: SophieGermainPair) -> int:
 
     w_k = 1 when min(t, q - t) <= n for p = 1 mod 4, and when
     p + 1 - min(t, q - t) <= n, that is min(t, q - t) >= p + 1 - n, for
-    p = 3 mod 4. The digits are kept as ASCII text, w_0 first."""
+    p = 3 mod 4. The digits are kept as ASCII text, w_0 first, and packed
+    in that order: bit p-1-k = w_k."""
     p, q = pair.p, pair.q
     n = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
     digits = bytearray(b"0" * p)
@@ -72,7 +75,7 @@ def loop_orbit_word(pair: SophieGermainPair) -> int:
             t += t
             if t >= q:
                 t -= q
-    return int(digits[::-1], 2)
+    return int(digits, 2)
 
 
 @contextlib.contextmanager
@@ -89,6 +92,43 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def reversed_word(w: int, p: int) -> int:
+    """The length-p word w read backwards: bit k becomes bit p-1-k."""
+    return int(format(w, f"0{p}b")[::-1], 2)
+
+
+def walk_coset_masks(p: int, m: int) -> list:
+    """Reference labelling: the masks sum of 2^n over n in C of the cosets
+    C of H = <2> in (Z/p)^x, H first.
+
+    H is walked once, n -> 2n mod p, into ASCII digits. The coset aH of the
+    least residue a not yet covered is H's indicator moved by n -> an mod
+    p: the n in [ceil(jp/a), ceil((j+1)p/a)) land on an - jp, one slice of
+    stride a for each j < a."""
+    h = bytearray(b"0") * p
+    n = 1
+    for _ in range(m):
+        h[n] = 49  # "1"
+        n += n
+        if n >= p:
+            n -= p
+    residues = (1 << p) - 2  # bits 1..p-1
+    masks = []
+    covered = 0
+    a = 1
+    while covered != residues:
+        digits = bytearray(p)
+        for j in range(a):
+            lo = -(-j * p // a)
+            digits[a * lo - j * p::a] = h[lo:-(-(j + 1) * p // a)]
+        mask = int(digits[::-1], 2)
+        masks.append(mask)
+        covered |= mask
+        free = residues & ~covered
+        a = (free & -free).bit_length() - 1
+    return masks
 
 
 def gcd_degree(w: int, p: int) -> int:
@@ -255,7 +295,7 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reques
     routes = {"primitive": 0, "probe": 0, "gcd": 0}
     for pair, cert in zip(pairs, certs):
         w = orbit_word(pair)
-        assert w == loop_orbit_word(pair), pair
+        assert w == loop_orbit_word(pair), pair  # digit order: bit p-1-k = w_k
         route, m, _ = _route(pair.p)
         routes[route] += 1
         assert m == multiplicative_order(2, pair.p)
@@ -264,6 +304,35 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reques
         if route == "primitive":
             assert cert.d_infty == pair.p - _primitive_gcd_degree(w, pair.p)
     assert routes == {"primitive": 282, "probe": 332, "gcd": 16}
+
+
+def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch):
+    """x -> 1/x is an automorphism of F2[x]/(x^p - 1), so no route may see
+    the order in which the orbit word is packed: on every pair with
+    q <= 1000 and on a seeded sample of the certified range above it, the
+    general gcd, the closed form where 2 is primitive and the coset probe
+    where e > 1 give one degree for w and for w read backwards."""
+    try:
+        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
+    except pytest.skip.Exception:
+        pass
+    pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
+    small = [pr for pr in pairs if pr.q <= 1000]
+    sample = random.Random(16).sample(pairs[len(small):], 12)
+    routes = set()
+    for pair in small + sample:
+        p = pair.p
+        route, m, _ = _route(p)
+        routes.add(route)
+        w = orbit_word(pair)
+        for word in (w, reversed_word(w, p)):
+            degrees = {_poly_gcd_degree(word, p)}
+            if m == p - 1:
+                degrees.add(_primitive_gcd_degree(word, p))
+            elif pair.q <= 1000 or route == "probe":
+                degrees.add(_probe_gcd_degree(word, p, m))
+            assert degrees == {gcd_degree(w, p)}, pair
+    assert routes == {"primitive", "probe", "gcd"}
 
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
@@ -292,6 +361,34 @@ def test_primitive_shortcut_branches():
 # e = 2 with p = 1 and 7 mod 8, e = 3, e = 4 and e >= 5; up to p = 47 the
 # probe reads all p rows, from p = 71 on it falls back to the gcd
 VANISHING_PRIMES = (17, 23, 31, 43, 71, 97, 113, 127, 251, 257, 281)
+
+
+def test_coset_masks_equal_the_walk_of_two():
+    """The labelling from doublings, negation and dilations gives H first
+    and the same cosets as the walk of <2> on every probe-route p with
+    q <= 92459 and on the primes below. These take m even and odd, e = 2,
+    more than one doubling (d > 1), and least generators g of the quotient
+    (Z/p)^x / H from 3 up."""
+    ps = [pr.p for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)
+          if _route(pr.p)[0] == "probe"]
+    assert len(ps) == 332
+    seen = {"m even": 0, "m odd": 0, "e = 2": 0, "d > 1": 0}
+    gs = set()
+    for p in ps + list(VANISHING_PRIMES) + [8191]:
+        m = multiplicative_order(2, p)
+        e = (p - 1) // m
+        masks = _coset_masks(p, m)
+        reference = walk_coset_masks(p, m)
+        assert masks[0] == reference[0] and sorted(masks) == sorted(reference), p
+        seen["m even" if m % 2 == 0 else "m odd"] += 1
+        seen["e = 2"] += e == 2
+        half = m // 2 if m % 2 == 0 else m
+        seen["d > 1"] += cyclosig._WALK_STEPS_PER_DOUBLING * half // p >= 4
+        # g^k lies in H, that is g^(km) = 1, for no 0 < k < e
+        gs.add(next(g for g in range(3, p)
+                    if all(pow(g, k * m, p) != 1 for k in range(1, e))))
+    assert min(seen.values()) >= 10, seen
+    assert {3, 5, 7, 11} <= gs, sorted(gs)
 
 
 def test_coset_masks_partition_residues_into_doubling_orbits():
@@ -389,6 +486,29 @@ def test_scan_certifies_unforked_shares_in_parent(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     assert scan_sophie_germain(300, workers=3) == scan_sophie_germain(300)
+
+
+def test_scan_finds_each_order_once(monkeypatch):
+    """ord_p(2) is found once per pair, from the group order p - 1: on the
+    serial path by certify_rho_infty, on the forked path by `_shares` in
+    the parent, whose cache the parent's own share and the children use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+
+    def counted(a, n, k):
+        calls.append(n)
+        assert k == n - 1
+        return order_dividing(a, n, k)
+
+    monkeypatch.setattr(cyclosig, "order_dividing", counted)
+    pairs = sophie_germain_pairs(5000)
+    for workers in (1, 2):
+        _route.cache_clear()
+        del calls[:]
+        with deadline(60):
+            certs = scan_sophie_germain(5000, workers=workers)
+        assert [c.pair for c in certs] == pairs
+        assert sorted(calls) == [pr.p for pr in pairs], workers
 
 
 def test_scan_shares_balance_estimated_work():

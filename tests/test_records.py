@@ -151,6 +151,46 @@ def test_validation_errors_are_kept(build, message):
         build()
 
 
+# each checked record: an instance, a field, a value that fails its check
+# with the message, and a valid one
+CHECKED = {
+    "SophieGermainPair": (lambda: SophieGermainPair(5, 11), "q", 13,
+                          "q must equal 2p+1", 11),
+    "SignatureVector": (lambda: SignatureVector((-1, 1, 1)), "signs", (0,),
+                        "signs must be", (1, -1)),
+    "DoublingPermutation": (lambda: DoublingPermutation((2, 1, 3)), "images",
+                            (1, 1), "not a permutation", (1, 2)),
+    "VecF2": (lambda: VecF2(3, 5), "bits", 64, "bits exceed vector length", 7),
+    "MatF2": (lambda: MatF2(2, 3, (1, 6)), "bits", (1,),
+              "bit storage length", (7, 0)),
+    "PrimePoly": (lambda: PrimePoly(5, (1, 7, 0)), "modulus", 4,
+                  "modulus must be prime", 3),
+    "SquareClassSet": (lambda: SquareClassSet(_field(), (_field().element([1, 2]),)),
+                       "representatives", (_field().zero(),), "must be nonzero",
+                       (_field().element([3]),)),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_replace_and_make_run_the_checks(name):
+    """`_replace` and `_make` build through the checked constructor, so a
+    bad field raises as it would there and a good one gives the value the
+    constructor gives, of the same class."""
+    make, field, bad, message, good = CHECKED[name]
+    value = make()
+    cls = type(value)
+    fields = {f: getattr(value, f) for f in cls._fields}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        value._replace(**{field: bad})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls._make({**fields, field: bad}.values())
+    replaced = value._replace(**{field: good})
+    assert type(replaced) is cls
+    assert replaced == cls(**{**fields, field: good})
+    assert type(cls._make(value)) is cls and cls._make(value) == value
+    assert value._replace() == value
+
+
 def test_normalising_constructors():
     assert PrimePoly(5, (6, 10, 5)).coeffs == (1,)
     assert RationalPoly([1, 0, 0]).coeffs == (Fraction(1),)
