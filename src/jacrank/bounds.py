@@ -325,10 +325,11 @@ def lower_bound_from_points(f: polys.RationalPoly,
         raise ValueError("f must have odd degree for a square-class lower "
                          f"bound, got degree {field.degree}")
     split = f - polys.RationalPoly([y0 * y0])
-    _, factors = factor.factor_over_Q(split)
-    if any(mult > 1 for _, mult in factors):
-        raise ValueError("f - y0^2 must be square-free")
+    try:
+        factors = factor.factor_over_Q(split)
+    except ValueError:  # a repeated factor
+        raise ValueError("f - y0^2 must be square-free") from None
     classes = tuple(numberfield.delta_class_of_factor(g, y0, field)
-                    for g, _ in factors)
+                    for g in factors)
     class_set = numberfield.SquareClassSet(field, classes)
     return numberfield.independence_rank_mod_squares(class_set), class_set

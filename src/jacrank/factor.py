@@ -1,16 +1,18 @@
-"""Exact irreducible factorization over Q.
+"""Exact irreducible factorization over Q of squarefree polynomials.
 
-Pipeline: content/primitive split, Yun squarefree decomposition (skipped when
-the primitive part is squarefree mod a small prime not dividing its leading
-coefficient, since then its discriminant is nonzero), reduction at a good
-prime (smallest of five candidates, each with f squarefree mod it, giving the
-fewest modular factors, counted from the distinct-degree blocks; only the
-chosen prime is factored fully), quadratic Hensel lifting past twice the
-Mignotte bound, first of one half of the factors against the other, then of
-each half recursively, then subset recombination in increasing cardinality.
-Non-monic inputs are monicized first via G(y) = lc^(n-1) f(y/lc), so every
-lifted object is monic and recombination candidates can be tested by exact
-integer division.
+The input must be squarefree. That is decided once, exactly, by
+Res(f, f') != 0; a repeated factor raises ValueError, as the zero polynomial
+does. Pipeline: the primitive part is monicized via G(y) = lc^(n-1) f(y/lc)
+(the identity when lc = 1), so every lifted object is monic; reduction at a
+good prime (smallest of five candidates, each with G squarefree mod it,
+giving the fewest modular factors, counted from the distinct-degree blocks;
+only the chosen prime is factored fully); quadratic Hensel lifting to a
+modulus m past twice the Mignotte bound, first of one half of the factors
+against the other, then of each half recursively; then subset
+recombination in increasing cardinality. A monic candidate divides exactly
+when its pseudo-remainder, here the plain remainder over Z, is zero; the
+quotient is then read in balanced form mod m, which is exact because m
+exceeds twice the bound on any factor's coefficients.
 """
 
 from __future__ import annotations
@@ -22,33 +24,10 @@ from typing import List, Tuple
 
 from .arith import is_prime
 from .modpoly import (PrimePoly, add, divmod_monic, factor_count_mod_p,
-                      factor_mod_p, is_squarefree_mod_p, mul, sub, trim, xgcd)
-from .polys import RationalPoly, monic_gcd
+                      factor_mod_p, is_squarefree_mod_p, mul, sub, xgcd)
+from .polys import RationalPoly, prem, resultant
 
 __all__ = ["factor_over_Q"]
-
-# the primes tried before Yun's decomposition: f squarefree mod one of them
-# (not dividing lc f) is squarefree over Q
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _yun_squarefree(f: RationalPoly) -> List[Tuple[RationalPoly, int]]:
-    """Monic input, characteristic zero; [(monic squarefree part, multiplicity)]."""
-    out: List[Tuple[RationalPoly, int]] = []
-    g = monic_gcd(f, f.derivative())
-    w = f.divmod(g)[0]
-    y = f.derivative().divmod(g)[0]
-    z = y - w.derivative()
-    i = 1
-    while w.deg() > 0:
-        h = monic_gcd(w, z)
-        if h.deg() > 0:
-            out.append((h, i))
-        w = w.divmod(h)[0]
-        y = z.divmod(h)[0]
-        z = y - w.derivative()
-        i += 1
-    return out
 
 
 def _prod_mod(factors: List[List[int]], m: int) -> List[int]:
@@ -96,21 +75,6 @@ def _hensel_lift(f: List[int], factors: List[List[int]], p: int,
 def _balanced(c: int, m: int) -> int:
     c %= m
     return c - m if c > m // 2 else c
-
-
-def _int_divmod_monic(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
-    r = list(a)
-    if len(r) < len(b):
-        return [], trim(r)
-    q = [0] * (len(r) - len(b) + 1)
-    db = len(b) - 1
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db]
-        if c:
-            q[k] = c
-            for j in range(db + 1):
-                r[k + j] -= c * b[j]
-    return trim(q), trim(r)
 
 
 def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
@@ -165,10 +129,10 @@ def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
         for subset in itertools.combinations(remaining, k):
             cand = _prod_mod([lifted[i] for i in subset], m)
             cand = [_balanced(c, m) for c in cand]
-            q, r = _int_divmod_monic(current, cand)
-            if not r:
+            if not prem(current, cand):  # cand is monic: exact division
                 result.append(cand)
-                current = q
+                q = divmod_monic(current, cand, m)[0]
+                current = [_balanced(c, m) for c in q]
                 remaining = [i for i in remaining if i not in subset]
                 merged = True
                 break
@@ -179,43 +143,24 @@ def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
     return result
 
 
-def factor_over_Q(f: RationalPoly) -> Tuple[Fraction, List[Tuple[RationalPoly, int]]]:
-    """Returns (content, [(monic irreducible factor, multiplicity)...]) with
-    content * product(factor^multiplicity) == f exactly. Factors are sorted by
-    degree, then by ascending coefficient tuple."""
+def factor_over_Q(f: RationalPoly) -> List[RationalPoly]:
+    """The monic irreducible factors of a squarefree f, sorted by degree, then
+    by ascending coefficient tuple; their product times lc(f) is f. A
+    nonzero constant has no factors. Raises ValueError on the zero
+    polynomial and on an f with a repeated factor, Res(f, f') = 0."""
     if f.deg() < 0:
         raise ValueError("cannot factor the zero polynomial")
     if f.deg() == 0:
-        return f.coeffs[0], []
-    content, prim = f.primitive()
-    lc = prim.lc()
-    content *= lc
-    monic = prim.monic()
-    ilc, pcoeffs = int(lc), prim.int_coeffs()
-    if any(ilc % p and is_squarefree_mod_p(pcoeffs, p) for p in _SMALL_PRIMES):
-        parts = [(monic, 1)]  # disc(prim) is nonzero mod p, so nonzero
-    else:
-        parts = _yun_squarefree(monic)
-    out: List[Tuple[RationalPoly, int]] = []
-    for part, mult in parts:
-        _, ipart = part.primitive()
-        plc = int(ipart.lc())
-        icoeffs = [int(c) for c in ipart.coeffs]
-        if plc == 1:
-            work = icoeffs
-            scale = 1
-        else:
-            # monicize: G(y) = lc^(n-1) F(y/lc), monic integer in y
-            n = len(icoeffs) - 1
-            work = [icoeffs[i] * plc ** (n - 1 - i) for i in range(n)] + [1]
-            scale = plc
-        for g in _factor_squarefree_monic_int(work):
-            if scale == 1:
-                fac = RationalPoly(g)
-            else:
-                d = len(g) - 1
-                fac = RationalPoly([Fraction(g[i], scale ** (d - i))
-                                    for i in range(d + 1)])
-            out.append((fac, mult))
-    out.sort(key=lambda gm: (gm[0].deg(), gm[0].coeffs))
-    return content, out
+        return []
+    if resultant(f, f.derivative()) == 0:
+        raise ValueError("cannot factor a polynomial with a repeated factor")
+    _, prim = f.primitive()
+    icoeffs = prim.int_coeffs()
+    lc, n = icoeffs[-1], len(icoeffs) - 1
+    # monicize: G(y) = lc^(n-1) f(y/lc) is a monic integer polynomial in y
+    work = [icoeffs[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
+    out = [RationalPoly([Fraction(g[i], lc ** (len(g) - 1 - i))
+                         for i in range(len(g))])
+           for g in _factor_squarefree_monic_int(work)]
+    out.sort(key=lambda g: (g.deg(), g.coeffs))
+    return out

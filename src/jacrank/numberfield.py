@@ -70,8 +70,11 @@ class NumberField:
             raise ValueError("defining polynomial must be monic")
         if not poly.is_integral():
             raise ValueError("defining polynomial must have integer coefficients")
-        _, factors = factor_over_Q(poly)
-        if len(factors) != 1 or factors[0][1] != 1:
+        try:
+            irreducible = len(factor_over_Q(poly)) == 1
+        except ValueError:  # a repeated factor
+            irreducible = False
+        if not irreducible:
             raise ValueError("defining polynomial must be irreducible")
         self.poly = poly
         self.degree = poly.deg()
@@ -107,14 +110,8 @@ class NumberField:
         rem = g % self.poly if g.deg() >= self.degree else g
         return self.element(list(rem.coeffs))
 
-    def theta(self) -> "FieldElement":
-        return self.element([0, 1])
-
     def one(self) -> "FieldElement":
         return self.element([1])
-
-    def zero(self) -> "FieldElement":
-        return self.element([])
 
     # -- norms and signatures ------------------------------------------------
 

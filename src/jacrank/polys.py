@@ -17,7 +17,6 @@ from .arith import is_prime
 __all__ = [
     "Frozen",
     "RationalPoly",
-    "monic_gcd",
     "prem",
     "resultant",
     "min_poly_2cos",
@@ -106,10 +105,6 @@ class RationalPoly(Frozen):
                     out[i + j] += a * b
         return RationalPoly(out)
 
-    def scale(self, c) -> "RationalPoly":
-        c = Fraction(c)
-        return RationalPoly([c * a for a in self.coeffs])
-
     def divmod(self, other: "RationalPoly") -> Tuple["RationalPoly", "RationalPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -132,9 +127,6 @@ class RationalPoly(Frozen):
 
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "RationalPoly":
-        return self.scale(1 / self.lc())
 
     def primitive(self) -> Tuple[Fraction, "RationalPoly"]:
         """content * primitive-part factorization; primitive part has integer
@@ -159,15 +151,6 @@ class RationalPoly(Frozen):
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def monic_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q by Euclid's algorithm; zero when a and b are zero."""
-    while b.deg() >= 0:
-        a, b = b, a % b
-    if a.deg() < 0:
-        return a
-    return a.monic()
 
 
 def prem(a: Sequence[int], b: Sequence[int]) -> List[int]:

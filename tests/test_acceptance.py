@@ -42,6 +42,7 @@ from jacrank.stats import (
 from jacrank.stores import builtin_class_groups, ingest_rank_data, parse_rank_data
 from test_arith import primes_with_odd_order_of_two
 from test_polys import compose
+from test_roots import euclid_gcd
 
 
 def report(n: int, message: str) -> None:
@@ -80,11 +81,8 @@ def test_criterion_2_minimal_polynomials(capsys):
 
 def test_criterion_3_worked_example_end_to_end():
     f = curve_min_poly(11)
-    content, factors = factor_over_Q(f - RationalPoly([1]))
-    assert content == 1
-    assert [g.int_coeffs() for g, mult in factors] == [
+    assert [g.int_coeffs() for g in factor_over_Q(f - RationalPoly([1]))] == [
         [0, 1], [-3, 0, 1], [-1, 1, 1]]
-    assert all(mult == 1 for _, mult in factors)
 
     lower, classes = lower_bound_from_points(f, Fraction(1))
     reps = classes.representatives
@@ -152,7 +150,7 @@ def _char_poly(field: NumberField, coords) -> RationalPoly:
     power = field.one()
     for j in range(n):
         cols.append((elem * power).coords)
-        power = power * field.theta()
+        power = power * field.element([0, 1])
     # rows of tI - M as RationalPoly entries
     entries = [[RationalPoly([-cols[j][i], 1] if i == j else [-cols[j][i]])
                 for j in range(n)] for i in range(n)]
@@ -180,8 +178,7 @@ def test_criterion_8a_squareness_box_oracle():
                     # prod_i (x^2 - e_i) = charpoly(x^2) has a cubic factor
                     char = _char_poly(field, (a, b, c))
                     sq = compose(char, RationalPoly([0, 0, 1]))
-                    _, factors = factor_over_Q(sq)
-                    expected = any(g.deg() % 2 == 1 for g, _ in factors)
+                    expected = any(g.deg() % 2 == 1 for g in factor_over_Q(sq))
                 assert got == expected, f"({a},{b},{c})"
                 if got:
                     assert witness is not None and witness * witness == elem
@@ -222,12 +219,16 @@ def test_criterion_8c_factorization_roundtrips():
         f = RationalPoly(coeffs)
         if f.deg() < 1:
             continue
-        content, factors = factor_over_Q(f)
-        rebuilt = RationalPoly([content])
-        for g, mult in factors:
+        done += 1
+        if euclid_gcd(f, f.derivative()).deg() > 0:  # a repeated factor
+            with pytest.raises(ValueError, match="repeated factor"):
+                factor_over_Q(f)
+            continue
+        factors = factor_over_Q(f)
+        rebuilt = RationalPoly([f.lc()])
+        for g in factors:
             assert g.is_monic()
-            for _ in range(mult):
-                rebuilt = rebuilt * g
+            rebuilt = rebuilt * g
         assert rebuilt == f
         # mod-p consistency: for a prime where f stays square-free, the
         # mod-p factor degrees of f refine those of its rational factors
@@ -240,15 +241,14 @@ def test_criterion_8c_factorization_roundtrips():
                 continue
             whole = sorted(g.deg() for g in factor_mod_p(fp))
             refined = []
-            for g, mult in factors:
+            for g in factors:
                 gp = PrimePoly(p, [c.numerator * pow(c.denominator, -1, p) % p
                                    for c in g.coeffs])
-                refined.extend(h.deg() for h in factor_mod_p(gp)
-                               for _ in range(mult))
+                refined.extend(h.deg() for h in factor_mod_p(gp))
             assert sorted(refined) == whole
             break
-        done += 1
-    report(8, "(c) 200 factorization round-trips with mod-p consistency")
+    report(8, "(c) 200 factorizations: round-trips with mod-p consistency, "
+              "repeated factors rejected")
 
 
 def test_criterion_8d_doubling_cycle_and_orbit_parity():

@@ -1,9 +1,10 @@
-"""Tests for exact factorization over Q.
+"""Tests for exact factorization over Q of squarefree polynomials.
 
 Oracle: sympy.factor_list, plus exact product round-trips computed with the
-package's own Fraction polynomial arithmetic. The Yun-always pipeline and the
-prime choice that factored every candidate fully are kept here as references
-for the shortcuts that replaced them.
+package's own Fraction polynomial arithmetic. factor_over_Q must reject an
+input exactly where sympy reports a repeated factor. The prime choice that
+factored every candidate fully is kept here as the reference for the count
+that replaced it.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from jacrank.polys import RationalPoly
 
 
 def roundtrip(f: RationalPoly) -> None:
-    content, factors = factor_over_Q(f)
-    prod = RationalPoly([content])
-    for g, mult in factors:
+    """The factors are monic, nonconstant and sorted by (degree,
+    coefficients), and their product times lc(f) is f."""
+    factors = factor_over_Q(f)
+    assert factors == sorted(factors, key=lambda g: (g.deg(), g.coeffs))
+    prod = RationalPoly([f.lc()])
+    for g in factors:
         assert g.is_monic()
         assert g.deg() >= 1
-        for _ in range(mult):
-            prod = prod.__mul__(g)
+        prod = prod * g
     assert prod.coeffs == f.coeffs
 
 
@@ -49,78 +52,65 @@ def sympy_factor_set(f: RationalPoly):
     return out
 
 
-def ours_factor_set(f: RationalPoly):
-    _, factors = factor_over_Q(f)
-    return {(g.coeffs, mult) for g, mult in factors}
+def check_against_sympy(f: RationalPoly) -> bool:
+    """factor_over_Q raises ValueError exactly where sympy reports a
+    multiplicity > 1; elsewhere it returns sympy's factor set, with product
+    times lc(f) equal to f. Returns whether f was squarefree."""
+    expected = sympy_factor_set(f)
+    if any(mult > 1 for _, mult in expected):
+        with pytest.raises(ValueError, match="repeated factor"):
+            factor_over_Q(f)
+        return False
+    roundtrip(f)
+    assert {(g.coeffs, 1) for g in factor_over_Q(f)} == expected, f
+    return True
 
 
 def test_curve_poly_minus_one_q11():
     # x^5+x^4-4x^3-3x^2+3x = x (x^2-3) (x^2+x-1)
     f = RationalPoly([0, 3, -3, -4, 1, 1])
-    content, factors = factor_over_Q(f)
-    assert content == 1
-    assert [(g.coeffs, m) for g, m in factors] == [
-        ((Fraction(0), Fraction(1)), 1),
-        ((Fraction(-3), Fraction(0), Fraction(1)), 1),
-        ((Fraction(-1), Fraction(1), Fraction(1)), 1),
-    ]
+    assert factor_over_Q(f) == [RationalPoly([0, 1]), RationalPoly([-3, 0, 1]),
+                                RationalPoly([-1, 1, 1])]
     roundtrip(f)
 
 
 def test_curve_poly_minus_one_q7():
     # x^3-x^2-2x = (x-2) x (x+1), ordered by degree then coefficients
     f = RationalPoly([0, -2, -1, 1])
-    content, factors = factor_over_Q(f)
-    assert content == 1
-    assert [(g.coeffs, m) for g, m in factors] == [
-        ((Fraction(-2), Fraction(1)), 1),
-        ((Fraction(0), Fraction(1)), 1),
-        ((Fraction(1), Fraction(1)), 1),
-    ]
+    assert factor_over_Q(f) == [RationalPoly([-2, 1]), RationalPoly([0, 1]),
+                                RationalPoly([1, 1])]
 
 
 def test_irreducible_quartic_that_splits_mod_every_prime():
     # minimal polynomial of sqrt(2)+sqrt(3): recombination must merge the
     # two modular quadratics into one rational factor
     f = RationalPoly([1, 0, -10, 0, 1])
-    content, factors = factor_over_Q(f)
-    assert content == 1
-    assert len(factors) == 1
-    assert factors[0][0].coeffs == f.coeffs
-    assert factors[0][1] == 1
+    assert factor_over_Q(f) == [f]
 
 
 def test_degree_eleven_minpoly_stays_irreducible():
     f = RationalPoly([1, -6, -15, 35, 35, -56, -28, 36, 9, -10, -1, 1])
-    _, factors = factor_over_Q(f)
-    assert len(factors) == 1 and factors[0][1] == 1
-    assert factors[0][0].coeffs == f.coeffs
+    assert factor_over_Q(f) == [f]
 
 
-def test_content_and_multiplicity():
-    # 6 (x-1)^2 (x+1) = 6x^3 - 6x^2 - 6x + 6
-    f = RationalPoly([6, -6, -6, 6])
-    content, factors = factor_over_Q(f)
-    assert content == 6
-    assert [(g.coeffs, m) for g, m in factors] == [
-        ((Fraction(-1), Fraction(1)), 2),
-        ((Fraction(1), Fraction(1)), 1),
-    ]
+def test_repeated_factor_rejected_and_lc_restores_the_product():
+    # 6 (x-1)^2 (x+1) has a repeated factor; 6 (x-1) (x+1) is 6 times the
+    # product of its monic factors
+    with pytest.raises(ValueError, match="repeated factor"):
+        factor_over_Q(RationalPoly([6, -6, -6, 6]))
+    f = RationalPoly([-6, 0, 6])
+    assert factor_over_Q(f) == [RationalPoly([-1, 1]), RationalPoly([1, 1])]
+    roundtrip(f)
 
 
 def test_rational_content():
     f = RationalPoly([Fraction(-3, 2), 0, Fraction(3, 2)])
-    content, factors = factor_over_Q(f)
-    assert content == Fraction(3, 2)
-    assert [(g.coeffs, m) for g, m in factors] == [
-        ((Fraction(-1), Fraction(1)), 1),
-        ((Fraction(1), Fraction(1)), 1),
-    ]
+    assert factor_over_Q(f) == [RationalPoly([-1, 1]), RationalPoly([1, 1])]
+    roundtrip(f)
 
 
 def test_constant_input():
-    content, factors = factor_over_Q(RationalPoly([Fraction(7, 3)]))
-    assert content == Fraction(7, 3) and factors == []
+    assert factor_over_Q(RationalPoly([Fraction(7, 3)])) == []
 
 
 def test_zero_rejected():
@@ -136,12 +126,12 @@ def test_random_roundtrip_and_sympy_agreement():
         f = RationalPoly(coeffs)
         if f.deg() < 1:
             continue
-        roundtrip(f)
-        assert ours_factor_set(f) == sympy_factor_set(f)
+        check_against_sympy(f)
 
 
 def test_random_products_recover_known_factors():
     rng = random.Random(60107)
+    squarefree = 0
     for _ in range(40):
         f = RationalPoly([1])
         for _ in range(rng.randrange(2, 4)):
@@ -150,39 +140,14 @@ def test_random_products_recover_known_factors():
             if g.deg() < 1:
                 continue
             for _ in range(rng.randrange(1, 3)):
-                f = f.__mul__(g)
+                f = f * g
         if f.deg() < 1:
             continue
-        roundtrip(f)
-        assert ours_factor_set(f) == sympy_factor_set(f)
+        squarefree += check_against_sympy(f)
+    assert 0 < squarefree < 40
 
 
-# -- fast paths against the full paths they replace ---------------------------
-
-
-def yun_factor_over_Q(f: RationalPoly):
-    """Reference: factor_over_Q with Yun's decomposition always run, as
-    before the squarefree-mod-p shortcut."""
-    content, prim = f.primitive()
-    lc = prim.lc()
-    content *= lc
-    out = []
-    for part, mult in factor._yun_squarefree(prim.monic()):
-        _, ipart = part.primitive()
-        plc = int(ipart.lc())
-        icoeffs = [int(c) for c in ipart.coeffs]
-        if plc == 1:
-            work, scale = icoeffs, 1
-        else:
-            n = len(icoeffs) - 1
-            work = [icoeffs[i] * plc ** (n - 1 - i) for i in range(n)] + [1]
-            scale = plc
-        for g in factor._factor_squarefree_monic_int(work):
-            d = len(g) - 1
-            out.append((RationalPoly([Fraction(g[i], scale ** (d - i))
-                                      for i in range(d + 1)]), mult))
-    out.sort(key=lambda gm: (gm[0].deg(), gm[0].coeffs))
-    return content, out
+# -- the contract on the inputs of the old shortcut, and the prime choice ----
 
 
 def ref_good_prime(coeffs):
@@ -209,6 +174,9 @@ def ref_good_prime(coeffs):
 
 
 def squarefree_shortcut_polys():
+    """The inputs the squarefree-mod-small-prime shortcut was checked on:
+    seeded random polynomials, products with repeated factors, the Table-4
+    f and f - 1, and squares that are squarefree mod 2."""
     rng = random.Random(60113)
     polys = []
     for _ in range(40):
@@ -235,24 +203,24 @@ def squarefree_shortcut_polys():
     return [f for f in polys if f.deg() >= 1]
 
 
-def test_factor_over_Q_matches_yun_path():
-    for f in squarefree_shortcut_polys():
-        assert factor_over_Q(f) == yun_factor_over_Q(f), f
+def test_factor_over_Q_matches_sympy_or_rejects():
+    polys = squarefree_shortcut_polys()
+    squarefree = sum(check_against_sympy(f) for f in polys)
+    assert 0 < squarefree < len(polys)
 
 
-def test_squarefree_but_not_mod_any_small_prime_falls_back_to_yun():
+def test_squarefree_but_not_mod_any_small_prime():
     # x^2 - 2*3*5*...*37 is squarefree over Q, and x^2 mod each of these
-    # primes is not
+    # primes is not: no test mod one of them could decide its squarefreeness
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     n = 1
-    for p in factor._SMALL_PRIMES:
+    for p in primes:
         n *= p
     f = RationalPoly([-n, 0, 1])
-    assert not any(is_squarefree_mod_p(f.int_coeffs(), p)
-                   for p in factor._SMALL_PRIMES)
-    assert factor_over_Q(f) == yun_factor_over_Q(f) == (1, [(f, 1)])
-    g = f * f * RationalPoly([-n, 1])
-    assert factor_over_Q(g) == yun_factor_over_Q(g) \
-        == (1, [(RationalPoly([-n, 1]), 1), (f, 2)])
+    assert not any(is_squarefree_mod_p(f.int_coeffs(), p) for p in primes)
+    assert check_against_sympy(f)
+    assert factor_over_Q(f) == [f]
+    assert not check_against_sympy(f * f * RationalPoly([-n, 1]))
 
 
 def test_good_prime_matches_full_factorization_reference():
@@ -266,7 +234,10 @@ def test_good_prime_matches_full_factorization_reference():
     rng = random.Random(60127)
     while len(polys) < 60:
         f = [rng.randrange(-20, 21) for _ in range(rng.randrange(2, 10))] + [1]
-        if all(m == 1 for _, m in factor_over_Q(RationalPoly(f))[1]):
-            polys.append(f)
+        try:
+            factor_over_Q(RationalPoly(f))
+        except ValueError:  # a repeated factor
+            continue
+        polys.append(f)
     for f in polys:
         assert factor._good_prime(f) == ref_good_prime(f), f

@@ -139,7 +139,8 @@ def test_value_types_are_not_tuples():
     (lambda: SophieGermainPair(4, 9), "p must be an odd prime"),
     (lambda: SophieGermainPair(5, 13), "q must equal 2p+1"),
     (lambda: SophieGermainPair(7, 15), "q must be prime"),
-    (lambda: SquareClassSet(_field(), (_field().zero(),)), "must be nonzero"),
+    (lambda: SquareClassSet(_field(), (_field().element([]),)),
+     "must be nonzero"),
     (lambda: SquareClassSet(
         _field(), (NumberField(RationalPoly([-2, 0, 0, 1])).one(),)),
      "different field"),
@@ -166,7 +167,7 @@ CHECKED = {
     "PrimePoly": (lambda: PrimePoly(5, (1, 7, 0)), "modulus", 4,
                   "modulus must be prime", 3),
     "SquareClassSet": (lambda: SquareClassSet(_field(), (_field().element([1, 2]),)),
-                       "representatives", (_field().zero(),), "must be nonzero",
+                       "representatives", (_field().element([]),), "must be nonzero",
                        (_field().element([3]),)),
 }
 

@@ -1,6 +1,6 @@
 """Module structure: no private helper shared between jacrank modules, no
-public name without a use in the package, no module reading the
-environment, no generated or Cython source, no module importing
+public name or public method without a use in the package, no module
+reading the environment, no generated or Cython source, no module importing
 `dataclasses`, a CLI import that pulls in no process-pool, pickling,
 class-generation or Fraction machinery, each subcommand running only the
 module bodies of its route, a lazy public API, and every layer the traced
@@ -78,12 +78,24 @@ def _module_all(path: Path) -> list:
     return []
 
 
+def _public_methods(path: Path) -> list:
+    """`Class.method` for each public method of the classes one module
+    defines at its top level."""
+    return [f"{node.name}.{item.name}"
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
 def test_every_public_name_is_used_in_the_package():
-    """Each name in `jacrank.__all__` and in every module's `__all__` is
-    referenced by some module of the package, as a name or an attribute,
-    or called by the benchmark as `jacrank.<module>.<name>` (its start-up
-    probe asks `f2.backend_name`); a listing in `__all__` or `_EXPORTS` is
-    a string and does not count."""
+    """Each name in `jacrank.__all__` and in every module's `__all__`, and
+    each public method of a class the package defines, is referenced by
+    some module of the package, as a name or an attribute, or called by
+    the benchmark: as `jacrank.<module>.<name>` (its start-up probe asks
+    `f2.backend_name`), or as a method its tracer wraps by name in
+    `LAYERS` (`NumberField.is_square`). A listing in `__all__` or
+    `_EXPORTS` is a string and does not count."""
     used = set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -94,10 +106,14 @@ def test_every_public_name_is_used_in_the_package():
     bench_calls = {f"{module}.{name}" for path in sorted(TRACER.parent.glob("*.py"))
                    for module, name in re.findall(r"\bjacrank\.(\w+)\.(\w+)\(",
                                                   path.read_text())}
+    bench_calls |= {f"{module}.{attr}" for module, attr in _traced_layers()}
     unused = sorted(set(jacrank.__all__) - used)
     for path in sorted(PACKAGE_DIR.glob("[!_]*.py")):  # __init__: the line above
         unused += [f"{path.stem}.{name}" for name in _module_all(path)
                    if name not in used and f"{path.stem}.{name}" not in bench_calls]
+        unused += [f"{path.stem}.{name}" for name in _public_methods(path)
+                   if name.rsplit(".", 1)[1] not in used
+                   and f"{path.stem}.{name}" not in bench_calls]
     assert unused == []
 
 
