@@ -1,8 +1,8 @@
 """Dense bit-packed linear algebra over F2.
 
-Rows, vectors and polynomials are Python ints: bit i is column i, or the
-coefficient of x^i. Matrices are immutable; elimination always works on
-copies, so values can be shared freely across threads. The polynomial gcd
+Rows, columns, vectors and polynomials are Python ints: bit i is entry i,
+or the coefficient of x^i. Matrices are immutable; elimination always works
+on copies, so values can be shared freely across threads. The polynomial gcd
 runs in the optional C extension `jacrank._f2core` when it is built, and in
 the pure-Python loop here otherwise; everything else is pure Python.
 """
@@ -90,17 +90,17 @@ def rank(m: MatF2) -> int:
     return echelon_rank(m.bits)
 
 
-def kernel_basis(m: MatF2) -> Tuple[VecF2, ...]:
-    """Basis of {x : every row r has parity(r & x) = 0}.
+def kernel_basis(columns: Sequence[int]) -> List[int]:
+    """Basis of the dependencies among packed columns: the masks x, bit j
+    selecting columns[j], whose selected columns XOR to 0.
 
     Columns are eliminated left to right; each dependent column emits the
     accumulated combination, so the order is deterministic."""
     pivots = {}
-    out: List[VecF2] = []
-    for j in range(m.cols):
-        cur = 0
-        for i, row in enumerate(m.bits):
-            cur |= ((row >> j) & 1) << i
+    out: List[int] = []
+    for j, cur in enumerate(columns):
+        if cur < 0:
+            raise ValueError("packed columns must be nonnegative")
         tracker = 1 << j
         while cur:
             top = cur.bit_length() - 1
@@ -112,8 +112,8 @@ def kernel_basis(m: MatF2) -> Tuple[VecF2, ...]:
                 pivots[top] = (cur, tracker)
                 break
         if cur == 0:
-            out.append(VecF2(m.cols, tracker))
-    return tuple(out)
+            out.append(tracker)
+    return out
 
 
 def span_dimension(vectors: Sequence[VecF2]) -> int:

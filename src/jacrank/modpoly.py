@@ -50,11 +50,6 @@ class PrimePoly(CheckedRecord, _PrimePoly):
     def deg(self) -> int:
         return len(self.coeffs) - 1
 
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
-
 
 def trim(a: List[int]) -> List[int]:
     """Drop trailing zero coefficients in place; the zero polynomial is []."""

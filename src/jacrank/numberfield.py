@@ -14,9 +14,10 @@ one-class case: a is a square exactly when no character is -1 on it, and
 then the kernel's witness is its square root.
 
 The witness is a square root constructed by Hensel lifting an exact square
-root in the residue field F_{ell^deg} of an inert prime ell, with rational
-reconstruction of the coordinates, and verified by exact squaring: one
-powering for the root, an extended gcd for 1/(2x) in the Newton step.
+root in the residue field F_{ell^deg} of any inert odd prime ell, with
+rational reconstruction of the coordinates, and verified by exact squaring:
+Tonelli-Shanks for the root (one powering when ell^deg = 3 mod 4), an
+extended gcd for 1/(2x) in the Newton step.
 A square always carries a verified witness, and a nonsquare a character
 that is -1 on it. If the precision cap is reached without a witness, the
 (never-yet-observed) outcome is a SquarenessUndetermined error, not a guess.
@@ -36,8 +37,7 @@ from functools import cached_property
 from math import gcd, isqrt, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cyclosig import SignatureVector
-from .f2 import MatF2, kernel_basis
+from .f2 import kernel_basis
 from .factor import factor_over_Q
 from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
                       is_squarefree_mod_p, mul, powmod, sub, xgcd)
@@ -53,9 +53,6 @@ __all__ = [
     "delta_class_of_factor",
     "independence_rank_mod_squares",
 ]
-
-Scalar = Union[int, Fraction]
-
 
 class SquarenessUndetermined(RuntimeError):
     """The squareness pipeline exhausted its precision ladder without an
@@ -99,7 +96,7 @@ class NumberField:
     def _int_coeffs(self) -> Tuple[int, ...]:
         return self.poly.int_coeffs()
 
-    def element(self, coords: Sequence[Scalar]) -> "FieldElement":
+    def element(self, coords: Sequence[Union[int, Fraction]]) -> "FieldElement":
         cs = [Fraction(c) for c in coords]
         if len(cs) > self.degree:
             raise ValueError("too many coordinates")
@@ -121,13 +118,13 @@ class NumberField:
             return Fraction(0)
         return resultant(self.poly, rep)
 
-    def signature(self, a: "FieldElement") -> SignatureVector:
+    def signature(self, a: "FieldElement") -> Tuple[int, ...]:
         if a.is_zero():
             raise ValueError("signature of zero is undefined")
         ivs = self.root_intervals
         if len(ivs) != self.degree:
             raise ValueError("field is not totally real")
-        return SignatureVector(sign_at(RationalPoly(a.coords), ivs))
+        return sign_at(RationalPoly(a.coords), ivs)
 
     # -- squareness ----------------------------------------------------------
 
@@ -150,46 +147,45 @@ class NumberField:
             self._ell_scanned = hi
         return self._split_primes[i]
 
-    def _degree_one_ideals(self, count: int,
-                           avoid: Sequence["FieldElement"]) -> List[Tuple[int, int]]:
-        """The first `count` (ell, root) pairs, by ell then root, at which
-        every element of `avoid` is a unit."""
-        dens = [c.denominator for a in avoid for c in a.coords]
-        reps = [RationalPoly(a.coords) for a in avoid]
-        out: List[Tuple[int, int]] = []
+    def _residue_columns(self, count: int, reps: Sequence["FieldElement"]
+                         ) -> Tuple[List[Tuple[int, int]], List[int]]:
+        """The first `count` degree-one ideals (ell, r), by ell then r, at
+        which every element of `reps` is a unit, and one packed column per
+        element: bit j is set when it is a nonresidue at ideal j. Each
+        element is evaluated once at each candidate ideal."""
+        dens = [c.denominator for a in reps for c in a.coords]
+        ideals: List[Tuple[int, int]] = []
+        columns = [0] * len(reps)
         i = 0
-        while len(out) < count:
+        while len(ideals) < count:
             ell, roots = self._split_prime(i)
             i += 1
             if any(d % ell == 0 for d in dens):
                 continue
             for r in roots:
-                if len(out) >= count:
+                if len(ideals) >= count:
                     break
-                if all(_eval_mod(rep, r, ell) != 0 for rep in reps):
-                    out.append((ell, r))
-        return out
-
-    def _residue_symbols(self, a: "FieldElement",
-                         ideals: Sequence[Tuple[int, int]]) -> List[int]:
-        rep = RationalPoly(a.coords)
-        return [jacobi(_eval_mod(rep, r, ell), ell) for ell, r in ideals]
+                values = [_eval_mod(a.coords, r, ell) for a in reps]
+                if 0 in values:
+                    continue
+                for c, v in enumerate(values):
+                    if jacobi(v, ell) < 0:
+                        columns[c] |= 1 << len(ideals)
+                ideals.append((ell, r))
+        return ideals, columns
 
     @cached_property
     def _witness_prime(self) -> int:
-        return self._next_witness_prime(-1)
+        return self._next_witness_prime(1)
 
     def _next_witness_prime(self, after: int) -> int:
-        """The least prime ell = 3 mod 4 above `after` (-1 starts at 3)
-        with f irreducible mod ell, so the residue field is F_{ell^deg} and,
-        at odd degree, square roots there are single powerings. Every ell
-        tried is 3 mod 4: the walk starts at 3 or at such a prime and steps
-        by 4."""
-        ell = after + 4
+        """The least odd prime ell above the odd `after` (1 starts at 3)
+        with f irreducible mod ell, so the residue field is F_{ell^deg}."""
+        ell = after + 2
         while ell < 100000:
             if is_prime(ell) and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
                 return ell
-            ell += 4
+            ell += 2
         raise SquarenessUndetermined("no inert witness prime found")
 
     def is_square(self, a: "FieldElement") -> Tuple[bool, Optional["FieldElement"]]:
@@ -207,24 +203,22 @@ class NumberField:
         """The witness step: w with w * w == a checked exactly, for an a
         whose norm is a rational square. Then d^(2p) N(a) is a square
         integer, so a is a square in F_{ell^p} at the inert prime ell, whose
-        norm to F_ell is the rational norm mod ell. x = a^((ell^p + 1) / 4)
-        is a square root mod ell (ell^p = 3 mod 4 at odd p), Newton's
-        iteration lifts it with z = 1 / (2x) mod ell^k, and the coordinates
-        are read back by rational reconstruction. Raises
+        norm to F_ell is the rational norm mod ell, nonzero unless ell
+        divides every coordinate of d^2 a (Z[theta]/ell is a field).
+        Tonelli-Shanks gives a square root x mod ell, Newton's iteration
+        lifts it with z = 1 / (2x) mod ell^k, and the coordinates are read
+        back by rational reconstruction. Raises
         SquarenessUndetermined if none squares to a by the precision cap."""
         p = self.degree
         f = list(self._int_coeffs)
         d = 1
         for c in a.coords:
             d = d * c.denominator // gcd(d, c.denominator)
-        scaled = [c * d * d for c in a.coords]
-        acoeffs = [int(c) for c in scaled]
-        nrm = self.norm(self.element(scaled)).numerator
+        acoeffs = [int(c * d * d) for c in a.coords]
         ell = self._witness_prime
-        while nrm % ell == 0:
+        while all(c % ell == 0 for c in acoeffs):
             ell = self._next_witness_prime(ell)
-        am = [c % ell for c in acoeffs]
-        x = powmod(am, (ell ** p + 1) // 4, f, ell)
+        x = _tonelli_shanks([c % ell for c in acoeffs], f, ell)
         z = xgcd(mul([2], x, ell), f, ell)[0]  # 1 / (2x) in F_{ell^p}
         m = ell
         cap = 1 << 14
@@ -289,13 +283,42 @@ def _sieve_split_primes(coeffs: Sequence[int], lo: int,
             if rs and is_squarefree_mod_p(coeffs, ell)]  # else ell | disc(f)
 
 
-def _eval_mod(rep: RationalPoly, r: int, ell: int) -> int:
+def _eval_mod(coords: Sequence[Fraction], r: int, ell: int) -> int:
     acc = 0
-    for c in reversed(rep.coeffs):
+    for c in reversed(coords):
         num = c.numerator % ell
         den = pow(c.denominator % ell, ell - 2, ell)
         acc = (acc * r + num * den) % ell
     return acc
+
+
+def _tonelli_shanks(a: List[int], f: List[int], ell: int) -> List[int]:
+    """A square root of the square a in F_q = F_ell[x]/(f), f irreducible
+    of odd degree. With q - 1 = 2^s Q, Q odd, r = a^((Q + 1) / 2) has
+    r^2 = a t for t = a^Q, whose order is a power of 2. Each pass lowers
+    that order, scaling r by b and t by b^2 for b a power of c = n^Q, n a
+    nonresidue of F_ell, which stays one in F_q at odd degree. At
+    q = 3 mod 4, s = 1 and t = 1: r = a^((q + 1) / 4) and no pass runs."""
+    def mulmod(u: List[int], v: List[int]) -> List[int]:
+        return divmod_monic(mul(u, v, ell), f, ell)[1]
+
+    q = ell ** (len(f) - 1)
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    b = powmod(a, ((q - 1) >> s) // 2, f, ell)  # a^((Q - 1) / 2)
+    r = mulmod(a, b)
+    t = mulmod(r, b)
+    if t != [1]:
+        n = next(n for n in range(2, ell) if jacobi(n, ell) < 0)
+        c, m = pow(n, (q - 1) >> s, ell), s
+        while t != [1]:
+            i, u = 0, t
+            while u != [1]:
+                u, i = mulmod(u, u), i + 1
+            b = pow(c, 1 << (m - i - 1), ell)
+            c, m = b * b % ell, i
+            t = [v * c % ell for v in t]
+            r = [v * b % ell for v in r]
+    return r
 
 
 def _rat_recon(c: int, m: int) -> Optional[Tuple[int, int]]:
@@ -352,42 +375,16 @@ class FieldElement(Frozen):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def _coerce(self, other: Union["FieldElement", Scalar]) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return self.field.element([Fraction(other)])
-
-    def __add__(self, other: Union["FieldElement", Scalar]) -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    def __radd__(self, other: Scalar) -> "FieldElement":
-        return self.__add__(other)
-
-    def __sub__(self, other: Union["FieldElement", Scalar]) -> "FieldElement":
-        o = self._coerce(other)
-        return FieldElement(self.field,
-                            tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other: Scalar) -> "FieldElement":
-        return (-self).__add__(other)
-
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.field, tuple(-c for c in self.coords))
 
-    def __mul__(self, other: Union["FieldElement", Scalar]) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            c = Fraction(other)
-            return FieldElement(self.field, tuple(a * c for a in self.coords))
-        o = self._coerce(other)
-        prod = RationalPoly(self.coords) * RationalPoly(o.coords)
-        return self.field.from_poly(prod)
-
-    def __rmul__(self, other: Scalar) -> "FieldElement":
-        return self.__mul__(other)
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        if other.field != self.field:
+            raise ValueError("elements of different fields")
+        return self.field.from_poly(RationalPoly(self.coords)
+                                    * RationalPoly(other.coords))
 
 
 class _SquareClassSet(NamedTuple):
@@ -434,21 +431,23 @@ def _square_kernel(field: NumberField, reps: Sequence[FieldElement]
     if k == 0:
         return []
     if field.degree % 2 == 0:
-        # the witness square root x = a^((ell^deg + 1) / 4) needs
-        # ell^deg = 3 mod 4, which fails for every ell at even degree
+        # the witness takes a nonresidue of F_ell for one of F_{ell^deg},
+        # which it is only at odd degree
         raise ValueError(f"squareness needs an odd-degree field, got "
                          f"degree {field.degree}")
-    ideals = field._degree_one_ideals(20, reps)
-    columns = [field._residue_symbols(a, ideals) for a in reps]
+    # bit j of columns[i] is character j at reps[i]: the residue symbols,
+    # the real signs, then the norm rows as they are found
+    ideals, columns = field._residue_columns(20, reps)
+    height = len(ideals)
     if len(field.root_intervals) == field.degree:
-        columns = [sym + list(field.signature(a).signs)
-                   for sym, a in zip(columns, reps)]
-    rows = [sum(1 << i for i, col in enumerate(columns) if col[r] < 0)
-            for r in range(len(columns[0]))]
+        for i, a in enumerate(reps):
+            signs = enumerate(field.signature(a), height)
+            columns[i] |= sum(1 << j for j, s in signs if s < 0)
+        height += field.degree
     # n/d and n*d have the same Legendre symbols, and n*d is an integer
     norms = [n.numerator * n.denominator for n in map(field.norm, reps)]
     while True:
-        kernel = [v.bits for v in kernel_basis(MatF2(len(rows), k, tuple(rows)))]
+        kernel = kernel_basis(columns)
         kernel_norms = (prod(norms[i] for i in range(k) if m >> i & 1)
                         for m in kernel)
         nonsquare = next((n for n in kernel_norms
@@ -456,8 +455,10 @@ def _square_kernel(field: NumberField, reps: Sequence[FieldElement]
         if nonsquare is None:
             break
         ell = _nonresidue_prime(nonsquare, norms)
-        rows.append(sum(1 << i for i, n in enumerate(norms)
-                        if jacobi(n, ell) < 0))
+        for i, n in enumerate(norms):
+            if jacobi(n, ell) < 0:
+                columns[i] |= 1 << height
+        height += 1
     out = []
     for mask in kernel:
         w = prod((reps[i] for i in range(k) if mask >> i & 1), start=field.one())

@@ -68,11 +68,6 @@ class RationalPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -249,7 +244,7 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     return RationalPoly(total)
 
 
-def format_poly(f: RationalPoly, var: str = "x") -> str:
+def format_poly(f: RationalPoly) -> str:
     """Canonical plain-text rendering, descending powers: x^3 - x^2 - 2x + 1."""
     if f.is_zero():
         return "0"
@@ -263,7 +258,7 @@ def format_poly(f: RationalPoly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 else f"{mag}{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

@@ -140,9 +140,6 @@ class RootIntervals(Frozen):
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def __getitem__(self, i: int) -> RootInterval:
-        return self.intervals[i]
-
     def __iter__(self) -> Iterator[RootInterval]:
         return iter(self.intervals)
 

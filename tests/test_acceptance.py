@@ -225,7 +225,7 @@ def test_criterion_8c_factorization_roundtrips():
                 factor_over_Q(f)
             continue
         factors = factor_over_Q(f)
-        rebuilt = RationalPoly([f.lc()])
+        rebuilt = RationalPoly([f.coeffs[-1]])
         for g in factors:
             assert g.is_monic()
             rebuilt = rebuilt * g

@@ -127,8 +127,8 @@ def washington_units(m: int, field: NumberField) -> tuple:
     inv_th = field.element([m + 3, -m, -1])
     inv_one_minus_th = field.element([2, -(m + 1), -1])
     assert th * inv_th == one
-    assert (one - th) * inv_one_minus_th == one
-    return th, inv_one_minus_th, one - inv_th
+    assert field.element([1, -1]) * inv_one_minus_th == one
+    return th, inv_one_minus_th, field.element([-m - 2, m, 1])
 
 
 def test_rho_certificate_frozen_signatures():
@@ -136,12 +136,13 @@ def test_rho_certificate_frozen_signatures():
     # the ascending roots span all of F_2^3
     field = NumberField(washington_curve_poly(1))
     conj = washington_units(1, field)
-    signs = [field.signature(a).signs for a in conj]
+    signs = [field.signature(a) for a in conj]
     assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)]
+    f = washington_curve_poly(1)
     for a in conj:  # each is a genuine root of the defining polynomial
-        acc = field.element([])
-        for c in reversed(washington_curve_poly(1).coeffs):
-            acc = acc * a + c
+        acc = RationalPoly([])
+        for c in reversed(f.coeffs):
+            acc = (acc * RationalPoly(a.coords) + RationalPoly([c])) % f
         assert acc.is_zero()
 
 
@@ -154,7 +155,7 @@ def test_rho_certificate_closed_form_matches_sturm_signatures():
     for m in ms:
         assert is_squarefree_integer(m * m + 3 * m + 9)
         field = NumberField(washington_curve_poly(m))
-        signs = [field.signature(a).signs for a in washington_units(m, field)]
+        signs = [field.signature(a) for a in washington_units(m, field)]
         assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)], m
         assert washington_rho_certificate(m) == 0
 

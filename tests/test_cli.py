@@ -192,6 +192,19 @@ def test_lower_bound_failed_witness_is_a_certification_failure(capsys,
     assert len(lines) == 1 and lines[0].startswith("certification failure:")
 
 
+@pytest.mark.parametrize("y0,line", [
+    ("1", "poly=4,-3,0,1 y0=1 factors=1 lower=0"),
+    ("2", "poly=4,-3,0,1 y0=2 factors=2 lower=1"),
+    ("3", "poly=4,-3,0,1 y0=3 factors=1 lower=0"),
+])
+def test_lower_bound_with_every_inert_prime_1_mod_4(capsys, y0, line):
+    # x^3 - 3x + 4 has disc -18^2, so every inert prime splits in Q(i) and
+    # is 1 mod 4: the witness roots by Tonelli-Shanks at ell = 5
+    code, out, err = run(capsys, "lower-bound", "--poly", "4,-3,0,1",
+                         "--y0", y0)
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_lower_bound_invalid_inputs(capsys):
     code, _, err = run(capsys, "lower-bound", "--poly", "1,-2,-1,1",
                        "--y0", "0")

@@ -99,20 +99,59 @@ def test_rank_transpose_property():
         assert rank(MatF2(r, c, tuple(rows))) == rank(MatF2(c, r, tuple(t)))
 
 
+def row_kernel_basis(m):
+    """Reference: the kernel from a row-packed MatF2, each column gathered
+    from the rows, then the same left-to-right elimination."""
+    pivots = {}
+    out = []
+    for j in range(m.cols):
+        cur = 0
+        for i, row in enumerate(m.bits):
+            cur |= ((row >> j) & 1) << i
+        tracker = 1 << j
+        while cur:
+            top = cur.bit_length() - 1
+            if top in pivots:
+                pc, pt = pivots[top]
+                cur ^= pc
+                tracker ^= pt
+            else:
+                pivots[top] = (cur, tracker)
+                break
+        if cur == 0:
+            out.append(tracker)
+    return out
+
+
 def test_kernel_basis_against_rank():
+    """On random packed columns: every mask XORs its columns to 0, the masks
+    are independent, and there are as many as columns minus rank."""
     rng = random.Random(21727)
     for _ in range(800):
         r = rng.randrange(1, 10)
         c = rng.randrange(1, 10)
-        rows = [rng.randrange(1 << c) for _ in range(r)]
-        m = MatF2(r, c, tuple(rows))
-        ker = [v.bits for v in kernel_basis(m)]
-        assert len(ker) == c - rank(m)
+        columns = [rng.randrange(1 << r) for _ in range(c)]
+        ker = kernel_basis(columns)
+        assert len(ker) == c - echelon_rank(columns)
         for v in ker:
             assert 0 < v < (1 << c)
-            for row in rows:
-                assert bin(row & v).count("1") % 2 == 0
-        assert rank(MatF2(len(ker), c, tuple(ker))) == len(ker)
+            acc = 0
+            for j, col in enumerate(columns):
+                if v >> j & 1:
+                    acc ^= col
+            assert acc == 0
+        assert echelon_rank(ker) == len(ker)
+
+
+def test_kernel_basis_matches_row_built_reference():
+    rng = random.Random(21728)
+    for _ in range(800):
+        r = rng.randrange(1, 30)
+        c = rng.randrange(1, 14)
+        columns = [rng.randrange(1 << r) for _ in range(c)]
+        rows = tuple(sum((col >> i & 1) << j for j, col in enumerate(columns))
+                     for i in range(r))
+        assert kernel_basis(columns) == row_kernel_basis(MatF2(r, c, rows))
 
 
 def test_poly_gcd_against_schoolbook(gcd):
@@ -182,12 +221,13 @@ def test_matf2_construction_and_rank_examples():
 
 
 def test_kernel_basis_examples():
-    assert kernel_basis(MatF2(3, 3, (1, 2, 4))) == ()
-    (v,) = kernel_basis(MatF2(1, 2, (0b11,)))
-    assert isinstance(v, VecF2)
-    assert v.length == 2 and v.bits == 0b11
-    m = MatF2(5, 2, (0b01, 0b11, 0b10, 0b11, 0b10))
-    assert kernel_basis(m) == ()
+    assert kernel_basis([1, 2, 4]) == []
+    assert kernel_basis([1, 1]) == [0b11]
+    assert kernel_basis([]) == []
+    assert kernel_basis([0b1, 0, 0b1]) == [0b10, 0b101]
+    assert kernel_basis([0b00011, 0b11110]) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernel_basis([1, -1])
 
 
 def test_span_dimension_examples():

@@ -28,7 +28,7 @@ def roundtrip(f: RationalPoly) -> None:
     coefficients), and their product times lc(f) is f."""
     factors = factor_over_Q(f)
     assert factors == sorted(factors, key=lambda g: (g.deg(), g.coeffs))
-    prod = RationalPoly([f.lc()])
+    prod = RationalPoly([f.coeffs[-1]])
     for g in factors:
         assert g.is_monic()
         assert g.deg() >= 1

@@ -106,9 +106,9 @@ def test_factor_roundtrip_random():
                 factor_mod_p(f)
             continue
         factors = factor_mod_p(f)
-        prod = (f.lc(),)
+        prod = (f.coeffs[-1],)
         for g in factors:
-            assert g.lc() == 1
+            assert g.coeffs[-1] == 1
             assert is_irreducible_mod_p(g)
             prod = mul_mod(prod, g.coeffs, p)
         assert prod == f.coeffs

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from jacrank import numberfield
-from jacrank.arith import jacobi, primes_upto
+from jacrank.arith import is_prime, jacobi, primes_upto
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.cyclosig import SophieGermainPair, canonical_signature
-from jacrank.f2 import MatF2, kernel_basis, rank
+from jacrank.f2 import MatF2, rank
 from jacrank.factor import factor_over_Q
-from jacrank.modpoly import is_squarefree_mod_p, powmod, xgcd
+from jacrank.modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
+                             is_squarefree_mod_p, mul, powmod, sub, xgcd)
 from jacrank.numberfield import (
     NumberField,
     SquareClassSet,
@@ -27,6 +29,7 @@ from jacrank.numberfield import (
     independence_rank_mod_squares,
 )
 from jacrank.polys import RationalPoly, min_poly_2cos
+from test_f2 import row_kernel_basis
 from test_modpoly import root_test_polys, roots_mod_p
 
 Q7 = NumberField(min_poly_2cos(7, True))            # x^3 - x^2 - 2x + 1
@@ -60,7 +63,7 @@ def test_power_basis_reduction():
 
 def test_example_product_identity():
     th = Q11.element([0, 1])
-    prod = (th * th - 3) * (th * th + th - 1) * th
+    prod = Q11.element([-3, 0, 1]) * Q11.element([-1, 1, 1]) * th
     assert prod == -Q11.one()
 
 
@@ -83,12 +86,12 @@ def test_norm_multiplicative():
 
 
 def test_signature_values():
-    assert Q7.signature(Q7.one()).signs == (1, 1, 1)
-    assert F143.signature(F143.element([0, 1])).signs == (-1, 1, 1)
+    assert Q7.signature(Q7.one()) == (1, 1, 1)
+    assert F143.signature(F143.element([0, 1])) == (-1, 1, 1)
     # theta here generates the q=11 field built from +(zeta+zeta^-1); its
     # sorted conjugates are (-1.92, -1.31, -0.28, 0.83, 1.68)
-    assert Q11.signature(Q11.element([0, 1])).signs == (-1, -1, -1, 1, 1)
-    assert Q11.signature(-Q11.element([0, 1])).signs == (1, 1, 1, -1, -1)
+    assert Q11.signature(Q11.element([0, 1])) == (-1, -1, -1, 1, 1)
+    assert Q11.signature(-Q11.element([0, 1])) == (1, 1, 1, -1, -1)
     with pytest.raises(ValueError):
         Q7.signature(Q7.element([]))
 
@@ -100,9 +103,9 @@ def test_signature_multiplicative():
             a, b = rand_elem(field, rng), rand_elem(field, rng)
             if a.is_zero() or b.is_zero():
                 continue
-            sa = field.signature(a).signs
-            sb = field.signature(b).signs
-            sab = field.signature(a * b).signs
+            sa = field.signature(a)
+            sb = field.signature(b)
+            sab = field.signature(a * b)
             assert sab == tuple(x * y for x, y in zip(sa, sb))
 
 
@@ -110,16 +113,18 @@ def test_signature_lifts_canonical_unit():
     for p, q in [(3, 7), (5, 11), (11, 23)]:
         pair = SophieGermainPair(p, q)
         field = NumberField(min_poly_2cos(q, p % 4 == 1))
-        assert field.signature(field.element([0, 1])) == canonical_signature(pair)
+        assert field.signature(field.element([0, 1])) \
+            == canonical_signature(pair).signs
 
 
 def test_is_square_basic():
     th = Q11.element([0, 1])
     ok, w = Q11.is_square(th * th)
     assert ok and w is not None and w * w == th * th
-    ok, w = Q11.is_square(-th * (th * th - 3))
+    g2, g3 = Q11.element([-3, 0, 1]), Q11.element([-1, 1, 1])
+    ok, w = Q11.is_square(-th * g2)
     assert not ok and w is None
-    ok, w = Q11.is_square((th * th - 3) * (th * th + th - 1) * th * -Q11.one())
+    ok, w = Q11.is_square(g2 * g3 * th * -Q11.one())
     assert ok and w * w == Q11.one()
     ok, w = Q7.is_square(Q7.element([4]))
     assert ok and w * w == Q7.element([4])
@@ -156,7 +161,7 @@ def test_screens_never_reject_squares():
         n = Q11.norm(a)
         assert (n.numerator >= 0 and
                 Q11._is_rational_square(n))
-        assert all(s > 0 for s in Q11.signature(a).signs)
+        assert all(s > 0 for s in Q11.signature(a))
 
 
 def test_is_square_rejects_even_degree_field():
@@ -167,7 +172,8 @@ def test_is_square_rejects_even_degree_field():
 
 def test_independence_rank_example():
     th = Q11.element([0, 1])
-    classes = SquareClassSet(Q11, (-th, th * th - 3, th * th + th - 1))
+    classes = SquareClassSet(Q11, (-th, Q11.element([-3, 0, 1]),
+                                   Q11.element([-1, 1, 1])))
     assert independence_rank_mod_squares(classes) == 2
 
 
@@ -193,8 +199,8 @@ def test_delta_classes_example():
     g2 = RationalPoly([-3, 0, 1])
     g3 = RationalPoly([-1, 1, 1])
     assert delta_class_of_factor(g1, Fraction(1), Q11) == -th
-    assert delta_class_of_factor(g2, Fraction(1), Q11) == th * th - 3
-    assert delta_class_of_factor(g3, Fraction(1), Q11) == th * th + th - 1
+    assert delta_class_of_factor(g2, Fraction(1), Q11) == Q11.from_poly(g2)
+    assert delta_class_of_factor(g3, Fraction(1), Q11) == Q11.from_poly(g3)
     with pytest.raises(ValueError):
         delta_class_of_factor(Q11.poly, Fraction(1), Q11)  # g = f shares roots
     with pytest.raises(ValueError):
@@ -317,6 +323,32 @@ def test_sieve_window_edges():
 # -- the character-matrix rank and the witness against the full paths --------
 
 
+def two_pass_ideals(field, count, avoid):
+    """Reference: the first `count` (ell, root) pairs, by ell then root, at
+    which every element of `avoid` is a unit, each element evaluated at
+    each candidate before any symbol is taken."""
+    dens = [c.denominator for a in avoid for c in a.coords]
+    out = []
+    i = 0
+    while len(out) < count:
+        ell, roots = field._split_prime(i)
+        i += 1
+        if any(d % ell == 0 for d in dens):
+            continue
+        for r in roots:
+            if len(out) >= count:
+                break
+            if all(numberfield._eval_mod(a.coords, r, ell) != 0 for a in avoid):
+                out.append((ell, r))
+    return out
+
+
+def two_pass_symbols(field, a, ideals):
+    """Reference: the residue symbols of a at the ideals, a second pass."""
+    return [jacobi(numberfield._eval_mod(a.coords, r, ell), ell)
+            for ell, r in ideals]
+
+
 def sweep_rank(classes):
     """Reference: the rank from testing all 2^k - 1 nonempty products for
     squareness, with the norm, residue and signature screens shared."""
@@ -326,13 +358,14 @@ def sweep_rank(classes):
     if k == 0:
         return 0
     norms = [field.norm(a) for a in reps]
-    ideals = field._degree_one_ideals(20, reps)
+    ideals = two_pass_ideals(field, 20, reps)
     symbol_bits = []
     for a in reps:
-        sym = field._residue_symbols(a, ideals)
+        sym = two_pass_symbols(field, a, ideals)
         symbol_bits.append(sum(1 << i for i, s in enumerate(sym) if s < 0))
     totally_real = len(field.root_intervals) == field.degree
-    sig_bits = [field.signature(a).psi_bits() for a in reps] if totally_real else [0] * k
+    sig_bits = [sum(1 << i for i, s in enumerate(field.signature(a)) if s < 0)
+                for a in reps] if totally_real else [0] * k
     kernel_masks = []
     for mask in range(1, 1 << k):
         norm_prod = Fraction(1)
@@ -361,22 +394,21 @@ def residue_and_sign_rank(classes):
     alone, before any norm row: a lower bound on the rank."""
     field = classes.field
     reps = classes.representatives
-    ideals = field._degree_one_ideals(20, reps)
-    columns = [field._residue_symbols(a, ideals) for a in reps]
+    ideals = two_pass_ideals(field, 20, reps)
+    columns = [two_pass_symbols(field, a, ideals) for a in reps]
     if len(field.root_intervals) == field.degree:
-        columns = [c + list(field.signature(a).signs)
-                   for c, a in zip(columns, reps)]
+        columns = [c + list(field.signature(a)) for c, a in zip(columns, reps)]
     rows = tuple(sum(1 << i for i, c in enumerate(columns) if c[r] < 0)
                  for r in range(len(columns[0])))
-    return len(reps) - len(kernel_basis(MatF2(len(rows), len(reps), rows)))
+    return len(reps) - len(row_kernel_basis(MatF2(len(rows), len(reps), rows)))
 
 
-def random_class_sets(seed, count):
+def random_class_sets(seed, count, degrees=(3, 5), draws=90):
     """Seeded class sets of k <= 10 in odd-degree fields with dependencies
     built in: each class is a product of a few base elements times a square."""
     rng = random.Random(seed)
-    fields = [NumberField(f) for f in random_irreducible_polys(seed, 90)
-              if f.deg() in (3, 5)][:count]
+    fields = [NumberField(f) for f in random_irreducible_polys(seed, draws)
+              if f.deg() in degrees][:count]
     out = []
     for field in fields:
         bases = []
@@ -439,3 +471,193 @@ def test_witness_norm_residuosity_and_xgcd_inverse_match_powering():
             assert powmod(am, order // 2, f, ell) == want
             assert xgcd(am, f, ell)[0] == powmod(am, order - 1, f, ell)
         assert xgcd([2], f, ell)[0] == [(ell + 1) // 2]
+
+
+# -- the one-pass kernel against the parent's two-pass, row-built path -------
+
+
+def inert_primes(field, step, upto=2000):
+    """The primes ell < upto from 3 in steps of `step` with f irreducible
+    mod ell, lazily: step 2 walks every odd prime, step 4 those = 3 mod 4."""
+    coeffs = field.poly.int_coeffs()
+    return (ell for ell in range(3, upto, step)
+            if is_prime(ell) and is_irreducible_mod_p(PrimePoly(ell, coeffs)))
+
+
+def scaled_coords(a):
+    """d^2 a as integers, d the least common denominator of a."""
+    d = 1
+    for c in a.coords:
+        d = d * c.denominator // gcd(d, c.denominator)
+    return d, [int(c * d * d) for c in a.coords]
+
+
+def norm_witness_prime(field, a, step):
+    """Reference: the first inert prime of the walk not dividing N(d^2 a)."""
+    nrm = field.norm(field.element(scaled_coords(a)[1])).numerator
+    return next(ell for ell in inert_primes(field, step) if nrm % ell)
+
+
+def reference_root(field, a):
+    """Reference: the witness at the least inert ell = 3 mod 4 not dividing
+    the norm of d^2 a, rooted by the single powering a^((ell^p + 1) / 4),
+    then lifted and reconstructed as in `_reconstruct_root`."""
+    p, f = field.degree, list(field.poly.int_coeffs())
+    d, acoeffs = scaled_coords(a)
+    ell = norm_witness_prime(field, a, 4)
+    x = powmod([c % ell for c in acoeffs], (ell ** p + 1) // 4, f, ell)
+    z = xgcd(mul([2], x, ell), f, ell)[0]
+    m = ell
+    while m.bit_length() < 1 << 14:
+        mm = m * m
+        e = sub(divmod_monic(mul(x, x, mm), f, mm)[1],
+                [c % mm for c in acoeffs], mm)
+        x = sub(x, divmod_monic(mul(e, z, mm), f, mm)[1], mm)
+        tz = divmod_monic(mul(mul([2], x, mm), z, mm), f, mm)[1]
+        z = divmod_monic(mul(z, sub([2], tz, mm), mm), f, mm)[1]
+        m = mm
+        if m.bit_length() < 192:
+            continue
+        cand = numberfield._rational_coords(x, m, p)
+        if cand is not None:
+            w = field.element([c / d for c in cand])
+            if w * w == a:
+                return w
+    raise SquarenessUndetermined("reference witness failed")
+
+
+def product(field, reps, mask):
+    return prod((reps[i] for i in range(len(reps)) if mask >> i & 1),
+                start=field.one())
+
+
+def reference_square_kernel(field, reps):
+    """Reference: the kernel as the parent built it. The symbols are taken
+    in a second pass over the chosen ideals, the characters are stacked as
+    rows, and each row-built kernel is transposed back by
+    `row_kernel_basis`. Returns the masks and their witnesses."""
+    k = len(reps)
+    ideals = two_pass_ideals(field, 20, reps)
+    columns = [two_pass_symbols(field, a, ideals) for a in reps]
+    if len(field.root_intervals) == field.degree:
+        columns = [c + list(field.signature(a)) for c, a in zip(columns, reps)]
+    rows = [sum(1 << i for i, c in enumerate(columns) if c[r] < 0)
+            for r in range(len(columns[0]))]
+    norms = [n.numerator * n.denominator for n in map(field.norm, reps)]
+    while True:
+        kernel = row_kernel_basis(MatF2(len(rows), k, tuple(rows)))
+        kernel_norms = (prod(norms[i] for i in range(k) if m >> i & 1)
+                        for m in kernel)
+        nonsquare = next((n for n in kernel_norms
+                          if not NumberField._is_rational_square(n)), None)
+        if nonsquare is None:
+            break
+        ell = numberfield._nonresidue_prime(nonsquare, norms)
+        rows.append(sum(1 << i for i, n in enumerate(norms)
+                        if jacobi(n, ell) < 0))
+    return [(mask, reference_root(field, product(field, reps, mask)))
+            for mask in kernel]
+
+
+def named_class_sets():
+    """The Table-4 classes, the README cubic at y0 = 1 and 1/3, F143 and Q7."""
+    sets = [lower_bound_from_points(curve_min_poly(q))[1]
+            for q in (11, 23, 47, 59)]
+    readme = RationalPoly([1, -4, 1, 1])
+    sets += [lower_bound_from_points(readme, y0)[1]
+             for y0 in (Fraction(1), Fraction(1, 3))]
+    sets.append(lower_bound_from_points(F143.poly)[1])
+    sets.append(SquareClassSet(Q7, tuple(
+        Q7.element([k]) for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 30))))
+    return sets
+
+
+def assert_kernel_matches_reference(classes):
+    field, reps = classes.field, classes.representatives
+    ideals, columns = field._residue_columns(20, reps)
+    want_ideals = two_pass_ideals(field, 20, reps)
+    assert ideals == want_ideals
+    assert columns == [sum(1 << j for j, s in enumerate(two_pass_symbols(
+        field, a, want_ideals)) if s < 0) for a in reps]
+    got = numberfield._square_kernel(field, reps)
+    want = reference_square_kernel(field, reps)
+    assert [mask for mask, _ in got] == [mask for mask, _ in want]
+    for (mask, w), (_, w_ref) in zip(got, want):
+        a = product(field, reps, mask)
+        assert w * w == a
+        # both walks reach the same inert prime: the same root, exactly
+        if norm_witness_prime(field, a, 2) == norm_witness_prime(field, a, 4):
+            assert w == w_ref
+        else:
+            assert w in (w_ref, -w_ref)
+
+
+def test_one_pass_kernel_matches_reference_on_named_fields():
+    sets = named_class_sets()
+    for classes in sets:
+        # 3 is inert in each, so both walks take it
+        assert classes.field._witness_prime == 3
+        assert_kernel_matches_reference(classes)
+
+
+def test_one_pass_kernel_matches_reference_on_random_fields():
+    sets = random_class_sets(83, 30, degrees=(3, 5, 7), draws=150)
+    assert len(sets) == 30
+    for classes in sets:
+        assert_kernel_matches_reference(classes)
+
+
+def test_inert_prime_divides_the_norm_exactly_when_it_divides_every_coordinate():
+    """Z[theta]/ell is a field at an inert ell, so the coordinate test of
+    `_reconstruct_root` picks the same ell as a test of the norm."""
+    rng = random.Random(40193)
+    for field in (Q7, Q11, F143, NumberField(RationalPoly([4, -3, 0, 1]))):
+        for ell in inert_primes(field, 2, 40):
+            for _ in range(20):
+                a = [ell * rng.randrange(-3, 4) + rng.choice((0, 0, 1, -2))
+                     for _ in range(field.degree)]
+                if not any(a):
+                    continue
+                nrm = field.norm(field.element(a)).numerator
+                assert (nrm % ell == 0) == all(c % ell == 0 for c in a)
+
+
+# -- a witness at any inert odd prime: Tonelli-Shanks ------------------------
+
+# x^3 - 3x + 4, disc = -18^2: every inert prime is 1 mod 4
+C4 = NumberField(RationalPoly([4, -3, 0, 1]))
+
+
+def test_inert_primes_of_a_field_with_no_inert_prime_3_mod_4():
+    assert list(inert_primes(C4, 2, 30)) == [5, 13, 17, 29]
+    assert list(inert_primes(C4, 4)) == []
+    assert C4._witness_prime == 5
+
+
+def test_tonelli_shanks_roots_squares_in_every_residue_field():
+    """At inert primes with ell^3 - 1 divisible by 4, 16 and 2^s for larger
+    s, the root squares back to a; at ell^p = 3 mod 4 it is the single
+    powering a^((ell^p + 1) / 4)."""
+    rng = random.Random(40199)
+    for field, ell in ((C4, 5), (C4, 13), (C4, 17), (C4, 29), (Q7, 3), (Q11, 3)):
+        f, p = list(field.poly.int_coeffs()), field.degree
+        for _ in range(10):
+            b = [rng.randrange(ell) for _ in range(p)]
+            if not any(b):
+                continue
+            a = divmod_monic(mul(b, b, ell), f, ell)[1]
+            r = numberfield._tonelli_shanks(a, f, ell)
+            assert divmod_monic(mul(r, r, ell), f, ell)[1] == a
+            if ell ** p % 4 == 3:
+                assert r == powmod(a, (ell ** p + 1) // 4, f, ell)
+
+
+def test_is_square_with_witness_prime_1_mod_4():
+    rng = random.Random(40201)
+    for _ in range(12):
+        b = rand_elem(C4, rng, span=4)
+        if b.is_zero():
+            continue
+        ok, w = C4.is_square(b * b)
+        assert ok and w in (b, -b)
+    assert C4.is_square(C4.element([0, 1])) == (False, None)

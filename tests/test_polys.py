@@ -44,7 +44,7 @@ def discriminant(f: RationalPoly) -> Fraction:
     if n < 1:
         raise ValueError("constant polynomial has no discriminant")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc()
+    return sign * resultant(f, f.derivative()) / f.coeffs[-1]
 
 
 def sylvester_resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
