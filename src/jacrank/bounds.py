@@ -61,7 +61,7 @@ class GTrivialityCertificate(NamedTuple):
 class BoundReport(NamedTuple):
     curve: str
     genus: int
-    rho_infty: str  # "0", "pm1" (the generic p-1 bound), or "unk"
+    rho_infty: str  # "0" or "unk"
     j_infty_bound: int
     cl2_used: int
     cl2_source: str

@@ -78,12 +78,8 @@ from .f2 import MatF2, echelon_rank, poly_gcd, rank
 
 __all__ = [
     "SophieGermainPair",
-    "SignatureVector",
-    "DoublingPermutation",
     "RhoInftyCertificate",
     "sophie_germain_pairs",
-    "canonical_signature",
-    "doubling_permutation",
     "orbit_word",
     "build_M_infty",
     "certify_rho_infty",
@@ -113,36 +109,6 @@ class SophieGermainPair(CheckedRecord, _SophieGermainPair):
         return (self.p - 1) // 2
 
 
-class _SignatureVector(NamedTuple):
-    signs: Tuple[int, ...]
-
-
-class SignatureVector(CheckedRecord, _SignatureVector):
-    __slots__ = ()
-
-    def __new__(cls, signs: Tuple[int, ...]) -> "SignatureVector":
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
-        return super().__new__(cls, signs)
-
-    def psi_bits(self) -> int:
-        """psi(-1) = 1, psi(+1) = 0, packed with bit i = entry i."""
-        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
-
-
-class _DoublingPermutation(NamedTuple):
-    images: Tuple[int, ...]  # 1-based: images[i-1] = phi(i)
-
-
-class DoublingPermutation(CheckedRecord, _DoublingPermutation):
-    __slots__ = ()
-
-    def __new__(cls, images: Tuple[int, ...]) -> "DoublingPermutation":
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a permutation of 1..p")
-        return super().__new__(cls, images)
-
-
 class RhoInftyCertificate(NamedTuple):
     pair: SophieGermainPair
     d_infty: int
@@ -162,32 +128,6 @@ def sophie_germain_pairs(q_max: int) -> List[SophieGermainPair]:
             # the sieve proved p and q prime: build without the checks
             out.append(_SophieGermainPair.__new__(SophieGermainPair, p, q))
     return out
-
-
-def _n_minus(pair: SophieGermainPair) -> int:
-    return (pair.p - 1) // 2 if pair.p % 4 == 1 else (pair.p + 1) // 2
-
-
-def canonical_signature(pair: SophieGermainPair) -> SignatureVector:
-    """Sign vector of the canonical norm-one unit at the ascending real
-    embeddings: a prefix of -1 entries, (p-1)/2 of them when p = 1 mod 4 and
-    (p+1)/2 when p = 3 mod 4."""
-    n = _n_minus(pair)
-    return SignatureVector((-1,) * n + (1,) * (pair.p - n))
-
-
-def doubling_permutation(pair: SophieGermainPair) -> DoublingPermutation:
-    """phi with tau_i(sigma(u)) = r_phi(i), sigma(zeta+zeta^-1) = zeta^2+zeta^-2."""
-    p, q = pair.p, pair.q
-    images = []
-    for i in range(1, p + 1):
-        if p % 4 == 1:
-            t = 2 * i % q
-            images.append(min(t, q - t))
-        else:
-            t = 2 * (p + 1 - i) % q
-            images.append(p + 1 - min(t, q - t))
-    return DoublingPermutation(tuple(images))
 
 
 def orbit_word(pair: SophieGermainPair) -> int:
@@ -216,17 +156,31 @@ def orbit_word(pair: SophieGermainPair) -> int:
 
 
 def build_M_infty(pair: SophieGermainPair) -> MatF2:
-    """p x (p-1) matrix with entry (i, j) = psi(epsilon_{phi^j(i)})."""
-    p = pair.p
-    f = canonical_signature(pair).psi_bits()
-    images = doubling_permutation(pair).images
-    rows = [0] * p
-    idx = list(range(1, p + 1))  # idx[i-1] = phi^j(i)
-    for j in range(p - 1):
-        for i in range(p):
-            if (f >> (idx[i] - 1)) & 1:
-                rows[i] |= 1 << j
-        idx = [images[k - 1] for k in idx]
+    """The p x (p-1) sign matrix M_infty: the reference that the tests and
+    the benchmark's scan oracle (`certify_rho_infty(method="matrix")`) check
+    the other routes against. Row i-1 has bit j set exactly when
+    phi^j(i) <= n, i = 1..p, j = 0..p-2: the canonical unit is negative at
+    the n least of its ascending conjugates r_1 < ... < r_p, n = (p-1)/2 when
+    p = 1 mod 4 and (p+1)/2 when p = 3 mod 4, and sigma(zeta+zeta^-1) =
+    zeta^2+zeta^-2 maps r_i to r_phi(i)."""
+    p, q = pair.p, pair.q
+    n = (p - 1) // 2 if p % 4 == 1 else (p + 1) // 2
+    phi = [0] * (p + 1)  # phi[i] for i = 1..p
+    for i in range(1, p + 1):
+        if p % 4 == 1:
+            t = 2 * i % q
+            phi[i] = min(t, q - t)
+        else:
+            t = 2 * (p + 1 - i) % q
+            phi[i] = p + 1 - min(t, q - t)
+    rows = []
+    for i in range(1, p + 1):
+        row, k = 0, i  # k = phi^j(i)
+        for j in range(p - 1):
+            if k <= n:
+                row |= 1 << j
+            k = phi[k]
+        rows.append(row)
     return MatF2(p, p - 1, tuple(rows))
 
 

@@ -68,16 +68,10 @@ class ClassGroupStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def records(self) -> Tuple[ClassGroupRecord, ...]:
-        return tuple(self._records[k] for k in sorted(self._records))
-
 
 class RankStore:
     def __init__(self) -> None:
         self._records: Dict[int, RankRecord] = {}
-
-    def get(self, m: int) -> Optional[RankRecord]:
-        return self._records.get(m)
 
     def __len__(self) -> int:
         return len(self._records)

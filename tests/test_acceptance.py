@@ -24,7 +24,6 @@ from jacrank.bounds import (
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     SophieGermainPair,
-    doubling_permutation,
     orbit_word,
     scan_sophie_germain,
     sophie_germain_pairs,
@@ -41,6 +40,7 @@ from jacrank.stats import (
 )
 from jacrank.stores import builtin_class_groups, ingest_rank_data, parse_rank_data
 from test_arith import primes_with_odd_order_of_two
+from test_cyclosig import float_doubling
 from test_polys import compose
 from test_roots import euclid_gcd
 
@@ -255,12 +255,12 @@ def test_criterion_8d_doubling_cycle_and_orbit_parity():
     pairs = sophie_germain_pairs(1000)
     assert pairs[0] == SophieGermainPair(3, 7)
     for pair in pairs:
-        perm = doubling_permutation(pair)
+        images = float_doubling(pair)
         seen = set()
         i = 1
         for _ in range(pair.p):
             seen.add(i)
-            i = perm.images[i - 1]
+            i = images[i - 1]
         assert i == 1 and len(seen) == pair.p  # a single p-cycle
         # norm-one unit: every signature orbit has even minus-count
         word = orbit_word(pair)

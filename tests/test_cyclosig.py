@@ -1,7 +1,9 @@
 """Tests for canonical-unit signatures over real cyclotomic fields.
 
-Oracles: exact real-root isolation for the numeric signature cross-check
-(small p), the matrix-rank route as an independent check of the gcd route,
+Oracles: exact real-root isolation and the number field's signature for
+the canonical unit's signs (small p), M_infty from its definition on
+floating-point conjugates, checked to lie well apart and away from 0, the
+matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
 closed-form word, the primitive-root shortcut and the coset probe on the
 whole certified range and on words built to vanish on a coset, the walk of
@@ -11,6 +13,7 @@ hand.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -32,17 +35,15 @@ from jacrank.cyclosig import (
     _route,
     _shares,
     build_M_infty,
-    canonical_signature,
     certify_rho_infty,
-    doubling_permutation,
     orbit_word,
     scan_sophie_germain,
     sophie_germain_pairs,
 )
 from jacrank.f2 import poly_gcd, rank
-from jacrank.polys import min_poly_2cos
+from jacrank.numberfield import NumberField
+from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import isolate_real_roots, sign_at
-from jacrank.polys import RationalPoly
 from test_f2 import clmul
 
 
@@ -148,6 +149,30 @@ def counting_poly_gcd(monkeypatch) -> list:
     return calls
 
 
+def float_conjugates(pair: SophieGermainPair) -> list:
+    """The conjugates s 2cos(2 pi k/q), k = 1..p, of the canonical unit,
+    s = -1 exactly when p = 1 mod 4, as (value, k) in ascending order."""
+    s = -1 if pair.p % 4 == 1 else 1
+    return sorted((s * 2 * math.cos(2 * math.pi * k / pair.q), k)
+                  for k in range(1, pair.p + 1))
+
+
+def float_doubling(pair: SophieGermainPair) -> list:
+    """phi from the floats: phi[i-1] is the 1-based index of sigma(r_i) among
+    the ascending conjugates r_1 < ... < r_p, sigma(zeta + zeta^-1) =
+    zeta^2 + zeta^-2. Conjugates of odd q <= 1000 lie at least 1e-5 apart."""
+    s = -1 if pair.p % 4 == 1 else 1
+    conj = float_conjugates(pair)
+    values = [v for v, _ in conj]
+    images = []
+    for _, k in conj:
+        image = s * 2 * math.cos(2 * math.pi * 2 * k / pair.q)
+        at = bisect.bisect_left(values, image - 1e-9)
+        assert abs(values[at] - image) < 1e-9
+        images.append(at + 1)
+    return images
+
+
 def test_pair_validation():
     SophieGermainPair(3, 7)
     SophieGermainPair(5, 11)
@@ -186,48 +211,32 @@ def test_pair_enumeration():
     assert qs == [7, 11, 23, 47, 59, 83, 107, 167, 179]
 
 
-def test_canonical_signature_frozen():
-    assert canonical_signature(SophieGermainPair(5, 11)).signs == (-1, -1, 1, 1, 1)
-    assert canonical_signature(SophieGermainPair(3, 7)).signs == (-1, -1, 1)
-
-
 def test_canonical_signature_matches_sorted_conjugates():
-    # the signature must equal the signs of the sorted real conjugates of
-    # u = (-1)^((p-1)/2) (zeta + zeta^-1)
+    """Column 0 of M_infty is psi of the canonical unit's signs at its
+    ascending conjugates, u = (-1)^((p-1)/2) (zeta + zeta^-1) being the
+    field generator theta of min_poly_2cos: by exact real-root isolation
+    and by the number field's own signature."""
     for p, q in [(3, 7), (5, 11), (11, 23)]:
-        pair = SophieGermainPair(p, q)
+        m = build_M_infty(SophieGermainPair(p, q))
+        column = tuple(row & 1 for row in m.bits)
         f = min_poly_2cos(q, p % 4 == 1)
         ivs = isolate_real_roots(f)
         assert len(ivs) == p
-        xpoly = RationalPoly([0, 1])
-        signs = sign_at(xpoly, ivs)
-        assert signs == canonical_signature(pair).signs
-
-
-def test_canonical_signature_matches_float_evaluation():
-    for p, q in [(3, 7), (5, 11), (11, 23), (23, 47)]:
-        pair = SophieGermainPair(p, q)
-        sgn = -1 if p % 4 == 1 else 1
-        vals = sorted(sgn * 2 * math.cos(2 * math.pi * k / q) for k in range(1, p + 1))
-        floats = tuple(1 if v > 0 else -1 for v in vals)
-        assert floats == canonical_signature(pair).signs
-
-
-def test_doubling_permutation_frozen():
-    assert doubling_permutation(SophieGermainPair(5, 11)).images == (2, 4, 5, 3, 1)
-    assert doubling_permutation(SophieGermainPair(3, 7)).images == (3, 1, 2)
+        signs = sign_at(RationalPoly([0, 1]), ivs)
+        assert tuple(int(s < 0) for s in signs) == column
+        field = NumberField(f)
+        signs = field.signature(field.element([0, 1]))
+        assert tuple(int(s < 0) for s in signs) == column
 
 
 def test_doubling_permutation_is_p_cycle():
     for pair in sophie_germain_pairs(300):
-        images = doubling_permutation(pair).images
-        assert sorted(images) == list(range(1, pair.p + 1))
-        assert images != tuple(range(1, pair.p + 1))
-        # p prime: any non-identity permutation whose order divides p is a p-cycle
-        cur = list(range(1, pair.p + 1))
+        images = float_doubling(pair)
+        seen, i = set(), 1
         for _ in range(pair.p):
-            cur = [images[i - 1] for i in cur]
-        assert cur == list(range(1, pair.p + 1))
+            seen.add(i)
+            i = images[i - 1]
+        assert i == 1 and len(seen) == pair.p  # one p-cycle
 
 
 def test_m_infty_frozen_columns():
@@ -243,24 +252,27 @@ def test_m_infty_frozen_columns():
 
 
 def test_m_infty_structure():
-    for pair in sophie_germain_pairs(150):
+    """M_infty from first principles, for every pair with q <= 1000: entry
+    (i, j) is 1 exactly when s 2cos(2 pi k_i 2^j/q) < 0, where the i-th
+    least conjugate s 2cos(2 pi k/q) of the canonical unit has k = k_i and
+    s = -1 exactly when p = 1 mod 4. Float signs and order are exact here:
+    no conjugate lies within 1e-3 of 0, and no two within 1e-5."""
+    pairs = sophie_germain_pairs(1000)
+    assert len(pairs) == 24
+    for pair in pairs:
+        p, q = pair.p, pair.q
+        conj = float_conjugates(pair)
+        values = [v for v, _ in conj]
+        assert min(abs(v) for v in values) > 1e-3
+        assert min(b - a for a, b in zip(values, values[1:])) > 1e-5
+        # s 2cos(2 pi t/q) < 0 for t = 0..q-1: conjugate k = t or q - t
+        s = -1 if p % 4 == 1 else 1
+        negative = [s * math.cos(2 * math.pi * t / q) < 0 for t in range(q)]
         m = build_M_infty(pair)
-        assert (m.rows, m.cols) == (pair.p, pair.p - 1)
-        f = [1 if s < 0 else 0 for s in canonical_signature(pair).signs]
-        # column 0 is the psi-image of the canonical signature
-        assert [(m.bits[i] >> 0) & 1 for i in range(pair.p)] == f
-        # column j+1 is column j permuted by phi
-        images = doubling_permutation(pair).images
-        for j in range(pair.p - 2):
-            for i in range(1, pair.p + 1):
-                assert (m.bits[i - 1] >> (j + 1)) & 1 == (m.bits[images[i - 1] - 1] >> j) & 1
-        # omitted p-th column = sum of kept columns (unit has norm 1)
-        for i in range(1, pair.p + 1):
-            row_sum = bin(m.bits[i - 1]).count("1") % 2
-            k = i
-            for _ in range(pair.p - 1):
-                k = images[k - 1]
-            assert row_sum == f[k - 1]
+        assert (m.rows, m.cols) == (p, p - 1)
+        for row, (_, k) in zip(m.bits, conj):
+            want = sum(negative[k * pow(2, j, q) % q] << j for j in range(p - 1))
+            assert row == want, (pair, k)
 
 
 def test_certificates_small():

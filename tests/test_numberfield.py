@@ -16,7 +16,6 @@ import pytest
 from jacrank import numberfield
 from jacrank.arith import is_prime, jacobi, primes_upto
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
-from jacrank.cyclosig import SophieGermainPair, canonical_signature
 from jacrank.f2 import MatF2, rank
 from jacrank.factor import factor_over_Q
 from jacrank.modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
@@ -107,14 +106,6 @@ def test_signature_multiplicative():
             sb = field.signature(b)
             sab = field.signature(a * b)
             assert sab == tuple(x * y for x, y in zip(sa, sb))
-
-
-def test_signature_lifts_canonical_unit():
-    for p, q in [(3, 7), (5, 11), (11, 23)]:
-        pair = SophieGermainPair(p, q)
-        field = NumberField(min_poly_2cos(q, p % 4 == 1))
-        assert field.signature(field.element([0, 1])) \
-            == canonical_signature(pair).signs
 
 
 def test_is_square_basic():
@@ -233,6 +224,22 @@ def test_failed_witness_raises_undetermined(monkeypatch):
         independence_rank_mod_squares(SquareClassSet(Q7, (th, th)))
     assert Q7.is_square(th) == (False, None)  # N(theta) = -1
     assert independence_rank_mod_squares(SquareClassSet(Q7, (th,))) == 1
+
+
+def test_witness_walk_stops_below_ten_thousand(monkeypatch):
+    """With no inert prime, as when Gal(f) has no deg-cycle, the walk tries
+    each odd prime below 10000 once and then gives up."""
+    field = NumberField(min_poly_2cos(7, True))
+    tried = []
+
+    def never_irreducible(fp):
+        tried.append(fp.modulus)
+        return False
+
+    monkeypatch.setattr(numberfield, "is_irreducible_mod_p", never_irreducible)
+    with pytest.raises(SquarenessUndetermined, match="no inert witness prime"):
+        field._next_witness_prime(1)
+    assert tried == primes_upto(10000)[1:]
 
 
 # -- split primes: the value sieve against the Frobenius reference -----------

@@ -14,8 +14,7 @@ from fractions import Fraction
 import pytest
 
 from jacrank.bounds import BoundReport, GTrivialityCertificate
-from jacrank.cyclosig import (DoublingPermutation, RhoInftyCertificate,
-                              SignatureVector, SophieGermainPair)
+from jacrank.cyclosig import RhoInftyCertificate, SophieGermainPair
 from jacrank.f2 import MatF2, VecF2
 from jacrank.modpoly import PrimePoly
 from jacrank.numberfield import FieldElement, NumberField, SquareClassSet
@@ -49,8 +48,6 @@ MAKERS = {
                                         ((1, Fraction(0)),), ((0, 1, 2),)),
                     "r_values"),
     "SophieGermainPair": (lambda: SophieGermainPair(5, 11), "p"),
-    "SignatureVector": (lambda: SignatureVector((-1, 1, 1)), "signs"),
-    "DoublingPermutation": (lambda: DoublingPermutation((2, 1, 3)), "images"),
     "RhoInftyCertificate": (
         lambda: RhoInftyCertificate(SophieGermainPair(5, 11), 4, True),
         "d_infty"),
@@ -133,8 +130,6 @@ def test_value_types_are_not_tuples():
     (lambda: VecF2(-1, 0), "bits exceed vector length"),
     (lambda: MatF2(2, 2, (1,)), "bit storage length"),
     (lambda: MatF2(1, 2, (4,)), "row value exceeds column width"),
-    (lambda: SignatureVector((0,)), "signs must be"),
-    (lambda: DoublingPermutation((1, 1)), "not a permutation"),
     (lambda: PrimePoly(4, (1, 1)), "modulus must be prime"),
     (lambda: SophieGermainPair(4, 9), "p must be an odd prime"),
     (lambda: SophieGermainPair(5, 13), "q must equal 2p+1"),
@@ -145,7 +140,7 @@ def test_value_types_are_not_tuples():
         _field(), (NumberField(RationalPoly([-2, 0, 0, 1])).one(),)),
      "different field"),
 ], ids=["vec-overflow", "vec-negative", "mat-rows", "mat-width",
-        "signature", "permutation", "prime-poly", "pair-p", "pair-q",
+        "prime-poly", "pair-p", "pair-q",
         "pair-q-prime", "class-zero", "class-foreign"])
 def test_validation_errors_are_kept(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -157,10 +152,6 @@ def test_validation_errors_are_kept(build, message):
 CHECKED = {
     "SophieGermainPair": (lambda: SophieGermainPair(5, 11), "q", 13,
                           "q must equal 2p+1", 11),
-    "SignatureVector": (lambda: SignatureVector((-1, 1, 1)), "signs", (0,),
-                        "signs must be", (1, -1)),
-    "DoublingPermutation": (lambda: DoublingPermutation((2, 1, 3)), "images",
-                            (1, 1), "not a permutation", (1, 2)),
     "VecF2": (lambda: VecF2(3, 5), "bits", 64, "bits exceed vector length", 7),
     "MatF2": (lambda: MatF2(2, 3, (1, 6)), "bits", (1,),
               "bit storage length", (7, 0)),

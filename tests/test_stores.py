@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from jacrank import stores
 from jacrank.stores import (
     ClassGroupRecord,
     RankRecord,
@@ -102,10 +105,10 @@ def test_ingest_class_groups_roundtrip(tmp_path):
 def test_parse_rank_data_basic():
     store = parse_rank_data(RANKS, "inline")
     assert len(store) == 4
-    assert store.get(1) == RankRecord(1, "exact", 1, 1)
-    assert store.get(170) == RankRecord(170, "exact", 1, 3)
-    assert store.get(999).status == "bounds"
-    assert [r.m for r in store.records()] == [1, 11, 170, 999]
+    assert store.records() == (RankRecord(1, "exact", 1, 1),
+                               RankRecord(11, "exact", 3, 3),
+                               RankRecord(170, "exact", 1, 3),
+                               RankRecord(999, "bounds", 1, 5))
 
 
 def test_rank_data_errors():
@@ -127,7 +130,7 @@ def test_rank_data_errors():
 def test_exact_rank_cannot_exceed_bound():
     # status=exact means lo is the true rank; it must not exceed hi.
     ok = parse_rank_data("ranks v1\nm=5 status=exact lo=2 hi=4\n")
-    assert ok.get(5).lo == 2
+    assert ok.records() == (RankRecord(5, "exact", 2, 4),)
 
 
 def test_ingest_rank_data_roundtrip(tmp_path):
@@ -145,7 +148,13 @@ def test_builtin_class_groups_cover_the_shipped_fields():
     # real cyclotomic fields for q = 7, 11, 23, 47, 59
     assert store.get((1, -2, -1, 1)).cl2_rank == 0
     assert store.get((1, 3, -3, -4, 1, 1)).cl2_rank == 0
-    for rec in store.records():
-        assert rec.source
+    # every record of the shipped file, looked up by its key
+    data = Path(stores.__file__).with_name("data") / "class_groups.txt"
+    keys = [tuple(int(c) for c in line.split()[0][len("poly="):].split(","))
+            for line in data.read_text().splitlines() if line.startswith("poly=")]
+    assert len(keys) == len(store) == 8
+    for key in keys:
+        rec = store.get(key)
+        assert rec.poly == key and rec.source
         if rec.narrow_cl2_rank is not None:
             assert rec.narrow_cl2_rank >= rec.cl2_rank
