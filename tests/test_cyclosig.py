@@ -1,7 +1,7 @@
 """Tests for canonical-unit signatures over real cyclotomic fields.
 
-Oracles: exact real-root isolation and the number field's signature for
-the canonical unit's signs (small p), M_infty from its definition on
+Oracles: exact real-root isolation for the canonical unit's signs
+(small p), M_infty from its definition on
 floating-point conjugates, checked to lie well apart and away from 0, the
 matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
@@ -41,7 +41,6 @@ from jacrank.cyclosig import (
     sophie_germain_pairs,
 )
 from jacrank.f2 import poly_gcd, rank
-from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import isolate_real_roots, sign_at
 from test_f2 import clmul
@@ -211,11 +210,18 @@ def test_pair_enumeration():
     assert qs == [7, 11, 23, 47, 59, 83, 107, 167, 179]
 
 
+def test_canonical_signature_frozen():
+    """Column 0 of M_infty is psi of the hand-worked signs of the canonical
+    unit at its ascending conjugates."""
+    for (p, q), signs in [((3, 7), (-1, -1, 1)), ((5, 11), (-1, -1, 1, 1, 1))]:
+        m = build_M_infty(SophieGermainPair(p, q))
+        assert tuple(row & 1 for row in m.bits) == tuple(int(s < 0) for s in signs)
+
+
 def test_canonical_signature_matches_sorted_conjugates():
     """Column 0 of M_infty is psi of the canonical unit's signs at its
     ascending conjugates, u = (-1)^((p-1)/2) (zeta + zeta^-1) being the
-    field generator theta of min_poly_2cos: by exact real-root isolation
-    and by the number field's own signature."""
+    field generator theta of min_poly_2cos, by exact real-root isolation."""
     for p, q in [(3, 7), (5, 11), (11, 23)]:
         m = build_M_infty(SophieGermainPair(p, q))
         column = tuple(row & 1 for row in m.bits)
@@ -224,9 +230,28 @@ def test_canonical_signature_matches_sorted_conjugates():
         assert len(ivs) == p
         signs = sign_at(RationalPoly([0, 1]), ivs)
         assert tuple(int(s < 0) for s in signs) == column
-        field = NumberField(f)
-        signs = field.signature(field.element([0, 1]))
-        assert tuple(int(s < 0) for s in signs) == column
+
+
+def test_canonical_signature_matches_float_evaluation():
+    """Column 0 of M_infty is psi of the signs of the sorted float
+    conjugates s 2cos(2 pi k/q) of the canonical unit."""
+    for p, q in [(3, 7), (5, 11), (11, 23), (23, 47)]:
+        pair = SophieGermainPair(p, q)
+        column = tuple(row & 1 for row in build_M_infty(pair).bits)
+        assert tuple(int(v < 0) for v, _ in float_conjugates(pair)) == column
+
+
+def test_doubling_permutation_frozen():
+    """The hand-worked phi for q = 7, 11 from the floats, and column j + 1
+    of M_infty is column j permuted by it."""
+    frozen = {(3, 7): [3, 1, 2], (5, 11): [2, 4, 5, 3, 1]}
+    for (p, q), images in frozen.items():
+        pair = SophieGermainPair(p, q)
+        assert float_doubling(pair) == images
+        bits = build_M_infty(pair).bits
+        for j in range(p - 2):
+            for i in range(p):
+                assert (bits[i] >> (j + 1)) & 1 == (bits[images[i] - 1] >> j) & 1
 
 
 def test_doubling_permutation_is_p_cycle():

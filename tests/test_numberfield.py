@@ -16,6 +16,7 @@ import pytest
 from jacrank import numberfield
 from jacrank.arith import is_prime, jacobi, primes_upto
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
+from jacrank.cyclosig import SophieGermainPair, build_M_infty
 from jacrank.f2 import MatF2, rank
 from jacrank.factor import factor_over_Q
 from jacrank.modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
@@ -106,6 +107,16 @@ def test_signature_multiplicative():
             sb = field.signature(b)
             sab = field.signature(a * b)
             assert sab == tuple(x * y for x, y in zip(sa, sb))
+
+
+def test_signature_lifts_canonical_unit():
+    """NumberField.signature of theta, the canonical unit, is the sign
+    vector whose psi-image is column 0 of M_infty."""
+    for p, q in [(3, 7), (5, 11), (11, 23)]:
+        field = NumberField(min_poly_2cos(q, p % 4 == 1))
+        signs = field.signature(field.element([0, 1]))
+        column = tuple(row & 1 for row in build_M_infty(SophieGermainPair(p, q)).bits)
+        assert tuple(int(s < 0) for s in signs) == column
 
 
 def test_is_square_basic():
