@@ -84,8 +84,9 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
             partial = True
             continue
         if args.lower:
-            f = bounds.curve_min_poly(q)
-            lower, _ = bounds.lower_bound_from_points(f)
+            lower, _ = bounds.lower_bound_from_points(
+                bounds.curve_min_poly(q),
+                factors=bounds.sophie_split_factors(q))
             report = report._replace(lower_bound=lower)
         rows.append(((q - 1) // 2, q, report.upper_bound, report.lower_bound))
         print(report.describe() if args.verbose else report.line())

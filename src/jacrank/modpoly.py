@@ -47,9 +47,6 @@ class PrimePoly(CheckedRecord, _PrimePoly):
             cs.pop()
         return super().__new__(cls, modulus, tuple(cs))
 
-    def deg(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def trim(a: List[int]) -> List[int]:
     """Drop trailing zero coefficients in place; the zero polynomial is []."""
@@ -235,5 +232,5 @@ def factor_count_mod_p(f: PrimePoly) -> int:
 
 def is_irreducible_mod_p(f: PrimePoly) -> bool:
     """True when f mod p is squarefree and has one irreducible factor."""
-    return f.deg() > 0 and is_squarefree_mod_p(f.coeffs, f.modulus) \
+    return len(f.coeffs) > 1 and is_squarefree_mod_p(f.coeffs, f.modulus) \
         and factor_count_mod_p(f) == 1

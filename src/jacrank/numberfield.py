@@ -2,32 +2,32 @@
 
 Elements are coordinate vectors over the power basis 1, theta, ...,
 theta^(deg-1). Everything is exact: norms via resultants, embedding signs via
-Sturm intervals, and squareness in odd degree by one engine.
+Sturm intervals, and square classes in odd degree by quadratic characters.
 
-The square products of a set of classes come from an F2 matrix of quadratic
-characters (homomorphisms to {+1, -1} that kill squares): residue symbols at
-20 degree-one primes, real signs and Legendre symbols of norms, one column
-per class. Its kernel holds every square product; the witness proves each
-kernel basis product a square, so the rank is the class count minus the
-kernel dimension, with no sweep over the 2^k products. `is_square` is the
-one-class case: a is a square exactly when no character is -1 on it, and
-then the kernel's witness is its square root.
+The rank of a set of k classes comes from an F2 matrix of quadratic
+characters (homomorphisms L*/L*^2 -> F2, so they kill squares): residue
+symbols at k + 20 degree-one primes, then Legendre symbols of norms, one
+column per class. Every square product of classes lies in its kernel, so k
+minus the kernel dimension is a proved lower bound on the dimension of the
+span; the characters are the whole certificate, with no square root taken.
+`is_square` is the one-class case: a is a square exactly when no character
+is -1 on it, and then the square root is constructed and verified.
 
-The witness is a square root constructed by Hensel lifting an exact square
-root in the residue field F_{ell^deg} of any inert odd prime ell, with
-rational reconstruction of the coordinates, and verified by exact squaring:
-Tonelli-Shanks for the root (one powering when ell^deg = 3 mod 4), an
-extended gcd for 1/(2x) in the Newton step.
-A square always carries a verified witness, and a nonsquare a character
-that is -1 on it. If the precision cap is reached without a witness, the
-(never-yet-observed) outcome is a SquarenessUndetermined error, not a guess.
+That square root, the witness, is constructed by Hensel lifting an exact
+square root in the residue field F_{ell^deg} of any inert odd prime ell,
+with rational reconstruction of the coordinates, and verified by exact
+squaring: Tonelli-Shanks for the root (one powering when ell^deg = 3 mod 4),
+an extended gcd for 1/(2x) in the Newton step. If the precision cap is
+reached without a witness, the (never-yet-observed) outcome is a
+SquarenessUndetermined error, not a guess. The tests use it to prove that
+each kernel basis product is a square, so that the character rank is the
+dimension of the span on the fields they cover.
 
-A field finds its split primes, with the roots of f mod each, and its real
-root intervals, with their Sturm chain, once, and reuses them for every
-element. The split primes come from a value sieve over windows of primes:
-ell has a root r < ell exactly when ell divides f(r), so one gcd of f(t)
-with the window's prime product per t < max(window) finds them all, with no
-Frobenius power mod ell.
+A field finds its split primes, with the roots of f mod each, once, and
+reuses them for every element. The split primes come from a value sieve
+over windows of primes: ell has a root r < ell exactly when ell divides
+f(r), so one gcd of f(t) with the window's prime product per t <
+max(window) finds them all, with no Frobenius power mod ell.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .factor import factor_over_Q
 from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
                       is_squarefree_mod_p, mul, powmod, sub, xgcd)
 from .polys import Frozen, RationalPoly, resultant
-from .roots import RootIntervals, isolate_real_roots, sign_at
+from .roots import isolate_real_roots, sign_at
 from .arith import CheckedRecord, is_prime, jacobi, primes_upto
 
 __all__ = [
@@ -89,10 +89,6 @@ class NumberField:
         return f"NumberField({self.poly})"
 
     @cached_property
-    def root_intervals(self) -> RootIntervals:
-        return isolate_real_roots(self.poly)
-
-    @cached_property
     def _int_coeffs(self) -> Tuple[int, ...]:
         return self.poly.int_coeffs()
 
@@ -107,9 +103,6 @@ class NumberField:
         rem = g % self.poly if g.deg() >= self.degree else g
         return self.element(list(rem.coeffs))
 
-    def one(self) -> "FieldElement":
-        return self.element([1])
-
     # -- norms and signatures ------------------------------------------------
 
     def norm(self, a: "FieldElement") -> Fraction:
@@ -121,7 +114,7 @@ class NumberField:
     def signature(self, a: "FieldElement") -> Tuple[int, ...]:
         if a.is_zero():
             raise ValueError("signature of zero is undefined")
-        ivs = self.root_intervals
+        ivs = isolate_real_roots(self.poly)
         if len(ivs) != self.degree:
             raise ValueError("field is not totally real")
         return sign_at(RationalPoly(a.coords), ivs)
@@ -192,15 +185,16 @@ class NumberField:
         raise SquarenessUndetermined("no inert witness prime found")
 
     def is_square(self, a: "FieldElement") -> Tuple[bool, Optional["FieldElement"]]:
-        """True plus an exactly verified witness, or False with a quadratic
-        character at which a is -1: the one-class case of the square-class
-        kernel. Raises SquarenessUndetermined only if every character passes
-        and reconstruction fails at the precision cap, and ValueError for
-        a = 0 or an even-degree field."""
+        """True plus an exactly verified witness, or False when a quadratic
+        character is -1 at a: the one-class case of the character kernel.
+        Raises SquarenessUndetermined only if every character passes and
+        reconstruction fails at the precision cap, and ValueError for a = 0
+        or an even-degree field."""
         if a.is_zero():
             raise ValueError("squareness of zero is undefined")
-        kernel = _square_kernel(self, (a,))
-        return (True, kernel[0][1]) if kernel else (False, None)
+        if not _character_kernel(self, (a,)):
+            return False, None
+        return True, self._reconstruct_root(a)
 
     def _reconstruct_root(self, a: "FieldElement") -> "FieldElement":
         """The witness step: w with w * w == a checked exactly, for an a
@@ -409,44 +403,41 @@ class SquareClassSet(CheckedRecord, _SquareClassSet):
 
 
 def independence_rank_mod_squares(classes: SquareClassSet) -> int:
-    """Dimension of the subgroup of L*/(L*)^2 generated by the
-    representatives, for an odd-degree field: their count minus the
-    dimension of the square products among them."""
+    """A proved lower bound on the dimension of the subgroup of L*/(L*)^2
+    generated by the representatives, for an odd-degree field: their count
+    minus the dimension of the kernel of their character matrix. Each
+    character is a homomorphism L*/(L*)^2 -> F2, so a product of the
+    classes outside that kernel is not a square. The tests prove, with the
+    witness, that the bound is the dimension on the fields they cover."""
     reps = classes.representatives
-    return len(reps) - len(_square_kernel(classes.field, reps))
+    return len(reps) - len(_character_kernel(classes.field, reps))
 
 
-def _square_kernel(field: NumberField, reps: Sequence[FieldElement]
-                   ) -> List[Tuple[int, FieldElement]]:
-    """A basis of the products of `reps` that are squares in L, each as
-    (mask, w): bit i of mask selects reps[i], and w * w is the product.
+def _character_kernel(field: NumberField, reps: Sequence[FieldElement]
+                      ) -> List[int]:
+    """A basis of the kernel of the character matrix of `reps`, as masks:
+    bit i of a mask selects reps[i].
 
     A quadratic character, a homomorphism L* -> {+1, -1}, kills squares, so
     every product of classes that is a square lies in the kernel of the F2
     matrix with one column per class and one row per character: the residue
-    symbols at 20 degree-one primes, the real signs when the field is totally
-    real, and Legendre symbols of the norms at primes found on demand. While
-    a kernel basis product has a norm that is not a rational square, a prime
-    at which that norm is a nonresidue adds a row and the kernel shrinks.
-    Then each basis product is proved a square by the witness, so the kernel
-    is exactly the set of square products."""
+    symbols at k + 20 degree-one primes for k classes, then Legendre symbols
+    of the norms at primes found on demand. While a kernel basis product has
+    a norm that is not a rational square, a prime at which that norm is a
+    nonresidue adds a row and the kernel shrinks."""
     k = len(reps)
     if k == 0:
         return []
     if field.degree % 2 == 0:
-        # the witness takes a nonresidue of F_ell for one of F_{ell^deg},
-        # which it is only at odd degree
+        # the witness that proves the kernel products squares in the tests
+        # takes a nonresidue of F_ell for one of F_{ell^deg}, which it is
+        # only at odd degree
         raise ValueError(f"squareness needs an odd-degree field, got "
                          f"degree {field.degree}")
     # bit j of columns[i] is character j at reps[i]: the residue symbols,
-    # the real signs, then the norm rows as they are found
-    ideals, columns = field._residue_columns(20, reps)
+    # then the norm rows as they are found
+    ideals, columns = field._residue_columns(k + 20, reps)
     height = len(ideals)
-    if len(field.root_intervals) == field.degree:
-        for i, a in enumerate(reps):
-            signs = enumerate(field.signature(a), height)
-            columns[i] |= sum(1 << j for j, s in signs if s < 0)
-        height += field.degree
     # n/d and n*d have the same Legendre symbols, and n*d is an integer
     norms = [n.numerator * n.denominator for n in map(field.norm, reps)]
     while True:
@@ -456,17 +447,12 @@ def _square_kernel(field: NumberField, reps: Sequence[FieldElement]
         nonsquare = next((n for n in kernel_norms
                           if not NumberField._is_rational_square(n)), None)
         if nonsquare is None:
-            break
+            return kernel
         ell = _nonresidue_prime(nonsquare, norms)
         for i, n in enumerate(norms):
             if jacobi(n, ell) < 0:
                 columns[i] |= 1 << height
         height += 1
-    out = []
-    for mask in kernel:
-        w = prod((reps[i] for i in range(k) if mask >> i & 1), start=field.one())
-        out.append((mask, field._reconstruct_root(w)))
-    return out
 
 
 def _nonresidue_prime(n: int, units: Sequence[int]) -> int:

@@ -20,7 +20,7 @@ bound; `status=exact` asserts that `lo` is the true rank.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "ClassGroupRecord",
@@ -65,22 +65,13 @@ class ClassGroupStore:
     def get(self, poly: Tuple[int, ...]) -> Optional[ClassGroupRecord]:
         return self._records.get(tuple(poly))
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 class RankStore:
     def __init__(self) -> None:
         self._records: Dict[int, RankRecord] = {}
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records(self) -> Tuple[RankRecord, ...]:
         return tuple(self._records[m] for m in sorted(self._records))
-
-    def __iter__(self) -> Iterator[RankRecord]:
-        return iter(self.records())
 
 
 def _split_fields(line: str, name: str, lineno: int,

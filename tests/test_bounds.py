@@ -13,14 +13,18 @@ from jacrank.arith import is_squarefree_integer, multiplicative_order, \
 from jacrank.bounds import (
     BoundReport,
     GTrivialityCertificate,
+    curve_min_poly,
     lower_bound_from_points,
     sophie_local_certificate,
+    sophie_split_factors,
     sophie_upper_bound,
     two_inert_in_real_cyclotomic,
     washington_bound,
     washington_local_certificate,
     washington_rho_certificate,
 )
+from jacrank.cyclosig import sophie_germain_pairs
+from jacrank.factor import factor_over_Q
 from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos
@@ -123,7 +127,7 @@ def washington_units(m: int, field: NumberField) -> tuple:
     1/theta = -theta^2 - m theta + m + 3 and
     1/(1-theta) = -theta^2 - (m+1) theta + 2; each is checked by
     multiplication."""
-    th, one = field.element([0, 1]), field.one()
+    th, one = field.element([0, 1]), field.element([1])
     inv_th = field.element([m + 3, -m, -1])
     inv_one_minus_th = field.element([2, -(m + 1), -1])
     assert th * inv_th == one
@@ -303,7 +307,7 @@ def test_lower_bound_q7():
     assert lower == 1
     assert len(classes.representatives) == 3
     field = classes.field
-    prod = field.one()
+    prod = field.element([1])
     for cls in classes.representatives:
         prod = prod * cls
     ok, _ = field.is_square(prod)
@@ -341,11 +345,59 @@ def test_lower_bound_fractional_y0():
     lower, classes = lower_bound_from_points(f, Fraction(3, 2))
     assert 0 <= lower <= 3
     field = classes.field
-    prod = field.one()
+    prod = field.element([1])
     for cls in classes.representatives:
         prod = prod * cls
     ok, _ = field.is_square(prod)
     assert ok
+
+
+def int_product(factors):
+    """Reference: the product of integer polynomials, by convolution."""
+    out = [1]
+    for g in factors:
+        coeffs = g.int_coeffs()
+        nxt = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                nxt[i + j] += a * b
+        out = nxt
+    return out
+
+
+def test_sophie_split_factors_equal_factor_over_Q():
+    for pair in sophie_germain_pairs(179):
+        f = curve_min_poly(pair.q)
+        assert sophie_split_factors(pair.q) \
+            == factor_over_Q(f - RationalPoly([1])), pair.q
+
+
+def test_sophie_split_factors_multiply_to_f_minus_one():
+    pairs = sophie_germain_pairs(1019)
+    assert len(pairs) == 25
+    for pair in pairs:
+        f = curve_min_poly(pair.q).int_coeffs()
+        assert int_product(sophie_split_factors(pair.q)) \
+            == [f[0] - 1] + f[1:], pair.q
+
+
+def test_sophie_lower_bounds_past_table_4():
+    for q, want in ((83, 4), (107, 4), (167, 10), (179, 6)):
+        lower, classes = lower_bound_from_points(
+            curve_min_poly(q), factors=sophie_split_factors(q))
+        assert lower == want, q
+        assert len(classes.representatives) == len(sophie_split_factors(q))
+
+
+def test_lower_bound_rejects_factors_with_a_wrong_product():
+    f = curve_min_poly(23)
+    factors = sophie_split_factors(23)
+    with pytest.raises(RuntimeError, match="do not multiply"):
+        lower_bound_from_points(f, factors=factors[1:])
+    with pytest.raises(RuntimeError, match="do not multiply"):
+        lower_bound_from_points(f, factors=[factors[0]] + factors)
+    with pytest.raises(RuntimeError, match="do not multiply"):
+        lower_bound_from_points(f, Fraction(2), factors=factors)
 
 
 def test_lower_at_most_upper_on_shipped_family():

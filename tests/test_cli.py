@@ -180,16 +180,25 @@ def test_lower_bound_beyond_sixteen_factors(capsys):
     assert out == f"poly={poly} y0=1 factors=17 lower=16\n"
 
 
-def test_lower_bound_failed_witness_is_a_certification_failure(capsys,
-                                                              monkeypatch):
+def test_lower_bound_needs_no_witness(capsys, monkeypatch):
     # f - 1 = x (x^2 + x - 4): the classes -theta and theta^2 + theta - 4
-    # multiply to 1, a square that no witness can prove under the patch
+    # multiply to 1, a square that no witness can prove under the patch;
+    # the bound rests on the characters alone
     monkeypatch.setattr(numberfield, "_rational_coords", lambda *args: None)
     code, out, err = run(capsys, "lower-bound", "--poly", "1,-4,1,1",
                          "--y0", "1")
-    assert (code, out) == (3, "")
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("certification failure:")
+    assert (code, out, err) == (0, "poly=1,-4,1,1 y0=1 factors=2 lower=1\n", "")
+
+
+@pytest.mark.parametrize("y0", ["1", "2"])
+def test_lower_bound_on_a_field_with_no_inert_prime(capsys, y0):
+    # Q(2cos(2 pi/7) + 2cos(2 pi/9)) has group C3 x C3, with no 9-cycle, so
+    # no prime is inert and no witness prime exists; f - y0^2 is irreducible
+    # and its class (-1)^9 (f(theta) - y0^2) = y0^2 is a square
+    poly = "-1,-15,-51,-15,81,33,-32,-12,3,1"
+    code, out, err = run(capsys, "lower-bound", f"--poly={poly}", "--y0", y0)
+    assert (code, out, err) == (
+        0, f"poly={poly} y0={y0} factors=1 lower=0\n", "")
 
 
 @pytest.mark.parametrize("y0,line", [

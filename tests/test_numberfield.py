@@ -29,6 +29,7 @@ from jacrank.numberfield import (
     independence_rank_mod_squares,
 )
 from jacrank.polys import RationalPoly, min_poly_2cos
+from jacrank.roots import isolate_real_roots
 from test_f2 import row_kernel_basis
 from test_modpoly import root_test_polys, roots_mod_p
 
@@ -64,13 +65,13 @@ def test_power_basis_reduction():
 def test_example_product_identity():
     th = Q11.element([0, 1])
     prod = Q11.element([-3, 0, 1]) * Q11.element([-1, 1, 1]) * th
-    assert prod == -Q11.one()
+    assert prod == -Q11.element([1])
 
 
 def test_norm_values():
-    assert Q7.norm(-Q7.one()) == -1
-    assert Q11.norm(-Q11.one()) == -1
-    assert Q7.norm(Q7.one()) == 1
+    assert Q7.norm(-Q7.element([1])) == -1
+    assert Q11.norm(-Q11.element([1])) == -1
+    assert Q7.norm(Q7.element([1])) == 1
     assert F143.norm(F143.element([0, 1])) == -1  # = -f(0)
     assert Q11.norm(Q11.element([0, 1])) == -1
 
@@ -86,7 +87,7 @@ def test_norm_multiplicative():
 
 
 def test_signature_values():
-    assert Q7.signature(Q7.one()) == (1, 1, 1)
+    assert Q7.signature(Q7.element([1])) == (1, 1, 1)
     assert F143.signature(F143.element([0, 1])) == (-1, 1, 1)
     # theta here generates the q=11 field built from +(zeta+zeta^-1); its
     # sorted conjugates are (-1.92, -1.31, -0.28, 0.83, 1.68)
@@ -126,13 +127,13 @@ def test_is_square_basic():
     g2, g3 = Q11.element([-3, 0, 1]), Q11.element([-1, 1, 1])
     ok, w = Q11.is_square(-th * g2)
     assert not ok and w is None
-    ok, w = Q11.is_square(g2 * g3 * th * -Q11.one())
-    assert ok and w * w == Q11.one()
+    ok, w = Q11.is_square(g2 * g3 * th * -Q11.element([1]))
+    assert ok and w * w == Q11.element([1])
     ok, w = Q7.is_square(Q7.element([4]))
     assert ok and w * w == Q7.element([4])
     ok, _ = Q7.is_square(Q7.element([2]))
     assert not ok
-    ok, _ = Q7.is_square(-Q7.one())
+    ok, _ = Q7.is_square(-Q7.element([1]))
     assert not ok
     with pytest.raises(ValueError):
         Q7.is_square(Q7.element([]))
@@ -169,7 +170,7 @@ def test_screens_never_reject_squares():
 def test_is_square_rejects_even_degree_field():
     gauss = NumberField(RationalPoly([1, 0, 1]))  # Q(i), where -1 is a square
     with pytest.raises(ValueError, match="odd-degree"):
-        gauss.is_square(-gauss.one())
+        gauss.is_square(-gauss.element([1]))
 
 
 def test_independence_rank_example():
@@ -180,7 +181,7 @@ def test_independence_rank_example():
 
 
 def test_independence_rank_degenerate():
-    assert independence_rank_mod_squares(SquareClassSet(Q11, (Q11.one(),))) == 0
+    assert independence_rank_mod_squares(SquareClassSet(Q11, (Q11.element([1]),))) == 0
     th = Q7.element([0, 1])
     assert independence_rank_mod_squares(SquareClassSet(Q7, (th, th))) == 1
     with pytest.raises(ValueError):
@@ -213,7 +214,7 @@ def test_delta_product_is_square():
     # product over all factors of f - y0^2 is y0^2 times a square
     for field, y0 in [(Q7, Fraction(1)), (Q11, Fraction(1))]:
         shifted = field.poly - RationalPoly([y0 * y0])
-        prod = field.one()
+        prod = field.element([1])
         for g in factor_over_Q(shifted):
             prod = prod * delta_class_of_factor(g, y0, field)
         ok, w = field.is_square(prod)
@@ -226,13 +227,13 @@ def test_undetermined_is_an_exception_type():
 
 def test_failed_witness_raises_undetermined(monkeypatch):
     # with no coordinates ever reconstructed, a square cannot be proved one;
-    # a nonsquare is still rejected, since a rejection needs no witness
+    # a nonsquare is still rejected, and the rank still bounded, since
+    # neither needs a witness
     monkeypatch.setattr(numberfield, "_rational_coords", lambda *args: None)
     th = Q7.element([0, 1])
     with pytest.raises(SquarenessUndetermined):
         Q7.is_square(th * th)
-    with pytest.raises(SquarenessUndetermined):
-        independence_rank_mod_squares(SquareClassSet(Q7, (th, th)))
+    assert independence_rank_mod_squares(SquareClassSet(Q7, (th, th))) == 1
     assert Q7.is_square(th) == (False, None)  # N(theta) = -1
     assert independence_rank_mod_squares(SquareClassSet(Q7, (th,))) == 1
 
@@ -381,7 +382,7 @@ def sweep_rank(classes):
     for a in reps:
         sym = two_pass_symbols(field, a, ideals)
         symbol_bits.append(sum(1 << i for i, s in enumerate(sym) if s < 0))
-    totally_real = len(field.root_intervals) == field.degree
+    totally_real = len(isolate_real_roots(field.poly)) == field.degree
     sig_bits = [sum(1 << i for i, s in enumerate(field.signature(a)) if s < 0)
                 for a in reps] if totally_real else [0] * k
     kernel_masks = []
@@ -396,7 +397,7 @@ def sweep_rank(classes):
                 sig ^= sig_bits[i]
         if sym or sig or not NumberField._is_rational_square(norm_prod):
             continue
-        prod = field.one()
+        prod = field.element([1])
         for i in range(k):
             if (mask >> i) & 1:
                 prod = prod * reps[i]
@@ -407,15 +408,13 @@ def sweep_rank(classes):
     return k - kdim
 
 
-def residue_and_sign_rank(classes):
-    """k minus the kernel dimension of the residue-symbol and sign rows
+def residue_rank(classes):
+    """k minus the kernel dimension of the k + 20 residue-symbol rows
     alone, before any norm row: a lower bound on the rank."""
     field = classes.field
     reps = classes.representatives
-    ideals = two_pass_ideals(field, 20, reps)
+    ideals = two_pass_ideals(field, len(reps) + 20, reps)
     columns = [two_pass_symbols(field, a, ideals) for a in reps]
-    if len(field.root_intervals) == field.degree:
-        columns = [c + list(field.signature(a)) for c, a in zip(columns, reps)]
     rows = tuple(sum(1 << i for i, c in enumerate(columns) if c[r] < 0)
                  for r in range(len(columns[0])))
     return len(reps) - len(row_kernel_basis(MatF2(len(rows), len(reps), rows)))
@@ -436,7 +435,7 @@ def random_class_sets(seed, count, degrees=(3, 5), draws=90):
                 bases.append(b)
         reps = []
         while len(reps) < rng.randrange(len(bases) + 1, 11):
-            a = field.one()
+            a = field.element([1])
             for b in bases:
                 if rng.random() < 0.5:
                     a = a * b
@@ -461,12 +460,12 @@ def test_character_rank_matches_sweep_on_random_fields():
 
 
 def test_character_rank_adds_norm_rows_when_residues_fall_short():
-    # Q7 splits only at ell = +-1 mod 7, so its first 20 degree-one primes
-    # lie over 7 rational primes: too few residue rows for the 9 primes up
+    # Q7 splits only at ell = +-1 mod 7, so its first 30 degree-one primes
+    # lie over 10 rational primes: too few residue rows for the 9 primes up
     # to 23, which only the norm rows tell apart
     classes = SquareClassSet(Q7, tuple(
         Q7.element([k]) for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 30)))
-    assert residue_and_sign_rank(classes) < 9
+    assert residue_rank(classes) < 9
     assert independence_rank_mod_squares(classes) == sweep_rank(classes) == 9
 
 
@@ -546,18 +545,19 @@ def reference_root(field, a):
 
 def product(field, reps, mask):
     return prod((reps[i] for i in range(len(reps)) if mask >> i & 1),
-                start=field.one())
+                start=field.element([1]))
 
 
 def reference_square_kernel(field, reps):
     """Reference: the kernel as the parent built it. The symbols are taken
     in a second pass over the chosen ideals, the characters are stacked as
     rows, and each row-built kernel is transposed back by
-    `row_kernel_basis`. Returns the masks and their witnesses."""
+    `row_kernel_basis`: 20 residue symbols, the real signs and the norm
+    rows. Returns the kernel basis masks."""
     k = len(reps)
     ideals = two_pass_ideals(field, 20, reps)
     columns = [two_pass_symbols(field, a, ideals) for a in reps]
-    if len(field.root_intervals) == field.degree:
+    if len(isolate_real_roots(field.poly)) == field.degree:
         columns = [c + list(field.signature(a)) for c, a in zip(columns, reps)]
     rows = [sum(1 << i for i, c in enumerate(columns) if c[r] < 0)
             for r in range(len(columns[0]))]
@@ -573,8 +573,7 @@ def reference_square_kernel(field, reps):
         ell = numberfield._nonresidue_prime(nonsquare, norms)
         rows.append(sum(1 << i for i, n in enumerate(norms)
                         if jacobi(n, ell) < 0))
-    return [(mask, reference_root(field, product(field, reps, mask)))
-            for mask in kernel]
+    return kernel
 
 
 def named_class_sets():
@@ -590,19 +589,34 @@ def named_class_sets():
     return sets
 
 
+def span(masks):
+    """The F2 span of the masks, as a set."""
+    out = {0}
+    for m in masks:
+        out |= {m ^ v for v in out}
+    return out
+
+
 def assert_kernel_matches_reference(classes):
+    """The character kernel spans the parent's witnessed kernel, and each
+    of its basis products squares to the reference root, which the
+    production witness equals up to sign."""
     field, reps = classes.field, classes.representatives
-    ideals, columns = field._residue_columns(20, reps)
-    want_ideals = two_pass_ideals(field, 20, reps)
+    count = len(reps) + 20
+    ideals, columns = field._residue_columns(count, reps)
+    want_ideals = two_pass_ideals(field, count, reps)
     assert ideals == want_ideals
     assert columns == [sum(1 << j for j, s in enumerate(two_pass_symbols(
         field, a, want_ideals)) if s < 0) for a in reps]
-    got = numberfield._square_kernel(field, reps)
+    got = numberfield._character_kernel(field, reps)
     want = reference_square_kernel(field, reps)
-    assert [mask for mask, _ in got] == [mask for mask, _ in want]
-    for (mask, w), (_, w_ref) in zip(got, want):
+    assert len(got) == len(want)
+    assert span(got) == span(want)
+    for mask in got:
         a = product(field, reps, mask)
-        assert w * w == a
+        w_ref = reference_root(field, a)
+        assert w_ref * w_ref == a
+        w = field._reconstruct_root(a)
         # both walks reach the same inert prime: the same root, exactly
         if norm_witness_prime(field, a, 2) == norm_witness_prime(field, a, 4):
             assert w == w_ref

@@ -137,7 +137,7 @@ def test_value_types_are_not_tuples():
     (lambda: SquareClassSet(_field(), (_field().element([]),)),
      "must be nonzero"),
     (lambda: SquareClassSet(
-        _field(), (NumberField(RationalPoly([-2, 0, 0, 1])).one(),)),
+        _field(), (NumberField(RationalPoly([-2, 0, 0, 1])).element([1]),)),
      "different field"),
 ], ids=["vec-overflow", "vec-negative", "mat-rows", "mat-width",
         "prime-poly", "pair-p", "pair-q",

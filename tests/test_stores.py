@@ -34,7 +34,6 @@ m=999 status=bounds lo=1 hi=5
 
 def test_parse_class_groups_basic():
     store = parse_class_groups(CLG, "inline")
-    assert len(store) == 2
     rec = store.get((1, -4, 1, 1))
     assert rec == ClassGroupRecord((1, -4, 1, 1), 0, None, "literature")
     rec2 = store.get((1, -146, 143, 1))
@@ -82,7 +81,7 @@ def test_class_group_duplicates():
     dup_same = ("clgroup v1\npoly=1,0,1 cl2=1 source=a\n"
                 "poly=1,0,1 cl2=1 source=a\n")
     store = parse_class_groups(dup_same)
-    assert len(store) == 1
+    assert store.get((1, 0, 1)) == ClassGroupRecord((1, 0, 1), 1, None, "a")
     dup_conflict = ("clgroup v1\npoly=1,0,1 cl2=1 source=a\n"
                     "poly=1,0,1 cl2=2 source=b\n")
     with pytest.raises(StoreFormatError, match=r"conflict"):
@@ -90,7 +89,9 @@ def test_class_group_duplicates():
 
 
 def test_class_group_empty_file_is_empty_store():
-    assert len(parse_class_groups("clgroup v1\n")) == 0
+    store = parse_class_groups("clgroup v1\n")
+    assert store.get((1, 0, 1)) is None
+    assert store.get((1, -4, 1, 1)) is None
 
 
 def test_ingest_class_groups_roundtrip(tmp_path):
@@ -104,7 +105,6 @@ def test_ingest_class_groups_roundtrip(tmp_path):
 
 def test_parse_rank_data_basic():
     store = parse_rank_data(RANKS, "inline")
-    assert len(store) == 4
     assert store.records() == (RankRecord(1, "exact", 1, 1),
                                RankRecord(11, "exact", 3, 3),
                                RankRecord(170, "exact", 1, 3),
@@ -136,7 +136,7 @@ def test_exact_rank_cannot_exceed_bound():
 def test_ingest_rank_data_roundtrip(tmp_path):
     path = tmp_path / "ranks.txt"
     path.write_text(RANKS)
-    assert len(ingest_rank_data(path)) == 4
+    assert len(ingest_rank_data(path).records()) == 4
 
 
 def test_builtin_class_groups_cover_the_shipped_fields():
@@ -152,7 +152,7 @@ def test_builtin_class_groups_cover_the_shipped_fields():
     data = Path(stores.__file__).with_name("data") / "class_groups.txt"
     keys = [tuple(int(c) for c in line.split()[0][len("poly="):].split(","))
             for line in data.read_text().splitlines() if line.startswith("poly=")]
-    assert len(keys) == len(store) == 8
+    assert len(keys) == 8
     for key in keys:
         rec = store.get(key)
         assert rec.poly == key and rec.source

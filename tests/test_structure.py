@@ -169,6 +169,7 @@ routes = [
     ["scan-rho", "--max-q", "3000", "--threads", "1"],
     ["scan-rho", "--max-q", "3000", "--threads", "2"],
     ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1/3", "--verbose"],
+    ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1"],
     ["minpoly", "--q", "23"],
     ["stats", "--ranks", os.path.join(data, "synthetic_ranks.txt")],
 ]
@@ -196,7 +197,7 @@ def test_every_public_function_runs_on_a_route(tmp_path):
     codes, ran = json.loads(proc.stdout)
     # data is missing for some m <= 30 and for q = 83 and 1019 without the
     # Davis-Taussky assumption: exit 1, every other route 0
-    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     ran = {(str(Path(path).resolve()), line) for path, line in ran}
     exempt = {f"{module}.{attr}" for module, attr in _traced_layers()}
     never = sorted(name for key, name in _public_functions().items()
