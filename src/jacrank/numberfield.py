@@ -429,9 +429,9 @@ def _character_kernel(field: NumberField, reps: Sequence[FieldElement]
     if k == 0:
         return []
     if field.degree % 2 == 0:
-        # the witness that proves the kernel products squares in the tests
-        # takes a nonresidue of F_ell for one of F_{ell^deg}, which it is
-        # only at odd degree
+        # the witness of `is_square` takes a nonresidue of F_ell for one of
+        # F_{ell^deg}, which it is only at odd degree; the lower bounds need
+        # odd degree anyway, for the descent map to be injective
         raise ValueError(f"squareness needs an odd-degree field, got "
                          f"degree {field.degree}")
     # bit j of columns[i] is character j at reps[i]: the residue symbols,
