@@ -44,7 +44,6 @@ __all__ = [
     "curve_min_poly",
     "lower_bound_from_points",
     "sophie_local_certificate",
-    "sophie_split_factors",
     "sophie_upper_bound",
     "two_inert_in_real_cyclotomic",
     "washington_bound",
@@ -306,109 +305,6 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
 
 
 # -- lower bounds from a rational point --------------------------------------
-
-
-def _compose_power(a: List[int], e: int) -> List[int]:
-    """a(x^e), ascending integer coefficients."""
-    out = [0] * ((len(a) - 1) * e + 1)
-    out[::e] = a
-    return out
-
-
-def _divide_exact(a: List[int], b: List[int]) -> List[int]:
-    """a / b for integer a and monic integer b that divides it. The
-    remainder is not looked at: the factors built from these quotients are
-    checked by their product."""
-    a, n = list(a), len(b) - 1
-    quot = [0] * (len(a) - n)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = a[k + n]
-        if c:
-            for j in range(n + 1):
-                a[k + j] -= c * b[j]
-    return quot
-
-
-def _cyclotomic(d: int) -> List[int]:
-    """Phi_d, ascending, by exact division: Phi_nr(x) = Phi_n(x^r) / Phi_n(x)
-    for a prime r not dividing n, and Phi_d(x) = Phi_s(x^(d/s)) for s the
-    product of the primes dividing d."""
-    phi, s = [-1, 1], 1
-    for r in prime_factors(d):
-        phi, s = _divide_exact(_compose_power(phi, r), phi), s * r
-    return _compose_power(phi, d // s)
-
-
-def _psi(d: int) -> List[int]:
-    """Psi_d, the minimal polynomial of 2cos(2 pi/d), ascending. For d >= 3
-    it is read off Phi_d(z) = z^h Psi_d(z + 1/z), h = phi(d)/2: with c_i the
-    coefficient of z^(h+i) of the palindromic Phi_d, Psi_d = c_0 + sum c_i
-    D_i(y), where D_i(z + 1/z) = z^i + z^-i, so D_0 = 2, D_1 = y and
-    D_(i+1) = y D_i - D_(i-1)."""
-    if d <= 2:
-        return [-2, 1] if d == 1 else [2, 1]
-    phi = _cyclotomic(d)
-    h = (len(phi) - 1) // 2
-    psi = [phi[h]] + [0] * h
-    prev, cur = [2], [0, 1]
-    for i in range(1, h + 1):
-        for j, c in enumerate(cur):
-            psi[j] += phi[h + i] * c
-        nxt = [0] + cur
-        for j, c in enumerate(prev):
-            nxt[j] -= c
-        prev, cur = cur, nxt
-    return psi
-
-
-def _tau(d: int) -> int:
-    """The e with -2cos(2 pi a/d) a root of Psi_e, for a prime to d."""
-    if d % 2:
-        return 2 * d
-    return d // 2 if d % 4 == 2 else d
-
-
-def sophie_split_factors(q: int) -> List[polys.RationalPoly]:
-    """The irreducible factors of f - 1, f = curve_min_poly(q), in closed
-    form and sorted as `factor_over_Q` sorts them. With Psi_d the minimal
-    polynomial of 2cos(2 pi/d) (Psi_1 = x - 2, Psi_2 = x + 2, of degree
-    phi(d)/2 for d >= 3; D. H. Lehmer, Amer. Math. Monthly 40, 1933) and
-    p = (q - 1)/2:
-
-      p = 1 mod 4:  f - 1 = Psi_p * prod_{m | (p+1)/2} Psi_4m,
-      p = 3 mod 4:  f - 1 = Psi_p * prod_{d | p+1, d > 1} Psi_tau(d),
-
-    tau(d) = 2d for odd d, d/2 for d = 2 mod 4 and d when 4 | d.
-
-    Proof. The indices on the right are distinct, so it is a product of
-    distinct monic irreducibles, squarefree, of degree (p - 1)/2 plus
-    sum_m phi(m), or plus 1 + sum_{d > 2} phi(d)/2: (p + 1)/2 either way.
-    Both sides being monic of degree p, it is enough that each root of the
-    right side is a root of f - 1. W_p(cos t) = sin((p + 1/2) t) / sin(t/2),
-    and f(y) = W_p(y/2) for p = 1 mod 4, f(y) = -W_p(-y/2) for p = 3 mod 4
-    (`min_poly_2cos`).
-    p = 1 mod 4, y = 2cos t: f(y) = 1 when sin((p + 1/2) t) = sin(t/2), so
-    when pt is in 2 pi Z or (p + 1) t in pi (2Z + 1). The first holds at the
-    roots 2cos(2 pi k/p) of Psi_p; the second at 2cos(2 pi j/(2p + 2)) for
-    odd j, and as (p + 1)/2 is odd, the exact denominator of j/(2p + 2) is
-    4m with m | (p + 1)/2: the roots of the Psi_4m.
-    p = 3 mod 4, y = -2cos t: f(y) = 1 when sin((p + 1/2) t) = -sin(t/2),
-    so when pt is in pi (2Z + 1) or (p + 1) t in 2 pi Z. The first holds at
-    -2cos(pi (2k + 1)/p) = 2cos(2 pi ((p - 1)/2 - k)/p), the roots of
-    Psi_p; the second at -2cos(2 pi a/d) = 2cos(2 pi (d - 2a)/(2d)) for
-    d | p + 1 and a prime to d, and (d - 2a)/(2d) has exact denominator
-    tau(d): the roots of the Psi_tau(d).
-
-    `lower_bound_from_points` checks the product against f - 1 exactly."""
-    p = _sophie_pair(q).p
-    if p % 4 == 1:
-        indices = [4 * m for m in range(1, (p + 3) // 2)
-                   if (p + 1) // 2 % m == 0]
-    else:
-        indices = [_tau(d) for d in range(2, p + 2) if (p + 1) % d == 0]
-    factors = [polys.RationalPoly(_psi(d)) for d in [p] + indices]
-    factors.sort(key=lambda g: (g.deg(), g.coeffs))
-    return factors
 
 
 def lower_bound_from_points(f: polys.RationalPoly,

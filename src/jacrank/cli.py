@@ -86,7 +86,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
         if args.lower:
             lower, _ = bounds.lower_bound_from_points(
                 bounds.curve_min_poly(q),
-                factors=bounds.sophie_split_factors(q))
+                factors=polys.min_poly_2cos_split(q))
             report = report._replace(lower_bound=lower)
         rows.append(((q - 1) // 2, q, report.upper_bound, report.lower_bound))
         print(report.describe() if args.verbose else report.line())

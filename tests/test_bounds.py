@@ -16,18 +16,15 @@ from jacrank.bounds import (
     curve_min_poly,
     lower_bound_from_points,
     sophie_local_certificate,
-    sophie_split_factors,
     sophie_upper_bound,
     two_inert_in_real_cyclotomic,
     washington_bound,
     washington_local_certificate,
     washington_rho_certificate,
 )
-from jacrank.cyclosig import sophie_germain_pairs
-from jacrank.factor import factor_over_Q
 from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
-from jacrank.polys import RationalPoly, min_poly_2cos
+from jacrank.polys import RationalPoly, min_poly_2cos, min_poly_2cos_split
 from jacrank.stores import builtin_class_groups, parse_class_groups
 from test_polys import compose
 
@@ -352,46 +349,17 @@ def test_lower_bound_fractional_y0():
     assert ok
 
 
-def int_product(factors):
-    """Reference: the product of integer polynomials, by convolution."""
-    out = [1]
-    for g in factors:
-        coeffs = g.int_coeffs()
-        nxt = [0] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(coeffs):
-                nxt[i + j] += a * b
-        out = nxt
-    return out
-
-
-def test_sophie_split_factors_equal_factor_over_Q():
-    for pair in sophie_germain_pairs(179):
-        f = curve_min_poly(pair.q)
-        assert sophie_split_factors(pair.q) \
-            == factor_over_Q(f - RationalPoly([1])), pair.q
-
-
-def test_sophie_split_factors_multiply_to_f_minus_one():
-    pairs = sophie_germain_pairs(1019)
-    assert len(pairs) == 25
-    for pair in pairs:
-        f = curve_min_poly(pair.q).int_coeffs()
-        assert int_product(sophie_split_factors(pair.q)) \
-            == [f[0] - 1] + f[1:], pair.q
-
-
 def test_sophie_lower_bounds_past_table_4():
     for q, want in ((83, 4), (107, 4), (167, 10), (179, 6)):
         lower, classes = lower_bound_from_points(
-            curve_min_poly(q), factors=sophie_split_factors(q))
+            curve_min_poly(q), factors=min_poly_2cos_split(q))
         assert lower == want, q
-        assert len(classes.representatives) == len(sophie_split_factors(q))
+        assert len(classes.representatives) == len(min_poly_2cos_split(q))
 
 
 def test_lower_bound_rejects_factors_with_a_wrong_product():
     f = curve_min_poly(23)
-    factors = sophie_split_factors(23)
+    factors = min_poly_2cos_split(23)
     with pytest.raises(RuntimeError, match="do not multiply"):
         lower_bound_from_points(f, factors=factors[1:])
     with pytest.raises(RuntimeError, match="do not multiply"):

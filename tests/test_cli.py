@@ -187,7 +187,8 @@ def test_lower_bound_needs_no_witness(capsys, monkeypatch):
     monkeypatch.setattr(numberfield, "_rational_coords", lambda *args: None)
     code, out, err = run(capsys, "lower-bound", "--poly", "1,-4,1,1",
                          "--y0", "1")
-    assert (code, out, err) == (0, "poly=1,-4,1,1 y0=1 factors=2 lower=1\n", "")
+    assert (code, out, err) \
+        == (0, "poly=1,-4,1,1 y0=1 factors=2 lower=1\n", "")
 
 
 @pytest.mark.parametrize("y0", ["1", "2"])

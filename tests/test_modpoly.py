@@ -356,7 +356,8 @@ def root_test_polys():
 
 def _roots_by_factoring(coeffs, ell):
     return sorted(-g.coeffs[0] % ell
-                  for g in factor_mod_p(PrimePoly(ell, coeffs)) if len(g.coeffs) == 2)
+                  for g in factor_mod_p(PrimePoly(ell, coeffs))
+                  if len(g.coeffs) == 2)
 
 
 def test_roots_mod_p_matches_linear_factors():

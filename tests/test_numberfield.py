@@ -181,7 +181,8 @@ def test_independence_rank_example():
 
 
 def test_independence_rank_degenerate():
-    assert independence_rank_mod_squares(SquareClassSet(Q11, (Q11.element([1]),))) == 0
+    one = Q11.element([1])
+    assert independence_rank_mod_squares(SquareClassSet(Q11, (one,))) == 0
     th = Q7.element([0, 1])
     assert independence_rank_mod_squares(SquareClassSet(Q7, (th, th))) == 1
     with pytest.raises(ValueError):

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, cos, gcd, pi
 
 import pytest
 
 from jacrank.arith import primes_upto
+from jacrank.cyclosig import sophie_germain_pairs
+from jacrank.factor import factor_over_Q
 from jacrank.polys import (
     RationalPoly,
     format_poly,
+    _psi,
     min_poly_2cos,
+    min_poly_2cos_split,
     resultant,
 )
 
@@ -238,6 +242,65 @@ def test_min_poly_2cos_rejects_bad_q():
     for q in (4, 6, 9, 1, 2, 3):
         with pytest.raises(ValueError):
             min_poly_2cos(q, negate=False)
+
+
+def test_psi_poly_has_the_conjugates_of_2cos_as_roots():
+    """Psi_d is monic of degree phi(d)/2 (1 for d <= 2), and its roots are
+    2cos(2 pi k/d) for k prime to d, 0 < k <= d/2: its coefficients match
+    the float product of the x - 2cos(2 pi k/d), for d <= 120."""
+    for d in range(1, 121):
+        roots = [2 * cos(2 * pi * k / d) for k in range(1, d // 2 + 1)
+                 if gcd(k, d) == 1] or [2.0]
+        got = [float(c) for c in _psi(d)]
+        assert got[-1] == 1 and len(got) == len(roots) + 1, d
+        want = [1.0]
+        for r in roots:
+            want = [a - r * b for a, b in zip([0.0] + want, want + [0.0])]
+        assert all(abs(a - b) < 1e-6 * (1 + abs(b))
+                   for a, b in zip(got, want)), d
+
+
+def test_psi_poly_at_primes_is_min_poly_2cos():
+    for q in primes_upto(400)[2:]:
+        assert RationalPoly(_psi(q)) == min_poly_2cos(q, negate=False), q
+
+
+def int_product(factors):
+    """Reference: the product of integer polynomials, by convolution."""
+    out = [1]
+    for g in factors:
+        coeffs = g.int_coeffs()
+        nxt = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                nxt[i + j] += a * b
+        out = nxt
+    return out
+
+
+def curve_poly(q):
+    return min_poly_2cos(q, (q - 1) // 2 % 4 == 3)
+
+
+def test_min_poly_2cos_split_equals_factor_over_Q():
+    for pair in sophie_germain_pairs(179):
+        assert min_poly_2cos_split(pair.q) \
+            == factor_over_Q(curve_poly(pair.q) - RationalPoly([1])), pair.q
+
+
+def test_min_poly_2cos_split_multiplies_to_f_minus_one():
+    pairs = sophie_germain_pairs(1019)
+    assert len(pairs) == 25
+    for pair in pairs:
+        f = curve_poly(pair.q).int_coeffs()
+        assert int_product(min_poly_2cos_split(pair.q)) \
+            == [f[0] - 1] + f[1:], pair.q
+
+
+def test_min_poly_2cos_split_rejects_bad_q():
+    for q in (1, 3, 5, 9, 13, 17, 29):  # not 2p + 1 with p, q prime, q >= 7
+        with pytest.raises(ValueError):
+            min_poly_2cos_split(q)
 
 
 def test_format_poly_frozen():
