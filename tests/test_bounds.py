@@ -350,11 +350,14 @@ def test_lower_bound_fractional_y0():
 
 
 def test_sophie_lower_bounds_past_table_4():
-    for q, want in ((83, 4), (107, 4), (167, 10), (179, 6)):
-        lower, classes = lower_bound_from_points(
-            curve_min_poly(q), factors=min_poly_2cos_split(q))
+    # the witnessed values; at q = 479, 20 classes, a fixed 20 residue
+    # symbols without the real signs give 17, and k + 20 give 18
+    for q, want in ((83, 4), (107, 4), (167, 10), (179, 6), (479, 18)):
+        factors = min_poly_2cos_split(q)
+        lower, classes = lower_bound_from_points(curve_min_poly(q),
+                                                 factors=factors)
         assert lower == want, q
-        assert len(classes.representatives) == len(min_poly_2cos_split(q))
+        assert len(classes.representatives) == len(factors)
 
 
 def test_lower_bound_rejects_factors_with_a_wrong_product():
