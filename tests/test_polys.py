@@ -14,6 +14,7 @@ from math import comb, cos, gcd, pi
 import pytest
 
 from jacrank.arith import primes_upto
+from jacrank.bounds import curve_min_poly
 from jacrank.cyclosig import sophie_germain_pairs
 from jacrank.factor import factor_over_Q
 from jacrank.polys import (
@@ -278,21 +279,18 @@ def int_product(factors):
     return out
 
 
-def curve_poly(q):
-    return min_poly_2cos(q, (q - 1) // 2 % 4 == 3)
-
-
 def test_min_poly_2cos_split_equals_factor_over_Q():
     for pair in sophie_germain_pairs(179):
+        f = curve_min_poly(pair.q)
         assert min_poly_2cos_split(pair.q) \
-            == factor_over_Q(curve_poly(pair.q) - RationalPoly([1])), pair.q
+            == factor_over_Q(f - RationalPoly([1])), pair.q
 
 
 def test_min_poly_2cos_split_multiplies_to_f_minus_one():
     pairs = sophie_germain_pairs(1019)
     assert len(pairs) == 25
     for pair in pairs:
-        f = curve_poly(pair.q).int_coeffs()
+        f = curve_min_poly(pair.q).int_coeffs()
         assert int_product(min_poly_2cos_split(pair.q)) \
             == [f[0] - 1] + f[1:], pair.q
 
