@@ -34,7 +34,6 @@ _EXPORTS = {
     "builtin_class_groups": "stores",
     "certify_rho_infty": "cyclosig",
     "curve_min_poly": "bounds",
-    "delta_class_of_factor": "numberfield",
     "format_poly": "polys",
     "independence_rank_mod_squares": "numberfield",
     "ingest_class_groups": "stores",

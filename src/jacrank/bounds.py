@@ -209,24 +209,24 @@ def two_inert_in_real_cyclotomic(p: int) -> bool:
     return order == (p - 1) // 2
 
 
-def _sophie_pair(q: int) -> cyclosig.SophieGermainPair:
+def _sophie_p(q: int) -> int:
+    """p = (q - 1)/2 for a Sophie Germain modulus q; ValueError otherwise."""
     p, r = divmod(q - 1, 2)
     if q < 7 or r != 0 or not is_prime(q) or not is_prime(p):
         raise ValueError(f"q = {q} is not a Sophie Germain modulus "
                          "(need q and (q-1)/2 both prime, q >= 7)")
-    return cyclosig.SophieGermainPair(p, q)
+    return p
 
 
 def curve_min_poly(q: int) -> polys.RationalPoly:
     """Defining polynomial with constant term +1, so (0,1) is on the curve."""
-    pair = _sophie_pair(q)
-    return polys.min_poly_2cos(q, pair.p % 4 == 3)
+    return polys.min_poly_2cos(q, _sophie_p(q) % 4 == 3)
 
 
 def sophie_local_certificate(q: int) -> GTrivialityCertificate:
     """Bad primes are 2 and q: 2 is inert because its order mod q is q-1 or
     (q-1)/2, and q is totally ramified in the cyclotomic field."""
-    pair = _sophie_pair(q)
+    _sophie_p(q)
     order = multiplicative_order(2, q)
     ok = order in (q - 1, (q - 1) // 2)
     if not ok:
@@ -248,9 +248,8 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
     scan_bound), the bound is g + cl2 (g alone under Davis-Taussky, since the
     conjecture forces an odd class number). Otherwise the fallback
     rho_infty + j_infty <= p - 1 applies on top of the narrow 2-rank."""
-    pair = _sophie_pair(q)
-    p = pair.p
-    g = pair.genus
+    p = _sophie_p(q)
+    g = (p - 1) // 2
     sophie_local_certificate(q)
 
     if assume_davis_taussky:
@@ -265,7 +264,8 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
     if two_inert_in_real_cyclotomic(p):
         rho_zero = True
         hyp = ("2-inert-in-real-cyclotomic",)
-    elif q <= scan_bound and cyclosig.certify_rho_infty(pair).rho_infty_zero:
+    elif q <= scan_bound and cyclosig.certify_rho_infty(
+            cyclosig.SophieGermainPair(p, q)).rho_infty_zero:
         rho_zero = True
         hyp = ("q-below-scan-bound",)
 
@@ -318,9 +318,11 @@ def lower_bound_from_points(f: polys.RationalPoly,
     infinity, J(Q) has no 2-torsion and the descent map is injective.
 
     The factors are `factor_over_Q(f - y0^2)` unless given, as from a closed
-    form; given factors must multiply to f - y0^2 exactly, or RuntimeError
-    is raised. Any factorization over Q gives valid classes: a coarser one
-    only bounds the rank less tightly."""
+    form; given factors must be monic and multiply to f - y0^2 exactly, or
+    RuntimeError is raised. Any factorization over Q gives valid classes: a
+    coarser one only bounds the rank less tightly. Either way each factor g
+    divides f - y0^2, so g(theta) is nonzero: a common root theta of g and
+    f would give 0 = f(theta) = y0^2."""
     from fractions import Fraction  # here, so the upper-bound routes skip it
 
     y0 = Fraction(y0)
@@ -337,9 +339,11 @@ def lower_bound_from_points(f: polys.RationalPoly,
             factors = factor.factor_over_Q(split)
         except ValueError:  # a repeated factor
             raise ValueError("f - y0^2 must be square-free") from None
-    elif prod(factors, start=polys.RationalPoly([1])) != split:
-        raise RuntimeError("the given factors do not multiply to f - y0^2")
-    classes = tuple(numberfield.delta_class_of_factor(g, y0, field)
-                    for g in factors)
+    elif not all(g.is_monic() for g in factors) \
+            or prod(factors, start=polys.RationalPoly([1])) != split:
+        raise RuntimeError("the given factors are not monic or do not "
+                           "multiply to f - y0^2")
+    classes = tuple(-a if g.deg() % 2 else a
+                    for g, a in zip(factors, map(field.from_poly, factors)))
     class_set = numberfield.SquareClassSet(field, classes)
     return numberfield.independence_rank_mod_squares(class_set), class_set

@@ -1,13 +1,14 @@
 """Command-line interface; the only module with I/O side effects.
 
 Output is machine-readable, one line per curve, and byte-identical across
-runs. Exit codes: 0 success, 1 partial (missing data),
-2 invalid input, 3 certification failure.
+runs. Exit codes: 0 success, 1 partial (missing data, or stdout closed by its
+reader), 2 invalid input, 3 certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -238,7 +239,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: the output is cut short,
+        # not the input invalid; the unflushed rest goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARTIAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -104,10 +104,6 @@ class SophieGermainPair(CheckedRecord, _SophieGermainPair):
             raise ValueError(f"q must be prime, got {q}")
         return super().__new__(cls, p, q)
 
-    @property
-    def genus(self) -> int:
-        return (self.p - 1) // 2
-
 
 class RhoInftyCertificate(NamedTuple):
     pair: SophieGermainPair

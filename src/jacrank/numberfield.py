@@ -4,6 +4,10 @@ Elements are coordinate vectors over the power basis 1, theta, ...,
 theta^(deg-1). Everything is exact: norms via resultants, embedding signs via
 Sturm intervals, and square classes in odd degree by quadratic characters.
 
+f is irreducible by construction when it is the minimal polynomial
+min_poly_2cos(q, s) of +-2cos(2 pi/q) for the prime q = 2 deg + 1, which is
+recognized by one exact comparison; every other f is factored over Q.
+
 The rank of a set of k classes comes from an F2 matrix of quadratic
 characters (homomorphisms L*/L*^2 -> F2, so they kill squares): residue
 symbols at k + 20 degree-one primes, then Legendre symbols of norms, one
@@ -27,22 +31,24 @@ A field finds its split primes, with the roots of f mod each, once, and
 reuses them for every element. The split primes come from a value sieve
 over windows of primes: ell has a root r < ell exactly when ell divides
 f(r), so one gcd of f(t) with the window's prime product per t <
-max(window) finds them all, with no Frobenius power mod ell.
+max(window) finds them all, with no Frobenius power mod ell. The primes
+dividing disc(f) = +-Res(f, f'), computed once per field, are left out.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+# used qualified: a lazy module's body runs only when a route reaches it, and
+# factoring over Q or F_ell is needed by no Sophie Germain lower bound
+from . import factor, modpoly
 from .f2 import kernel_basis
-from .factor import factor_over_Q
-from .modpoly import (PrimePoly, divmod_monic, is_irreducible_mod_p,
-                      is_squarefree_mod_p, mul, powmod, sub, xgcd)
-from .polys import Frozen, RationalPoly, resultant
-from .roots import isolate_real_roots, sign_at
+from .polys import (Frozen, RationalPoly, clear_denominators, min_poly_2cos,
+                    resultant)
 from .arith import CheckedRecord, is_prime, jacobi, primes_upto
 
 __all__ = [
@@ -50,13 +56,26 @@ __all__ = [
     "FieldElement",
     "SquareClassSet",
     "SquarenessUndetermined",
-    "delta_class_of_factor",
     "independence_rank_mod_squares",
 ]
 
 class SquarenessUndetermined(RuntimeError):
     """The squareness pipeline exhausted its precision ladder without an
     exact witness or a sound obstruction."""
+
+
+def _is_min_poly_2cos(poly: RationalPoly) -> bool:
+    """Whether poly is min_poly_2cos(q, False) or min_poly_2cos(q, True)
+    for q = 2 deg + 1 prime, and so irreducible with no factoring. The
+    roots of min_poly_2cos(q, False) are the p = (q - 1)/2 distinct
+    conjugates 2cos(2 pi k/q), k = 1..p, the whole Galois orbit of
+    2cos(2 pi/q) (see its docstring): a monic polynomial of degree p that
+    vanishes on the orbit is the minimal polynomial of 2cos(2 pi/q). The
+    negated one is its image under y -> -y, the minimal polynomial of
+    -2cos(2 pi/q)."""
+    q = 2 * poly.deg() + 1
+    return is_prime(q) and (poly == min_poly_2cos(q, False)
+                            or poly == min_poly_2cos(q, True))
 
 
 class NumberField:
@@ -67,12 +86,13 @@ class NumberField:
             raise ValueError("defining polynomial must be monic")
         if not poly.is_integral():
             raise ValueError("defining polynomial must have integer coefficients")
-        try:
-            irreducible = len(factor_over_Q(poly)) == 1
-        except ValueError:  # a repeated factor
-            irreducible = False
-        if not irreducible:
-            raise ValueError("defining polynomial must be irreducible")
+        if not _is_min_poly_2cos(poly):
+            try:
+                irreducible = len(factor.factor_over_Q(poly)) == 1
+            except ValueError:  # a repeated factor
+                irreducible = False
+            if not irreducible:
+                raise ValueError("defining polynomial must be irreducible")
         self.poly = poly
         self.degree = poly.deg()
         # the split primes among the odd primes up to _ell_scanned
@@ -91,6 +111,11 @@ class NumberField:
     @cached_property
     def _int_coeffs(self) -> Tuple[int, ...]:
         return self.poly.int_coeffs()
+
+    @cached_property
+    def _disc(self) -> int:
+        """Res(f, f') = +-disc(f), f being monic."""
+        return resultant(self.poly, self.poly.derivative()).numerator
 
     def element(self, coords: Sequence[Union[int, Fraction]]) -> "FieldElement":
         cs = [Fraction(c) for c in coords]
@@ -112,6 +137,8 @@ class NumberField:
         return resultant(self.poly, rep)
 
     def signature(self, a: "FieldElement") -> Tuple[int, ...]:
+        from .roots import isolate_real_roots, sign_at  # here: no route signs
+
         if a.is_zero():
             raise ValueError("signature of zero is undefined")
         ivs = isolate_real_roots(self.poly)
@@ -136,7 +163,8 @@ class NumberField:
         while len(self._split_primes) <= i:
             lo = self._ell_scanned
             hi = max(2 * lo, _FIRST_WINDOW)
-            self._split_primes += _sieve_split_primes(self._int_coeffs, lo, hi)
+            self._split_primes += _sieve_split_primes(self._int_coeffs,
+                                                      self._disc, lo, hi)
             self._ell_scanned = hi
         return self._split_primes[i]
 
@@ -145,20 +173,28 @@ class NumberField:
         """The first `count` degree-one ideals (ell, r), by ell then r, at
         which every element of `reps` is a unit, and one packed column per
         element: bit j is set when it is a nonresidue at ideal j. Each
-        element is evaluated once at each candidate ideal."""
-        dens = [c.denominator for a in reps for c in a.coords]
+        element is evaluated once at each candidate ideal.
+
+        An element a = A/d, A integral and d its least common denominator,
+        is evaluated as d A(r) mod ell: d A = d^2 a has the symbol of a. The
+        primes dividing some d are skipped."""
+        cleared = [clear_denominators(a.coords) for a in reps]
         ideals: List[Tuple[int, int]] = []
         columns = [0] * len(reps)
         i = 0
         while len(ideals) < count:
             ell, roots = self._split_prime(i)
             i += 1
-            if any(d % ell == 0 for d in dens):
+            if any(d % ell == 0 for d, _ in cleared):
                 continue
             for r in roots:
                 if len(ideals) >= count:
                     break
-                values = [_eval_mod(a.coords, r, ell) for a in reps]
+                powers = [1]  # r^j mod ell, shared by every element
+                for _ in range(self.degree - 1):
+                    powers.append(powers[-1] * r % ell)
+                values = [d * sum(map(operator.mul, cs, powers)) % ell
+                          for d, cs in cleared]
                 if 0 in values:
                     continue
                 for c, v in enumerate(values):
@@ -179,7 +215,8 @@ class NumberField:
         503 over 200 random irreducible f of degree 3 to 25)."""
         ell = after + 2
         while ell < 10000:
-            if is_prime(ell) and is_irreducible_mod_p(PrimePoly(ell, self._int_coeffs)):
+            if is_prime(ell) and modpoly.is_irreducible_mod_p(
+                    modpoly.PrimePoly(ell, self._int_coeffs)):
                 return ell
             ell += 2
         raise SquarenessUndetermined("no inert witness prime found")
@@ -208,25 +245,28 @@ class NumberField:
         SquarenessUndetermined if none squares to a by the precision cap."""
         p = self.degree
         f = list(self._int_coeffs)
-        d = 1
-        for c in a.coords:
-            d = d * c.denominator // gcd(d, c.denominator)
-        acoeffs = [int(c * d * d) for c in a.coords]
+        d, da = clear_denominators(a.coords)
+        acoeffs = [c * d for c in da]
         ell = self._witness_prime
         while all(c % ell == 0 for c in acoeffs):
             ell = self._next_witness_prime(ell)
         x = _tonelli_shanks([c % ell for c in acoeffs], f, ell)
-        z = xgcd(mul([2], x, ell), f, ell)[0]  # 1 / (2x) in F_{ell^p}
+        # 1 / (2x) in F_{ell^p}
+        z = modpoly.xgcd(modpoly.mul([2], x, ell), f, ell)[0]
+
+        def mulmod(u: List[int], v: List[int], m: int) -> List[int]:
+            return modpoly.divmod_monic(modpoly.mul(u, v, m), f, m)[1]
+
         m = ell
         cap = 1 << 14
         while m.bit_length() < cap:
             mm = m * m
             amm = [c % mm for c in acoeffs]
             # Newton: x' = x - (x^2 - a) z ; z' = z (2 - 2 x' z)
-            e = sub(divmod_monic(mul(x, x, mm), f, mm)[1], amm, mm)
-            x = sub(x, divmod_monic(mul(e, z, mm), f, mm)[1], mm)
-            tz = divmod_monic(mul(mul([2], x, mm), z, mm), f, mm)[1]
-            z = divmod_monic(mul(z, sub([2], tz, mm), mm), f, mm)[1]
+            e = modpoly.sub(mulmod(x, x, mm), amm, mm)
+            x = modpoly.sub(x, mulmod(e, z, mm), mm)
+            tz = mulmod(modpoly.mul([2], x, mm), z, mm)
+            z = mulmod(z, modpoly.sub([2], tz, mm), mm)
             m = mm
             if m.bit_length() < 192:
                 continue
@@ -242,11 +282,13 @@ class NumberField:
 _FIRST_WINDOW = 64  # the first sieve window is the odd primes up to this
 
 
-def _sieve_split_primes(coeffs: Sequence[int], lo: int,
+def _sieve_split_primes(coeffs: Sequence[int], disc: int, lo: int,
                         hi: int) -> List[Tuple[int, List[int]]]:
     """(ell, sorted roots of f mod ell) for the primes lo < ell <= hi, lo >= 2,
-    that do not divide disc(f) and at which the monic integer polynomial f
-    has a root, ascending in ell.
+    that do not divide disc, the discriminant of the monic integer
+    polynomial f (up to sign), and at which f has a root, ascending in ell.
+    For monic f, ell does not divide disc(f) exactly when f is squarefree
+    mod ell.
 
     A value sieve (Dedekind-Kummer: the degree-one primes over an unramified
     ell are the (ell, theta - r) with f(r) = 0 mod ell): with P the product
@@ -276,17 +318,7 @@ def _sieve_split_primes(coeffs: Sequence[int], lo: int,
                 g //= ell
                 if g == 1:
                     break
-    return [(ell, rs) for ell, rs in roots.items()
-            if rs and is_squarefree_mod_p(coeffs, ell)]  # else ell | disc(f)
-
-
-def _eval_mod(coords: Sequence[Fraction], r: int, ell: int) -> int:
-    acc = 0
-    for c in reversed(coords):
-        num = c.numerator % ell
-        den = pow(c.denominator % ell, ell - 2, ell)
-        acc = (acc * r + num * den) % ell
-    return acc
+    return [(ell, rs) for ell, rs in roots.items() if rs and disc % ell]
 
 
 def _tonelli_shanks(a: List[int], f: List[int], ell: int) -> List[int]:
@@ -297,11 +329,11 @@ def _tonelli_shanks(a: List[int], f: List[int], ell: int) -> List[int]:
     nonresidue of F_ell, which stays one in F_q at odd degree. At
     q = 3 mod 4, s = 1 and t = 1: r = a^((q + 1) / 4) and no pass runs."""
     def mulmod(u: List[int], v: List[int]) -> List[int]:
-        return divmod_monic(mul(u, v, ell), f, ell)[1]
+        return modpoly.divmod_monic(modpoly.mul(u, v, ell), f, ell)[1]
 
     q = ell ** (len(f) - 1)
     s = ((q - 1) & (1 - q)).bit_length() - 1
-    b = powmod(a, ((q - 1) >> s) // 2, f, ell)  # a^((Q - 1) / 2)
+    b = modpoly.powmod(a, ((q - 1) >> s) // 2, f, ell)  # a^((Q - 1) / 2)
     r = mulmod(a, b)
     t = mulmod(r, b)
     if t != [1]:
@@ -464,20 +496,3 @@ def _nonresidue_prime(n: int, units: Sequence[int]) -> int:
         if is_prime(ell) and all(u % ell for u in units) and jacobi(n, ell) < 0:
             return ell
         ell += 2
-
-
-def delta_class_of_factor(g: RationalPoly, y0: Fraction,
-                          field: NumberField) -> FieldElement:
-    """The square class (-1)^deg(g) g(theta) attached to an irreducible
-    factor g of f - y0^2."""
-    if g.deg() < 1 or g.deg() > field.degree:
-        raise ValueError("factor degree out of range")
-    shifted = field.poly - RationalPoly([Fraction(y0) * Fraction(y0)])
-    if (shifted % g).deg() >= 0:
-        raise ValueError("g does not divide f - y0^2")
-    elem = field.from_poly(g)
-    if elem.is_zero():
-        raise ValueError("g shares a root with the defining polynomial")
-    if g.deg() % 2 == 1:
-        elem = -elem
-    return elem

@@ -2,16 +2,17 @@
 
 Coefficients are stored ascending as Fractions with trailing zeros trimmed,
 so the zero polynomial has an empty coefficient tuple and deg() == -1.
-Resultants use the integer subresultant remainder sequence after clearing
-denominators. The minimal polynomials of 2cos(2*pi/d) are built in integers:
-the curve polynomials of the Sophie Germain family from binomials, and the
-factors of their f - 1 from cyclotomic polynomials.
+Products and resultants are computed on integers after clearing
+denominators, resultants by the subresultant remainder sequence. The
+minimal polynomials of 2cos(2*pi/d) are built in integers: the curve
+polynomials of the Sophie Germain family from binomials, and the factors of
+their f - 1 from cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .arith import is_prime, prime_factors
@@ -19,6 +20,7 @@ from .arith import is_prime, prime_factors
 __all__ = [
     "Frozen",
     "RationalPoly",
+    "clear_denominators",
     "prem",
     "resultant",
     "min_poly_2cos",
@@ -96,12 +98,15 @@ class RationalPoly(Frozen):
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if self.is_zero() or other.is_zero():
             return RationalPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPoly(out)
+        da, a = clear_denominators(self.coeffs)
+        db, b = clear_denominators(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return RationalPoly(out if d == 1 else [Fraction(v, d) for v in out])
 
     def divmod(self, other: "RationalPoly") -> Tuple["RationalPoly", "RationalPoly"]:
         if other.is_zero():
@@ -131,10 +136,7 @@ class RationalPoly(Frozen):
         coefficients, positive leading coefficient, and coefficient gcd 1."""
         if self.is_zero():
             return Fraction(0), self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
+        den, ints = clear_denominators(self.coeffs)
         g = 0
         for v in ints:
             g = gcd(g, abs(v))
@@ -149,6 +151,13 @@ class RationalPoly(Frozen):
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def clear_denominators(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(d, [d * c for c in coeffs]) for d the least common denominator, the
+    scaled coefficients as ints."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -208,10 +217,10 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
         return f.coeffs[0] ** n
     if n == 0:
         return g.coeffs[0] ** m
-    cf, pf = f.primitive()
-    cg, pg = g.primitive()
-    base = _int_resultant(pf.int_coeffs(), pg.int_coeffs())
-    return cf**n * cg**m * base
+    # Res(F/a, G/b) = a^-n b^-m Res(F, G) for integer F, G
+    a, fs = clear_denominators(f.coeffs)
+    b, gs = clear_denominators(g.coeffs)
+    return Fraction(_int_resultant(fs, gs), a**n * b**m)
 
 
 def _diagonal_binomials(n: int) -> List[int]:

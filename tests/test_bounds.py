@@ -369,6 +369,12 @@ def test_lower_bound_rejects_factors_with_a_wrong_product():
         lower_bound_from_points(f, factors=[factors[0]] + factors)
     with pytest.raises(RuntimeError, match="do not multiply"):
         lower_bound_from_points(f, Fraction(2), factors=factors)
+    # the right product from non-monic factors, whose classes would be off
+    # by rational constants
+    two, half = RationalPoly([2]), RationalPoly([Fraction(1, 2)])
+    scaled = [factors[0] * two, factors[1] * half] + factors[2:]
+    with pytest.raises(RuntimeError, match="not monic"):
+        lower_bound_from_points(f, factors=scaled)
 
 
 def test_lower_at_most_upper_on_shipped_family():

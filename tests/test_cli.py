@@ -297,6 +297,26 @@ def test_directory_as_data_file_is_invalid_input(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_is_partial_output_not_invalid_input(tmp_path):
+    """A reader that leaves after one line, as `| head -1` does: the 2000
+    lines, some 100 kB, overflow the pipe, so a later write meets the
+    closed pipe. The run ends quietly with exit 1."""
+    clgroups = tmp_path / "clgroups.txt"
+    clgroups.write_text("clgroup v1\n" + "".join(
+        f"poly=1,{-(m + 3)},{m},1 cl2=0 source=test\n" for m in range(1, 2001)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jacrank", "washington", "--m", "1..2000",
+         "--clgroups", str(clgroups)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"curve=cubic-m1 ")
+    assert err == b""
+
+
 def test_error_paths_load_no_number_field(tmp_path):
     """A store format error is a ValueError and a failed certificate a
     RuntimeError: each is reported on one stderr line without loading the

@@ -183,8 +183,6 @@ def test_pair_validation():
         SophieGermainPair(5, 13)  # q != 2p+1
     with pytest.raises(ValueError):
         SophieGermainPair(9, 19)  # p composite
-    assert SophieGermainPair(5, 11).genus == 2
-    assert SophieGermainPair(11, 23).genus == 5
 
 
 def test_sieve_pairs_equal_validated_pairs():

@@ -13,7 +13,7 @@ from math import gcd, prod
 
 import pytest
 
-from jacrank import numberfield
+from jacrank import factor, modpoly, numberfield
 from jacrank.arith import is_prime, jacobi, primes_upto
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.cyclosig import SophieGermainPair, build_M_infty
@@ -25,10 +25,9 @@ from jacrank.numberfield import (
     NumberField,
     SquareClassSet,
     SquarenessUndetermined,
-    delta_class_of_factor,
     independence_rank_mod_squares,
 )
-from jacrank.polys import RationalPoly, min_poly_2cos
+from jacrank.polys import RationalPoly, min_poly_2cos, resultant
 from jacrank.roots import isolate_real_roots
 from test_f2 import row_kernel_basis
 from test_modpoly import root_test_polys, roots_mod_p
@@ -54,7 +53,24 @@ def test_field_validation():
         NumberField(RationalPoly([-1, -1, 1, 1]))  # (x + 1)^2 (x - 1)
     with pytest.raises(ValueError):
         NumberField(RationalPoly([3, 1]))  # degree 1
+    # degree 5 and 2 * 5 + 1 = 11 prime, but not a curve polynomial: factored
+    with pytest.raises(ValueError, match="must be irreducible"):
+        NumberField(RationalPoly([-1, 1, 0, 0, -1, 1]))  # (x - 1)(x^4 + 1)
     assert Q7.degree == 3 and Q11.degree == 5
+
+
+def test_minimal_polynomials_of_2cos_are_not_factored(monkeypatch):
+    """min_poly_2cos(q, s) is irreducible by construction, for either sign
+    and every prime q, so building its field factors nothing."""
+    def no_factoring(f):
+        raise AssertionError(f"factored {f}")
+
+    monkeypatch.setattr(factor, "factor_over_Q", no_factoring)
+    for q in primes_upto(180)[2:]:
+        for negate in (False, True):
+            assert NumberField(min_poly_2cos(q, negate)).degree == (q - 1) // 2
+    with pytest.raises(AssertionError, match="factored"):
+        NumberField(RationalPoly([1, -146, 143, 1]))
 
 
 def test_power_basis_reduction():
@@ -198,26 +214,29 @@ def test_independence_rank_degenerate():
 
 
 def test_delta_classes_example():
+    # f - 1 = x (x^2 - 3)(x^2 + x - 1) on Q11: the classes are -theta and
+    # the two quadratics, in the order of the factors
     th = Q11.element([0, 1])
     g1 = RationalPoly([0, 1])
     g2 = RationalPoly([-3, 0, 1])
     g3 = RationalPoly([-1, 1, 1])
-    assert delta_class_of_factor(g1, Fraction(1), Q11) == -th
-    assert delta_class_of_factor(g2, Fraction(1), Q11) == Q11.from_poly(g2)
-    assert delta_class_of_factor(g3, Fraction(1), Q11) == Q11.from_poly(g3)
-    with pytest.raises(ValueError):
-        delta_class_of_factor(Q11.poly, Fraction(1), Q11)  # g = f shares roots
-    with pytest.raises(ValueError):
-        delta_class_of_factor(RationalPoly([1, 1]), Fraction(1), Q11)  # not a factor
+    _, classes = lower_bound_from_points(Q11.poly)
+    assert classes.representatives == (-th, Q11.from_poly(g2), Q11.from_poly(g3))
+    _, classes = lower_bound_from_points(Q11.poly, factors=[g3, g1, g2])
+    assert classes.representatives == (Q11.from_poly(g3), -th, Q11.from_poly(g2))
+    with pytest.raises(RuntimeError):
+        lower_bound_from_points(Q11.poly, factors=[Q11.poly])  # shares roots
+    with pytest.raises(RuntimeError):
+        lower_bound_from_points(Q11.poly, factors=[RationalPoly([1, 1]), g2,
+                                                   g3])  # not a factor
 
 
 def test_delta_product_is_square():
     # product over all factors of f - y0^2 is y0^2 times a square
     for field, y0 in [(Q7, Fraction(1)), (Q11, Fraction(1))]:
-        shifted = field.poly - RationalPoly([y0 * y0])
         prod = field.element([1])
-        for g in factor_over_Q(shifted):
-            prod = prod * delta_class_of_factor(g, y0, field)
+        for a in lower_bound_from_points(field.poly, y0)[1].representatives:
+            prod = prod * a
         ok, w = field.is_square(prod)
         assert ok and w * w == prod
 
@@ -249,13 +268,19 @@ def test_witness_walk_stops_below_ten_thousand(monkeypatch):
         tried.append(fp.modulus)
         return False
 
-    monkeypatch.setattr(numberfield, "is_irreducible_mod_p", never_irreducible)
+    monkeypatch.setattr(modpoly, "is_irreducible_mod_p", never_irreducible)
     with pytest.raises(SquarenessUndetermined, match="no inert witness prime"):
         field._next_witness_prime(1)
     assert tried == primes_upto(10000)[1:]
 
 
 # -- split primes: the value sieve against the Frobenius reference -----------
+
+
+def disc(coeffs):
+    """Res(f, f'), the discriminant of the monic f up to sign."""
+    f = RationalPoly(coeffs)
+    return resultant(f, f.derivative()).numerator
 
 
 def frobenius_split_primes(coeffs, lo, hi):
@@ -304,7 +329,7 @@ def test_sieve_matches_frobenius_roots_below_800():
         sieved, lo = [], 2
         while lo < 800:
             hi = max(2 * lo, numberfield._FIRST_WINDOW)
-            sieved += numberfield._sieve_split_primes(f, lo, hi)
+            sieved += numberfield._sieve_split_primes(f, disc(f), lo, hi)
             lo = hi
         assert [s for s in sieved if s[0] < 800] \
             == frobenius_split_primes(f, 2, 799), f
@@ -328,19 +353,32 @@ def test_sieve_window_edges():
     field = NumberField(RationalPoly(f))
     split = dict(sieved_split_primes(field, 600))
     assert split[257] == [60, 197]
-    assert numberfield._sieve_split_primes(f, 256, 512)[0] == (257, [60, 197])
+    assert numberfield._sieve_split_primes(f, disc(f), 256, 512)[0] \
+        == (257, [60, 197])
     assert split[7] == [3, 4]  # t = 10, 11, ..., 60 in the first window
     # windows that start just below a split prime, end on one, hold one
     # prime or none, on a field split only at ell = +-1 mod 47
     g = curve_min_poly(47).int_coeffs()
     for lo, hi in ((280, 300), (2, 281), (281, 283), (186, 189), (2, 3)):
-        assert numberfield._sieve_split_primes(g, lo, hi) \
+        assert numberfield._sieve_split_primes(g, disc(g), lo, hi) \
             == frobenius_split_primes(g, lo, hi), (lo, hi)
-    assert numberfield._sieve_split_primes(g, 280, 282)[0][0] == 281
-    assert numberfield._sieve_split_primes(f, 4, 4) == []
+    assert numberfield._sieve_split_primes(g, disc(g), 280, 282)[0][0] == 281
+    assert numberfield._sieve_split_primes(f, disc(f), 4, 4) == []
 
 
 # -- the character-matrix rank and the witness against the full paths --------
+
+
+def eval_mod(coords, r, ell):
+    """Reference: the element with rational coordinates `coords` at
+    theta = r mod ell, each numerator times the inverse of its denominator
+    mod ell."""
+    acc = 0
+    for c in reversed(coords):
+        num = c.numerator % ell
+        den = pow(c.denominator % ell, ell - 2, ell)
+        acc = (acc * r + num * den) % ell
+    return acc
 
 
 def two_pass_ideals(field, count, avoid):
@@ -358,14 +396,14 @@ def two_pass_ideals(field, count, avoid):
         for r in roots:
             if len(out) >= count:
                 break
-            if all(numberfield._eval_mod(a.coords, r, ell) != 0 for a in avoid):
+            if all(eval_mod(a.coords, r, ell) != 0 for a in avoid):
                 out.append((ell, r))
     return out
 
 
 def two_pass_symbols(field, a, ideals):
     """Reference: the residue symbols of a at the ideals, a second pass."""
-    return [jacobi(numberfield._eval_mod(a.coords, r, ell), ell)
+    return [jacobi(eval_mod(a.coords, r, ell), ell)
             for ell, r in ideals]
 
 

@@ -88,10 +88,15 @@ def sylvester_resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
     return sign * rows[size - 1][size - 1]
 
 
-def random_poly(rng: random.Random, max_deg: int, box: int = 9) -> RationalPoly:
+def random_poly(rng: random.Random, max_deg: int, box: int = 9,
+                max_den: int = 1) -> RationalPoly:
+    """Integer coefficients in [-box, box], each divided by a random
+    denominator up to max_den."""
     deg = rng.randrange(0, max_deg + 1)
     coeffs = [rng.randrange(-box, box + 1) for _ in range(deg)]
     coeffs.append(rng.choice([c for c in range(-box, box + 1) if c]))
+    if max_den > 1:
+        coeffs = [Fraction(c, rng.randrange(1, max_den + 1)) for c in coeffs]
     return RationalPoly(coeffs)
 
 
@@ -105,11 +110,14 @@ def test_construction_normalizes():
 
 def test_arithmetic_identities():
     rng = random.Random(5)
-    for _ in range(40):
-        a = random_poly(rng, 5)
-        b = random_poly(rng, 5)
-        c = random_poly(rng, 3)
+    for i in range(60):
+        max_den = 1 if i < 40 else 6
+        a = random_poly(rng, 5, max_den=max_den)
+        b = random_poly(rng, 5, max_den=max_den)
+        c = random_poly(rng, 3, max_den=max_den)
         assert (a + b) * c == a * c + b * c
+        x = Fraction(-5, 3)
+        assert evaluate(a * b, x) == evaluate(a, x) * evaluate(b, x)
         assert a - a == RationalPoly([])
         q, r = a.divmod(b)
         assert b * q + r == a
@@ -134,9 +142,10 @@ def test_compose_linear():
 
 def test_resultant_against_sylvester_oracle():
     rng = random.Random(13)
-    for _ in range(200):
-        f = random_poly(rng, 6, box=5)
-        g = random_poly(rng, 6, box=5)
+    for i in range(300):
+        max_den = 1 if i < 200 else 6
+        f = random_poly(rng, 6, box=5, max_den=max_den)
+        g = random_poly(rng, 6, box=5, max_den=max_den)
         assert resultant(f, g) == sylvester_resultant(f, g)
 
 
@@ -277,6 +286,15 @@ def int_product(factors):
                 nxt[i + j] += a * b
         out = nxt
     return out
+
+
+def test_min_poly_2cos_is_irreducible_for_both_signs():
+    """The proof `NumberField` relies on, checked by factoring: the minimal
+    polynomials of 2cos(2 pi/q) and of its negative are irreducible."""
+    for pair in sophie_germain_pairs(179):
+        for negate in (False, True):
+            f = min_poly_2cos(pair.q, negate)
+            assert factor_over_Q(f) == [f], (pair.q, negate)
 
 
 def test_min_poly_2cos_split_equals_factor_over_Q():

@@ -284,12 +284,12 @@ ROUTES = {
     "scan-rho": (["scan-rho", "--max-q", "300", "--threads", "1"],
                  {"cli", "arith", "f2", "cyclosig"}, set()),
     "sophie-lower": (["sophie", "--q", "11", "--lower"],
-                     {p.stem for p in PACKAGE_DIR.glob("*.py")}
-                     - {"__init__", "__main__", "stats"},
+                     {"cli", "arith", "f2", "stores", "bounds", "polys",
+                      "numberfield"},
                      {"fractions", "decimal"}),
     "lower-bound": (["lower-bound", "--poly", "1,-4,1,1"],
                     {p.stem for p in PACKAGE_DIR.glob("*.py")}
-                    - {"__init__", "__main__", "stats", "cyclosig"},
+                    - {"__init__", "__main__", "stats", "cyclosig", "roots"},
                     {"fractions", "decimal"}),
 }
 
