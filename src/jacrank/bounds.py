@@ -12,11 +12,14 @@ certificates are in hand):
     cyclotomic field, a signature-matrix certificate, or assumed from the
     Davis-Taussky conjecture (flagged as conditional).
 
-For the simplest cubics both certificates are exact integer checks in m:
-f_m(0) = 1 and f_m(1) = -1 place one real root in each of (-inf, 0), (0, 1)
-and (1, inf), which fixes the unit signatures and leaves f_m without a root
-mod 2, and the shift identity 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3)
-gives Eisenstein at every v | D. No number field is built for them.
+For the simplest cubics both certificates are theorems for the whole family,
+proved once in their docstrings: f_m(0) = 1 and f_m(1) = -1 place one real
+root in each of (-inf, 0), (0, 1) and (1, inf), which fixes the unit
+signatures and leaves f_m without a root mod 2, and the shift identity
+27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3) gives Eisenstein at every
+v | D. Per m they only check that D is square-free and factor it; no number
+field is built and no F2 span is taken. The Sophie Germain local
+certificate likewise checks only the modulus.
 
 Lower bounds take odd-degree f. Class-group 2-ranks are external inputs
 carried by a ClassGroupStore.
@@ -25,14 +28,13 @@ carried by a ClassGroupStore.
 from __future__ import annotations
 
 from math import prod
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, \
-    Tuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, \
+    Union
 
 # used qualified, so the washington route never runs these modules
 from . import cyclosig, factor, numberfield, polys
 from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
     prime_factors
-from .f2 import VecF2, span_dimension
 from .stores import ClassGroupStore
 
 if TYPE_CHECKING:
@@ -110,78 +112,51 @@ def _washington_D(m: int) -> int:
     return D
 
 
-def _eval_int(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _shift_by_minus_third(coeffs: Sequence[int], m: int) -> List[int]:
-    """27 f(x - m/3) for a cubic f, as sum_k c_k 3^(3-k) (3x - m)^k."""
-    out = [0] * 4
-    power = [1]  # (3x - m)^k, ascending
-    for k, c in enumerate(coeffs):
-        for i, a in enumerate(power):
-            out[i] += c * 3 ** (3 - k) * a
-        power = [3 * b - m * a for a, b in zip(power + [0], [0] + power)]
-    return out
-
-
 def washington_local_certificate(m: int) -> GTrivialityCertificate:
-    """Irreducibility of f_m over Q_v for all bad v: at v=2, f_m(0) and
-    f_m(1) are odd, so the cubic has no root mod 2 and is irreducible there;
-    Eisenstein after the shift x -> x - m/3 at every v | D."""
-    D = _washington_D(m)
-    coeffs = _washington_coeffs(m)
-    evidence: List[Tuple[int, str]] = []
-    ok = _eval_int(coeffs, 0) % 2 == 1 and _eval_int(coeffs, 1) % 2 == 1
-    evidence.append((2, "irreducible-mod-p"))
-    # 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3); check the identity once
-    const = D * (2 * m + 3)
-    ok = ok and _shift_by_minus_third(coeffs, m) == [const, -9 * D, 0, 27]
-    bad = prime_factors(D)
-    for v in bad:
-        # Eisenstein at v: v does not divide the leading 27, v divides the
-        # lower coefficients, v^2 does not divide the constant term
-        ok = ok and 27 % v != 0 and (9 * D) % v == 0 and const % v == 0 \
-            and const % (v * v) != 0
-        evidence.append((v, "eisenstein-after-shift"))
-    return GTrivialityCertificate(tuple([2] + bad), tuple(evidence), ok)
+    """Irreducibility of f_m over Q_v at every bad v, which are 2 and the
+    primes of D = m^2 + 3m + 9; ValueError when D is not square-free. The
+    evidence is a theorem for every such m, so nothing is recomputed:
+
+    - 2-adic: from the coefficients (1, -(m+3), m, 1), f_m(0) = 1 and
+      f_m(1) = -1 are odd, so the cubic f_m has no root mod 2 and is
+      irreducible there.
+    - Shift: 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3). Each
+      coefficient of the difference is a polynomial in m of degree <= 3,
+      and the tests check m = 0..39, so the identity holds by interpolation.
+    - Eisenstein at v | D: D = m(m+3) + 9 is odd, and 3 | D forces 3 | m
+      and then 9 | D, so v does not divide 27 but divides 9D and
+      D(2m + 3); v^2 | D(2m + 3) would need v | 2m + 3, so v would divide
+      (2m + 3)^2 - 4D = -27, and v = 3 does not divide D."""
+    bad = prime_factors(_washington_D(m))
+    return GTrivialityCertificate(
+        tuple([2] + bad),
+        ((2, "irreducible-mod-p"),)
+        + tuple((v, "eisenstein-after-shift") for v in bad),
+        True)
 
 
 def washington_rho_certificate(m: int) -> int:
-    """rho_infty = 0 for L_m: the signatures of the three conjugate root
-    units theta, 1/(1-theta), 1-1/theta span F_2^3, so every totally
-    positive unit is a square. Returns 0; a span defect raises.
+    """rho_infty = 0 for L_m when D is square-free (ValueError otherwise):
+    the signatures of the three conjugate root units theta, 1/(1-theta),
+    1-1/theta span F_2^3, so every totally positive unit is a square.
+    Returns 0.
 
-    The signs come from f_m(0) = 1 and f_m(1) = -1 alone. A monic cubic
-    with these values has one real root r in each of (-inf, 0), (0, 1) and
-    (1, inf); N(theta) = -f(0) and N(1 - theta) = f(1) make theta and
-    1 - theta units. At r, theta has the sign of r, 1/(1-theta) the sign of
-    1 - r, and 1 - 1/theta = (theta - 1)/theta the sign of (r - 1) r."""
+    The signs hold for every m. From the coefficients, f_m(0) = 1 and
+    f_m(1) = -1, so the monic cubic f_m has one real root r in each of
+    (-inf, 0), (0, 1) and (1, inf); N(theta) = -f(0) and
+    N(1 - theta) = f(1) make theta and 1 - theta units. At r, theta has
+    the sign of r, 1/(1-theta) the sign of 1 - r, and
+    1 - 1/theta = (theta - 1)/theta the sign of (r - 1) r. At the
+    ascending roots that gives (-,+,+), (+,+,-) and (+,-,+): with a bit
+    for each negative sign, e_1, e_3 and e_2."""
     _washington_D(m)
-    coeffs = _washington_coeffs(m)
-    if _eval_int(coeffs, 0) != 1 or _eval_int(coeffs, 1) != -1:
-        raise RuntimeError(f"certificate failed: f_{m}(0) != 1 or "
-                           f"f_{m}(1) != -1")
-    # (sign of r, sign of 1 - r) at the ascending roots
-    roots = ((-1, 1), (1, 1), (1, -1))
-    conjugates = ([s for s, _ in roots], [t for _, t in roots],
-                  [-t * s for s, t in roots])
-    vecs = [VecF2.from_bits(s < 0 for s in signs) for signs in conjugates]
-    if span_dimension(vecs) != 3:
-        raise RuntimeError(f"certificate failed: unit signatures of L_{m} "
-                           "do not span the full sign space")
     return 0
 
 
 def washington_bound(m: int, oracle: ClassGroupStore) -> BoundReport:
     """Upper bound 1 + cl2(L_m), certified by the local and signature
     certificates; the curve has genus 1 and trivial rational 2-torsion."""
-    local = washington_local_certificate(m)
-    if not local.conclusion:
-        raise RuntimeError(f"local certificate failed for m = {m}")
+    washington_local_certificate(m)
     washington_rho_certificate(m)
     rec = oracle.get(_washington_coeffs(m))
     if rec is None:
@@ -224,14 +199,11 @@ def curve_min_poly(q: int) -> polys.RationalPoly:
 
 
 def sophie_local_certificate(q: int) -> GTrivialityCertificate:
-    """Bad primes are 2 and q: 2 is inert because its order mod q is q-1 or
-    (q-1)/2, and q is totally ramified in the cyclotomic field."""
+    """Bad primes are 2 and q, for a Sophie Germain modulus q = 2p + 1
+    (ValueError otherwise). 2 is inert: its order mod q divides q - 1 = 2p,
+    and for q >= 7 neither 2 nor 4 is 1 mod q, so the order is p or 2p.
+    q is totally ramified in the cyclotomic field."""
     _sophie_p(q)
-    order = multiplicative_order(2, q)
-    ok = order in (q - 1, (q - 1) // 2)
-    if not ok:
-        raise RuntimeError(f"order of 2 mod {q} is {order}; the inertness "
-                           "condition failed for a Sophie Germain modulus")
     return GTrivialityCertificate(
         (2, q),
         ((2, "inert-by-order"), (q, "totally-ramified-cyclotomic")),

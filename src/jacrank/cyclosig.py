@@ -44,11 +44,15 @@ Frobenius orbit (Lidl & Niederreiter, Finite Fields, Thm 2.47).
 
   The columns w D_i and w of a p x (e+1) matrix span w A. Its row j has
   bit i = parity of w_{n+j} over n in C_i (coefficient j of w D_i, with
-  the cosets relabelled by n -> -n) and bit e = w_j. Rows j = 0, 1, ...
-  are eliminated until the rank reaches e + 1 - [wt w even], which proves
-  deg gcd = [wt w even]. All p rows give dim w A, as do any k consecutive
-  ones, k = dim R w, since they are an information set of the cyclic code
-  R w; on the certified range the rank is reached within e + 10 rows.
+  the cosets relabelled by n -> -n) and bit e = w_j. The e coset bits of
+  row j sum to the parity of w off position j, w_j + wt w mod 2, so adding
+  the other columns to column e - 1 turns it into the constant wt w mod 2
+  and leaves the rank as it was: the last coset is never labelled. Rows
+  j = 0, 1, ... are eliminated until the rank reaches e + 1 - [wt w even],
+  which proves deg gcd = [wt w even]. All p rows give dim w A, as do any
+  k consecutive ones, k = dim R w, since they are an information set of
+  the cyclic code R w (a column operation keeps the rank of every set of
+  rows); on the certified range the rank is reached within e + 10 rows.
   After e + 64 rows, unless that is all p of them, the word goes to the
   general gcd. The coset masks come from a walk of half of <2> or less,
   completed by doublings n -> 2n, and each coset from the one before by
@@ -240,8 +244,9 @@ def _dilate(digits: Union[bytes, bytearray], p: int, g: int) -> bytearray:
 
 
 def _coset_masks(p: int, m: int) -> List[int]:
-    """The masks sum of 2^n over n in C of the e = (p-1)/m >= 2 cosets C
-    of H = <2> in (Z/p)^x, H first.
+    """The masks sum of 2^n over n in C of the cosets C = H, gH, ...,
+    g^(e-2)H of H = <2> in (Z/p)^x, all but the last of the e = (p-1)/m >= 2;
+    the probe needs no mask of the last (`_probe_rows`).
 
     Each coset C is built as the p ASCII digits of -C, digit n' being 1
     exactly when n' is in -C. Read as a binary number, digit 0 the highest,
@@ -254,9 +259,9 @@ def _coset_masks(p: int, m: int) -> List[int]:
     lies in H, so the walk covers half of H and marks both n and -n. Each
     further coset is g times the one before, in g slices, where g is the
     least residue whose class generates the cyclic group (Z/p)^x / H of
-    order e, and the last coset is what the others leave. The labelling
-    costs about m / d steps of Python, d + e - 3 dilations and e - 1
-    conversions of p digits, and holds O(p) bytes besides the e masks."""
+    order e. The labelling costs about m / d steps of Python, d + e - 3
+    dilations and e - 1 conversions of p digits, and holds O(p) bytes
+    besides the masks."""
     e = (p - 1) // m
     half = m if m % 2 else m // 2
     d = max(1, isqrt(_WALK_STEPS_PER_DOUBLING * half // p))
@@ -285,22 +290,22 @@ def _coset_masks(p: int, m: int) -> List[int]:
     g = 3
     while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
         g += 1
-    covered = masks[0]
     for _ in range(e - 2):
         digits = _dilate(digits, p, g)
         masks.append(int(digits, 2) << 1)
-        covered |= masks[-1]
-    masks.append(((1 << p) - 2) ^ covered)
     return masks
 
 
 def _probe_rows(w: int, p: int, masks: List[int]) -> Iterator[int]:
-    """Rows j = 0, 1, ... of the probe matrix: bit i is the parity of
-    w_{n+j} over n in the coset of masks[i], bit len(masks) is w_j."""
-    e = len(masks)
+    """Rows j = 0, 1, ... of the probe matrix, its last coset column made
+    constant (module docstring): bit i < e - 1 is the parity of w_{n+j}
+    over n in the coset of masks[i], bit e - 1 the parity of the weight of
+    w, and bit e is w_j."""
+    e = len(masks) + 1
+    parity = (w.bit_count() & 1) << (e - 1)
     r = w  # w rotated right by j: bit t is w_{t+j mod p}
     while True:
-        row = (r & 1) << e
+        row = (r & 1) << e | parity
         for i, mask in enumerate(masks):
             row |= ((r & mask).bit_count() & 1) << i
         yield row

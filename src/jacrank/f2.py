@@ -40,11 +40,6 @@ class VecF2(CheckedRecord, _VecF2):
             raise ValueError("bits exceed vector length")
         return super().__new__(cls, length, bits)
 
-    @classmethod
-    def from_bits(cls, entries: Iterable[int]) -> "VecF2":
-        es = [int(bool(e)) for e in entries]
-        return cls(len(es), sum(b << i for i, b in enumerate(es)))
-
 
 class _MatF2(NamedTuple):
     rows: int

@@ -9,7 +9,8 @@ mod ell^k) because every divisor is monic; `monic`, `gcd`, `xgcd` and
 Factorization takes only f squarefree mod p and raises ValueError on any
 other: every caller tests gcd(f, f') = 1 mod p first (the choice of a prime
 for factoring over Q, the irreducibility test). It is distinct-degree
-splitting by Frobenius powers, then Cantor-Zassenhaus equal-degree splitting
+splitting by Frobenius powers, each applied by composition with the
+powers x^(ip) mod f, then Cantor-Zassenhaus equal-degree splitting
 (trace map in characteristic 2). The splitting RNG is seeded from the input
 so repeated runs are identical; output order is (degree, coefficient tuple)
 regardless. `factor_count_mod_p` stops after the distinct-degree step, which
@@ -162,19 +163,34 @@ def is_squarefree_mod_p(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
-    """Monic squarefree input; returns [(product-of-degree-d-factors, d)]."""
+    """Monic squarefree input; returns [(product-of-degree-d-factors, d)].
+
+    h = x^(p^d) mod f goes to x^(p^(d+1)) by composition, h(x)^p = h(x^p)
+    over F_p: a sum of the precomputed x^(ip) mod f, i < deg f. When a block
+    splits off, h and those powers are reduced mod the cofactor, which
+    divides f."""
     blocks: List[Tuple[List[int], int]] = []
     x = [0, 1]
+    xp = powmod(x, p, f, p)
+    pows = [[1]]
+    for _ in range(len(f) - 2):
+        pows.append(divmod_monic(mul(pows[-1], xp, p), f, p)[1])
     h = divmod_monic(x, f, p)[1]
     d = 0
     while len(f) - 1 > 2 * d:
         d += 1
-        h = powmod(h, p, f, p)
+        acc = [0] * len(pows)
+        for c, xip in zip(h, pows):
+            if c:
+                for j, a in enumerate(xip):
+                    acc[j] += c * a
+        h = trim([a % p for a in acc])
         g = gcd(sub(h, x, p), f, p)
         if len(g) > 1:
             blocks.append((g, d))
             f = divmod_monic(f, g, p)[0]
             h = divmod_monic(h, f, p)[1]
+            pows = [divmod_monic(a, f, p)[1] for a in pows[:len(f) - 1]]
     if len(f) > 1:
         blocks.append((f, len(f) - 1))
     return blocks

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacrank import bounds
+from jacrank import bounds, f2
 from jacrank.arith import is_squarefree_integer, multiplicative_order, \
     prime_factors
 from jacrank.bounds import (
@@ -22,6 +22,7 @@ from jacrank.bounds import (
     washington_local_certificate,
     washington_rho_certificate,
 )
+from jacrank.cyclosig import sophie_germain_pairs
 from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, min_poly_2cos_split
@@ -32,6 +33,11 @@ from test_polys import compose
 def washington_curve_poly(m: int) -> RationalPoly:
     """f_m = x^3 + m x^2 - (m+3) x + 1."""
     return RationalPoly([1, -(m + 3), m, 1])
+
+
+# signs of theta, 1/(1-theta) and 1-1/theta at the ascending roots of f_m,
+# the same for every m (washington_rho_certificate)
+WASHINGTON_SIGNS = [(-1, 1, 1), (1, 1, -1), (1, -1, 1)]
 
 
 def clg(lines: str) -> object:
@@ -90,6 +96,16 @@ def test_local_certificate_rejects_non_squarefree_discriminant():
         washington_local_certificate(0)  # D = 9
     with pytest.raises(ValueError, match="outside family"):
         washington_local_certificate(3)  # D = 27
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="outside family"):
+            washington_rho_certificate(m)
+
+
+def test_values_at_zero_and_one():
+    # the certificates take f_m(0) = 1 and f_m(1) = -1 from the coefficients
+    for m in range(-3000, 3001):
+        coeffs = washington_curve_poly(m).int_coeffs()
+        assert (coeffs[0], sum(coeffs)) == (1, -1), m
 
 
 def test_eisenstein_shift_identity():
@@ -138,7 +154,7 @@ def test_rho_certificate_frozen_signatures():
     field = NumberField(washington_curve_poly(1))
     conj = washington_units(1, field)
     signs = [field.signature(a) for a in conj]
-    assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)]
+    assert signs == WASHINGTON_SIGNS
     f = washington_curve_poly(1)
     for a in conj:  # each is a genuine root of the defining polynomial
         acc = RationalPoly([])
@@ -157,8 +173,16 @@ def test_rho_certificate_closed_form_matches_sturm_signatures():
         assert is_squarefree_integer(m * m + 3 * m + 9)
         field = NumberField(washington_curve_poly(m))
         signs = [field.signature(a) for a in washington_units(m, field)]
-        assert signs == [(-1, 1, 1), (1, 1, -1), (1, -1, 1)], m
+        assert signs == WASHINGTON_SIGNS, m
         assert washington_rho_certificate(m) == 0
+
+
+def test_frozen_signatures_span_the_sign_space():
+    # a bit for each negative sign: e_1, e_3 and e_2
+    vecs = [f2.VecF2(3, sum(1 << i for i, s in enumerate(signs) if s < 0))
+            for signs in WASHINGTON_SIGNS]
+    assert [v.bits for v in vecs] == [0b001, 0b100, 0b010]
+    assert f2.span_dimension(vecs) == 3
 
 
 def test_rho_certificate_values():
@@ -213,6 +237,18 @@ def test_sophie_local_certificate():
     assert dict(cert.evidence) == {2: "inert-by-order",
                                    11: "totally-ramified-cyclotomic"}
     assert cert.conclusion
+
+
+def test_sophie_local_certificate_order_of_two():
+    # the certificate takes ord_q(2) in {p, 2p} from q >= 7 alone
+    pairs = sophie_germain_pairs(92459)
+    assert len(pairs) == 630
+    for pair in pairs:
+        assert multiplicative_order(2, pair.q) in (pair.p, 2 * pair.p), pair
+        assert sophie_local_certificate(pair.q).conclusion
+    for q in (5, 13, 15, 29):
+        with pytest.raises(ValueError, match="not a Sophie Germain modulus"):
+            sophie_local_certificate(q)
 
 
 def test_sophie_upper_bounds_builtin():

@@ -393,6 +393,17 @@ def test_primitive_shortcut_branches():
         assert _primitive_gcd_degree(ones, p) == p - 1
 
 
+def all_coset_masks(p: int, m: int) -> list:
+    """The e - 1 masks of `_coset_masks`, H first, and the last coset's
+    mask as the complement of theirs in the residues 1..p-1."""
+    masks = _coset_masks(p, m)
+    assert len(masks) == (p - 1) // m - 1
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    return masks + [((1 << p) - 2) ^ covered]
+
+
 # e = 2 with p = 1 and 7 mod 8, e = 3, e = 4 and e >= 5; up to p = 47 the
 # probe reads all p rows, from p = 71 on it falls back to the gcd
 VANISHING_PRIMES = (17, 23, 31, 43, 71, 97, 113, 127, 251, 257, 281)
@@ -412,7 +423,7 @@ def test_coset_masks_equal_the_walk_of_two():
     for p in ps + list(VANISHING_PRIMES) + [8191]:
         m = multiplicative_order(2, p)
         e = (p - 1) // m
-        masks = _coset_masks(p, m)
+        masks = all_coset_masks(p, m)
         reference = walk_coset_masks(p, m)
         assert masks[0] == reference[0] and sorted(masks) == sorted(reference), p
         seen["m even" if m % 2 == 0 else "m odd"] += 1
@@ -429,7 +440,7 @@ def test_coset_masks_equal_the_walk_of_two():
 def test_coset_masks_partition_residues_into_doubling_orbits():
     for p in VANISHING_PRIMES + (8191,):  # e = 630: representatives up to 4k
         m = multiplicative_order(2, p)
-        masks = _coset_masks(p, m)
+        masks = all_coset_masks(p, m)
         assert len(masks) == (p - 1) // m
         assert masks[0] == sum(1 << pow(2, k, p) for k in range(m))
         union = 0
@@ -446,7 +457,7 @@ def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
     rng = random.Random(p)
     m = multiplicative_order(2, p)
     e = (p - 1) // m
-    masks = _coset_masks(p, m)
+    masks = all_coset_masks(p, m)
     full = (1 << p) | 1
     ones = (1 << p) - 1
     words = [0, ones, 1, rng.randrange(1, ones)]

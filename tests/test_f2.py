@@ -231,10 +231,10 @@ def test_kernel_basis_examples():
 
 
 def test_span_dimension_examples():
-    vs = [VecF2.from_bits(b) for b in [(1, 0, 0), (0, 0, 1), (0, 1, 0)]]
+    vs = [VecF2(3, bits) for bits in (0b001, 0b100, 0b010)]
     assert span_dimension(vs) == 3
     assert span_dimension([]) == 0
-    assert span_dimension([VecF2.from_bits((1, 1)), VecF2.from_bits((1, 1))]) == 1
+    assert span_dimension([VecF2(2, 0b11), VecF2(2, 0b11)]) == 1
 
 
 def test_span_dimension_invariances():
@@ -251,7 +251,7 @@ def test_span_dimension_invariances():
 
 def test_span_dimension_length_mismatch():
     with pytest.raises(ValueError):
-        span_dimension([VecF2.from_bits((1, 0)), VecF2.from_bits((1, 0, 1))])
+        span_dimension([VecF2(2, 0b01), VecF2(3, 0b101)])
 
 
 def test_backend_reported():

@@ -280,7 +280,7 @@ def test_traced_layers_resolve():
 # the lower-bound routes build Fractions
 ROUTES = {
     "washington": (["washington", "--m", "1..300"],
-                   {"cli", "arith", "f2", "stores", "bounds"}, set()),
+                   {"cli", "arith", "stores", "bounds"}, set()),
     "scan-rho": (["scan-rho", "--max-q", "300", "--threads", "1"],
                  {"cli", "arith", "f2", "cyclosig"}, set()),
     "sophie-lower": (["sophie", "--q", "11", "--lower"],
