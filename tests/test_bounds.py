@@ -103,8 +103,10 @@ def test_local_certificate_rejects_non_squarefree_discriminant():
 
 def test_values_at_zero_and_one():
     # the certificates take f_m(0) = 1 and f_m(1) = -1 from the coefficients
+    # of f_m that bounds certifies and keys the class-group store with
     for m in range(-3000, 3001):
-        coeffs = washington_curve_poly(m).int_coeffs()
+        coeffs = bounds._washington_coeffs(m)
+        assert list(coeffs) == washington_curve_poly(m).int_coeffs(), m
         assert (coeffs[0], sum(coeffs)) == (1, -1), m
 
 
