@@ -9,7 +9,7 @@ this package handles (the largest scan touches 92459).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 __all__ = [
     "CheckedRecord",
@@ -18,7 +18,7 @@ __all__ = [
     "prime_factors",
     "multiplicative_order",
     "order_dividing",
-    "is_squarefree_integer",
+    "squarefree_prime_factors",
     "jacobi",
 ]
 
@@ -80,7 +80,8 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> List[int]:
-    """Distinct prime factors of n >= 1, ascending (trial division)."""
+    """Distinct prime factors of n >= 1, ascending (trial division by 2 and
+    the odd d)."""
     out = []
     d = 2
     while d * d <= n:
@@ -88,7 +89,7 @@ def prime_factors(n: int) -> List[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 2 if d > 2 else 1
     if n > 1:
         out.append(n)
     return out
@@ -120,23 +121,14 @@ def order_dividing(a: int, n: int, k: int) -> int:
     return k
 
 
-def is_squarefree_integer(n: int) -> bool:
-    """True iff no prime square divides n; trial division up to sqrt(n)."""
+def squarefree_prime_factors(n: int) -> Optional[List[int]]:
+    """The distinct prime factors of n >= 1, ascending, when n is
+    square-free, that is when n is their product; None when a prime square
+    divides n. One trial division."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    if n % 4 == 0:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        else:
-            d += 2
-    return True
+    factors = prime_factors(n)
+    return factors if math.prod(factors) == n else None
 
 
 def jacobi(a: int, n: int) -> int:

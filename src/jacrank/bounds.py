@@ -17,8 +17,9 @@ proved once in their docstrings: f_m(0) = 1 and f_m(1) = -1 place one real
 root in each of (-inf, 0), (0, 1) and (1, inf), which fixes the unit
 signatures and leaves f_m without a root mod 2, and the shift identity
 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3) gives Eisenstein at every
-v | D. Per m they only check that D is square-free and factor it; no number
-field is built and no F2 span is taken. The Sophie Germain local
+v | D. Per m they only factor D once, which also shows whether it is
+square-free (`washington_bad_primes`); no number field is built and no F2
+span is taken. The Sophie Germain local
 certificate likewise checks only the modulus.
 
 Lower bounds take odd-degree f. Class-group 2-ranks are external inputs
@@ -27,14 +28,14 @@ carried by a ClassGroupStore.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, \
     Union
 
 # used qualified, so the washington route never runs these modules
 from . import cyclosig, factor, numberfield, polys
-from .arith import is_prime, is_squarefree_integer, multiplicative_order, \
-    prime_factors
+from .arith import is_prime, multiplicative_order, squarefree_prime_factors
 from .stores import ClassGroupStore
 
 if TYPE_CHECKING:
@@ -48,6 +49,7 @@ __all__ = [
     "sophie_local_certificate",
     "sophie_upper_bound",
     "two_inert_in_real_cyclotomic",
+    "washington_bad_primes",
     "washington_bound",
     "washington_local_certificate",
     "washington_rho_certificate",
@@ -104,12 +106,22 @@ def _washington_coeffs(m: int) -> Tuple[int, int, int, int]:
     return (1, -(m + 3), m, 1)
 
 
-def _washington_D(m: int) -> int:
-    D = m * m + 3 * m + 9
-    if not is_squarefree_integer(D):
-        raise ValueError(
-            f"outside family: D = {D} is not square-free for m = {m}")
-    return D
+@lru_cache(maxsize=1)
+def washington_bad_primes(m: int) -> Optional[Tuple[int, ...]]:
+    """The primes of D = m^2 + 3m + 9, ascending, when D is square-free, as
+    it is for every m of the family; None otherwise. The last m is kept, so
+    the family test of `washington` and both certificates of that m share
+    one factorization."""
+    bad = squarefree_prime_factors(m * m + 3 * m + 9)
+    return None if bad is None else tuple(bad)
+
+
+def _family_primes(m: int) -> Tuple[int, ...]:
+    bad = washington_bad_primes(m)
+    if bad is None:
+        raise ValueError(f"outside family: D = {m * m + 3 * m + 9} "
+                         f"is not square-free for m = {m}")
+    return bad
 
 
 def washington_local_certificate(m: int) -> GTrivialityCertificate:
@@ -127,9 +139,9 @@ def washington_local_certificate(m: int) -> GTrivialityCertificate:
       and then 9 | D, so v does not divide 27 but divides 9D and
       D(2m + 3); v^2 | D(2m + 3) would need v | 2m + 3, so v would divide
       (2m + 3)^2 - 4D = -27, and v = 3 does not divide D."""
-    bad = prime_factors(_washington_D(m))
+    bad = _family_primes(m)
     return GTrivialityCertificate(
-        tuple([2] + bad),
+        (2,) + bad,
         ((2, "irreducible-mod-p"),)
         + tuple((v, "eisenstein-after-shift") for v in bad),
         True)
@@ -149,7 +161,7 @@ def washington_rho_certificate(m: int) -> int:
     1 - 1/theta = (theta - 1)/theta the sign of (r - 1) r. At the
     ascending roots that gives (-,+,+), (+,+,-) and (+,-,+): with a bit
     for each negative sign, e_1, e_3 and e_2."""
-    _washington_D(m)
+    _family_primes(m)
     return 0
 
 

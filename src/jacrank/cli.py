@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 # used qualified: a lazy module's body runs only when a route reaches it
 from . import bounds, cyclosig, polys, stats, stores
-from .arith import is_squarefree_integer
 
 __all__ = ["main"]
 
@@ -51,7 +50,7 @@ def _cmd_washington(args: argparse.Namespace) -> int:
     store = _load_store(args.clgroups)
     missing: List[int] = []
     for m in range(a, b + 1):
-        if not is_squarefree_integer(m * m + 3 * m + 9):
+        if bounds.washington_bad_primes(m) is None:  # D not square-free
             continue
         try:
             report = bounds.washington_bound(m, store)

@@ -21,7 +21,7 @@ The gcd route reads w off the binary digits of 1/q, packed in the order the
 digits come (bit p-1-k = w_k), which as a polynomial is the reversal
 x^(p-1) w(1/x). Since x -> 1/x is an automorphism of F2[x]/(x^p - 1) and x
 a unit there, the reversal has the gcd degree of w; below, w stands for
-the packed word. The degree of the gcd is found in one of three exact
+the packed word. The degree of the gcd is found in one of four exact
 ways. Let m = ord_p(2) and e = (p-1)/m. Over F2, x^p - 1 is x + 1 times
 one irreducible factor of degree m for each of the e cosets C_0, ...,
 C_{e-1} of H = <2> in (Z/p)^x: the roots zeta^n, n in C_i, are one
@@ -52,14 +52,29 @@ Frobenius orbit (Lidl & Niederreiter, Finite Fields, Thm 2.47).
   which proves deg gcd = [wt w even]. All p rows give dim w A, as do any
   k consecutive ones, k = dim R w, since they are an information set of
   the cyclic code R w (a column operation keeps the rank of every set of
-  rows); on the certified range the rank is reached within e + 10 rows.
-  After e + 64 rows, unless that is all p of them, the word goes to the
-  general gcd. The coset masks come from a walk of half of <2> or less,
-  completed by doublings n -> 2n, and each coset from the one before by
-  n -> gn, each such map a few slices of an array of p digits
-  (`_coset_masks`).
-- Otherwise (8 e^2 > p, where the probe would cost more) the general gcd
-  in `f2.poly_gcd`.
+  rows); on the certified range the rank is reached within e + 10 rows,
+  and within e + 6 for e > 2. After e + 64 rows, unless that is all p of
+  them, the word goes to the general gcd. The coset masks come from a walk
+  of half of <2> or less, completed by doublings n -> 2n, and each coset
+  from the one before by n -> gn, each such map a few slices of an array
+  of p digits (`_coset_masks`). The rows cost about e^2 AND-popcounts of
+  p bits.
+- Coset probe built column by column, for large e (`_probe_columns`): the
+  same matrix, its first R = 64 L >= e + 1 + 8 rows at once. Bit j of
+  coset column i is the parity of w over C_i + j, which is bit j of the
+  XOR, over the n in C_i, of the 64-bit window of w that starts at n; lane
+  k of 64 rows XORs the windows at n + 64k. The windows of all p rotations
+  come from 64 shifts of w repeated, into one array("Q"), and each coset's
+  positions from a walk of <2> times r_i = g^i mod p. So no coset mask is
+  built or parsed: the cost is about L p gathers and XORs of small ints,
+  plus an elimination on the e + 1 columns of R bits, the rank of the
+  transpose. The rank proves the degree as for the rows; if it falls
+  short, the word goes to the general gcd unless R >= p.
+- Otherwise the general gcd in `f2.poly_gcd`.
+
+`_route` chooses by measured cost: the probe is preferred to the gcd when
+8 e^2 <= p, and the column-wise probe replaces either where its estimate
+is lower, for 32 <= e <= 329 on the certified range.
 
 No step is probabilistic: every route is exact.
 
@@ -71,9 +86,12 @@ from __future__ import annotations
 
 import os
 import signal
-from functools import lru_cache
+import sys
+from array import array
+from functools import lru_cache, reduce
 from itertools import islice
 from math import isqrt
+from operator import itemgetter, xor
 from typing import Iterator, List, NamedTuple, Tuple, Union
 
 from .arith import CheckedRecord, is_prime, order_dividing, prime_factors, \
@@ -186,37 +204,64 @@ def build_M_infty(pair: SophieGermainPair) -> MatF2:
 
 # probe rows read beyond e before the word goes to the general gcd
 _PROBE_SPARE_ROWS = 64
-# a probe's coset labelling costs about as much as this many of the gcd's
-# p-bit shift-xors (pure Python, p near 40000)
-_PROBE_LABEL_WORK = 1152
+# rows beyond e + 1 that the column-wise probe builds, rounded up to lanes of 64
+_COLUMN_SPARE_ROWS = 8
 # a doubling of the coset labelling, two slices and an OR of p digits, costs
 # about as much as p / _WALK_STEPS_PER_DOUBLING steps of its Python walk
 _WALK_STEPS_PER_DOUBLING = 64
+# measured cost of each route in bit operations of the gcd's p-bit
+# shift-xors (pure Python, 2-core host, the pairs with q <= 92459): the
+# closed form per bit of p; the probe's rows per e^2 p and its labelling
+# per p; the column-wise probe's gathers per lane and p, its windows and
+# positions per p, and its elimination per lane and e^2
+_PRIMITIVE_WORK = 20
+_PROBE_ROW_WORK, _PROBE_LABEL_WORK = 6, 700
+_LANE_WORK, _COLUMN_WORK, _ELIMINATION_WORK = 3300, 1800, 80
+
+
+def _column_lanes(e: int) -> int:
+    """Lanes of 64 rows the column-wise probe builds: e + 1 rows and spare."""
+    return -(-(e + 1 + _COLUMN_SPARE_ROWS) // 64)
 
 
 @lru_cache(maxsize=None)
 def _route(p: int) -> Tuple[str, int, int]:
     """How certify_rho_infty finds deg gcd(w, x^p - 1) for the prime p: the
-    route ("primitive", "probe" or "gcd"), m = ord_p(2), and the route's
-    estimated work in bit operations, which `_shares` balances. It is
-    cached, so a scan finds each order once: `_shares` in the parent, then
-    `certify_rho_infty` in the parent or in a forked child, which inherits
-    the cache.
+    route ("primitive", "probe", "columns" or "gcd"), m = ord_p(2), and
+    the route's estimated work in bit operations, which `_shares`
+    balances. It is cached, so a scan finds each order once: `_shares` in
+    the parent, then `certify_rho_infty` in the parent or in a forked
+    child, which inherits the cache.
 
     The gcd runs about p shift-xors of p-bit words, p^2 bit operations.
-    The probe's rows cost about e^2 AND-and-popcounts of p bits, some 8 e^2
-    shift-xors, plus its coset labelling. It is taken when 8 e^2 <= p. On
-    such pairs with q <= 92459 it measured (pure Python) a median 3x
-    faster than the gcd below p = 2000 and 17x above p = 30000, and slower
-    only at p = 41, 911 and 1013, by under 0.1 ms. The primitive-root
-    closed form reads the weight of w, p bits."""
+    The probe's rows cost about e^2 AND-and-popcounts of p bits plus its
+    coset labelling; it is preferred to the gcd when 8 e^2 <= p, where it
+    measured (pure Python, pairs with q <= 92459) a median 3x faster than
+    the gcd below p = 2000 and 17x above p = 30000, and slower only at
+    p = 41, 911 and 1013, by under 0.1 ms. The column-wise probe costs
+    about p gathers of 64-bit windows per lane of 64 rows, a walk and the
+    positions of the cosets, and an elimination on e + 1 columns; it is
+    taken where its estimate is below that of the probe or gcd so chosen.
+    On the pairs with q <= 92459 that holds for 14 pairs, e from 32 to
+    329, where it measured (best of 5, two sweeps) 1.4x to 2.8x faster
+    than the route it replaced for e >= 40 and within the host's noise at
+    e = 32 and 329; at e = 1285 (p = 43691) the gcd stays 3-4x cheaper.
+    The primitive-root closed form reads the word and its weight. The
+    constants above put each estimate within about 30 % of its route's
+    measured time on those pairs above p = 1500."""
     m = order_dividing(2, p, p - 1)  # p is prime: (Z/p)^x has order p - 1
     e = (p - 1) // m
     if e == 1:
-        return "primitive", m, p
+        return "primitive", m, _PRIMITIVE_WORK * p
     if 8 * e * e <= p:
-        return "probe", m, (8 * e * e + _PROBE_LABEL_WORK) * p
-    return "gcd", m, p * p
+        route, work = "probe", (_PROBE_ROW_WORK * e * e + _PROBE_LABEL_WORK) * p
+    else:
+        route, work = "gcd", p * p
+    lanes = _column_lanes(e)
+    columns = (_LANE_WORK * lanes + _COLUMN_WORK) * p + _ELIMINATION_WORK * lanes * e * e
+    if columns < work:
+        return "columns", m, columns
+    return route, m, work
 
 
 def _primitive_gcd_degree(w: int, p: int) -> int:
@@ -241,6 +286,16 @@ def _dilate(digits: Union[bytes, bytearray], p: int, g: int) -> bytearray:
         lo = -(-j * p // g)
         out[g * lo - j * p::g] = digits[lo:-(-(j + 1) * p // g)]
     return out
+
+
+def _quotient_generator(p: int, e: int) -> int:
+    """The least g >= 3 whose class generates the cyclic group
+    (Z/p)^x / <2> of order e: g^((p-1)/r) != 1 for every prime r | e."""
+    factors = prime_factors(e)
+    g = 3
+    while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
+        g += 1
+    return g
 
 
 def _coset_masks(p: int, m: int) -> List[int]:
@@ -285,11 +340,7 @@ def _coset_masks(p: int, m: int) -> List[int]:
             union |= int.from_bytes(marks, "big")
         digits = union.to_bytes(p, "big")
     masks = [int(digits, 2) << 1]
-    # g generates the cyclic (Z/p)^x / H when no g^((p-1)/r) = 1, r | e prime
-    factors = prime_factors(e)
-    g = 3
-    while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
-        g += 1
+    g = _quotient_generator(p, e)
     for _ in range(e - 2):
         digits = _dilate(digits, p, g)
         masks.append(int(digits, 2) << 1)
@@ -312,17 +363,70 @@ def _probe_rows(w: int, p: int, masks: List[int]) -> Iterator[int]:
         r = (r >> 1) | ((r & 1) << (p - 1))
 
 
-def _probe_gcd_degree(w: int, p: int, m: int) -> int:
-    """deg gcd(w, x^p - 1) over F2 from the rank of the coset probe (see
-    the module docstring), or from the general gcd when the rank has not
-    proved it within e + _PROBE_SPARE_ROWS rows, fewer than p."""
+def _windows(w: int, p: int, count: int) -> array:
+    """The 64-bit windows of w read cyclically, as array("Q"): entry n < count
+    has bit j = w_{(n+j) mod p}. Entry n = s + 64t is 64-bit word t of the
+    periodic repetition of w shifted right by s, so the 64 shifts s < 64
+    fill every entry by strided slices."""
+    reps, width = w, p
+    while width < count + 64:
+        reps |= reps << width
+        width += width
+    out = array("Q", bytes(8 * count))
+    for s in range(min(64, count)):
+        words = 8 * ((count - s + 63) // 64)  # entries s, s + 64, ... below count
+        out[s::64] = array("Q", (reps >> s).to_bytes(width // 8 + 1, sys.byteorder)[:words])
+    return out
+
+
+def _probe_columns(w: int, p: int, m: int, lanes: int) -> List[int]:
+    """The columns of the first R = 64 * lanes rows of the probe matrix of
+    `_probe_rows`, bit j of column i being bit i of row j, without its coset
+    masks. Bit j of coset column i is the parity of w_{n+j} over n in
+    C_i = g^i H, which is bit j of the XOR over n in C_i of the window of w
+    at n (`_windows`); lane k of 64 rows reads the windows at n + 64k. So
+    each coset costs one gather of its m windows per lane, and only that
+    coset's positions r h mod p, h in H = <2>, are held as Python ints."""
+    e = (p - 1) // m
+    windows = memoryview(_windows(w, p, p + 64 * (lanes - 1)))
+    views = [windows[64 * k:64 * k + p] for k in range(lanes)]
+    h = [1] * m  # H, walked n -> 2n
+    for k in range(1, m):
+        h[k] = h[k - 1] * 2 % p
+    g = _quotient_generator(p, e)
+    columns = []
+    r = 1
+    for _ in range(e - 1):
+        gather = itemgetter(*[r * n % p for n in h])
+        column = 0
+        for k, view in enumerate(views):
+            column |= reduce(xor, gather(view)) << (64 * k)
+        columns.append(column)
+        r = r * g % p
+    # bit e - 1 of every row is wt w mod 2, bit e of row j is w_j
+    columns.append(-(w.bit_count() & 1) & ((1 << (64 * lanes)) - 1))
+    columns.append(sum(windows[64 * k] << (64 * k) for k in range(lanes)))
+    return columns
+
+
+def _probe_gcd_degree(w: int, p: int, m: int, columns: bool = False) -> int:
+    """deg gcd(w, x^p - 1) over F2 from the rank of the coset probe's first
+    rows (see the module docstring), built row by row (`_probe_rows`, e +
+    _PROBE_SPARE_ROWS rows) or, with columns, column by column
+    (`_probe_columns`, 64 * `_column_lanes(e)` rows); from the general gcd
+    when the rank has not proved it within those rows, fewer than p."""
     e = (p - 1) // m
     even = w.bit_count() % 2 == 0
     unvanished = e + 1 - even  # dim w A when w vanishes on no coset
-    rows = min(p, e + _PROBE_SPARE_ROWS)
-    dim = echelon_rank(islice(_probe_rows(w, p, _coset_masks(p, m)), rows),
-                       stop_at=unvanished)
-    if dim == unvanished or rows == p:  # all p rows give dim w A itself
+    if columns:
+        lanes = _column_lanes(e)
+        rows = 64 * lanes
+        vectors = _probe_columns(w, p, m, lanes)
+    else:
+        rows = min(p, e + _PROBE_SPARE_ROWS)
+        vectors = islice(_probe_rows(w, p, _coset_masks(p, m)), rows)
+    dim = echelon_rank(vectors, stop_at=unvanished)
+    if dim == unvanished or rows >= p:  # all p rows give dim w A itself
         return even + m * (e + 1 - even - dim)
     return _poly_gcd_degree(w, p)
 
@@ -339,8 +443,8 @@ def certify_rho_infty(pair: SophieGermainPair, method: str = "gcd") -> RhoInftyC
         route, m, _ = _route(p)
         if route == "primitive":
             d = p - _primitive_gcd_degree(w, p)
-        elif route == "probe":
-            d = p - _probe_gcd_degree(w, p, m)
+        elif route in ("probe", "columns"):
+            d = p - _probe_gcd_degree(w, p, m, columns=route == "columns")
         else:
             d = p - _poly_gcd_degree(w, p)
     elif method == "matrix":

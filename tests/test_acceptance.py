@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from jacrank.arith import is_squarefree_integer
 from jacrank.bounds import (
     curve_min_poly,
     lower_bound_from_points,
@@ -39,7 +38,7 @@ from jacrank.stats import (
     sharpness_stats,
 )
 from jacrank.stores import builtin_class_groups, ingest_rank_data, parse_rank_data
-from test_arith import primes_with_odd_order_of_two
+from test_arith import is_squarefree_integer, primes_with_odd_order_of_two
 from test_cyclosig import float_doubling
 from test_polys import compose
 from test_roots import euclid_gcd

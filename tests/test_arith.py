@@ -14,12 +14,33 @@ import pytest
 
 from jacrank.arith import (
     is_prime,
-    is_squarefree_integer,
     jacobi,
     multiplicative_order,
     prime_factors,
     primes_upto,
+    squarefree_prime_factors,
 )
+
+
+def is_squarefree_integer(n: int) -> bool:
+    """Reference square-free test, the trial division the package used
+    before it read square-freeness off one factorization: True iff no prime
+    square divides n."""
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    if n % 4 == 0:
+        return False
+    while n % 2 == 0:
+        n //= 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
+        else:
+            d += 2
+    return True
 
 
 def primes_with_odd_order_of_two(limit: int) -> list[int]:
@@ -139,25 +160,30 @@ def test_order_divides_group_order():
 
 
 def test_is_squarefree_frozen():
-    assert is_squarefree_integer(13)  # 1 + 3 + 9
-    assert not is_squarefree_integer(49)
-    assert not is_squarefree_integer(9)
-    assert is_squarefree_integer(1)
-    assert not is_squarefree_integer(12)
-    assert is_squarefree_integer(30)
+    assert squarefree_prime_factors(13) == [13]  # 1 + 3 + 9
+    assert squarefree_prime_factors(49) is None
+    assert squarefree_prime_factors(9) is None
+    assert squarefree_prime_factors(1) == []
+    assert squarefree_prime_factors(12) is None
+    assert squarefree_prime_factors(30) == [2, 3, 5]
 
 
 def test_is_squarefree_against_factorization():
+    # the reference trial division too, since the other tests select
+    # square-free inputs with it
     for n in range(1, 2000):
-        expect = all(e == 1 for e in factorize(n).values())
+        factors = factorize(n)
+        expect = all(e == 1 for e in factors.values())
         assert is_squarefree_integer(n) == expect
+        assert squarefree_prime_factors(n) == (sorted(factors) if expect else None)
 
 
 def test_is_squarefree_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        is_squarefree_integer(0)
-    with pytest.raises(ValueError):
-        is_squarefree_integer(-4)
+    for test in (is_squarefree_integer, squarefree_prime_factors):
+        with pytest.raises(ValueError):
+            test(0)
+        with pytest.raises(ValueError):
+            test(-4)
 
 
 def test_jacobi_matches_euler_criterion():

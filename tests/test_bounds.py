@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from jacrank import bounds, f2
-from jacrank.arith import is_squarefree_integer, multiplicative_order, \
-    prime_factors
+from jacrank.arith import multiplicative_order, prime_factors, \
+    squarefree_prime_factors
 from jacrank.bounds import (
     BoundReport,
     GTrivialityCertificate,
@@ -18,15 +18,18 @@ from jacrank.bounds import (
     sophie_local_certificate,
     sophie_upper_bound,
     two_inert_in_real_cyclotomic,
+    washington_bad_primes,
     washington_bound,
     washington_local_certificate,
     washington_rho_certificate,
 )
+from jacrank.cli import main as cli_main
 from jacrank.cyclosig import sophie_germain_pairs
 from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos, min_poly_2cos_split
 from jacrank.stores import builtin_class_groups, parse_class_groups
+from test_arith import is_squarefree_integer
 from test_polys import compose
 
 
@@ -89,6 +92,31 @@ def test_local_certificate_m143():
     cert = washington_local_certificate(143)
     assert cert.bad_primes == (2, 20887)
     assert cert.conclusion
+
+
+def test_bad_primes_factor_each_m_once(monkeypatch, capsys):
+    """`washington_bad_primes` gives the primes of a square-free D and None
+    otherwise; the `washington` command factors each D once, for its family
+    test and both certificates together."""
+    for m in range(-300, 301):
+        D = m * m + 3 * m + 9
+        want = tuple(prime_factors(D)) if is_squarefree_integer(D) else None
+        assert washington_bad_primes(m) == want, m
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return squarefree_prime_factors(n)
+
+    monkeypatch.setattr(bounds, "squarefree_prime_factors", counted)
+    washington_bad_primes.cache_clear()
+    assert cli_main(["washington", "--m", "1..30"]) in (0, 1)
+    assert factored == [m * m + 3 * m + 9 for m in range(1, 31)]
+    # each m of the family is printed or reported missing
+    captured = capsys.readouterr()
+    missing = captured.err.split("=", 1)[1].split(",") if captured.err else []
+    family = [m for m in range(1, 31) if is_squarefree_integer(m * m + 3 * m + 9)]
+    assert captured.out.count("curve=cubic-m") + len(missing) == len(family) == 19
 
 
 def test_local_certificate_rejects_non_squarefree_discriminant():

@@ -5,10 +5,11 @@ Oracles: exact real-root isolation for the canonical unit's signs
 floating-point conjugates, checked to lie well apart and away from 0, the
 matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
-closed-form word, the primitive-root shortcut and the coset probe on the
-whole certified range and on words built to vanish on a coset, the walk of
-<2> as the reference coset labelling, and frozen small cases worked by
-hand.
+closed-form word, the primitive-root shortcut and the coset probe, row by
+row and column by column, on the whole certified range, on seeded random
+words and on words built to vanish on a coset, the walk of <2> as the
+reference coset labelling, the row-wise probe matrix as the reference for
+its column-wise build, and frozen small cases worked by hand.
 """
 
 from __future__ import annotations
@@ -19,19 +20,23 @@ import math
 import os
 import random
 import signal
+from itertools import islice
 
 import pytest
 
 from jacrank import cyclosig, f2
-from jacrank.arith import multiplicative_order, order_dividing
+from jacrank.arith import multiplicative_order, order_dividing, primes_upto
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
     SophieGermainPair,
+    _column_lanes,
     _coset_masks,
     _poly_gcd_degree,
     _primitive_gcd_degree,
+    _probe_columns,
     _probe_gcd_degree,
+    _probe_rows,
     _route,
     _shares,
     build_M_infty,
@@ -327,7 +332,7 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reques
     assert len(pairs) == CERTIFIED_PAIRS
     certs, _ = certified_scan
     assert [c.pair for c in certs] == pairs
-    routes = {"primitive": 0, "probe": 0, "gcd": 0}
+    routes = {"primitive": 0, "probe": 0, "columns": 0, "gcd": 0}
     for pair, cert in zip(pairs, certs):
         w = orbit_word(pair)
         assert w == loop_orbit_word(pair), pair  # digit order: bit p-1-k = w_k
@@ -338,15 +343,18 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reques
         assert cert.d_infty == pair.p - gcd_degree(w, pair.p), pair
         if route == "primitive":
             assert cert.d_infty == pair.p - _primitive_gcd_degree(w, pair.p)
-    assert routes == {"primitive": 282, "probe": 332, "gcd": 16}
+    assert routes == {"primitive": 282, "probe": 323, "columns": 14, "gcd": 11}
 
 
 def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch):
     """x -> 1/x is an automorphism of F2[x]/(x^p - 1), so no route may see
     the order in which the orbit word is packed: on every pair with
-    q <= 1000 and on a seeded sample of the certified range above it, the
-    general gcd, the closed form where 2 is primitive and the coset probe
-    where e > 1 give one degree for w and for w read backwards."""
+    q <= 1000, on a seeded sample of the certified range above it and on
+    every pair of the column-wise probe's route, the general gcd, the
+    closed form where 2 is primitive and the coset probe where e > 1, row
+    by row and column by column, give one degree for w and for w read
+    backwards. The column-wise probe settles each of these words without
+    the gcd."""
     try:
         monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
     except pytest.skip.Exception:
@@ -354,8 +362,10 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     small = [pr for pr in pairs if pr.q <= 1000]
     sample = random.Random(16).sample(pairs[len(small):], 12)
+    columnwise = [pr for pr in pairs if _route(pr.p)[0] == "columns"]
+    calls = counting_poly_gcd(monkeypatch)
     routes = set()
-    for pair in small + sample:
+    for pair in small + sample + columnwise:
         p = pair.p
         route, m, _ = _route(p)
         routes.add(route)
@@ -364,10 +374,16 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch
             degrees = {_poly_gcd_degree(word, p)}
             if m == p - 1:
                 degrees.add(_primitive_gcd_degree(word, p))
-            elif pair.q <= 1000 or route == "probe":
-                degrees.add(_probe_gcd_degree(word, p, m))
+            else:
+                if pair.q <= 1000 or route == "probe":
+                    degrees.add(_probe_gcd_degree(word, p, m))
+                if pair.q <= 1000 or route == "columns":
+                    del calls[:]
+                    degrees.add(_probe_gcd_degree(word, p, m, columns=True))
+                    assert calls == [], pair
             assert degrees == {gcd_degree(w, p)}, pair
-    assert routes == {"primitive", "probe", "gcd"}
+    assert len(columnwise) == 14
+    assert routes == {"primitive", "probe", "columns", "gcd"}
 
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
@@ -411,12 +427,13 @@ VANISHING_PRIMES = (17, 23, 31, 43, 71, 97, 113, 127, 251, 257, 281)
 
 def test_coset_masks_equal_the_walk_of_two():
     """The labelling from doublings, negation and dilations gives H first
-    and the same cosets as the walk of <2> on every probe-route p with
-    q <= 92459 and on the primes below. These take m even and odd, e = 2,
+    and the same cosets as the walk of <2> on every p with e > 1 and
+    8 e^2 <= p with q <= 92459 and on the primes below. These take m even and odd, e = 2,
     more than one doubling (d > 1), and least generators g of the quotient
     (Z/p)^x / H from 3 up."""
-    ps = [pr.p for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)
-          if _route(pr.p)[0] == "probe"]
+    es = {pr.p: (pr.p - 1) // multiplicative_order(2, pr.p)
+          for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)}
+    ps = [p for p, e in es.items() if e > 1 and 8 * e * e <= p]
     assert len(ps) == 332
     seen = {"m even": 0, "m odd": 0, "e = 2": 0, "d > 1": 0}
     gs = set()
@@ -452,21 +469,28 @@ def test_coset_masks_partition_residues_into_doubling_orbits():
         assert union == (1 << p) - 2
 
 
-@pytest.mark.parametrize("p", VANISHING_PRIMES)
-def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
-    rng = random.Random(p)
-    m = multiplicative_order(2, p)
-    e = (p - 1) // m
+def vanishing_words(p: int, m: int, rng: random.Random) -> list:
+    """0, all-ones, 1, a random word, and 24 words that are multiples of
+    gcd(D_i + c, x^p - 1) for a random coset sum D_i and c in {0, 1}: D_i + c
+    takes the value c + 1 at the roots of the cosets where D_i is 0 or 1,
+    so that gcd is a product of coset factors."""
     masks = all_coset_masks(p, m)
     full = (1 << p) | 1
     ones = (1 << p) - 1
     words = [0, ones, 1, rng.randrange(1, ones)]
     for _ in range(24):
-        # D_i + c takes the value c + 1 at the roots of the cosets where D_i
-        # is 0 or 1, so its gcd with x^p - 1 is a product of coset factors
         d = rng.choice(masks) ^ rng.randrange(2)
         product = clmul(poly_gcd(d, full), rng.randrange(1, ones))
         words.append((product & ones) ^ (product >> p))  # mod x^p - 1
+    return words
+
+
+@pytest.mark.parametrize("p", VANISHING_PRIMES)
+def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
+    rng = random.Random(p)
+    m = multiplicative_order(2, p)
+    e = (p - 1) // m
+    words = vanishing_words(p, m, rng)
     calls = counting_poly_gcd(monkeypatch)
     vanishing = 0
     for w in words:
@@ -478,6 +502,77 @@ def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
         # rank short of e + 1 - [wt even] within e + 64 < p rows: the gcd
         assert calls == ([p] if vanishes and e + 64 < p else []), (p, w)
     assert vanishing >= 8
+
+
+@pytest.mark.parametrize("p", VANISHING_PRIMES)
+def test_column_probe_equals_gcd_on_vanishing_and_random_words(p, monkeypatch):
+    """The column-wise probe gives the gcd degree on the words of the
+    row-wise test and on 16 more seeded random words. Its R = 64 lanes rows
+    are all p rows up to p = 43, where it never calls the gcd; above, a
+    word that vanishes on a coset goes to the gcd, and no other word does."""
+    rng = random.Random(p + 1)
+    m = multiplicative_order(2, p)
+    rows = 64 * _column_lanes((p - 1) // m)
+    words = vanishing_words(p, m, rng)
+    words += [rng.randrange(1 << p) for _ in range(16)]
+    calls = counting_poly_gcd(monkeypatch)
+    vanishing = 0
+    for w in words:
+        want = gcd_degree(w, p)
+        del calls[:]
+        assert _probe_gcd_degree(w, p, m, columns=True) == want, (p, w)
+        vanishes = want >= m
+        vanishing += vanishes
+        assert calls == ([p] if vanishes and rows < p else []), (p, w)
+    assert vanishing >= 8
+    assert (rows >= p) == (p <= 43)
+
+
+def test_column_probe_equals_gcd_on_random_words_of_its_route(request, monkeypatch):
+    """Two seeded random words for each prime of the column-wise route with
+    q <= 92459, e from 32 to 329 and up to six lanes: no coset vanishes on
+    them but by chance, and the probe must prove that without the gcd."""
+    try:
+        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
+    except pytest.skip.Exception:
+        pass
+    rng = random.Random(25)
+    calls = counting_poly_gcd(monkeypatch)
+    ps = [pr.p for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)
+          if _route(pr.p)[0] == "columns"]
+    assert {_column_lanes((p - 1) // _route(p)[1]) for p in ps} == {1, 2, 4, 6}
+    for p in ps:
+        m = _route(p)[1]
+        for _ in range(2):
+            w = rng.randrange(1 << p)
+            want = gcd_degree(w, p)
+            del calls[:]
+            assert _probe_gcd_degree(w, p, m, columns=True) == want, p
+            assert calls == ([p] if want >= m else []), p
+
+
+def test_probe_columns_are_the_transposed_rows():
+    """On every prime 3 <= p <= 300 with e > 1, and one, two and the
+    production number of lanes, bit j of column i of `_probe_columns` is bit
+    i of row j of `_probe_rows`, for 0, all-ones and three seeded random
+    words; R = 64 lanes rows exceed p for the small primes, where the rows
+    cycle."""
+    rng = random.Random(300)
+    checked = 0
+    for p in primes_upto(300)[1:]:
+        m = multiplicative_order(2, p)
+        e = (p - 1) // m
+        if e == 1:
+            continue
+        masks = _coset_masks(p, m)
+        for w in [0, (1 << p) - 1] + [rng.randrange(1 << p) for _ in range(3)]:
+            for lanes in sorted({1, 2, _column_lanes(e)}):
+                rows = list(islice(_probe_rows(w, p, masks), 64 * lanes))
+                transposed = [sum(((row >> i) & 1) << j for j, row in enumerate(rows))
+                              for i in range(e + 1)]
+                assert _probe_columns(w, p, m, lanes) == transposed, (p, w, lanes)
+                checked += 1
+    assert checked >= 200
 
 
 def test_probe_falls_back_to_gcd_when_rows_run_out(monkeypatch):

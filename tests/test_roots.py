@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from jacrank.arith import is_squarefree_integer
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.numberfield import NumberField
 from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import RootInterval, RootIntervals, _ceil_root, _count_in, _int_poly, \
     _require_squarefree, _root_bound, _sign_at_point, _sturm_chain, \
     isolate_real_roots, sign_at
+from test_arith import is_squarefree_integer
 from test_bounds import washington_units
 
 X = sympy.symbols("x")
