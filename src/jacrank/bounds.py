@@ -19,8 +19,8 @@ signatures and leaves f_m without a root mod 2, and the shift identity
 27 f_m(x - m/3) = 27 x^3 - 9 D x + D (2m + 3) gives Eisenstein at every
 v | D. Per m they only factor D once, which also shows whether it is
 square-free (`washington_bad_primes`); no number field is built and no F2
-span is taken. The Sophie Germain local
-certificate likewise checks only the modulus.
+span is taken. The Sophie Germain local certificate likewise checks only
+the modulus.
 
 Lower bounds take odd-degree f. Class-group 2-ranks are external inputs
 carried by a ClassGroupStore.

@@ -428,9 +428,9 @@ VANISHING_PRIMES = (17, 23, 31, 43, 71, 97, 113, 127, 251, 257, 281)
 def test_coset_masks_equal_the_walk_of_two():
     """The labelling from doublings, negation and dilations gives H first
     and the same cosets as the walk of <2> on every p with e > 1 and
-    8 e^2 <= p with q <= 92459 and on the primes below. These take m even and odd, e = 2,
-    more than one doubling (d > 1), and least generators g of the quotient
-    (Z/p)^x / H from 3 up."""
+    8 e^2 <= p with q <= 92459 and on the primes below. These take m even
+    and odd, e = 2, more than one doubling (d > 1), and least generators g
+    of the quotient (Z/p)^x / H from 3 up."""
     es = {pr.p: (pr.p - 1) // multiplicative_order(2, pr.p)
           for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)}
     ps = [p for p, e in es.items() if e > 1 and 8 * e * e <= p]
