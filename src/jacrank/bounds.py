@@ -60,7 +60,6 @@ class GTrivialityCertificate(NamedTuple):
     """Per-prime evidence that f is irreducible over Q_v for every bad v."""
     bad_primes: Tuple[int, ...]
     evidence: Tuple[Tuple[int, str], ...]
-    conclusion: bool
 
 
 class BoundReport(NamedTuple):
@@ -143,15 +142,15 @@ def washington_local_certificate(m: int) -> GTrivialityCertificate:
     return GTrivialityCertificate(
         (2,) + bad,
         ((2, "irreducible-mod-p"),)
-        + tuple((v, "eisenstein-after-shift") for v in bad),
-        True)
+        + tuple((v, "eisenstein-after-shift") for v in bad))
 
 
-def washington_rho_certificate(m: int) -> int:
+def washington_rho_certificate(m: int) -> None:
     """rho_infty = 0 for L_m when D is square-free (ValueError otherwise):
     the signatures of the three conjugate root units theta, 1/(1-theta),
     1-1/theta span F_2^3, so every totally positive unit is a square.
-    Returns 0.
+    Returns None: the certificate is the theorem below, and a call only
+    checks that m is in the family.
 
     The signs hold for every m. From the coefficients, f_m(0) = 1 and
     f_m(1) = -1, so the monic cubic f_m has one real root r in each of
@@ -162,7 +161,6 @@ def washington_rho_certificate(m: int) -> int:
     ascending roots that gives (-,+,+), (+,+,-) and (+,-,+): with a bit
     for each negative sign, e_1, e_3 and e_2."""
     _family_primes(m)
-    return 0
 
 
 def washington_bound(m: int, oracle: ClassGroupStore) -> BoundReport:
@@ -218,8 +216,7 @@ def sophie_local_certificate(q: int) -> GTrivialityCertificate:
     _sophie_p(q)
     return GTrivialityCertificate(
         (2, q),
-        ((2, "inert-by-order"), (q, "totally-ramified-cyclotomic")),
-        True)
+        ((2, "inert-by-order"), (q, "totally-ramified-cyclotomic")))
 
 
 def sophie_upper_bound(q: int, oracle: ClassGroupStore,

@@ -138,7 +138,7 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     store = stores.ingest_rank_data(args.ranks)
-    if args.intervals:
+    if args.intervals is not None:
         intervals = _parse_intervals(args.intervals)
     else:
         top = max((rec.m for rec in store.records()), default=0)

@@ -2,9 +2,8 @@
 
 Rows, columns, vectors and polynomials are Python ints: bit i is entry i,
 or the coefficient of x^i. Matrices are immutable; elimination always works
-on copies, so values can be shared freely across threads. The polynomial gcd
-runs in the optional C extension `jacrank._f2core` when it is built, and in
-the pure-Python loop here otherwise; everything else is pure Python.
+on copies, so values can be shared freely across threads. Every kernel,
+the polynomial gcd included, is pure Python and has one implementation.
 """
 
 from __future__ import annotations
@@ -13,18 +12,15 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import CheckedRecord
 
-try:
-    from . import _f2core
-except ImportError:
-    _f2core = None
-
 __all__ = ["MatF2", "VecF2", "rank", "echelon_rank", "kernel_basis",
            "span_dimension", "poly_gcd", "backend_name"]
 
 
 def backend_name() -> str:
-    """Which polynomial gcd runs: "compiled" or "pure"."""
-    return "pure" if _f2core is None else "compiled"
+    """Always "pure": the package has no compiled part. Kept because the
+    benchmark's start-up probe still records it; it goes with the
+    benchmark's revision (ROADMAP item 13)."""
+    return "pure"
 
 
 class _VecF2(NamedTuple):
@@ -125,11 +121,6 @@ def poly_gcd(a: int, b: int) -> int:
     """gcd of polynomials over F2, coefficients packed into int bits."""
     if a < 0 or b < 0:
         raise ValueError("packed polynomials must be nonnegative")
-    if _f2core is not None:
-        n = (max(a.bit_length(), b.bit_length()) + 7) // 8
-        return int.from_bytes(
-            _f2core.poly_gcd(a.to_bytes(n, "little"), b.to_bytes(n, "little")),
-            "little")
     while b:
         db = b.bit_length() - 1
         while a:

@@ -1,4 +1,7 @@
-/* Compiled gcd of polynomials over F2, for jacrank.f2.poly_gcd.
+/* Reference gcd of polynomials over F2 for the tests: an implementation of
+ * the schoolbook gcd independent of the pure-Python jacrank.f2.poly_gcd,
+ * compiled into pytest's temporary directory by `compiled_core` in
+ * tests/conftest.py and checked against the production gcd in tests/test_f2.py.
  *
  * Operands and result are little-endian byte strings: bit i of the number
  * they encode is the coefficient of x^i. The words are packed byte by byte,

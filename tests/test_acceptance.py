@@ -6,6 +6,7 @@ pass/fail listing.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -127,7 +128,11 @@ def test_criterion_6_local_certificates_to_2000():
     for m in range(1, 2001):
         if not is_squarefree_integer(m * m + 3 * m + 9):
             continue
-        assert washington_local_certificate(m).conclusion, f"m={m}"
+        cert = washington_local_certificate(m)
+        # the bad primes are 2 and the primes of the square-free D, each
+        # with its evidence
+        assert math.prod(cert.bad_primes) == 2 * (m * m + 3 * m + 9), f"m={m}"
+        assert [v for v, _ in cert.evidence] == list(cert.bad_primes), f"m={m}"
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"certificate sweep took {elapsed:.1f}s"

@@ -66,8 +66,8 @@ def ref_local_certificate(m: int) -> GTrivialityCertificate:
         ok = ok and 27 % v != 0 and (9 * D) % v == 0 and const % v == 0 \
             and const % (v * v) != 0
         evidence.append((v, "eisenstein-after-shift"))
-    return GTrivialityCertificate(tuple([2] + prime_factors(D)),
-                                  tuple(evidence), ok)
+    assert ok, m
+    return GTrivialityCertificate(tuple([2] + prime_factors(D)), tuple(evidence))
 
 
 # -- Washington family ---------------------------------------------------
@@ -85,13 +85,13 @@ def test_local_certificate_m1():
     assert cert.bad_primes == (2, 13)
     assert dict(cert.evidence) == {2: "irreducible-mod-p",
                                    13: "eisenstein-after-shift"}
-    assert cert.conclusion
 
 
 def test_local_certificate_m143():
     cert = washington_local_certificate(143)
     assert cert.bad_primes == (2, 20887)
-    assert cert.conclusion
+    assert dict(cert.evidence) == {2: "irreducible-mod-p",
+                                   20887: "eisenstein-after-shift"}
 
 
 def test_bad_primes_factor_each_m_once(monkeypatch, capsys):
@@ -159,8 +159,11 @@ def test_local_certificate_matches_reference():
 
 def test_local_certificates_sweep():
     for m in range(1, 80):
-        if is_squarefree_integer(m * m + 3 * m + 9):
-            assert washington_local_certificate(m).conclusion
+        D = m * m + 3 * m + 9
+        if is_squarefree_integer(D):
+            cert = washington_local_certificate(m)
+            assert cert.bad_primes == (2, *prime_factors(D)), m
+            assert [v for v, _ in cert.evidence] == list(cert.bad_primes), m
 
 
 def washington_units(m: int, field: NumberField) -> tuple:
@@ -204,7 +207,7 @@ def test_rho_certificate_closed_form_matches_sturm_signatures():
         field = NumberField(washington_curve_poly(m))
         signs = [field.signature(a) for a in washington_units(m, field)]
         assert signs == WASHINGTON_SIGNS, m
-        assert washington_rho_certificate(m) == 0
+        assert washington_rho_certificate(m) is None
 
 
 def test_frozen_signatures_span_the_sign_space():
@@ -217,7 +220,7 @@ def test_frozen_signatures_span_the_sign_space():
 
 def test_rho_certificate_values():
     for m in (1, 11, 143):
-        assert washington_rho_certificate(m) == 0
+        assert washington_rho_certificate(m) is None
 
 
 def test_washington_bounds_fixture():
@@ -266,7 +269,6 @@ def test_sophie_local_certificate():
     assert cert.bad_primes == (2, 11)
     assert dict(cert.evidence) == {2: "inert-by-order",
                                    11: "totally-ramified-cyclotomic"}
-    assert cert.conclusion
 
 
 def test_sophie_local_certificate_order_of_two():
@@ -275,7 +277,7 @@ def test_sophie_local_certificate_order_of_two():
     assert len(pairs) == 630
     for pair in pairs:
         assert multiplicative_order(2, pair.q) in (pair.p, 2 * pair.p), pair
-        assert sophie_local_certificate(pair.q).conclusion
+        assert sophie_local_certificate(pair.q).bad_primes == (2, pair.q), pair
     for q in (5, 13, 15, 29):
         with pytest.raises(ValueError, match="not a Sophie Germain modulus"):
             sophie_local_certificate(q)

@@ -280,6 +280,14 @@ def test_stats_default_intervals(capsys):
     assert "[1,1000] " in out
 
 
+def test_stats_empty_intervals_is_invalid_input(capsys):
+    """An empty --intervals is a malformed range, not the default chunks."""
+    code, out, err = run(capsys, "stats", "--ranks", SYNTH_PATH, "--intervals", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: range must look like A..B, got ''\n"
+
+
 def test_stats_missing_file(capsys):
     code, _, err = run(capsys, "stats", "--ranks", "/nonexistent/ranks.txt")
     assert code == 2

@@ -24,7 +24,7 @@ from itertools import islice
 
 import pytest
 
-from jacrank import cyclosig, f2
+from jacrank import cyclosig
 from jacrank.arith import multiplicative_order, order_dividing, primes_upto
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
@@ -136,9 +136,10 @@ def walk_coset_masks(p: int, m: int) -> list:
     return masks
 
 
-def gcd_degree(w: int, p: int) -> int:
-    """deg gcd(w, x^p + 1) over F2 by the general gcd."""
-    return poly_gcd(w, (1 << p) | 1).bit_length() - 1
+def gcd_degree(w: int, p: int, gcd=poly_gcd) -> int:
+    """deg gcd(w, x^p + 1) over F2 by a general gcd, the production one
+    unless the conftest's `reference_gcd` is passed."""
+    return gcd(w, (1 << p) | 1).bit_length() - 1
 
 
 def counting_poly_gcd(monkeypatch) -> list:
@@ -320,14 +321,9 @@ def test_gcd_route_equals_matrix_route():
         assert fast.d_infty <= pair.p - 1
 
 
-def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, request,
-                                                          monkeypatch):
-    # the reference gcd runs on the C kernel when a compiler is present,
-    # a few times faster than the pure loop it is checked against in test_f2
-    try:
-        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
-    except pytest.skip.Exception:
-        pass
+def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reference_gcd):
+    # the reference gcd is compiled when a compiler is present, a few times
+    # faster than the production loop it is checked against in test_f2
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     assert len(pairs) == CERTIFIED_PAIRS
     certs, _ = certified_scan
@@ -340,13 +336,13 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, reques
         routes[route] += 1
         assert m == multiplicative_order(2, pair.p)
         # every route, the probe included, equals the general gcd
-        assert cert.d_infty == pair.p - gcd_degree(w, pair.p), pair
+        assert cert.d_infty == pair.p - gcd_degree(w, pair.p, reference_gcd), pair
         if route == "primitive":
             assert cert.d_infty == pair.p - _primitive_gcd_degree(w, pair.p)
     assert routes == {"primitive": 282, "probe": 323, "columns": 14, "gcd": 11}
 
 
-def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch):
+def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(reference_gcd, monkeypatch):
     """x -> 1/x is an automorphism of F2[x]/(x^p - 1), so no route may see
     the order in which the orbit word is packed: on every pair with
     q <= 1000, on a seeded sample of the certified range above it and on
@@ -355,10 +351,6 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch
     by row and column by column, give one degree for w and for w read
     backwards. The column-wise probe settles each of these words without
     the gcd."""
-    try:
-        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
-    except pytest.skip.Exception:
-        pass
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     small = [pr for pr in pairs if pr.q <= 1000]
     sample = random.Random(16).sample(pairs[len(small):], 12)
@@ -381,7 +373,7 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(request, monkeypatch
                     del calls[:]
                     degrees.add(_probe_gcd_degree(word, p, m, columns=True))
                     assert calls == [], pair
-            assert degrees == {gcd_degree(w, p)}, pair
+            assert degrees == {gcd_degree(w, p, reference_gcd)}, pair
     assert len(columnwise) == 14
     assert routes == {"primitive", "probe", "columns", "gcd"}
 
@@ -528,14 +520,10 @@ def test_column_probe_equals_gcd_on_vanishing_and_random_words(p, monkeypatch):
     assert (rows >= p) == (p <= 43)
 
 
-def test_column_probe_equals_gcd_on_random_words_of_its_route(request, monkeypatch):
+def test_column_probe_equals_gcd_on_random_words_of_its_route(reference_gcd, monkeypatch):
     """Two seeded random words for each prime of the column-wise route with
     q <= 92459, e from 32 to 329 and up to six lanes: no coset vanishes on
     them but by chance, and the probe must prove that without the gcd."""
-    try:
-        monkeypatch.setattr(f2, "_f2core", request.getfixturevalue("compiled_core"))
-    except pytest.skip.Exception:
-        pass
     rng = random.Random(25)
     calls = counting_poly_gcd(monkeypatch)
     ps = [pr.p for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)
@@ -545,7 +533,7 @@ def test_column_probe_equals_gcd_on_random_words_of_its_route(request, monkeypat
         m = _route(p)[1]
         for _ in range(2):
             w = rng.randrange(1 << p)
-            want = gcd_degree(w, p)
+            want = gcd_degree(w, p, reference_gcd)
             del calls[:]
             assert _probe_gcd_degree(w, p, m, columns=True) == want, p
             assert calls == ([p] if want >= m else []), p

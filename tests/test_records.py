@@ -52,8 +52,8 @@ MAKERS = {
         lambda: RhoInftyCertificate(SophieGermainPair(5, 11), 4, True),
         "d_infty"),
     "GTrivialityCertificate": (
-        lambda: GTrivialityCertificate((2, 11), ((2, "inert-by-order"),), True),
-        "conclusion"),
+        lambda: GTrivialityCertificate((2, 11), ((2, "inert-by-order"),)),
+        "evidence"),
     "BoundReport": (_report, "upper_bound"),
     "PrimePoly": (lambda: PrimePoly(5, (1, 7, 0)), "coeffs"),
     "RationalPoly": (lambda: RationalPoly([1, Fraction(1, 2)]), "coeffs"),

@@ -1,11 +1,12 @@
 """Module structure: no private helper shared between jacrank modules, no
 public name or public method without a use in the package, no public
 function or method that no subcommand runs, no module reading the
-environment, no generated or Cython source, no module importing
-`dataclasses`, a CLI import that pulls in no process-pool, pickling,
-class-generation or Fraction machinery, each subcommand running only the
-module bodies of its route, a lazy public API, and every layer the traced
-benchmark wraps by name still exists and is traced."""
+environment, no generated or Cython source, no file in the package but
+Python modules and data tables, no module importing `dataclasses`, a CLI
+import that pulls in no process-pool, pickling, class-generation or
+Fraction machinery, each subcommand running only the module bodies of its
+route, a lazy public API, and every layer the traced benchmark wraps by
+name still exists and is traced."""
 
 from __future__ import annotations
 
@@ -226,6 +227,22 @@ def test_no_generated_or_cython_sources():
         with path.open("rb") as fh:
             if path.suffix == ".pyx" or b"Generated by" in fh.readline():
                 offenders.append(path.name)
+    assert offenders == []
+
+
+def test_package_ships_only_python_modules_and_data():
+    """The package is pure Python: besides `.py` modules it holds only the
+    `data/*.txt` tables, and no C or Cython source or built extension. The
+    compiled F2 gcd the tests check against lives in `tests/`."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.rglob("*")):
+        rel = path.relative_to(PACKAGE_DIR)
+        if path.is_dir() or "__pycache__" in rel.parts:
+            continue
+        module = len(rel.parts) == 1 and rel.suffix == ".py"
+        table = rel.parent == Path("data") and rel.suffix == ".txt"
+        if not (module or table):
+            offenders.append(str(rel))
     assert offenders == []
 
 
