@@ -552,7 +552,10 @@ def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificat
     The result does not depend on workers. A child that fails has its
     share certified again by the parent, so an exception surfaces as on
     the serial path. A caller running other threads should keep
-    workers = 1: a forked child gets only the calling thread."""
+    workers = 1: a forked child gets only the calling thread. A negative
+    q_max or workers raises ValueError."""
+    if q_max < 0:
+        raise ValueError(f"max-q must be non-negative, got {q_max}")
     if workers < 0:
         raise ValueError(f"worker count must be non-negative, got {workers}")
     pairs = sophie_germain_pairs(q_max)

@@ -28,9 +28,10 @@ each kernel basis product is a square, so that the character rank is the
 dimension of the span on the fields they cover.
 
 A field finds its split primes, with the roots of f mod each, once, and
-reuses them for every element. The split primes come from a value sieve
-over windows of primes: ell has a root r < ell exactly when ell divides
-f(r), so one gcd of f(t) with the window's prime product per t <
+reuses them for every element. For min_poly_2cos(q, s) they are the
+ell = +-1 mod q, each with its roots from one Lucas value. Other f use a
+value sieve over windows of primes: ell has a root r < ell exactly when ell
+divides f(r), so one gcd of f(t) with the window's prime product per t <
 max(window) finds them all, with no Frobenius power mod ell. The primes
 dividing disc(f) = +-Res(f, f'), computed once per field, are left out.
 """
@@ -48,7 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from . import factor, modpoly
 from .f2 import kernel_basis
 from .polys import (Frozen, RationalPoly, clear_denominators, min_poly_2cos,
-                    resultant)
+                    min_poly_2cos_roots, resultant)
 from .arith import CheckedRecord, is_prime, jacobi, primes_upto
 
 __all__ = [
@@ -64,9 +65,10 @@ class SquarenessUndetermined(RuntimeError):
     exact witness or a sound obstruction."""
 
 
-def _is_min_poly_2cos(poly: RationalPoly) -> bool:
-    """Whether poly is min_poly_2cos(q, False) or min_poly_2cos(q, True)
-    for q = 2 deg + 1 prime, and so irreducible with no factoring. The
+def _is_min_poly_2cos(poly: RationalPoly) -> Optional[int]:
+    """1 if poly is min_poly_2cos(q, False) and -1 if it is
+    min_poly_2cos(q, True), for q = 2 deg + 1 prime, else None; in the
+    first two cases it is irreducible with no factoring. The
     roots of min_poly_2cos(q, False) are the p = (q - 1)/2 distinct
     conjugates 2cos(2 pi k/q), k = 1..p, the whole Galois orbit of
     2cos(2 pi/q) (see its docstring): a monic polynomial of degree p that
@@ -74,8 +76,11 @@ def _is_min_poly_2cos(poly: RationalPoly) -> bool:
     negated one is its image under y -> -y, the minimal polynomial of
     -2cos(2 pi/q)."""
     q = 2 * poly.deg() + 1
-    return is_prime(q) and (poly == min_poly_2cos(q, False)
-                            or poly == min_poly_2cos(q, True))
+    if is_prime(q):
+        for sign in (1, -1):
+            if poly == min_poly_2cos(q, sign < 0):
+                return sign
+    return None
 
 
 class NumberField:
@@ -86,7 +91,8 @@ class NumberField:
             raise ValueError("defining polynomial must be monic")
         if not poly.is_integral():
             raise ValueError("defining polynomial must have integer coefficients")
-        if not _is_min_poly_2cos(poly):
+        self._sign = _is_min_poly_2cos(poly)
+        if self._sign is None:
             try:
                 irreducible = len(factor.factor_over_Q(poly)) == 1
             except ValueError:  # a repeated factor
@@ -158,13 +164,23 @@ class NumberField:
     def _split_prime(self, i: int) -> Tuple[int, List[int]]:
         """The i-th split prime, counting from 0: (ell, roots of f mod ell)
         for the odd primes ell not dividing disc(f) at which f has a root.
-        The primes are sieved a window at a time, each window reaching
-        twice as far as the last."""
+        For min_poly_2cos(q, s) these are the ell = +-1 mod q, taken in
+        turn (q ramifies, and no other ell has a degree-one ideal). Other f
+        are sieved a window at a time, each reaching twice as far as the
+        last."""
+        q = 2 * self.degree + 1
         while len(self._split_primes) <= i:
-            lo = self._ell_scanned
-            hi = max(2 * lo, _FIRST_WINDOW)
-            self._split_primes += _sieve_split_primes(self._int_coeffs,
-                                                      self._disc, lo, hi)
+            lo = hi = self._ell_scanned
+            if self._sign is None:
+                hi = max(2 * lo, _FIRST_WINDOW)
+                self._split_primes += _sieve_split_primes(
+                    self._int_coeffs, self._disc, lo, hi)
+            else:
+                hi += 1
+                while hi % q not in (1, q - 1) or not is_prime(hi):
+                    hi += 1
+                self._split_primes.append(
+                    (hi, min_poly_2cos_roots(q, self._sign < 0, hi)))
             self._ell_scanned = hi
         return self._split_primes[i]
 

@@ -5,8 +5,9 @@ so the zero polynomial has an empty coefficient tuple and deg() == -1.
 Products and resultants are computed on integers after clearing
 denominators, resultants by the subresultant remainder sequence. The
 minimal polynomials of 2cos(2*pi/d) are built in integers: the curve
-polynomials of the Sophie Germain family from binomials, and the factors of
-their f - 1 from cyclotomic polynomials.
+polynomials of the Sophie Germain family from binomials, their roots mod
+each split prime from one Lucas value, and the factors of their f - 1 from
+cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
-from .arith import is_prime, prime_factors
+from .arith import is_prime, jacobi, prime_factors
 
 __all__ = [
     "Frozen",
@@ -24,6 +25,7 @@ __all__ = [
     "prem",
     "resultant",
     "min_poly_2cos",
+    "min_poly_2cos_roots",
     "min_poly_2cos_split",
     "format_poly",
 ]
@@ -243,6 +245,11 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     at the p distinct values cos(2*pi*k/q), k = 1..p. Its coefficient of
     y^(p-j) is (-1)^floor(j/2) * C(p - ceil(j/2), floor(j/2)).
     """
+    return RationalPoly(_min_poly_2cos_coeffs(q, negate))
+
+
+def _min_poly_2cos_coeffs(q: int, negate: bool) -> List[int]:
+    """The ascending integer coefficients of min_poly_2cos(q, negate)."""
     if q < 5 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 5, got {q}")
     p = (q - 1) // 2
@@ -253,7 +260,64 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
         total = [c if i % 2 == 0 else -c for i, c in enumerate(total)]
         if p % 2:
             total = [-c for c in total]
-    return RationalPoly(total)
+    return total
+
+
+def _lucas_v(n: int, P: int, ell: int) -> int:
+    """V_n(P, 1) mod ell, V_0 = 2, V_1 = P, V_(k+1) = P V_k - V_(k-1), by the
+    Lucas ladder on (V_k, V_(k+1)): V_2k = V_k^2 - 2, V_(2k+1) = V_k V_(k+1) - P
+    (Crandall & Pomerance, Prime Numbers, Ch. 3)."""
+    v, w = 2, P % ell
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = (v * w - P) % ell, (w * w - 2) % ell
+        else:
+            v, w = (v * v - 2) % ell, (v * w - P) % ell
+    return v
+
+
+def min_poly_2cos_roots(q: int, negate: bool, ell: int) -> List[int]:
+    """The p = (q - 1)/2 roots of min_poly_2cos(q, negate) mod a prime
+    ell = e mod q, e = +-1, ascending. These ell are the primes that split
+    in Q(zeta_q)^+ (Washington, Introduction to Cyclotomic Fields, Ch. 2).
+
+    Proof. Take the least P >= 3 with (P^2 - 4 | ell) = e. The roots a, 1/a
+    of x^2 - P x + 1 lie in F_ell when e = 1, and when e = -1 they are
+    conjugate in F_(ell^2), a^ell = 1/a; either way a^(ell - e) = 1. So
+    z = a^((ell - e)/q) has z^q = 1, and r = z + 1/z = V_((ell - e)/q)(P, 1).
+    r = 2 exactly when z = 1, and then the next P is tried; otherwise z has
+    order q, and reducing zeta_q -> z maps 2cos(2 pi k/q) = zeta_q^k +
+    zeta_q^-k to V_k(r, 1) = z^k + z^-k, so f splits mod ell into the
+    y - V_k(r, 1), k = 1..p, distinct as z^k + z^-k = z^j + z^-j only for
+    j = +-k mod q. For negate=True the roots are the -V_k(r, 1).
+
+    Each root is checked by Horner, and the roots for distinctness; a
+    failure raises RuntimeError."""
+    f = _min_poly_2cos_coeffs(q, negate)[::-1]
+    if ell % q not in (1, q - 1) or not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not a prime = +-1 mod {q}")
+    e = 1 if ell % q == 1 else -1
+    P = 3
+    while True:
+        if jacobi(P * P - 4, ell) == e:
+            r = _lucas_v((ell - e) // q, P, ell)
+            if r != 2:
+                break
+        P += 1
+    roots, prev, cur = [], 2, r
+    for _ in range(len(f) - 1):
+        roots.append(-cur % ell if negate else cur)
+        prev, cur = cur, (r * cur - prev) % ell
+    for t in roots:
+        v = 0
+        for c in f:
+            v = (v * t + c) % ell
+        if v:
+            raise RuntimeError(f"{t} is not a root of min_poly_2cos({q}) "
+                               f"mod {ell}")
+    if len(set(roots)) != len(roots):
+        raise RuntimeError(f"repeated root of min_poly_2cos({q}) mod {ell}")
+    return sorted(roots)
 
 
 def _compose_power(a: List[int], e: int) -> List[int]:

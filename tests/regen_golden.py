@@ -32,6 +32,7 @@ COMMANDS = {
     "sophie-1019": ["sophie", "--q", "1019"],
     "scan-rho-3000": ["scan-rho", "--max-q", "3000", "--threads", "2"],
     "scan-rho-92459": ["scan-rho", "--max-q", "92459", "--threads", "2"],
+    "scan-rho-error-negative-max-q": ["scan-rho", "--max-q", "-5"],
     "lower-bound-readme-y0-1": [
         "lower-bound", "--poly", "1,-4,1,1", "--y0", "1", "--verbose"],
     "lower-bound-readme-y0-third": [
@@ -44,6 +45,10 @@ COMMANDS = {
         "lower-bound", "--poly", "4,-3,0,1", "--y0", "2"],
     "lower-bound-no-inert-3-mod-4-y0-3": [
         "lower-bound", "--poly", "4,-3,0,1", "--y0", "3"],
+    # min_poly_2cos(19): a cyclotomic field of composite degree 9
+    "lower-bound-cyclotomic-19": [
+        "lower-bound", "--poly", "1,5,-10,-20,15,21,-7,-8,1,1", "--y0", "1",
+        "--verbose"],
     "lower-bound-error-split-not-squarefree": [
         "lower-bound", "--poly", "1,0,-1,1"],
     "lower-bound-error-reducible": ["lower-bound", "--poly=-1,-1,1,1"],

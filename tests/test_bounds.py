@@ -418,9 +418,16 @@ def test_lower_bound_fractional_y0():
 
 
 def test_sophie_lower_bounds_past_table_4():
-    # the witnessed values; at q = 479, 20 classes, a fixed 20 residue
-    # symbols without the real signs give 17, and k + 20 give 18
-    for q, want in ((83, 4), (107, 4), (167, 10), (179, 6), (479, 18)):
+    # every Sophie Germain q with 59 < q <= 1019: the witnessed values up to
+    # q = 503 and the earlier prototype's past it; at q = 479, 20 classes, a
+    # fixed 20 residue symbols without the real signs give 17, and k + 20
+    # give 18
+    table = {83: 4, 107: 4, 167: 10, 179: 6, 227: 4, 263: 10, 347: 4,
+             359: 16, 383: 12, 467: 6, 479: 18, 503: 16, 563: 4, 587: 6,
+             719: 22, 839: 22, 863: 18, 887: 10, 983: 10, 1019: 8}
+    assert sorted(table) == [pr.q for pr in sophie_germain_pairs(1019)
+                             if pr.q > 59]
+    for q, want in table.items():
         factors = min_poly_2cos_split(q)
         lower, classes = lower_bound_from_points(curve_min_poly(q),
                                                  factors=factors)

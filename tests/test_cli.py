@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from jacrank import numberfield
+from jacrank import numberfield, polys
 from jacrank.cli import main
 from test_cyclosig import deadline
 from test_structure import modules_run
@@ -134,6 +134,23 @@ def test_scan_rho_negative_threads_is_invalid(capsys):
                              "--threads", "-1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "-1" in err
+
+
+def test_scan_rho_negative_max_q_is_invalid(capsys):
+    code, out, err = run(capsys, "scan-rho", "--max-q", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: max-q must be non-negative, got -5\n"
+    for max_q in ("0", "6"):
+        code, out, _ = run(capsys, "scan-rho", "--max-q", max_q)
+        assert code == 0 and out == "pairs=0 certified=0 failures=0\n"
+
+
+def test_sophie_lower_wrong_lucas_root_is_a_certification_failure(
+        capsys, monkeypatch):
+    monkeypatch.setattr(polys, "_lucas_v", lambda n, P, ell: 0)
+    code, out, err = run(capsys, "sophie", "--q", "11", "--lower")
+    assert code == 3 and "curve=" not in out
+    assert err.startswith("certification failure:") and "not a root" in err
 
 
 def test_scan_rho_too_large_for_memory_is_invalid():

@@ -590,6 +590,12 @@ def test_scan_small():
     certs = scan_sophie_germain(30)
     assert [(c.pair.p, c.pair.q) for c in certs] == [(3, 7), (5, 11), (11, 23)]
     assert all(c.rho_infty_zero for c in certs)
+
+
+def test_scan_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="non-negative"):
+        scan_sophie_germain(-5)
+    assert scan_sophie_germain(0) == scan_sophie_germain(6) == []
     assert scan_sophie_germain(6) == []
 
 

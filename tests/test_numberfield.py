@@ -336,14 +336,33 @@ def test_sieve_matches_frobenius_roots_below_800():
 
 
 def test_split_prime_matches_frobenius_reference():
-    """Table-4 fields and seeded random irreducible polynomials of degree 2
-    to 11, through the five sieve windows that reach past 600."""
+    """Table-4 fields, whose split primes are the ell = +-1 mod q, and
+    seeded random irreducible polynomials of degree 2 to 11, through the
+    five sieve windows that reach past 600."""
     polys = [curve_min_poly(q) for q in (11, 23, 47, 59)]
     polys += random_irreducible_polys(61, 16)
     for f in polys:
         field = NumberField(f)
         want = frobenius_split_primes(f.int_coeffs(), 2, 600)
         assert sieved_split_primes(field, 600) == want, f
+
+
+def test_curve_field_split_primes_match_the_sieve():
+    """For every prime 5 <= q <= 131 and both signs, the first four split
+    primes of min_poly_2cos(q, s), walked over ell = +-1 mod q with Lucas
+    roots, equal the value sieve's with the field's discriminant; the q
+    include non-Sophie ones such as 17, 19 and 31."""
+    for q in primes_upto(131)[2:]:
+        for negate in (False, True):
+            field = NumberField(min_poly_2cos(q, negate))
+            sieved, lo = [], 2
+            while len(sieved) < 4:
+                hi = max(2 * lo, numberfield._FIRST_WINDOW)
+                sieved += numberfield._sieve_split_primes(
+                    field._int_coeffs, field._disc, lo, hi)
+                lo = hi
+            got = [field._split_prime(i) for i in range(4)]
+            assert got == sieved[:4], (q, negate)
 
 
 def test_sieve_window_edges():

@@ -22,6 +22,7 @@ from jacrank.polys import (
     format_poly,
     _psi,
     min_poly_2cos,
+    min_poly_2cos_roots,
     min_poly_2cos_split,
     resultant,
 )
@@ -222,6 +223,12 @@ def test_min_poly_2cos_matches_binomial_formula(q):
     want = tuple((-1) ** (j // 2) * comb(p - (j + 1) // 2, j // 2)
                  for j in range(p, -1, -1))
     assert min_poly_2cos(q, False).coeffs == want
+
+
+def test_min_poly_2cos_roots_reject_other_ell_and_q():
+    for q, ell in ((11, 13), (11, 11), (11, 21), (11, 45), (9, 17), (3, 5)):
+        with pytest.raises(ValueError):
+            min_poly_2cos_roots(q, False, ell)
 
 
 def test_min_poly_2cos_shape():
