@@ -1,9 +1,11 @@
 """Exact integer utilities: primes, multiplicative orders, squarefree tests,
 and `CheckedRecord`, the base of the package's validated records.
 
-Everything here is deterministic. Primality below 3.3e14 uses a fixed
-Miller-Rabin base set known to be exact in that range, far above any input
-this package handles (the largest scan touches 92459).
+Everything here is deterministic. Primality below psi_13 ~ 3.3e24 uses a
+fixed Miller-Rabin base set known to be exact in that range, and at or above
+it raises ValueError rather than guess. That bound is far above the primes
+the package computes with, so only a user's input, such as a huge --q, can
+reach it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ __all__ = [
     "primes_upto",
     "is_prime",
     "prime_factors",
-    "multiplicative_order",
     "order_dividing",
     "squarefree_prime_factors",
     "jacobi",
@@ -36,8 +37,11 @@ class CheckedRecord:
         return cls(*iterable)
 
 
-# exact for all n < 3_317_044_064_679_887_385_961_981 per Sorenson-Webster
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the prime bases up to 41, also is_prime's trial
+# divisors, is exact for all n < psi_13 (Sorenson and Webster, Math. Comp.
+# 86, 2017); psi_12, a strong pseudoprime to the bases up to 37, lies below
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def primes_upto(n: int) -> List[int]:
@@ -55,12 +59,17 @@ def primes_upto(n: int) -> List[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact well past this package's inputs)."""
+    """Deterministic Miller-Rabin, exact for n < psi_13; ValueError for
+    n >= psi_13."""
+    if n >= _PSI_13:
+        raise ValueError(f"primality of {n} >= psi_13 is not decided exactly")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -95,26 +104,10 @@ def prime_factors(n: int) -> List[int]:
     return out
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 (mod n); requires gcd(a, n) = 1.
-
-    The order divides phi(n), which `order_dividing` starts from."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    phi = n
-    for r in prime_factors(n):
-        phi = phi // r * (r - 1)
-    return order_dividing(a, n, phi)
-
-
 def order_dividing(a: int, n: int, k: int) -> int:
     """Least j >= 1 with a^j = 1 (mod n), given a multiple k of it, that is
     a^k = 1 (mod n): start from k and divide out each prime factor r for as
-    long as a^(k/r) = 1 still holds. For a prime n, k = n - 1 spares the
-    factoring of n that `multiplicative_order` does."""
+    long as a^(k/r) = 1 still holds. For a prime n, k = n - 1."""
     for r in prime_factors(k):
         while k % r == 0 and pow(a, k // r, n) == 1:
             k //= r

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, \
 
 # used qualified, so the washington route never runs these modules
 from . import cyclosig, factor, numberfield, polys
-from .arith import is_prime, multiplicative_order, squarefree_prime_factors
+from .arith import is_prime, order_dividing, squarefree_prime_factors
 from .stores import ClassGroupStore
 
 if TYPE_CHECKING:
@@ -188,7 +188,7 @@ def two_inert_in_real_cyclotomic(p: int) -> bool:
         raise ValueError("p must be an odd prime")
     if p == 3:
         return True  # degree-one field
-    order = multiplicative_order(2, p)
+    order = order_dividing(2, p, p - 1)
     if order % 2 == 0 and pow(2, order // 2, p) == p - 1:
         order //= 2  # -1 lies in <2>, halving the order in the quotient
     return order == (p - 1) // 2
@@ -269,7 +269,7 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
         upper = (p - 1) + rec.narrow_cl2_rank
         cl2_used = rec.narrow_cl2_rank
         hyp = ()
-    elif multiplicative_order(2, p) % 2 == 0:
+    elif order_dividing(2, p, p - 1) % 2 == 0:
         # even order of 2 mod p makes the narrow and plain 2-ranks agree
         upper = (p - 1) + rec.cl2_rank
         cl2_used = rec.cl2_rank

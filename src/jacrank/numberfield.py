@@ -28,12 +28,11 @@ each kernel basis product is a square, so that the character rank is the
 dimension of the span on the fields they cover.
 
 A field finds its split primes, with the roots of f mod each, once, and
-reuses them for every element. For min_poly_2cos(q, s) they are the
-ell = +-1 mod q, each with its roots from one Lucas value. Other f use a
-value sieve over windows of primes: ell has a root r < ell exactly when ell
-divides f(r), so one gcd of f(t) with the window's prime product per t <
-max(window) finds them all, with no Frobenius power mod ell. The primes
-dividing disc(f) = +-Res(f, f'), computed once per field, are left out.
+reuses them for every element. Each field kind has one walk over the primes
+in ascending order: for min_poly_2cos(q, s) it steps over the ell = +-1 mod
+q, each with its roots from one Lucas value; for other f it takes every odd
+prime ell not dividing disc(f) = +-Res(f, f'), with the roots the t < ell
+at which ell divides f(t), no Frobenius power mod ell.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # used qualified: a lazy module's body runs only when a route reaches it, and
 # factoring over Q or F_ell is needed by no Sophie Germain lower bound
@@ -50,7 +49,7 @@ from . import factor, modpoly
 from .f2 import kernel_basis
 from .polys import (Frozen, RationalPoly, clear_denominators, min_poly_2cos,
                     min_poly_2cos_roots, resultant)
-from .arith import CheckedRecord, is_prime, jacobi, primes_upto
+from .arith import CheckedRecord, is_prime, jacobi
 
 __all__ = [
     "NumberField",
@@ -91,8 +90,8 @@ class NumberField:
             raise ValueError("defining polynomial must be monic")
         if not poly.is_integral():
             raise ValueError("defining polynomial must have integer coefficients")
-        self._sign = _is_min_poly_2cos(poly)
-        if self._sign is None:
+        sign = _is_min_poly_2cos(poly)
+        if sign is None:
             try:
                 irreducible = len(factor.factor_over_Q(poly)) == 1
             except ValueError:  # a repeated factor
@@ -101,9 +100,14 @@ class NumberField:
                 raise ValueError("defining polynomial must be irreducible")
         self.poly = poly
         self.degree = poly.deg()
-        # the split primes among the odd primes up to _ell_scanned
+        # the split primes found so far, and the walk that finds the next
         self._split_primes: List[Tuple[int, List[int]]] = []
-        self._ell_scanned = 2
+        self._walk = (_value_split_primes(poly) if sign is None else
+                      _curve_split_primes(2 * self.degree + 1, sign < 0))
+
+    def __reduce__(self):
+        # the walk, a generator, cannot be copied: rebuild from poly
+        return NumberField, (self.poly,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberField) and self.poly.coeffs == other.poly.coeffs
@@ -117,11 +121,6 @@ class NumberField:
     @cached_property
     def _int_coeffs(self) -> Tuple[int, ...]:
         return self.poly.int_coeffs()
-
-    @cached_property
-    def _disc(self) -> int:
-        """Res(f, f') = +-disc(f), f being monic."""
-        return resultant(self.poly, self.poly.derivative()).numerator
 
     def element(self, coords: Sequence[Union[int, Fraction]]) -> "FieldElement":
         cs = [Fraction(c) for c in coords]
@@ -163,25 +162,10 @@ class NumberField:
 
     def _split_prime(self, i: int) -> Tuple[int, List[int]]:
         """The i-th split prime, counting from 0: (ell, roots of f mod ell)
-        for the odd primes ell not dividing disc(f) at which f has a root.
-        For min_poly_2cos(q, s) these are the ell = +-1 mod q, taken in
-        turn (q ramifies, and no other ell has a degree-one ideal). Other f
-        are sieved a window at a time, each reaching twice as far as the
-        last."""
-        q = 2 * self.degree + 1
+        for the odd primes ell not dividing disc(f) at which f has a root,
+        ascending in ell."""
         while len(self._split_primes) <= i:
-            lo = hi = self._ell_scanned
-            if self._sign is None:
-                hi = max(2 * lo, _FIRST_WINDOW)
-                self._split_primes += _sieve_split_primes(
-                    self._int_coeffs, self._disc, lo, hi)
-            else:
-                hi += 1
-                while hi % q not in (1, q - 1) or not is_prime(hi):
-                    hi += 1
-                self._split_primes.append(
-                    (hi, min_poly_2cos_roots(q, self._sign < 0, hi)))
-            self._ell_scanned = hi
+            self._split_primes.append(next(self._walk))
         return self._split_primes[i]
 
     def _residue_columns(self, count: int, reps: Sequence["FieldElement"]
@@ -295,46 +279,43 @@ class NumberField:
             "every character passed but no witness found at precision cap")
 
 
-_FIRST_WINDOW = 64  # the first sieve window is the odd primes up to this
+def _curve_split_primes(q: int, negate: bool
+                        ) -> Iterator[Tuple[int, List[int]]]:
+    """The split primes of min_poly_2cos(q, negate): the ell = +-1 mod q,
+    ascending, that is ell = k q +- 1 for even k (q ramifies, and no other
+    ell has a degree-one ideal), with their roots from one Lucas value."""
+    k = 0
+    while True:
+        k += 2
+        for ell in (k * q - 1, k * q + 1):
+            if is_prime(ell):
+                yield ell, min_poly_2cos_roots(q, negate, ell)
 
 
-def _sieve_split_primes(coeffs: Sequence[int], disc: int, lo: int,
-                        hi: int) -> List[Tuple[int, List[int]]]:
-    """(ell, sorted roots of f mod ell) for the primes lo < ell <= hi, lo >= 2,
-    that do not divide disc, the discriminant of the monic integer
-    polynomial f (up to sign), and at which f has a root, ascending in ell.
-    For monic f, ell does not divide disc(f) exactly when f is squarefree
-    mod ell.
+def _value_split_primes(f: RationalPoly) -> Iterator[Tuple[int, List[int]]]:
+    """The split primes of the monic integer f: (ell, sorted roots of f mod
+    ell) for the odd primes ell, ascending, that do not divide disc(f) and
+    at which f has a root. For monic f, ell does not divide disc(f) exactly
+    when f is squarefree mod ell.
 
-    A value sieve (Dedekind-Kummer: the degree-one primes over an unramified
-    ell are the (ell, theta - r) with f(r) = 0 mod ell): with P the product
-    of the window's primes above t, gcd(f(t), P) is the product of those ell
-    of which t is a root, and each residue mod ell is met once in [0, ell).
-    """
-    window = [ell for ell in primes_upto(hi) if ell > lo]
-    if not window:
-        return []
-    roots: Dict[int, List[int]] = {ell: [] for ell in window}
-    rev = coeffs[::-1]
-    big = prod(window)
-    k = 0  # window[k:] are the primes above t, and big is their product
-    for t in range(window[-1]):
-        while window[k] <= t:
-            big //= window[k]
-            k += 1
-        v = 0
-        for c in rev:
-            v = v * t + c
-        g = gcd(v, big)
-        if g == 1:
-            continue
-        for ell in window[k:]:
-            if g % ell == 0:
-                roots[ell].append(t)
-                g //= ell
-                if g == 1:
-                    break
-    return [(ell, rs) for ell, rs in roots.items() if rs and disc % ell]
+    Dedekind-Kummer: the degree-one primes over an unramified ell are the
+    (ell, theta - r) with f(r) = 0 mod ell, so the roots are the t < ell
+    with ell | f(t), read off the values f(t), each computed once."""
+    disc = resultant(f, f.derivative()).numerator
+    rev = f.int_coeffs()[::-1]
+    values: List[int] = []
+    ell = 1
+    while True:
+        ell += 2
+        for t in range(len(values), ell):
+            v = 0
+            for c in rev:
+                v = v * t + c
+            values.append(v)
+        if disc % ell and is_prime(ell):
+            roots = [t for t, v in enumerate(values) if v % ell == 0]
+            if roots:
+                yield ell, roots
 
 
 def _tonelli_shanks(a: List[int], f: List[int], ell: int) -> List[int]:

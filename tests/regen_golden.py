@@ -54,6 +54,10 @@ COMMANDS = {
     "lower-bound-error-reducible": ["lower-bound", "--poly=-1,-1,1,1"],
     "lower-bound-error-even-degree": ["lower-bound", "--poly", "1,0,1"],
     "minpoly-11": ["minpoly", "--q", "11"],
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the
+    # prime bases up to 37
+    "minpoly-error-strong-pseudoprime": [
+        "minpoly", "--q", "318665857834031151167461"],
     "stats-bundled": ["stats", "--ranks", "{data}/synthetic_ranks.txt"],
 }
 

@@ -1,7 +1,7 @@
 """Integer utilities: primality, orders, squarefree tests, Jacobi symbols.
 
 Oracles here are deliberately dumber and structurally different from the
-implementations: full trial-division factorization, divisor-lattice order
+implementations: full trial-division factorization, divisor-by-divisor order
 search, Euler-criterion Legendre symbols.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from jacrank.arith import (
     is_prime,
     jacobi,
-    multiplicative_order,
+    order_dividing,
     prime_factors,
     primes_upto,
     squarefree_prime_factors,
@@ -48,7 +48,7 @@ def primes_with_odd_order_of_two(limit: int) -> list[int]:
     return [
         p
         for p in primes_upto(limit - 1)
-        if p != 2 and multiplicative_order(2, p) % 2 == 1
+        if p != 2 and order_oracle(2, p) % 2 == 1
     ]
 
 
@@ -72,19 +72,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def order_oracle(a: int, n: int) -> int:
-    """Smallest divisor d of the unit-group order with a^d = 1 (mod n).
-
-    The group order is counted unit by unit (n-1 for prime n); scan its
-    divisors in increasing order. Structurally different from the
-    implementation, which strips prime factors from a formula for phi(n).
+def order_oracle(a: int, p: int) -> int:
+    """Order of a mod the prime p: the least divisor d of p - 1 with
+    a^d = 1 (mod p), the divisors tried in increasing order. Structurally
+    different from `order_dividing`, which strips prime factors from p - 1.
     """
-    group = sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
-    divs = sorted(
-        d for d in range(1, group + 1) if group % d == 0
-    )
-    for d in divs:
-        if pow(a, d, n) == 1:
+    small = [d for d in range(1, math.isqrt(p - 1) + 1) if (p - 1) % d == 0]
+    for d in small + [(p - 1) // d for d in reversed(small)]:
+        if pow(a, d, p) == 1:
             return d
     raise AssertionError("no order found")
 
@@ -109,11 +104,23 @@ def test_is_prime_large_pairs():
     assert not is_prime(92459 * 46229)
 
 
+def test_is_prime_at_the_strong_pseudoprime_bounds():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; at psi_13 and above no fixed base set is proved
+    assert not is_prime(318665857834031151167461)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert is_prime(2**61 - 1)
+    assert is_prime(41) and is_prime(43) and not is_prime(41 * 43)
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="psi_13"):
+            is_prime(n)
+
+
 def test_multiplicative_order_frozen():
-    assert multiplicative_order(2, 3) == 2
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(2, 11) == 10
-    assert multiplicative_order(2, 23) == 11
+    assert order_dividing(2, 3, 2) == 2
+    assert order_dividing(2, 7, 6) == 3
+    assert order_dividing(2, 11, 10) == 10
+    assert order_dividing(2, 23, 22) == 11
 
 
 def test_multiplicative_order_against_divisor_oracle():
@@ -123,22 +130,14 @@ def test_multiplicative_order_against_divisor_oracle():
             continue
         for _ in range(3):
             a = rng.randrange(1, p)
-            assert multiplicative_order(a, p) == order_oracle(a, p)
-
-
-def test_multiplicative_order_composite_modulus():
-    rng = random.Random(13)
-    for n in (4, 9, 15, 91, 1024, 2016, 3 * 5 * 7 * 11 * 13):
-        for a in [rng.randrange(1, n) for _ in range(8)] + [1, n - 1]:
-            if math.gcd(a, n) == 1:
-                assert multiplicative_order(a, n) == order_oracle(a, n)
+            assert order_dividing(a, p, p - 1) == order_oracle(a, p)
 
 
 def test_multiplicative_order_largest_scan_pair():
     # q = 92459, p = 46229: the largest pair of the certified scan
     for a in (2, 3, 5, 46228):
-        assert multiplicative_order(a, 92459) == order_oracle(a, 92459)
-        assert multiplicative_order(a, 46229) == order_oracle(a, 46229)
+        assert order_dividing(a, 92459, 92458) == order_oracle(a, 92459)
+        assert order_dividing(a, 46229, 46228) == order_oracle(a, 46229)
 
 
 def test_prime_factors_against_factorization():
@@ -147,16 +146,11 @@ def test_prime_factors_against_factorization():
         assert prime_factors(n) == sorted(factorize(n))
 
 
-def test_multiplicative_order_rejects_noncoprime():
-    with pytest.raises(ValueError):
-        multiplicative_order(6, 9)
-
-
 def test_order_divides_group_order():
     for p in primes_upto(100):
         if p == 2:
             continue
-        assert (p - 1) % multiplicative_order(2, p) == 0
+        assert (p - 1) % order_dividing(2, p, p - 1) == 0
 
 
 def test_is_squarefree_frozen():

@@ -25,7 +25,7 @@ from itertools import islice
 import pytest
 
 from jacrank import cyclosig
-from jacrank.arith import multiplicative_order, order_dividing, primes_upto
+from jacrank.arith import order_dividing, primes_upto
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
@@ -48,6 +48,7 @@ from jacrank.cyclosig import (
 from jacrank.f2 import poly_gcd, rank
 from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import isolate_real_roots, sign_at
+from test_arith import order_oracle
 from test_f2 import clmul
 
 
@@ -334,7 +335,7 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, refere
         assert w == loop_orbit_word(pair), pair  # digit order: bit p-1-k = w_k
         route, m, _ = _route(pair.p)
         routes[route] += 1
-        assert m == multiplicative_order(2, pair.p)
+        assert m == order_oracle(2, pair.p)
         # every route, the probe included, equals the general gcd
         assert cert.d_infty == pair.p - gcd_degree(w, pair.p, reference_gcd), pair
         if route == "primitive":
@@ -388,7 +389,7 @@ def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypa
 def test_primitive_shortcut_branches():
     rng = random.Random(5)
     for p in (3, 5, 11, 13, 19, 29):
-        assert multiplicative_order(2, p) == p - 1
+        assert order_oracle(2, p) == p - 1
         ones = (1 << p) - 1
         words = [0, ones]
         while len(words) < 12:
@@ -423,14 +424,14 @@ def test_coset_masks_equal_the_walk_of_two():
     8 e^2 <= p with q <= 92459 and on the primes below. These take m even
     and odd, e = 2, more than one doubling (d > 1), and least generators g
     of the quotient (Z/p)^x / H from 3 up."""
-    es = {pr.p: (pr.p - 1) // multiplicative_order(2, pr.p)
+    es = {pr.p: (pr.p - 1) // order_oracle(2, pr.p)
           for pr in sophie_germain_pairs(CERTIFIED_MAX_Q)}
     ps = [p for p, e in es.items() if e > 1 and 8 * e * e <= p]
     assert len(ps) == 332
     seen = {"m even": 0, "m odd": 0, "e = 2": 0, "d > 1": 0}
     gs = set()
     for p in ps + list(VANISHING_PRIMES) + [8191]:
-        m = multiplicative_order(2, p)
+        m = order_oracle(2, p)
         e = (p - 1) // m
         masks = all_coset_masks(p, m)
         reference = walk_coset_masks(p, m)
@@ -448,7 +449,7 @@ def test_coset_masks_equal_the_walk_of_two():
 
 def test_coset_masks_partition_residues_into_doubling_orbits():
     for p in VANISHING_PRIMES + (8191,):  # e = 630: representatives up to 4k
-        m = multiplicative_order(2, p)
+        m = order_oracle(2, p)
         masks = all_coset_masks(p, m)
         assert len(masks) == (p - 1) // m
         assert masks[0] == sum(1 << pow(2, k, p) for k in range(m))
@@ -480,7 +481,7 @@ def vanishing_words(p: int, m: int, rng: random.Random) -> list:
 @pytest.mark.parametrize("p", VANISHING_PRIMES)
 def test_probe_equals_gcd_on_words_vanishing_on_a_coset(p, monkeypatch):
     rng = random.Random(p)
-    m = multiplicative_order(2, p)
+    m = order_oracle(2, p)
     e = (p - 1) // m
     words = vanishing_words(p, m, rng)
     calls = counting_poly_gcd(monkeypatch)
@@ -503,7 +504,7 @@ def test_column_probe_equals_gcd_on_vanishing_and_random_words(p, monkeypatch):
     are all p rows up to p = 43, where it never calls the gcd; above, a
     word that vanishes on a coset goes to the gcd, and no other word does."""
     rng = random.Random(p + 1)
-    m = multiplicative_order(2, p)
+    m = order_oracle(2, p)
     rows = 64 * _column_lanes((p - 1) // m)
     words = vanishing_words(p, m, rng)
     words += [rng.randrange(1 << p) for _ in range(16)]
@@ -548,7 +549,7 @@ def test_probe_columns_are_the_transposed_rows():
     rng = random.Random(300)
     checked = 0
     for p in primes_upto(300)[1:]:
-        m = multiplicative_order(2, p)
+        m = order_oracle(2, p)
         e = (p - 1) // m
         if e == 1:
             continue

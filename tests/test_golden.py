@@ -15,7 +15,7 @@ FILES = sorted(GOLDEN.glob("*.json"))
 
 
 def test_golden_files_exist():
-    assert len(FILES) == 20
+    assert len(FILES) == 21
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])

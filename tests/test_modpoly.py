@@ -363,8 +363,8 @@ def _roots_by_factoring(coeffs, ell):
 def test_roots_mod_p_matches_linear_factors():
     """The reference roots_mod_p equals the degree-one factors of
     factor_mod_p at every prime ell < 128 not dividing disc(f), on all 29
-    test polynomials. The sieve is checked against roots_mod_p up to 800 in
-    test_numberfield; full factoring that far costs ten seconds."""
+    test polynomials. The value walk is checked against roots_mod_p up to
+    800 in test_numberfield; full factoring that far costs ten seconds."""
     pairs = 0
     for f in root_test_polys():
         disc = discriminant(RationalPoly(f))

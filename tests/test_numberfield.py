@@ -7,6 +7,9 @@ exactly verified square witnesses.
 
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -27,7 +30,7 @@ from jacrank.numberfield import (
     SquarenessUndetermined,
     independence_rank_mod_squares,
 )
-from jacrank.polys import RationalPoly, min_poly_2cos, resultant
+from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import isolate_real_roots
 from test_f2 import row_kernel_basis
 from test_modpoly import root_test_polys, roots_mod_p
@@ -274,13 +277,7 @@ def test_witness_walk_stops_below_ten_thousand(monkeypatch):
     assert tried == primes_upto(10000)[1:]
 
 
-# -- split primes: the value sieve against the Frobenius reference -----------
-
-
-def disc(coeffs):
-    """Res(f, f'), the discriminant of the monic f up to sign."""
-    f = RationalPoly(coeffs)
-    return resultant(f, f.derivative()).numerator
+# -- split primes: the two walks against the Frobenius reference ------------
 
 
 def frobenius_split_primes(coeffs, lo, hi):
@@ -296,14 +293,14 @@ def frobenius_split_primes(coeffs, lo, hi):
     return out
 
 
-def sieved_split_primes(field, hi):
+def upto(hi, walk):
+    """The split primes of a walk up to hi."""
+    return list(itertools.takewhile(lambda s: s[0] <= hi, walk))
+
+
+def walked_split_primes(field, hi):
     """The field's split primes up to hi, by `_split_prime`."""
-    out = []
-    while True:
-        ell, roots = field._split_prime(len(out))
-        if ell > hi:
-            return out
-        out.append((ell, roots))
+    return upto(hi, map(field._split_prime, itertools.count()))
 
 
 def random_irreducible_polys(seed, count):
@@ -321,68 +318,61 @@ def random_irreducible_polys(seed, count):
     return polys
 
 
-def test_sieve_matches_frobenius_roots_below_800():
-    """The sieve's roots equal the Frobenius reference at every odd prime
-    ell < 800 on the 29 test polynomials of test_modpoly, with the windows
-    `_split_prime` uses."""
+def test_value_walk_matches_frobenius_roots_below_800():
+    """The value walk's roots equal the Frobenius reference at every odd
+    prime ell < 800 on the 29 test polynomials of test_modpoly."""
     for f in root_test_polys():
-        sieved, lo = [], 2
-        while lo < 800:
-            hi = max(2 * lo, numberfield._FIRST_WINDOW)
-            sieved += numberfield._sieve_split_primes(f, disc(f), lo, hi)
-            lo = hi
-        assert [s for s in sieved if s[0] < 800] \
-            == frobenius_split_primes(f, 2, 799), f
+        walk = numberfield._value_split_primes(RationalPoly(f))
+        assert upto(799, walk) == frobenius_split_primes(f, 2, 799), f
 
 
 def test_split_prime_matches_frobenius_reference():
     """Table-4 fields, whose split primes are the ell = +-1 mod q, and
-    seeded random irreducible polynomials of degree 2 to 11, through the
-    five sieve windows that reach past 600."""
+    seeded random irreducible polynomials of degree 2 to 11, up to 600."""
     polys = [curve_min_poly(q) for q in (11, 23, 47, 59)]
     polys += random_irreducible_polys(61, 16)
     for f in polys:
         field = NumberField(f)
         want = frobenius_split_primes(f.int_coeffs(), 2, 600)
-        assert sieved_split_primes(field, 600) == want, f
+        assert walked_split_primes(field, 600) == want, f
 
 
-def test_curve_field_split_primes_match_the_sieve():
+def test_curve_walk_matches_the_value_walk():
     """For every prime 5 <= q <= 131 and both signs, the first four split
     primes of min_poly_2cos(q, s), walked over ell = +-1 mod q with Lucas
-    roots, equal the value sieve's with the field's discriminant; the q
-    include non-Sophie ones such as 17, 19 and 31."""
+    roots, equal the value walk's; the q include non-Sophie ones such as
+    17, 19 and 31."""
     for q in primes_upto(131)[2:]:
         for negate in (False, True):
-            field = NumberField(min_poly_2cos(q, negate))
-            sieved, lo = [], 2
-            while len(sieved) < 4:
-                hi = max(2 * lo, numberfield._FIRST_WINDOW)
-                sieved += numberfield._sieve_split_primes(
-                    field._int_coeffs, field._disc, lo, hi)
-                lo = hi
-            got = [field._split_prime(i) for i in range(4)]
-            assert got == sieved[:4], (q, negate)
+            f = min_poly_2cos(q, negate)
+            curve = numberfield._curve_split_primes(q, negate)
+            value = numberfield._value_split_primes(f)
+            assert list(itertools.islice(curve, 4)) \
+                == list(itertools.islice(value, 4)), (q, negate)
+            assert NumberField(f)._walk.__name__ == "_curve_split_primes"
 
 
-def test_sieve_window_edges():
-    f = (-2, 0, 1)  # x^2 - 2: ell splits iff ell = +-1 mod 8
-    # 257 = 1 mod 8 is the first prime above the window boundary 256; its
-    # roots 60 and 197 recur at t = 317 and 454 < 512, which must not count
-    field = NumberField(RationalPoly(f))
-    split = dict(sieved_split_primes(field, 600))
+def test_value_walk_small_fields():
+    f = RationalPoly([-2, 0, 1])  # x^2 - 2: ell splits iff ell = +-1 mod 8
+    split = dict(walked_split_primes(NumberField(f), 600))
+    # 257's roots 60 and 197 recur at t = 317 and 454, which must not count
     assert split[257] == [60, 197]
-    assert numberfield._sieve_split_primes(f, disc(f), 256, 512)[0] \
-        == (257, [60, 197])
-    assert split[7] == [3, 4]  # t = 10, 11, ..., 60 in the first window
-    # windows that start just below a split prime, end on one, hold one
-    # prime or none, on a field split only at ell = +-1 mod 47
-    g = curve_min_poly(47).int_coeffs()
-    for lo, hi in ((280, 300), (2, 281), (281, 283), (186, 189), (2, 3)):
-        assert numberfield._sieve_split_primes(g, disc(g), lo, hi) \
-            == frobenius_split_primes(g, lo, hi), (lo, hi)
-    assert numberfield._sieve_split_primes(g, disc(g), 280, 282)[0][0] == 281
-    assert numberfield._sieve_split_primes(f, disc(f), 4, 4) == []
+    assert split[7] == [3, 4]
+    assert 3 not in split and 5 not in split
+    g = RationalPoly([-3, 0, 1])  # x^2 - 3: 3 ramifies, 11 = -1 mod 12 splits
+    split = dict(walked_split_primes(NumberField(g), 11))
+    assert split == {11: [5, 6]}
+
+
+def test_fields_copy_and_pickle_after_walking():
+    """A field holds its walk, a generator; copies rebuild it from poly."""
+    for f in (min_poly_2cos(11, False), RationalPoly([1, -4, 1, 1])):
+        field = NumberField(f)
+        want = field._split_prime(5)
+        for other in (copy.deepcopy(field), copy.copy(field),
+                      pickle.loads(pickle.dumps(field))):
+            assert other == field and other._split_prime(5) == want
+            assert other._split_primes == field._split_primes[:6]
 
 
 # -- the character-matrix rank and the witness against the full paths --------
