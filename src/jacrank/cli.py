@@ -76,7 +76,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
                 q, store, assume_davis_taussky=args.assume_davis_taussky,
                 scan_bound=args.scan_bound)
         except ValueError as exc:
-            print(f"q={q}: {exc}", file=sys.stderr)
+            print(f"error: q={q}: {exc}", file=sys.stderr)
             invalid = True
             continue
         except LookupError as exc:

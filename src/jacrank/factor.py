@@ -9,10 +9,10 @@ giving the fewest modular factors, counted from the distinct-degree blocks;
 only the chosen prime is factored fully); quadratic Hensel lifting to a
 modulus m past twice the Mignotte bound, first of one half of the factors
 against the other, then of each half recursively; then subset
-recombination in increasing cardinality. A monic candidate divides exactly
-when its pseudo-remainder, here the plain remainder over Z, is zero; the
-quotient is then read in balanced form mod m, which is exact because m
-exceeds twice the bound on any factor's coefficients.
+recombination in increasing cardinality. A candidate is read in balanced
+form mod m, which is exact because m exceeds twice the bound on any
+factor's coefficients; it is monic, so one exact division over Z both tests
+it (zero remainder) and gives the cofactor.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import List, Tuple
 from .arith import is_prime
 from .modpoly import (PrimePoly, add, divmod_monic, factor_count_mod_p,
                       factor_mod_p, is_squarefree_mod_p, mul, sub, xgcd)
-from .polys import RationalPoly, prem, resultant
+from .polys import RationalPoly, pdivmod, resultant
 
 __all__ = ["factor_over_Q"]
 
@@ -129,10 +129,10 @@ def _factor_squarefree_monic_int(coeffs: List[int]) -> List[List[int]]:
         for subset in itertools.combinations(remaining, k):
             cand = _prod_mod([lifted[i] for i in subset], m)
             cand = [_balanced(c, m) for c in cand]
-            if not prem(current, cand):  # cand is monic: exact division
+            q, r = pdivmod(current, cand)  # cand is monic: exact division
+            if not r:
                 result.append(cand)
-                q = divmod_monic(current, cand, m)[0]
-                current = [_balanced(c, m) for c in q]
+                current = q
                 remaining = [i for i in remaining if i not in subset]
                 merged = True
                 break

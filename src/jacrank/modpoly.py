@@ -1,10 +1,10 @@
 """Polynomial arithmetic mod m, and factorization over prime fields F_p.
 
 This is the package's one implementation of arithmetic on ascending integer
-coefficient lists mod m: `trim`, `mul`, `add`, `sub`, `divmod_monic` and
-`powmod` work for any modulus m >= 2 (Hensel lifting mod p^k, Newton lifting
-mod ell^k) because every divisor is monic; `monic`, `gcd`, `xgcd` and
-`is_squarefree_mod_p` need a prime modulus.
+coefficient lists mod m: `trim`, `mul`, `add`, `sub`, `divmod_monic`, the
+product mod (f, m) `mulmod` and `powmod` work for any modulus m >= 2 (Hensel
+lifting mod p^k, Newton lifting mod ell^k) because every divisor is monic;
+`monic`, `gcd`, `xgcd` and `is_squarefree_mod_p` need a prime modulus.
 
 Factorization takes only f squarefree mod p and raises ValueError on any
 other: every caller tests gcd(f, f') = 1 mod p first (the choice of a prime
@@ -27,7 +27,7 @@ from .arith import CheckedRecord, is_prime
 
 __all__ = ["PrimePoly", "factor_mod_p", "factor_count_mod_p",
            "is_irreducible_mod_p", "is_squarefree_mod_p", "trim", "mul", "add",
-           "sub", "divmod_monic", "monic", "gcd", "xgcd", "powmod"]
+           "sub", "divmod_monic", "monic", "gcd", "xgcd", "mulmod", "powmod"]
 
 Coeffs = Tuple[int, ...]
 
@@ -139,14 +139,19 @@ def xgcd(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
+def mulmod(a: List[int], b: List[int], f: List[int], m: int) -> List[int]:
+    """a*b mod (f, m) for monic f."""
+    return divmod_monic(mul(a, b, m), f, m)[1]
+
+
 def powmod(base: List[int], e: int, f: List[int], m: int) -> List[int]:
     """base^e mod (f, m) for monic f."""
     result = [1]
     base = divmod_monic(base, f, m)[1]
     while e:
         if e & 1:
-            result = divmod_monic(mul(result, base, m), f, m)[1]
-        base = divmod_monic(mul(base, base, m), f, m)[1]
+            result = mulmod(result, base, f, m)
+        base = mulmod(base, base, f, m)
         e >>= 1
     return result
 
@@ -174,7 +179,7 @@ def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
     xp = powmod(x, p, f, p)
     pows = [[1]]
     for _ in range(len(f) - 2):
-        pows.append(divmod_monic(mul(pows[-1], xp, p), f, p)[1])
+        pows.append(mulmod(pows[-1], xp, f, p))
     h = divmod_monic(x, f, p)[1]
     d = 0
     while len(f) - 1 > 2 * d:
@@ -207,7 +212,7 @@ def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List
             t = list(r)  # trace map r + r^2 + ... + r^(2^(d-1))
             acc = list(r)
             for _ in range(d - 1):
-                acc = divmod_monic(mul(acc, acc, p), f, p)[1]
+                acc = mulmod(acc, acc, f, p)
                 t = sub(t, acc, p)  # char 2: subtraction is addition
             g = gcd(t, f, p)
         else:

@@ -47,8 +47,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 # factoring over Q or F_ell is needed by no Sophie Germain lower bound
 from . import factor, modpoly
 from .f2 import kernel_basis
-from .polys import (Frozen, RationalPoly, clear_denominators, min_poly_2cos,
-                    min_poly_2cos_roots, resultant)
+from .polys import (Frozen, RationalPoly, clear_denominators, int_resultant,
+                    min_poly_2cos, min_poly_2cos_roots, pdivmod, resultant)
 from .arith import CheckedRecord, is_prime, jacobi
 
 __all__ = [
@@ -130,16 +130,24 @@ class NumberField:
         return FieldElement(self, tuple(cs))
 
     def from_poly(self, g: RationalPoly) -> "FieldElement":
-        rem = g % self.poly if g.deg() >= self.degree else g
-        return self.element(list(rem.coeffs))
+        """g(theta): with g = G/d, G integral, the remainder of G on division
+        by the monic integral f, over d."""
+        if g.deg() < self.degree:
+            return self.element(g.coeffs)
+        d, gs = clear_denominators(g.coeffs)
+        return self.element([Fraction(c, d)
+                             for c in pdivmod(gs, self._int_coeffs)[1]])
 
     # -- norms and signatures ------------------------------------------------
 
     def norm(self, a: "FieldElement") -> Fraction:
-        rep = RationalPoly(a.coords)
-        if rep.deg() < 0:
+        """Res(f, a) for monic f: with a = A/d, A integral, Res(f, A)/d^deg f."""
+        d, cs = clear_denominators(a.coords)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        if not cs:
             return Fraction(0)
-        return resultant(self.poly, rep)
+        return Fraction(int_resultant(self._int_coeffs, cs), d ** self.degree)
 
     def signature(self, a: "FieldElement") -> Tuple[int, ...]:
         from .roots import isolate_real_roots, sign_at  # here: no route signs
@@ -253,20 +261,16 @@ class NumberField:
         x = _tonelli_shanks([c % ell for c in acoeffs], f, ell)
         # 1 / (2x) in F_{ell^p}
         z = modpoly.xgcd(modpoly.mul([2], x, ell), f, ell)[0]
-
-        def mulmod(u: List[int], v: List[int], m: int) -> List[int]:
-            return modpoly.divmod_monic(modpoly.mul(u, v, m), f, m)[1]
-
         m = ell
         cap = 1 << 14
         while m.bit_length() < cap:
             mm = m * m
             amm = [c % mm for c in acoeffs]
             # Newton: x' = x - (x^2 - a) z ; z' = z (2 - 2 x' z)
-            e = modpoly.sub(mulmod(x, x, mm), amm, mm)
-            x = modpoly.sub(x, mulmod(e, z, mm), mm)
-            tz = mulmod(modpoly.mul([2], x, mm), z, mm)
-            z = mulmod(z, modpoly.sub([2], tz, mm), mm)
+            e = modpoly.sub(modpoly.mulmod(x, x, f, mm), amm, mm)
+            x = modpoly.sub(x, modpoly.mulmod(e, z, f, mm), mm)
+            tz = modpoly.mulmod(modpoly.mul([2], x, mm), z, f, mm)
+            z = modpoly.mulmod(z, modpoly.sub([2], tz, mm), f, mm)
             m = mm
             if m.bit_length() < 192:
                 continue
@@ -325,21 +329,18 @@ def _tonelli_shanks(a: List[int], f: List[int], ell: int) -> List[int]:
     that order, scaling r by b and t by b^2 for b a power of c = n^Q, n a
     nonresidue of F_ell, which stays one in F_q at odd degree. At
     q = 3 mod 4, s = 1 and t = 1: r = a^((q + 1) / 4) and no pass runs."""
-    def mulmod(u: List[int], v: List[int]) -> List[int]:
-        return modpoly.divmod_monic(modpoly.mul(u, v, ell), f, ell)[1]
-
     q = ell ** (len(f) - 1)
     s = ((q - 1) & (1 - q)).bit_length() - 1
     b = modpoly.powmod(a, ((q - 1) >> s) // 2, f, ell)  # a^((Q - 1) / 2)
-    r = mulmod(a, b)
-    t = mulmod(r, b)
+    r = modpoly.mulmod(a, b, f, ell)
+    t = modpoly.mulmod(r, b, f, ell)
     if t != [1]:
         n = next(n for n in range(2, ell) if jacobi(n, ell) < 0)
         c, m = pow(n, (q - 1) >> s, ell), s
         while t != [1]:
             i, u = 0, t
             while u != [1]:
-                u, i = mulmod(u, u), i + 1
+                u, i = modpoly.mulmod(u, u, f, ell), i + 1
             b = pow(c, 1 << (m - i - 1), ell)
             c, m = b * b % ell, i
             t = [v * c % ell for v in t]

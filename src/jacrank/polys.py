@@ -3,7 +3,9 @@
 Coefficients are stored ascending as Fractions with trailing zeros trimmed,
 so the zero polynomial has an empty coefficient tuple and deg() == -1.
 Products and resultants are computed on integers after clearing
-denominators, resultants by the subresultant remainder sequence. The
+denominators, resultants by the subresultant remainder sequence. Every
+polynomial division in the package is the one pseudo-division over Z,
+`pdivmod`, which is plain exact division by a monic divisor. The
 minimal polynomials of 2cos(2*pi/d) are built in integers: the curve
 polynomials of the Sophie Germain family from binomials, their roots mod
 each split prime from one Lucas value, and the factors of their f - 1 from
@@ -22,7 +24,8 @@ __all__ = [
     "Frozen",
     "RationalPoly",
     "clear_denominators",
-    "prem",
+    "pdivmod",
+    "int_resultant",
     "resultant",
     "min_poly_2cos",
     "min_poly_2cos_roots",
@@ -110,26 +113,6 @@ class RationalPoly(Frozen):
         d = da * db
         return RationalPoly(out if d == 1 else [Fraction(v, d) for v in out])
 
-    def divmod(self, other: "RationalPoly") -> Tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.deg()
-        lead = other.coeffs[-1]
-        if len(rem) <= dn:
-            return RationalPoly([]), self
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            c = rem[k + dn] / lead
-            if c:
-                quot[k] = c
-                for j in range(dn + 1):
-                    rem[k + j] -= c * other.coeffs[j]
-        return RationalPoly(quot), RationalPoly(rem)
-
-    def __mod__(self, other: "RationalPoly") -> "RationalPoly":
-        return self.divmod(other)[1]
-
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -162,31 +145,34 @@ def clear_denominators(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
-def prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Pseudo-remainder of integer polynomials with deg a >= deg b: the
-    remainder of lc(b)^(deg a - deg b + 1) * a on division by b. Every
-    division step is exact over Z thanks to the pre-scaling."""
+def pdivmod(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Pseudo-division of integer polynomials with deg a >= deg b: (q, r)
+    with lc(b)^(deg a - deg b + 1) * a = q * b + r and deg r < deg b (Knuth,
+    TAOCP Vol. 2, section 4.6.1, Algorithm R). Every division step is exact
+    over Z thanks to the pre-scaling; for monic b this is plain division."""
     db = len(b) - 1
     lb = b[-1]
     d = len(a) - len(b)
     r = [v * lb ** (d + 1) for v in a]
+    q = [0] * (d + 1)
     for k in range(d, -1, -1):
         c, rem = divmod(r[k + db], lb)
         assert rem == 0
         if c:
+            q[k] = c
             for j in range(db + 1):
                 r[k + j] -= c * b[j]
     while r and r[-1] == 0:
         r.pop()
-    return r
+    return q, r
 
 
-def _int_resultant(a: List[int], b: List[int]) -> int:
+def int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
     """Resultant of two nonzero integer polynomials (ascending coefficients)
     via the subresultant pseudo-remainder sequence."""
     if len(a) < len(b):
         sign = -1 if ((len(a) - 1) * (len(b) - 1)) % 2 else 1
-        return sign * _int_resultant(b, a)
+        return sign * int_resultant(b, a)
     if len(b) == 1:
         return b[0] ** (len(a) - 1)
     g = h = 1
@@ -196,7 +182,7 @@ def _int_resultant(a: List[int], b: List[int]) -> int:
         d = da - db
         if (da % 2) and (db % 2):
             s = -s
-        r = prem(a, b)
+        r = pdivmod(a, b)[1]
         if not r:
             return 0
         div = g * h**d
@@ -214,15 +200,10 @@ def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
     """Res(f, g) over Q; zero iff f and g share a root."""
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = f.deg(), g.deg()
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    # Res(F/a, G/b) = a^-n b^-m Res(F, G) for integer F, G
+    # Res(F/a, G/b) = a^-deg g b^-deg f Res(F, G) for integer F, G
     a, fs = clear_denominators(f.coeffs)
     b, gs = clear_denominators(g.coeffs)
-    return Fraction(_int_resultant(fs, gs), a**n * b**m)
+    return Fraction(int_resultant(fs, gs), a ** g.deg() * b ** f.deg())
 
 
 def _diagonal_binomials(n: int) -> List[int]:
@@ -327,25 +308,13 @@ def _compose_power(a: List[int], e: int) -> List[int]:
     return out
 
 
-def _divide_exact(a: List[int], b: List[int]) -> List[int]:
-    """a / b for integer a and monic integer b that divides it."""
-    a, n = list(a), len(b) - 1
-    quot = [0] * (len(a) - n)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = a[k + n]
-        if c:
-            for j in range(n + 1):
-                a[k + j] -= c * b[j]
-    return quot
-
-
 def _cyclotomic(d: int) -> List[int]:
     """Phi_d, ascending, by exact division: Phi_nr(x) = Phi_n(x^r) / Phi_n(x)
     for a prime r not dividing n, and Phi_d(x) = Phi_s(x^(d/s)) for s the
     product of the primes dividing d."""
     phi, s = [-1, 1], 1
     for r in prime_factors(d):
-        phi, s = _divide_exact(_compose_power(phi, r), phi), s * r
+        phi, s = pdivmod(_compose_power(phi, r), phi)[0], s * r
     return _compose_power(phi, d // s)
 
 

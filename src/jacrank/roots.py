@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .polys import Frozen, RationalPoly, prem
+from .polys import Frozen, RationalPoly, pdivmod
 
 __all__ = ["RootInterval", "RootIntervals", "isolate_real_roots", "sign_at"]
 
@@ -59,7 +59,7 @@ def _remainder_chain(a: IntPoly, b: IntPoly) -> Chain:
     chain = [a, b]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        rem = prem(a, b)
+        rem = pdivmod(a, b)[1]
         if not rem:
             break
         # rem = lc(b)^e * rem(a, b) with e = deg a - deg b + 1
@@ -216,7 +216,7 @@ def sign_at(g: RationalPoly, ivs: RootIntervals) -> Tuple[int, ...]:
     f = ivs.chain[0]
     r: Sequence[int] = gint
     if len(gint) >= len(f):
-        r = prem(gint, f)
+        r = pdivmod(gint, f)[1]
         # r = lc(f)^e * (g mod f) with e = deg g - deg f + 1
         if f[-1] < 0 and (len(gint) - len(f)) % 2 == 0:
             r = [-c for c in r]

@@ -7,8 +7,9 @@ versioned headers, known fields only, and errors that carry file:line.
 Formats:
 
   clgroup v1
-  poly=<comma-separated integer coefficients, ascending> cl2=<int>
-      [narrow_cl2=<int>] source=<free text, may contain spaces>
+  poly=<comma-separated integer coefficients, ascending, monic of
+      degree >= 2> cl2=<int> [narrow_cl2=<int>] source=<free text, may
+      contain spaces>
 
   ranks v1
   m=<int> status=<exact|bounds> lo=<int> hi=<int>
@@ -131,6 +132,10 @@ def parse_class_groups(text: str, name: str = "<string>") -> ClassGroupStore:
             poly = tuple(int(c) for c in fields["poly"].split(","))
         except ValueError:
             _fail(name, lineno, f"bad polynomial key {fields['poly']!r}")
+        if len(poly) < 3 or poly[-1] != 1:
+            # lookups are by the exact key of a monic curve polynomial
+            _fail(name, lineno, f"polynomial key {fields['poly']!r} is not "
+                  "monic of degree >= 2")
         cl2 = _int_field(fields, "cl2", name, lineno)
         if cl2 < 0:
             _fail(name, lineno, "cl2 must be non-negative")

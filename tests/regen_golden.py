@@ -30,6 +30,7 @@ COMMANDS = {
         "--verbose"],
     "sophie-7-11-23": ["sophie", "--q", "7,11,23"],
     "sophie-1019": ["sophie", "--q", "1019"],
+    "sophie-error-invalid-modulus": ["sophie", "--q", "13,15"],
     "scan-rho-3000": ["scan-rho", "--max-q", "3000", "--threads", "2"],
     "scan-rho-92459": ["scan-rho", "--max-q", "92459", "--threads", "2"],
     "scan-rho-error-negative-max-q": ["scan-rho", "--max-q", "-5"],

@@ -42,7 +42,7 @@ from jacrank.stores import builtin_class_groups, ingest_rank_data, parse_rank_da
 from test_arith import is_squarefree_integer, primes_with_odd_order_of_two
 from test_cyclosig import float_doubling
 from test_polys import compose
-from test_roots import euclid_gcd
+from test_roots import monic_gcd
 
 
 def report(n: int, message: str) -> None:
@@ -224,7 +224,7 @@ def test_criterion_8c_factorization_roundtrips():
         if f.deg() < 1:
             continue
         done += 1
-        if euclid_gcd(f, f.derivative()).deg() > 0:  # a repeated factor
+        if monic_gcd(f, f.derivative()).deg() > 0:  # a repeated factor
             with pytest.raises(ValueError, match="repeated factor"):
                 factor_over_Q(f)
             continue

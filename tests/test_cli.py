@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacrank import numberfield, polys
 from jacrank.cli import main
@@ -401,3 +404,146 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, "sophie", "--q", "7,11,23", "--table")
     _, second, _ = run(capsys, "sophie", "--q", "7,11,23", "--table")
     assert first == second
+
+
+def test_sophie_invalid_moduli_print_error_lines(capsys):
+    code, out, err = run(capsys, "sophie", "--q", "13,15")
+    assert (code, out) == (2, "")
+    assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * 2
+    # beside a valid modulus the invalid one is still an error, exit 1
+    code, out, err = run(capsys, "sophie", "--q", "13,11")
+    assert code == 1 and out.startswith("curve=cyclo-q11 ")
+    assert err.startswith("error: q=13: ")
+
+
+# -- fuzz: every argv drawn from small alphabets returns an exit code --------
+
+# each alphabet is (values that run a route to its end, malformed values)
+FUZZ_RANGES = (["1..3", "140..145", "0..0", "1..3,5..7"],
+               ["3..1", "a..b", "-2..2", "1..", "7", "", "1..5,3..7"])
+FUZZ_QS = (["11", "7", "23"], ["13", "15", "-7", "1", "", "x", "9"])
+FUZZ_POLYS = (["1,-4,1,1", "-2,0,0,1", "1,3,-3,-4,1,1", "4,-3,0,1"], [])
+FUZZ_Y0S = (["1", "-1", "2/3"], ["1/0", "x"])
+FUZZ_CLGROUP_LINES = ([
+    "poly=1,-4,1,1 cl2=0 source=test",
+    "poly=1,-14,11,1 cl2=2 narrow_cl2=2 source=test",
+    "poly=1,3,-3,-4,1,1 cl2=0 source=test",  # the curve of q = 11
+    "# comment",
+    "",
+], [
+    "poly=1,-4,1,1 cl2=1 source=a conflicting duplicate",
+    "poly=1,-4,1,2 cl2=0 source=not monic",
+    "poly=1,-4,1,1,0 cl2=0 source=trailing zero",
+    "poly=1 cl2=0 source=constant",
+    "poly=1,x cl2=0 source=bad key",
+    "poly=1,-4,1,1 cl2=-1 source=negative",
+    "poly=1,-4,1,1 cl2=2 narrow_cl2=1 source=narrow below",
+    "poly=1,-4,1,1 cl2=0",
+    "cl2=0 source=no key",
+    "junk",
+])
+FUZZ_RANK_LINES = ([
+    "m=1 status=exact lo=1 hi=1",
+    "m=5 status=bounds lo=0 hi=3",
+    "m=1001 status=exact lo=2 hi=3",
+    "",
+], [
+    "m=1 status=exact lo=0 hi=0",
+    "m=0 status=exact lo=0 hi=0",
+    "m=5 status=maybe lo=0 hi=1",
+    "m=7 status=exact lo=3 hi=1",
+    "m=x status=exact lo=0 hi=0",
+    "m=9 status=exact lo=0 hi=0 extra=1",
+])
+
+
+def _pick(alphabet):
+    """A value of a (good, bad) alphabet, good at least half the time."""
+    good, bad = alphabet
+    return st.sampled_from(good) | st.sampled_from(good + bad)
+
+
+def _fuzz_file(data, path, header, lines) -> str:
+    """`path`, written with a drawn header and drawn lines, or removed."""
+    if data.draw(st.integers(0, 3)):
+        body = [data.draw(_pick(([header], [header[:-1] + "0"])))]
+        body += data.draw(st.lists(_pick(lines), max_size=4))
+        path.write_text("\n".join(body) + "\n")
+    elif path.exists():
+        path.unlink()
+    return str(path)
+
+
+def _fuzz_argv(data, tmp_path) -> list:
+    """One argv for a drawn subcommand, its options from small alphabets
+    (values as --opt=value, so that negative ones reach the command), with a
+    stray token now and then."""
+    def draw(alphabet):
+        return data.draw(_pick(alphabet))
+
+    def flags(*names):
+        return [n for n in names if data.draw(st.booleans())]
+
+    def clgroups():
+        if not data.draw(st.booleans()):
+            return []
+        return ["--clgroups=" + _fuzz_file(
+            data, tmp_path / "clg.txt", "clgroup v1", FUZZ_CLGROUP_LINES)]
+
+    command = data.draw(st.sampled_from(["sophie", "lower-bound", "washington",
+                                         "scan-rho", "stats", "minpoly"]))
+    if command == "washington":
+        argv = ["--m=" + draw(FUZZ_RANGES), *clgroups(), *flags("--verbose")]
+    elif command == "sophie":
+        qs = data.draw(st.lists(_pick(FUZZ_QS), min_size=1, max_size=3))
+        argv = ["--q=" + ",".join(qs), *clgroups(),
+                *flags("--lower", "--table", "--verbose",
+                       "--assume-davis-taussky")]
+    elif command == "scan-rho":
+        argv = [f"--max-q={data.draw(st.integers(-5, 3000))}",
+                "--threads=" + draw((["1"], ["-1", "x"]))]
+    elif command == "lower-bound":
+        if data.draw(st.booleans()):
+            poly = draw(FUZZ_POLYS)
+        else:
+            coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=1,
+                                        max_size=8))
+            poly = ",".join(map(str, coeffs[:-1] + [1] if data.draw(
+                st.booleans()) else coeffs))
+        argv = ["--poly=" + poly, "--y0=" + draw(FUZZ_Y0S), *flags("--verbose")]
+    elif command == "stats":
+        argv = ["--ranks=" + _fuzz_file(data, tmp_path / "ranks.txt",
+                                        "ranks v1", FUZZ_RANK_LINES)]
+        if data.draw(st.booleans()):
+            argv.append("--intervals=" + draw(FUZZ_RANGES))
+    else:
+        argv = ["--q=" + draw(FUZZ_QS), *flags("--plain")]
+    if data.draw(st.integers(0, 9)) == 0:
+        stray = data.draw(st.sampled_from(["--bogus", "x", "--q", "--m", "1,"]))
+        argv.insert(data.draw(st.integers(0, len(argv))), stray)
+    return [command, *argv]
+
+
+def _has_error_line(err: str) -> bool:
+    """Our `error: ...` line, or argparse's `jacrank ...: error: ...`."""
+    return any(line.startswith("error: ")
+               or (line.startswith("jacrank") and ": error: " in line)
+               for line in err.splitlines())
+
+
+def test_cli_fuzz_returns_a_documented_exit_code(tmp_path):
+    """`cli.main` returns, never raises, an exit code of 0 to 3, and an exit
+    code 2 comes with an error line on stderr."""
+    @settings(max_examples=250, derandomize=True, deadline=None,
+              database=None)
+    @given(st.data())
+    def check(data):
+        argv = _fuzz_argv(data, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert code != 2 or _has_error_line(err.getvalue()), \
+            (argv, err.getvalue())
+
+    check()

@@ -15,7 +15,7 @@ FILES = sorted(GOLDEN.glob("*.json"))
 
 
 def test_golden_files_exist():
-    assert len(FILES) == 21
+    assert len(FILES) == 22
 
 
 @pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])

@@ -2,7 +2,7 @@
 
 The resultant oracle is a fraction-free Bareiss determinant of the Sylvester
 matrix -- brute force, independent of the subresultant sequence used by the
-implementation.
+implementation. The pseudo-division oracle is sympy's `pdiv`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb, cos, gcd, pi
 
 import pytest
+import sympy
 
 from jacrank.arith import primes_upto
 from jacrank.bounds import curve_min_poly
@@ -24,8 +25,21 @@ from jacrank.polys import (
     min_poly_2cos,
     min_poly_2cos_roots,
     min_poly_2cos_split,
+    pdivmod,
     resultant,
 )
+
+X = sympy.symbols("x")
+
+
+def to_sympy(f: RationalPoly):
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * X**i
+                          for i, c in enumerate(f.coeffs)), X)
+
+
+def from_sympy(f) -> RationalPoly:
+    return RationalPoly([Fraction(int(c.p), int(c.q))
+                         for c in reversed(f.all_coeffs())])
 
 
 def compose(f: RationalPoly, inner: RationalPoly) -> RationalPoly:
@@ -120,9 +134,25 @@ def test_arithmetic_identities():
         x = Fraction(-5, 3)
         assert evaluate(a * b, x) == evaluate(a, x) * evaluate(b, x)
         assert a - a == RationalPoly([])
-        q, r = a.divmod(b)
-        assert b * q + r == a
-        assert r.deg() < b.deg() or r.deg() == -1
+
+
+def test_pdivmod_against_sympy():
+    # lc(b)^(deg a - deg b + 1) a = q b + r over Z, deg r < deg b, with the
+    # quotient and remainder sympy's pdiv finds
+    rng = random.Random(5)
+    for i in range(60):
+        a, b = random_poly(rng, 7).int_coeffs(), random_poly(rng, 4).int_coeffs()
+        if i % 3 == 0:
+            b[-1] = 1  # a monic divisor: plain division
+        if len(a) < len(b):
+            a, b = b, a
+        q, r = pdivmod(a, b)
+        scaled = [c * b[-1] ** (len(a) - len(b) + 1) for c in a]
+        assert RationalPoly(q) * RationalPoly(b) + RationalPoly(r) \
+            == RationalPoly(scaled)
+        assert len(r) < len(b)
+        sq, sr = sympy.pdiv(to_sympy(RationalPoly(a)), to_sympy(RationalPoly(b)))
+        assert (RationalPoly(q), RationalPoly(r)) == (from_sympy(sq), from_sympy(sr))
 
 
 def test_derivative_product_rule():

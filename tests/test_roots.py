@@ -22,18 +22,16 @@ from jacrank.roots import RootInterval, RootIntervals, _ceil_root, _count_in, _i
     isolate_real_roots, sign_at
 from test_arith import is_squarefree_integer
 from test_bounds import washington_units
+from test_polys import X, from_sympy, to_sympy
 
-X = sympy.symbols("x")
 
-
-def euclid_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Reference: the monic gcd over Q by Euclid's algorithm; zero when a
-    and b are zero."""
-    while b.deg() >= 0:
-        a, b = b, a % b
-    if a.deg() < 0:
-        return a
-    return RationalPoly([c / a.coeffs[-1] for c in a.coeffs])
+def monic_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """Reference: the monic gcd over Q by sympy; zero when a and b are
+    zero."""
+    g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+    if g.deg() < 0:
+        return g
+    return RationalPoly([c / g.coeffs[-1] for c in g.coeffs])
 
 
 def _variations_inf(chain, positive: bool) -> int:
@@ -58,11 +56,6 @@ def real_root_count(f: RationalPoly) -> int:
     chain = _sturm_chain(_int_poly(f))
     _require_squarefree(chain)
     return _variations_inf(chain, positive=False) - _variations_inf(chain, positive=True)
-
-
-def to_sympy(f: RationalPoly):
-    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * X**i
-                          for i, c in enumerate(f.coeffs)), X)
 
 
 def sympy_real_roots(f: RationalPoly):
@@ -105,11 +98,12 @@ def chain_sign_at(g, ivs):
     if g.deg() < 0:
         return (0,) * len(ivs)
     gint = _int_poly(g)
-    d = euclid_gcd(ivs.poly, g)
+    d = monic_gcd(ivs.poly, g)
     dchain = _sturm_chain(_int_poly(d)) if d.deg() > 0 else None
     gchain = _sturm_chain(gint)
     if len(gchain[-1]) > 1:
-        gchain = _sturm_chain(_int_poly(g.divmod(RationalPoly(gchain[-1]))[0]))
+        gchain = _sturm_chain(_int_poly(from_sympy(sympy.div(
+            to_sympy(g), to_sympy(RationalPoly(gchain[-1])), domain=sympy.QQ)[0])))
     out = []
     for iv in ivs:
         lo, hi = iv.lo, iv.hi
@@ -236,7 +230,7 @@ def isolation_test_polys():
         deg = rng.randrange(2, 7)
         f = RationalPoly([rng.randrange(-8, 9) for _ in range(deg)]
                          + [rng.choice([1, -1, 2])])
-        if f.deg() >= 2 and euclid_gcd(f, f.derivative()).deg() == 0:
+        if f.deg() >= 2 and monic_gcd(f, f.derivative()).deg() == 0:
             polys.append(f)
     polys += [curve_min_poly(q) for q in (11, 23, 47, 59)]
     return polys

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from jacrank import stores
+from jacrank.cli import main
 from jacrank.stores import (
     ClassGroupRecord,
     RankRecord,
@@ -86,6 +87,29 @@ def test_class_group_duplicates():
                     "poly=1,0,1 cl2=2 source=b\n")
     with pytest.raises(StoreFormatError, match=r"conflict"):
         parse_class_groups(dup_conflict)
+
+
+def test_class_group_key_must_be_monic_of_degree_at_least_two(tmp_path):
+    # lookups are by the exact key of a monic curve polynomial: a key with
+    # another leading coefficient, a trailing zero or degree < 2 could never
+    # match, so it is rejected with its file:line rather than kept dead
+    for key in ("1,-4,1,2", "1,-4,1,1,0", "1", "1,1", "1,0,0"):
+        with pytest.raises(StoreFormatError,
+                           match=rf"inline:3: polynomial key '{key}' is not "
+                                 "monic of degree >= 2"):
+            parse_class_groups("clgroup v1\n# fields\n"
+                               f"poly={key} cl2=0 source=x\n", "inline")
+    for key in ("1,0,1", "1,-4,1,1", "-1,2,-1,1"):
+        store = parse_class_groups(f"clgroup v1\npoly={key} cl2=0 source=x\n")
+        assert store.get(tuple(map(int, key.split(",")))) is not None
+    # the workloads' generated keys 1,-(m+3),m,1 parse too
+    store = parse_class_groups("clgroup v1\n" + "".join(
+        f"poly=1,{-(m + 3)},{m},1 cl2=0 source=x\n" for m in range(-5, 301)))
+    assert store.get((1, -303, 300, 1)).cl2_rank == 0
+    # through the CLI a dead key is invalid input, exit 2
+    path = tmp_path / "clg.txt"
+    path.write_text("clgroup v1\npoly=1,-4,1,2 cl2=0 source=x\n")
+    assert main(["washington", "--m", "1..1", "--clgroups", str(path)]) == 2
 
 
 def test_class_group_empty_file_is_empty_store():

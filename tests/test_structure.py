@@ -362,3 +362,14 @@ def test_public_names_resolve_lazily():
                for name in jacrank.__all__)
     with pytest.raises(AttributeError):
         jacrank.no_such_name
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's self-test at toy size: each correctness gate passes
+    on the right expectations and fails on corrupted ones, and both modes
+    emit the metrics BENCHMARK.json names."""
+    selftest = TRACER.parent / "selftest.py"
+    proc = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=300, cwd=TRACER.parents[1])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 failed checks"
