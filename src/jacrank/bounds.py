@@ -203,8 +203,11 @@ def _sophie_p(q: int) -> int:
     return p
 
 
+@lru_cache(maxsize=1)
 def curve_min_poly(q: int) -> polys.RationalPoly:
-    """Defining polynomial with constant term +1, so (0,1) is on the curve."""
+    """Defining polynomial with constant term +1, so (0,1) is on the curve.
+    The last q is kept, so the store key of `sophie_upper_bound` and the
+    lower bound of the same q share one polynomial."""
     return polys.min_poly_2cos(q, _sophie_p(q) % 4 == 3)
 
 

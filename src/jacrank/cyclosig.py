@@ -79,7 +79,11 @@ is lower, for 32 <= e <= 329 on the certified range.
 No step is probabilistic: every route is exact.
 
 The scan spreads the pairs over forked worker processes: the routes are pure
-Python, so threads would share one core under the interpreter lock.
+Python, so threads would share one core under the interpreter lock. Each
+worker is placed on a CPU of its own, from the process's affinity mask,
+because the scheduler tends to keep a short-lived forked child on its
+parent's CPU, where the two shares would run one after the other. The
+placement is best effort, and the caller's mask is restored.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ from functools import lru_cache, reduce
 from itertools import islice
 from math import isqrt
 from operator import itemgetter, xor
-from typing import Iterator, List, NamedTuple, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .arith import CheckedRecord, is_prime, order_dividing, prime_factors, \
     primes_upto
@@ -454,10 +458,19 @@ def certify_rho_infty(pair: SophieGermainPair, method: str = "gcd") -> RhoInftyC
     return RhoInftyCertificate(pair, d, d == p - 1)
 
 
-def _available_cpus() -> int:
+def _available_cpus() -> List[int]:
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _place(cpus: Iterable[int]) -> None:
+    """Confine this process to cpus, best effort: where the platform or the
+    kernel refuses (no sched_setaffinity, EINVAL, EPERM), it stays put."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 def _shares(pairs: List[SophieGermainPair], n: int) -> List[List[int]]:
@@ -473,9 +486,11 @@ def _shares(pairs: List[SophieGermainPair], n: int) -> List[List[int]]:
     return shares
 
 
-def _fork_share(pairs: List[SophieGermainPair], share: List[int]) -> Tuple[int, int]:
-    """Fork a child that certifies pairs[i] for i in share and writes their
-    d_infty as decimal text to a pipe; return its pid and the read end."""
+def _fork_share(pairs: List[SophieGermainPair], share: List[int],
+                cpu: int) -> Tuple[int, int]:
+    """Fork a child that certifies pairs[i] for i in share on CPU cpu, if it
+    can be placed there, and writes their d_infty as decimal text to a
+    pipe; return its pid and the read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -490,6 +505,7 @@ def _fork_share(pairs: List[SophieGermainPair], share: List[int]) -> Tuple[int, 
         status = 1
         try:
             os.close(read_end)
+            _place({cpu})
             text = " ".join(str(certify_rho_infty(pairs[i]).d_infty) for i in share)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(text.encode())
@@ -508,21 +524,25 @@ def _read_to_eof(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _scan_forked(pairs: List[SophieGermainPair], workers: int) -> List[RhoInftyCertificate]:
-    """The parent certifies the first share while a forked child certifies
-    each other one; every child is reaped before this returns or raises."""
+def _scan_forked(pairs: List[SophieGermainPair], workers: int,
+                 cpus: List[int]) -> List[RhoInftyCertificate]:
+    """The parent certifies the first share on cpus[0] while a forked child
+    certifies share k on cpus[k], cpus being the process's affinity mask;
+    before this returns or raises, every child is reaped and the mask
+    restored."""
     shares = _shares(pairs, workers)
     own = list(shares[0])
     children: List[Tuple[int, int, List[int]]] = []  # pid, read end, share
     outputs: List[bytes] = []
     try:
-        for share in shares[1:]:
+        for share, cpu in zip(shares[1:], cpus[1:]):
             try:
-                pid, read_end = _fork_share(pairs, share)
+                pid, read_end = _fork_share(pairs, share, cpu)
             except OSError:  # no process or pipe to spare: certify it here
                 own += share
                 continue
             children.append((pid, read_end, share))
+        _place({cpus[0]})  # after the forks, which must not inherit it
         d_infty = {i: certify_rho_infty(pairs[i]).d_infty for i in own}
         outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
     except BaseException:
@@ -530,6 +550,7 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int) -> List[RhoInftyC
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        _place(cpus)
         statuses = []
         for pid, read_end, _ in children:
             os.close(read_end)
@@ -549,18 +570,21 @@ def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificat
     workers > 1 forks up to workers - 1 child processes, never more than
     the pairs or the CPUs available to the process allow, and the parent
     certifies one share itself; workers = 0 means one per available CPU.
-    The result does not depend on workers. A child that fails has its
-    share certified again by the parent, so an exception surfaces as on
-    the serial path. A caller running other threads should keep
-    workers = 1: a forked child gets only the calling thread. A negative
-    q_max or workers raises ValueError."""
+    Each worker is pinned to a CPU of its own, best effort, since a forked
+    child left to the scheduler tends to share its parent's CPU; the
+    caller's affinity mask is restored before this returns or raises, and
+    workers <= 1 never touches it. The result does not depend on workers.
+    A child that fails has its share certified again by the parent, so an
+    exception surfaces as on the serial path. A caller running other
+    threads should keep workers = 1: a forked child gets only the calling
+    thread. A negative q_max or workers raises ValueError."""
     if q_max < 0:
         raise ValueError(f"max-q must be non-negative, got {q_max}")
     if workers < 0:
         raise ValueError(f"worker count must be non-negative, got {workers}")
     pairs = sophie_germain_pairs(q_max)
     cpus = _available_cpus()
-    workers = min(workers or cpus, len(pairs), cpus)
+    workers = min(workers or len(cpus), len(pairs), len(cpus))
     if workers <= 1 or not hasattr(os, "fork"):
         return [certify_rho_infty(pr) for pr in pairs]
-    return _scan_forked(pairs, workers)
+    return _scan_forked(pairs, workers, cpus)

@@ -48,7 +48,8 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 from . import factor, modpoly
 from .f2 import kernel_basis
 from .polys import (Frozen, RationalPoly, clear_denominators, int_resultant,
-                    min_poly_2cos, min_poly_2cos_roots, pdivmod, resultant)
+                    min_poly_2cos_coeffs, min_poly_2cos_roots, pdivmod,
+                    resultant)
 from .arith import CheckedRecord, is_prime, jacobi
 
 __all__ = [
@@ -76,8 +77,9 @@ def _is_min_poly_2cos(poly: RationalPoly) -> Optional[int]:
     -2cos(2 pi/q)."""
     q = 2 * poly.deg() + 1
     if is_prime(q):
+        coeffs = poly.int_coeffs()
         for sign in (1, -1):
-            if poly == min_poly_2cos(q, sign < 0):
+            if coeffs == min_poly_2cos_coeffs(q, sign < 0):
                 return sign
     return None
 

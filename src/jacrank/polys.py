@@ -28,6 +28,7 @@ __all__ = [
     "int_resultant",
     "resultant",
     "min_poly_2cos",
+    "min_poly_2cos_coeffs",
     "min_poly_2cos_roots",
     "min_poly_2cos_split",
     "format_poly",
@@ -226,10 +227,10 @@ def min_poly_2cos(q: int, negate: bool) -> RationalPoly:
     at the p distinct values cos(2*pi*k/q), k = 1..p. Its coefficient of
     y^(p-j) is (-1)^floor(j/2) * C(p - ceil(j/2), floor(j/2)).
     """
-    return RationalPoly(_min_poly_2cos_coeffs(q, negate))
+    return RationalPoly(min_poly_2cos_coeffs(q, negate))
 
 
-def _min_poly_2cos_coeffs(q: int, negate: bool) -> List[int]:
+def min_poly_2cos_coeffs(q: int, negate: bool) -> List[int]:
     """The ascending integer coefficients of min_poly_2cos(q, negate)."""
     if q < 5 or not is_prime(q):
         raise ValueError(f"q must be a prime >= 5, got {q}")
@@ -274,7 +275,7 @@ def min_poly_2cos_roots(q: int, negate: bool, ell: int) -> List[int]:
 
     Each root is checked by Horner, and the roots for distinctness; a
     failure raises RuntimeError."""
-    f = _min_poly_2cos_coeffs(q, negate)[::-1]
+    f = min_poly_2cos_coeffs(q, negate)[::-1]
     if ell % q not in (1, q - 1) or not is_prime(ell):
         raise ValueError(f"ell = {ell} is not a prime = +-1 mod {q}")
     e = 1 if ell % q == 1 else -1

@@ -78,6 +78,25 @@ def test_sophie_lower_and_table(capsys):
     assert lines[2] == "5 11 2 2"
 
 
+def test_sophie_lower_builds_each_curve_polynomial_once(capsys, monkeypatch):
+    """The store key and the lower bound of a q share one curve polynomial,
+    and the number field recognises it from its integer coefficients."""
+    from jacrank import bounds
+
+    built = []
+    real = polys.min_poly_2cos
+
+    def counted(q, negate):
+        built.append(q)
+        return real(q, negate)
+
+    monkeypatch.setattr(polys, "min_poly_2cos", counted)
+    bounds.curve_min_poly.cache_clear()
+    code, out, _ = run(capsys, "sophie", "--q", "11,23,47,59", "--lower")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert built == [11, 23, 47, 59]
+
+
 def test_sophie_rejects_invalid_modulus(capsys):
     code, out, err = run(capsys, "sophie", "--q", "15")
     assert code == 2 and out == "" and "Sophie Germain" in err

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import errno
 import math
 import os
 import random
@@ -658,6 +659,8 @@ def test_scan_shares_balance_estimated_work():
 
 @pytest.mark.parametrize("share", [0, 1], ids=["parent-share", "child-share"])
 def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
+    real_mask = getattr(os, "sched_getaffinity", lambda pid: None)
+    before = real_mask(0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pairs = sophie_germain_pairs(2000)
     bad = pairs[_shares(pairs, 2)[share][0]]
@@ -674,10 +677,116 @@ def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
         scan_sophie_germain(2000)
     with pytest.raises(RuntimeError, match=message), deadline(60):
         scan_sophie_germain(2000, workers=2)
+    assert real_mask(0) == before  # the parent's pin is undone on a raise
     with deadline(60):
         assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"]) == 3
+    assert real_mask(0) == before
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"certification failure: {message}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+def read_placements(path):
+    """(pid, requested CPUs, mask after the call) per logged call."""
+    calls = []
+    for line in path.read_text().splitlines():
+        pid, asked, got = line.split()
+        calls.append((int(pid), {int(c) for c in asked.split(",")},
+                      {int(c) for c in got.split(",")}))
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity calls on this platform")
+def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
+    """Every os.sched_setaffinity call, in the parent or a forked child,
+    appends a line to a file: the first call of each worker pins it to one
+    CPU of the mask, a different one per worker, and the parent's last
+    call gives it its mask back."""
+    real_get, real_set = os.sched_getaffinity, os.sched_setaffinity
+    before = real_get(0)
+    mask = before if len(before) >= 2 else {0, 1}
+    log = tmp_path / "placements"
+
+    def logged(pid, cpus):
+        try:
+            real_set(pid, cpus)
+        finally:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {','.join(map(str, sorted(cpus)))} "
+                          f"{','.join(map(str, sorted(real_get(0))))}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    pairs = sophie_germain_pairs(2000)
+    with deadline(60):
+        certs = scan_sophie_germain(2000, workers=2)
+    assert certs == [certify_rho_infty(pr) for pr in pairs]
+    assert real_get(0) == before
+    calls = read_placements(log)
+    parent = os.getpid()
+    first = {}
+    for pid, asked, got in calls:
+        first.setdefault(pid, asked)
+    assert len(first) == 2 and parent in first  # the parent and one child
+    assert all(len(cpus) == 1 and cpus <= mask for cpus in first.values())
+    assert len(set().union(*first.values())) == 2
+    assert [asked for pid, asked, _ in calls if pid == parent] == [
+        {min(mask)}, mask]
+    if mask == before:  # the kernel did as asked, in every call
+        assert all(asked == got for _, asked, got in calls)
+
+
+@pytest.mark.parametrize("refusal", ["EINVAL", "EPERM", "unsupported"])
+def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
+                                                      capsys):
+    """A refused placement changes no certificate, output or exit code, and
+    the parent certifies only its own share: no child fails for it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = cli_main(["scan-rho", "--max-q", "2000", "--threads", "1"]), \
+        capsys.readouterr()
+    if refusal == "unsupported":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, cpus):
+            code = getattr(errno, refusal)
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    pairs = sophie_germain_pairs(2000)
+    expected = [certify_rho_infty(pr) for pr in pairs]
+    own = [pairs[i] for i in _shares(pairs, 2)[0]]
+    parent, calls = os.getpid(), []
+    real = cyclosig.certify_rho_infty
+
+    def counted(pair, method="gcd"):
+        if os.getpid() == parent:
+            calls.append(pair)
+        return real(pair, method)
+
+    monkeypatch.setattr(cyclosig, "certify_rho_infty", counted)
+    with deadline(60):
+        assert scan_sophie_germain(2000, workers=2) == expected
+    assert calls == own
+    del calls[:]
+    with deadline(60):
+        code = cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"])
+    assert (code, capsys.readouterr()) == serial
+    assert serial[0] == 0 and serial[1].err == ""
+    assert calls == own
+
+
+def test_scan_with_one_worker_makes_no_affinity_call(monkeypatch):
+    def forbidden(pid, cpus):
+        raise AssertionError("affinity call on a one-worker scan")
+
+    monkeypatch.setattr(os, "sched_setaffinity", forbidden, raising=False)
+    expected = scan_sophie_germain(2000)
+    assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "1"]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert scan_sophie_germain(2000, workers=2) == expected  # one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert scan_sophie_germain(6, workers=2) == []  # no pairs
+    assert scan_sophie_germain(8, workers=2) == expected[:1]  # one pair
