@@ -79,11 +79,12 @@ is lower, for 32 <= e <= 329 on the certified range.
 No step is probabilistic: every route is exact.
 
 The scan spreads the pairs over forked worker processes: the routes are pure
-Python, so threads would share one core under the interpreter lock. Each
-worker is placed on a CPU of its own, from the process's affinity mask,
-because the scheduler tends to keep a short-lived forked child on its
-parent's CPU, where the two shares would run one after the other. The
-placement is best effort, and the caller's mask is restored.
+Python, so threads would share one core under the interpreter lock. When
+the workers take every CPU of the process's affinity mask, each is pinned
+to a CPU of its own: the scheduler tends to keep a short-lived forked
+child on its parent's CPU, where the two shares would run one after the
+other, and pinning the child alone leaves the parent free to follow it
+there. The placement is best effort, and the caller's mask is restored.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from functools import lru_cache, reduce
 from itertools import islice
 from math import isqrt
 from operator import itemgetter, xor
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .arith import CheckedRecord, is_prime, order_dividing, prime_factors, \
     primes_upto
@@ -464,12 +465,12 @@ def _available_cpus() -> List[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def _place(cpus: Iterable[int]) -> None:
-    """Confine this process to cpus, best effort: where the platform or the
-    kernel refuses (no sched_setaffinity, EINVAL, EPERM), it stays put."""
+def _place(cpus: Set[int]) -> None:
+    """Confine this process to cpus, best effort: where the kernel refuses
+    (EINVAL, EPERM), it stays put."""
     try:
         os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
+    except OSError:
         pass
 
 
@@ -487,10 +488,10 @@ def _shares(pairs: List[SophieGermainPair], n: int) -> List[List[int]]:
 
 
 def _fork_share(pairs: List[SophieGermainPair], share: List[int],
-                cpu: int) -> Tuple[int, int]:
-    """Fork a child that certifies pairs[i] for i in share on CPU cpu, if it
-    can be placed there, and writes their d_infty as decimal text to a
-    pipe; return its pid and the read end."""
+                cpu: Optional[int]) -> Tuple[int, int]:
+    """Fork a child that certifies pairs[i] for i in share, on CPU cpu if
+    one is given and it can be placed there, and writes their d_infty as
+    decimal text to a pipe; return its pid and the read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -505,7 +506,8 @@ def _fork_share(pairs: List[SophieGermainPair], share: List[int],
         status = 1
         try:
             os.close(read_end)
-            _place({cpu})
+            if cpu is not None:
+                _place({cpu})
             text = " ".join(str(certify_rho_infty(pairs[i]).d_infty) for i in share)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(text.encode())
@@ -525,24 +527,27 @@ def _read_to_eof(fd: int) -> bytes:
 
 
 def _scan_forked(pairs: List[SophieGermainPair], workers: int,
-                 cpus: List[int]) -> List[RhoInftyCertificate]:
-    """The parent certifies the first share on cpus[0] while a forked child
-    certifies share k on cpus[k], cpus being the process's affinity mask;
-    before this returns or raises, every child is reaped and the mask
-    restored."""
+                 cpus: Optional[List[int]]) -> List[RhoInftyCertificate]:
+    """The parent certifies the first share while a forked child certifies
+    each other one. Given cpus, child k is pinned to cpus[k] and the parent
+    to cpus[0]; the parent's mask is restored and every child reaped before
+    this returns or raises."""
     shares = _shares(pairs, workers)
     own = list(shares[0])
     children: List[Tuple[int, int, List[int]]] = []  # pid, read end, share
     outputs: List[bytes] = []
+    saved = None if cpus is None else os.sched_getaffinity(0)
     try:
-        for share, cpu in zip(shares[1:], cpus[1:]):
+        for k, share in enumerate(shares[1:], 1):
             try:
-                pid, read_end = _fork_share(pairs, share, cpu)
+                pid, read_end = _fork_share(
+                    pairs, share, None if cpus is None else cpus[k])
             except OSError:  # no process or pipe to spare: certify it here
                 own += share
                 continue
             children.append((pid, read_end, share))
-        _place({cpus[0]})  # after the forks, which must not inherit it
+        if cpus is not None:  # after the forks, which must not inherit it
+            _place({cpus[0]})
         d_infty = {i: certify_rho_infty(pairs[i]).d_infty for i in own}
         outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
     except BaseException:
@@ -550,7 +555,8 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int,
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        _place(cpus)
+        if saved is not None:
+            _place(saved)
         statuses = []
         for pid, read_end, _ in children:
             os.close(read_end)
@@ -570,14 +576,17 @@ def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificat
     workers > 1 forks up to workers - 1 child processes, never more than
     the pairs or the CPUs available to the process allow, and the parent
     certifies one share itself; workers = 0 means one per available CPU.
-    Each worker is pinned to a CPU of its own, best effort, since a forked
-    child left to the scheduler tends to share its parent's CPU; the
-    caller's affinity mask is restored before this returns or raises, and
-    workers <= 1 never touches it. The result does not depend on workers.
-    A child that fails has its share certified again by the parent, so an
-    exception surfaces as on the serial path. A caller running other
-    threads should keep workers = 1: a forked child gets only the calling
-    thread. A negative q_max or workers raises ValueError."""
+    When the workers take every CPU of the sorted affinity mask cpus,
+    child k is pinned to cpus[k] and the parent, for its own share, to
+    cpus[0], best effort: a forked child left to the scheduler tends to
+    share its parent's CPU. The caller's mask is restored before this
+    returns or raises, workers <= 1 makes no affinity call, and with CPUs
+    to spare (a case not measured) the scheduler places the workers. The
+    result does not depend on workers. A child that fails has its share
+    certified again by the parent, so an exception surfaces as on the
+    serial path. A caller running other threads should keep workers = 1:
+    a forked child gets only the calling thread. A negative q_max or
+    workers raises ValueError."""
     if q_max < 0:
         raise ValueError(f"max-q must be non-negative, got {q_max}")
     if workers < 0:
@@ -587,4 +596,8 @@ def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificat
     workers = min(workers or len(cpus), len(pairs), len(cpus))
     if workers <= 1 or not hasattr(os, "fork"):
         return [certify_rho_infty(pr) for pr in pairs]
-    return _scan_forked(pairs, workers, cpus)
+    # pinned only when the workers take every CPU, the case that was measured
+    placed = None
+    if workers == len(cpus) and hasattr(os, "sched_setaffinity"):
+        placed = cpus
+    return _scan_forked(pairs, workers, placed)

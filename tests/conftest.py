@@ -80,9 +80,9 @@ def certified_scan():
 def affinity_mask_kept():
     """Fail a test that leaves the process pinned to other CPUs than it
     found, and undo the pin so the next test starts clean: a forked scan
-    pins its workers and must give the caller its mask back. Autouse
-    fixtures are set up before a test's monkeypatch, so this reads the real
-    mask on both sides."""
+    pins the caller for its own share and must give it its mask back.
+    Autouse fixtures are set up before a test's monkeypatch, so this reads
+    the real mask on both sides."""
     get = getattr(os, "sched_getaffinity", None)
     before = get(0) if get else None
     yield

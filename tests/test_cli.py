@@ -12,7 +12,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacrank import numberfield, polys
+from jacrank import cyclosig, numberfield, polys
 from jacrank.cli import main
 from test_cyclosig import deadline
 from test_structure import modules_run
@@ -131,8 +131,7 @@ def test_scan_rho_thread_count_does_not_change_bytes(capsys):
 
 
 def test_scan_rho_threads_clamped_to_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1, 2, 3])
     real_fork = os.fork
     forks = []
 

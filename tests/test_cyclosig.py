@@ -381,7 +381,7 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(reference_gcd, monke
 
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     with deadline(300):
         certs = scan_sophie_germain(CERTIFIED_MAX_Q, workers=2)
     assert certs == certified_scan[0]
@@ -604,8 +604,7 @@ def test_scan_rejects_a_negative_bound():
 def test_scan_threads_deterministic(monkeypatch):
     # four CPUs, so that workers = 4 forks three children even on a
     # smaller host; every worker count gives the per-pair certificates
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1, 2, 3])
     pairs = sorted(sophie_germain_pairs(2000), key=lambda pr: pr.q)
     expected = [certify_rho_infty(pr) for pr in pairs]
     for workers in (1, 2, 4):
@@ -620,7 +619,7 @@ def test_scan_certifies_unforked_shares_in_parent(monkeypatch):
     def no_fork():
         raise BlockingIOError("no process to spare")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1, 2])
     monkeypatch.setattr(os, "fork", no_fork)
     assert scan_sophie_germain(300, workers=3) == scan_sophie_germain(300)
 
@@ -629,7 +628,7 @@ def test_scan_finds_each_order_once(monkeypatch):
     """ord_p(2) is found once per pair, from the group order p - 1: on the
     serial path by certify_rho_infty, on the forked path by `_shares` in
     the parent, whose cache the parent's own share and the children use."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     calls = []
 
     def counted(a, n, k):
@@ -661,7 +660,7 @@ def test_scan_shares_balance_estimated_work():
 def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
     real_mask = getattr(os, "sched_getaffinity", lambda pid: None)
     before = real_mask(0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     pairs = sophie_germain_pairs(2000)
     bad = pairs[_shares(pairs, 2)[share][0]]
     real = cyclosig.certify_rho_infty
@@ -677,7 +676,7 @@ def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
         scan_sophie_germain(2000)
     with pytest.raises(RuntimeError, match=message), deadline(60):
         scan_sophie_germain(2000, workers=2)
-    assert real_mask(0) == before  # the parent's pin is undone on a raise
+    assert real_mask(0) == before  # the caller's mask, also on a raise
     with deadline(60):
         assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"]) == 3
     assert real_mask(0) == before
@@ -702,41 +701,43 @@ def read_placements(path):
                     reason="no CPU affinity calls on this platform")
 def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
     """Every os.sched_setaffinity call, in the parent or a forked child,
-    appends a line to a file: the first call of each worker pins it to one
-    CPU of the mask, a different one per worker, and the parent's last
-    call gives it its mask back."""
+    appends a line to a file. Given three CPUs, the process's own where its
+    mask has three, a three-worker scan pins each worker to one of them, a
+    different one each, and the parent's last call gives it back the mask
+    it had."""
     real_get, real_set = os.sched_getaffinity, os.sched_setaffinity
     before = real_get(0)
-    mask = before if len(before) >= 2 else {0, 1}
+    cpus = sorted(before)[:3] if len(before) >= 3 else [0, 1, 2]
     log = tmp_path / "placements"
 
-    def logged(pid, cpus):
+    def logged(pid, mask):
         try:
-            real_set(pid, cpus)
+            real_set(pid, mask)
         finally:
             with open(log, "a") as out:
-                out.write(f"{os.getpid()} {','.join(map(str, sorted(cpus)))} "
+                out.write(f"{os.getpid()} {','.join(map(str, sorted(mask)))} "
                           f"{','.join(map(str, sorted(real_get(0))))}\n")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(os, "sched_setaffinity", logged)
     pairs = sophie_germain_pairs(2000)
     with deadline(60):
-        certs = scan_sophie_germain(2000, workers=2)
+        certs = scan_sophie_germain(2000, workers=3)
     assert certs == [certify_rho_infty(pr) for pr in pairs]
     assert real_get(0) == before
     calls = read_placements(log)
     parent = os.getpid()
     first = {}
-    for pid, asked, got in calls:
+    for pid, asked, _ in calls:
         first.setdefault(pid, asked)
-    assert len(first) == 2 and parent in first  # the parent and one child
-    assert all(len(cpus) == 1 and cpus <= mask for cpus in first.values())
-    assert len(set().union(*first.values())) == 2
+    assert len(first) == 3 and first[parent] == {cpus[0]}
+    assert sorted(min(asked) for asked in first.values()) == cpus
+    assert all(len(asked) == 1 for asked in first.values())
     assert [asked for pid, asked, _ in calls if pid == parent] == [
-        {min(mask)}, mask]
-    if mask == before:  # the kernel did as asked, in every call
-        assert all(asked == got for _, asked, got in calls)
+        {cpus[0]}, before]
+    assert len(calls) == 4  # twice in the parent, once in each child
+    # the kernel did as asked wherever the CPUs are the process's own
+    assert all(asked == got for _, asked, got in calls if asked <= before)
 
 
 @pytest.mark.parametrize("refusal", ["EINVAL", "EPERM", "unsupported"])
@@ -744,7 +745,7 @@ def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
                                                       capsys):
     """A refused placement changes no certificate, output or exit code, and
     the parent certifies only its own share: no child fails for it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     serial = cli_main(["scan-rho", "--max-q", "2000", "--threads", "1"]), \
         capsys.readouterr()
     if refusal == "unsupported":
@@ -778,15 +779,21 @@ def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
     assert calls == own
 
 
-def test_scan_with_one_worker_makes_no_affinity_call(monkeypatch):
+def test_scan_makes_no_affinity_call_unless_workers_take_every_cpu(
+        monkeypatch):
+    """No placement with one worker, and none with CPUs to spare: the
+    workers are pinned only where they take the whole mask."""
     def forbidden(pid, cpus):
-        raise AssertionError("affinity call on a one-worker scan")
+        raise AssertionError("unexpected affinity call")
 
     monkeypatch.setattr(os, "sched_setaffinity", forbidden, raising=False)
     expected = scan_sophie_germain(2000)
     assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "1"]) == 0
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [1])
     assert scan_sophie_germain(2000, workers=2) == expected  # one CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     assert scan_sophie_germain(6, workers=2) == []  # no pairs
     assert scan_sophie_germain(8, workers=2) == expected[:1]  # one pair
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1, 2])
+    with deadline(60):
+        assert scan_sophie_germain(2000, workers=2) == expected  # CPU spare
