@@ -11,6 +11,7 @@ reach it.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, List, Optional
 
 __all__ = [
@@ -42,6 +43,8 @@ class CheckedRecord:
 # 86, 2017); psi_12, a strong pseudoprime to the bases up to 37, lies below
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
+# byte 0 to 1 and every other byte to 0: a composite flag to a prime flag
+_IS_PRIME_FLAG = bytes([1]) + bytes(255)
 
 
 def primes_upto(n: int) -> List[int]:
@@ -52,10 +55,11 @@ def primes_upto(n: int) -> List[int]:
     # repeat can first print a spurious SystemError (CPython 3.11 frees the
     # half-built object with its export count unset)
     composite = bytearray(n + 1)
+    composite[:2] = b"\x01\x01"
     for i in range(2, int(n**0.5) + 1):
         if not composite[i]:
             composite[i * i :: i] = b"\x01" * len(range(i * i, n + 1, i))
-    return [i for i in range(2, n + 1) if not composite[i]]
+    return list(compress(range(n + 1), composite.translate(_IS_PRIME_FLAG)))
 
 
 def is_prime(n: int) -> bool:

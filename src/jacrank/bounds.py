@@ -307,9 +307,7 @@ def lower_bound_from_points(f: polys.RationalPoly,
     coarser one only bounds the rank less tightly. Either way each factor g
     divides f - y0^2, so g(theta) is nonzero: a common root theta of g and
     f would give 0 = f(theta) = y0^2."""
-    from fractions import Fraction  # here, so the upper-bound routes skip it
-
-    y0 = Fraction(y0)
+    y0 = polys.rational(y0)
     if y0 == 0:
         raise ValueError("y0 must be nonzero; factors of f itself would "
                          "share roots with the defining polynomial")

@@ -119,13 +119,14 @@ def _cmd_scan_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
-    from fractions import Fraction  # here, so the other routes skip it
-
     coeffs = [int(part) for part in args.poly.split(",")]
     try:
-        y0 = Fraction(args.y0)
-    except ZeroDivisionError:
-        raise ValueError(f"--y0 {args.y0}: zero denominator") from None
+        y0 = int(args.y0)  # an integer y0 builds no Fraction
+    except ValueError:
+        try:
+            y0 = polys.rational(args.y0)
+        except ZeroDivisionError:
+            raise ValueError(f"--y0 {args.y0}: zero denominator") from None
     lower, classes = bounds.lower_bound_from_points(
         polys.RationalPoly(coeffs), y0)
     print(f"poly={args.poly} y0={y0} "

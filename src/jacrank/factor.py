@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import List, Tuple
 
 from .arith import is_prime
 from .modpoly import (PrimePoly, add, divmod_monic, factor_count_mod_p,
                       factor_mod_p, is_squarefree_mod_p, mul, sub, xgcd)
-from .polys import RationalPoly, pdivmod, resultant
+from .polys import RationalPoly, pdivmod, rational, resultant
 
 __all__ = ["factor_over_Q"]
 
@@ -159,7 +158,8 @@ def factor_over_Q(f: RationalPoly) -> List[RationalPoly]:
     lc, n = icoeffs[-1], len(icoeffs) - 1
     # monicize: G(y) = lc^(n-1) f(y/lc) is a monic integer polynomial in y
     work = [icoeffs[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-    out = [RationalPoly([Fraction(g[i], lc ** (len(g) - 1 - i))
+    # back to f: g(lc y) / lc^deg g, with int coefficients when lc = 1
+    out = [RationalPoly([rational(g[i], lc ** (len(g) - 1 - i))
                          for i in range(len(g))])
            for g in _factor_squarefree_monic_int(work)]
     out.sort(key=lambda g: (g.deg(), g.coeffs))

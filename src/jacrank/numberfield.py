@@ -38,10 +38,10 @@ at which ell divides f(t), no Frobenius power mod ell.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, prod
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 # used qualified: a lazy module's body runs only when a route reaches it, and
 # factoring over Q or F_ell is needed by no Sophie Germain lower bound
@@ -49,8 +49,11 @@ from . import factor, modpoly
 from .f2 import kernel_basis
 from .polys import (Frozen, RationalPoly, clear_denominators, int_resultant,
                     min_poly_2cos_coeffs, min_poly_2cos_roots, pdivmod,
-                    resultant)
+                    rational, resultant)
 from .arith import CheckedRecord, is_prime, jacobi
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "NumberField",
@@ -125,10 +128,12 @@ class NumberField:
         return self.poly.int_coeffs()
 
     def element(self, coords: Sequence[Union[int, Fraction]]) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
+        """The element with these power-basis coordinates, each in the
+        canonical form of `polys.rational`, padded with zeros."""
+        cs = [c if c.__class__ is int else rational(c) for c in coords]
         if len(cs) > self.degree:
             raise ValueError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        cs += [0] * (self.degree - len(cs))
         return FieldElement(self, tuple(cs))
 
     def from_poly(self, g: RationalPoly) -> "FieldElement":
@@ -137,19 +142,19 @@ class NumberField:
         if g.deg() < self.degree:
             return self.element(g.coeffs)
         d, gs = clear_denominators(g.coeffs)
-        return self.element([Fraction(c, d)
+        return self.element([rational(c, d)
                              for c in pdivmod(gs, self._int_coeffs)[1]])
 
     # -- norms and signatures ------------------------------------------------
 
-    def norm(self, a: "FieldElement") -> Fraction:
+    def norm(self, a: "FieldElement") -> Union[int, Fraction]:
         """Res(f, a) for monic f: with a = A/d, A integral, Res(f, A)/d^deg f."""
         d, cs = clear_denominators(a.coords)
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
-            return Fraction(0)
-        return Fraction(int_resultant(self._int_coeffs, cs), d ** self.degree)
+            return 0
+        return rational(int_resultant(self._int_coeffs, cs), d ** self.degree)
 
     def signature(self, a: "FieldElement") -> Tuple[int, ...]:
         from .roots import isolate_real_roots, sign_at  # here: no route signs
@@ -164,7 +169,7 @@ class NumberField:
     # -- squareness ----------------------------------------------------------
 
     @staticmethod
-    def _is_rational_square(x: Fraction) -> bool:
+    def _is_rational_square(x: Union[int, Fraction]) -> bool:
         if x < 0:
             return False
         n, d = x.numerator, x.denominator
@@ -278,7 +283,8 @@ class NumberField:
                 continue
             cand = _rational_coords(x, m, p)
             if cand is not None:
-                w = self.element([c / d for c in cand])
+                # the coordinates of x are d times those of w
+                w = self.element([rational(n, den * d) for n, den in cand])
                 if w * w == a:
                     return w
         raise SquarenessUndetermined(
@@ -367,23 +373,26 @@ def _rat_recon(c: int, m: int) -> Optional[Tuple[int, int]]:
     return num, den
 
 
-def _rational_coords(x: List[int], m: int, p: int) -> Optional[List[Fraction]]:
+def _rational_coords(x: List[int], m: int, p: int
+                     ) -> Optional[List[Tuple[int, int]]]:
+    """(num, den) for each of the p coordinates of x mod m, or None."""
     out = []
     for i in range(p):
         c = x[i] if i < len(x) else 0
         rc = _rat_recon(c, m)
         if rc is None:
             return None
-        out.append(Fraction(rc[0], rc[1]))
+        out.append(rc)
     return out
 
 
 class FieldElement(Frozen):
     __slots__ = ("field", "coords")
     field: NumberField
-    coords: Tuple[Fraction, ...]
+    coords: Tuple[Union[int, Fraction], ...]
 
-    def __init__(self, field: NumberField, coords: Tuple[Fraction, ...]) -> None:
+    def __init__(self, field: NumberField,
+                 coords: Tuple[Union[int, Fraction], ...]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
 

@@ -1,7 +1,10 @@
 """Dense univariate polynomials over Q with exact coefficients.
 
-Coefficients are stored ascending as Fractions with trailing zeros trimmed,
-so the zero polynomial has an empty coefficient tuple and deg() == -1.
+Coefficients are stored ascending with trailing zeros trimmed, so the zero
+polynomial has an empty coefficient tuple and deg() == -1. Each one is in
+the canonical form of `rational`: an int when it is integral, a Fraction
+only when it is not, so integer data never build a Fraction nor load the
+`fractions` module.
 Products and resultants are computed on integers after clearing
 denominators, resultants by the subresultant remainder sequence. Every
 polynomial division in the package is the one pseudo-division over Z,
@@ -14,15 +17,18 @@ cyclotomic polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple, Union
 
 from .arith import is_prime, jacobi, prime_factors
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Frozen",
     "RationalPoly",
+    "rational",
     "clear_denominators",
     "pdivmod",
     "int_resultant",
@@ -49,12 +55,28 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def rational(n, d=1) -> Union[int, Fraction]:
+    """The exact value n / d in canonical form: an int when it is integral,
+    else a Fraction. n may be anything `Fraction` accepts when d is 1, and n
+    and d any rationals otherwise; d = 0 raises ZeroDivisionError. Only a
+    value that is not an integer builds a Fraction, so `fractions` is
+    imported here, on first need."""
+    if n.__class__ is int and d.__class__ is int:
+        q, r = divmod(n, d)
+        if not r:
+            return q
+    from fractions import Fraction
+
+    x = Fraction(n) if d == 1 else Fraction(n, d)
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalPoly(Frozen):
     __slots__ = ("coeffs",)
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Tuple[Union[int, Fraction], ...]
 
     def __init__(self, coeffs: Iterable) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if c.__class__ is int else rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -83,7 +105,7 @@ class RationalPoly(Frozen):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(c.__class__ is int for c in self.coeffs)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -112,34 +134,35 @@ class RationalPoly(Frozen):
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         d = da * db
-        return RationalPoly(out if d == 1 else [Fraction(v, d) for v in out])
+        return RationalPoly(out if d == 1 else [rational(v, d) for v in out])
 
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def primitive(self) -> Tuple[Fraction, "RationalPoly"]:
+    def primitive(self) -> Tuple[Union[int, Fraction], "RationalPoly"]:
         """content * primitive-part factorization; primitive part has integer
         coefficients, positive leading coefficient, and coefficient gcd 1."""
         if self.is_zero():
-            return Fraction(0), self
+            return 0, self
         den, ints = clear_denominators(self.coeffs)
         g = 0
         for v in ints:
             g = gcd(g, abs(v))
         if ints[-1] < 0:
             g = -g
-        return Fraction(g, den), RationalPoly([v // g for v in ints])
+        return rational(g, den), RationalPoly([v // g for v in ints])
 
     def int_coeffs(self) -> List[int]:
         if not self.is_integral():
             raise ValueError("polynomial has non-integer coefficients")
-        return [int(c) for c in self.coeffs]
+        return list(self.coeffs)
 
     def __str__(self) -> str:
         return format_poly(self)
 
 
-def clear_denominators(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+def clear_denominators(coeffs: Sequence[Union[int, Fraction]]
+                       ) -> Tuple[int, List[int]]:
     """(d, [d * c for c in coeffs]) for d the least common denominator, the
     scaled coefficients as ints."""
     d = lcm(*(c.denominator for c in coeffs))
@@ -197,14 +220,14 @@ def int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
             return s * (b[0] ** da // den)
 
 
-def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
+def resultant(f: RationalPoly, g: RationalPoly) -> Union[int, Fraction]:
     """Res(f, g) over Q; zero iff f and g share a root."""
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     # Res(F/a, G/b) = a^-deg g b^-deg f Res(F, G) for integer F, G
     a, fs = clear_denominators(f.coeffs)
     b, gs = clear_denominators(g.coeffs)
-    return Fraction(int_resultant(fs, gs), a ** g.deg() * b ** f.deg())
+    return rational(int_resultant(fs, gs), a ** g.deg() * b ** f.deg())
 
 
 def _diagonal_binomials(n: int) -> List[int]:

@@ -182,7 +182,7 @@ def isolate_real_roots(f: RationalPoly) -> RootIntervals:
         return RootIntervals(f, (), chain)
     _require_squarefree(chain)
     if f.deg() == 1:
-        r = -f.coeffs[0] / f.coeffs[1]
+        r = Fraction(-f.coeffs[0], f.coeffs[1])
         return RootIntervals(f, (RootInterval(r, r),), chain)
     b = Fraction(_root_bound(chain[0]))
     found: List[RootInterval] = []

@@ -431,6 +431,18 @@ def test_sophie_lower_bounds_past_table_4():
         assert len(classes.representatives) == len(factors)
 
 
+@pytest.mark.parametrize("q", [11, 23, 47, 59, 83, 479])
+def test_lower_bound_same_for_int_and_fraction_y0(q):
+    """y0 = 1 and y0 = Fraction(1) give the same bound and the same
+    classes, whose coordinates are all ints."""
+    f, factors = curve_min_poly(q), min_poly_2cos_split(q)
+    lower, classes = lower_bound_from_points(f, 1, factors=factors)
+    assert lower_bound_from_points(f, Fraction(1), factors=factors) \
+        == (lower, classes)
+    assert all(type(c) is int
+               for a in classes.representatives for c in a.coords)
+
+
 def test_lower_bound_rejects_factors_with_a_wrong_product():
     f = curve_min_poly(23)
     factors = min_poly_2cos_split(23)

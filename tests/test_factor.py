@@ -21,6 +21,7 @@ from jacrank.bounds import curve_min_poly
 from jacrank.factor import factor_over_Q
 from jacrank.modpoly import PrimePoly, factor_mod_p, is_squarefree_mod_p
 from jacrank.polys import RationalPoly
+from test_polys import canonical
 
 
 def roundtrip(f: RationalPoly) -> None:
@@ -107,6 +108,20 @@ def test_rational_content():
     f = RationalPoly([Fraction(-3, 2), 0, Fraction(3, 2)])
     assert factor_over_Q(f) == [RationalPoly([-1, 1]), RationalPoly([1, 1])]
     roundtrip(f)
+
+
+def test_factors_are_canonical():
+    """For lc = 1 every factor has int coefficients; otherwise each
+    coefficient is an int when it is integral and a Fraction when not."""
+    for f in (curve_min_poly(23) - RationalPoly([1]),
+              RationalPoly([0, 3, -3, -4, 1, 1])):
+        assert all(type(c) is int for g in factor_over_Q(f) for c in g.coeffs)
+    f = RationalPoly([-1, 0, 0, 8])  # 8x^3 - 1 = (2x - 1)(4x^2 + 2x + 1)
+    factors = factor_over_Q(f)
+    assert factors == [RationalPoly([Fraction(-1, 2), 1]),
+                       RationalPoly([Fraction(1, 4), Fraction(1, 2), 1])]
+    assert all(canonical(c) for g in factors for c in g.coeffs)
+    assert [type(c) for c in factors[0].coeffs] == [Fraction, int]
 
 
 def test_constant_input():

@@ -34,6 +34,7 @@ from jacrank.polys import RationalPoly, min_poly_2cos
 from jacrank.roots import isolate_real_roots
 from test_f2 import row_kernel_basis
 from test_modpoly import root_test_polys, roots_mod_p
+from test_polys import canonical
 
 Q7 = NumberField(min_poly_2cos(7, True))            # x^3 - x^2 - 2x + 1
 Q11 = NumberField(min_poly_2cos(11, False))         # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
@@ -103,6 +104,40 @@ def test_norm_multiplicative():
             assert field.norm(a * b) == field.norm(a) * field.norm(b)
         c = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
         assert field.norm(field.element([c])) == c ** field.degree
+
+
+def test_coordinates_and_norms_are_canonical():
+    """element, from_poly, products and norm give an int for an integral
+    value and a Fraction for any other; elements built from ints and from
+    equal Fractions compare and hash equal, and copy and pickle keep the
+    form."""
+    rng = random.Random(3131)
+    for field in (Q7, Q11, F143):
+        ints = field.element([rng.randrange(-6, 7)
+                              for _ in range(field.degree)])
+        fracs = field.element([Fraction(2 * c, 2) for c in ints.coords])
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert all(type(c) is int for c in fracs.coords)
+        assert type(field.norm(fracs)) is int
+        assert all(type(c) is int for c in (fracs * fracs).coords)
+        g = RationalPoly([rng.randrange(-6, 7)
+                          for _ in range(field.degree + 3)])
+        assert all(type(c) is int for c in field.from_poly(g).coords)
+        for _ in range(10):
+            a = rand_elem(field, rng)
+            values = [*a.coords, *(a * a).coords, field.norm(a),
+                      *field.from_poly(RationalPoly(a.coords)
+                                       * RationalPoly([0, 1])).coords]
+            assert all(map(canonical, values)), a
+        for a in (ints, rand_elem(field, rng)):
+            for b in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+                assert b == a and hash(b) == hash(a)
+                assert [type(c) for c in b.coords] == \
+                    [type(c) for c in a.coords]
+        zero = field.element([])
+        assert zero.coords == (0,) * field.degree
+        assert type(field.norm(field.element([0]))) is int
 
 
 def test_signature_values():
@@ -585,7 +620,7 @@ def reference_root(field, a):
             continue
         cand = numberfield._rational_coords(x, m, p)
         if cand is not None:
-            w = field.element([c / d for c in cand])
+            w = field.element([Fraction(n, den * d) for n, den in cand])
             if w * w == a:
                 return w
     raise SquarenessUndetermined("reference witness failed")

@@ -7,6 +7,8 @@ implementation. The pseudo-division oracle is sympy's `pdiv`.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb, cos, gcd, pi
@@ -26,6 +28,7 @@ from jacrank.polys import (
     min_poly_2cos_roots,
     min_poly_2cos_split,
     pdivmod,
+    rational,
     resultant,
 )
 
@@ -64,7 +67,7 @@ def discriminant(f: RationalPoly) -> Fraction:
     if n < 1:
         raise ValueError("constant polynomial has no discriminant")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.coeffs[-1]
+    return Fraction(sign * resultant(f, f.derivative()), f.coeffs[-1])
 
 
 def sylvester_resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
@@ -121,6 +124,63 @@ def test_construction_normalizes():
     assert RationalPoly([0, 0]).deg() == -1
     assert RationalPoly([5]).deg() == 0
     assert RationalPoly([Fraction(1, 2), 1]).deg() == 1
+
+
+def canonical(x) -> bool:
+    """x is an int when it is integral and a Fraction when it is not."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_rational_is_an_int_exactly_when_integral():
+    for n, d, want in [(6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0),
+                       (1, 2, Fraction(1, 2)), (-4, 6, Fraction(-2, 3)),
+                       (Fraction(3, 2), Fraction(1, 2), 3),
+                       (Fraction(1, 2), 3, Fraction(1, 6))]:
+        assert rational(n, d) == want and canonical(rational(n, d)), (n, d)
+    for value, want in [(7, 7), (Fraction(4, 2), 2), ("3/1", 3), ("2/6",
+                        Fraction(1, 3)), (1.5, Fraction(3, 2)), (True, 1)]:
+        assert rational(value) == want and canonical(rational(value)), value
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+
+
+def test_coefficients_are_canonical():
+    """Construction, products, the content and the resultant give an int
+    for an integral value and a Fraction for any other, whether the input
+    was given as ints or as Fractions."""
+    rng = random.Random(31)
+    for i in range(60):
+        max_den = 1 if i < 30 else 4
+        a = random_poly(rng, 5, max_den=max_den)
+        b = random_poly(rng, 5, max_den=max_den)
+        content, prim = a.primitive()
+        values = [*a.coeffs, *(a * b).coeffs, content, *prim.coeffs,
+                  resultant(a, b)]
+        assert all(map(canonical, values)), (a, b)
+        if max_den == 1:
+            assert all(type(c) is int for c in values)
+        assert all(type(c) is int for c in prim.coeffs)
+        assert RationalPoly(a.coeffs) == a
+    assert RationalPoly([]).primitive()[0] == 0
+    assert type(RationalPoly([]).primitive()[0]) is int
+
+
+def test_int_and_fraction_inputs_build_one_value():
+    """Equal ints and Fractions build polynomials that compare and hash
+    equal and have the same int coefficients; copy and pickle rebuild
+    them through the constructor in the same form."""
+    ints = RationalPoly([3, 0, -2, 1])
+    fracs = RationalPoly([Fraction(3), Fraction(0), Fraction(-4, 2), 1])
+    half = RationalPoly([Fraction(1, 2), 1])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ints.coeffs == fracs.coeffs
+    assert all(type(c) is int for c in fracs.coeffs)
+    assert [type(c) for c in half.coeffs] == [Fraction, int]
+    for f in (ints, fracs, half):
+        for g in (copy.copy(f), copy.deepcopy(f),
+                  pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
+            assert [type(c) for c in g.coeffs] == [type(c) for c in f.coeffs]
 
 
 def test_arithmetic_identities():

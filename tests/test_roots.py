@@ -31,7 +31,7 @@ def monic_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
     if g.deg() < 0:
         return g
-    return RationalPoly([c / g.coeffs[-1] for c in g.coeffs])
+    return RationalPoly([Fraction(c, g.coeffs[-1]) for c in g.coeffs])
 
 
 def _variations_inf(chain, positive: bool) -> int:
@@ -174,6 +174,16 @@ def test_exact_rational_roots_isolated():
     assert mids == pytest.approx([-2.0, 0.5, 1.0], abs=1e-3)
 
 
+def test_linear_root_is_an_exact_fraction():
+    """The root of an integer linear f is a Fraction, never a float."""
+    for coeffs, root in [([-1, 3], Fraction(1, 3)), ([4, 2], Fraction(-2)),
+                         ([Fraction(1, 2), Fraction(-3, 4)], Fraction(2, 3)),
+                         ([10**20 + 1, 3], Fraction(-(10**20 + 1), 3))]:
+        (iv,) = isolate_real_roots(RationalPoly(coeffs))
+        assert iv == (root, root)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+
+
 def test_non_squarefree_rejected():
     f = RationalPoly([-1, 1]) * RationalPoly([-1, 1])
     with pytest.raises(ValueError):
@@ -256,8 +266,8 @@ def test_fujiwara_interval_holds_every_real_root():
     for f in polys:
         chain = _sturm_chain(_int_poly(f))
         b = Fraction(_root_bound(chain[0]))
-        c = Fraction((1 + max(abs(x) for x in f.coeffs[:-1])
-                      / abs(f.coeffs[-1])).__ceil__())
+        c = Fraction((1 + Fraction(max(abs(x) for x in f.coeffs[:-1]),
+                                   abs(f.coeffs[-1]))).__ceil__())
         assert _sign_at_point(chain[0], -b) != 0
         assert _count_in(chain, -b, b) == _count_in(chain, -c, c) \
             == real_root_count(f), f

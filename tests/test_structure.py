@@ -5,8 +5,9 @@ environment, no generated or Cython source, no file in the package but
 Python modules and data tables, no module importing `dataclasses`, a CLI
 import that pulls in no process-pool, pickling, class-generation or
 Fraction machinery, each subcommand running only the module bodies of its
-route, a lazy public API, and every layer the traced benchmark wraps by
-name still exists and is traced."""
+route, no true division outside the modules whose values are Fractions, a
+lazy public API, and every layer the traced benchmark wraps by name still
+exists and is traced."""
 
 from __future__ import annotations
 
@@ -272,6 +273,41 @@ def test_cli_import_stays_flat():
     assert proc.stdout.split() == []
 
 
+# the modules whose values are Fractions by construction: root-interval
+# endpoints and the sharpness ratios; everywhere else an exact value may be
+# an int, which `/` would turn into a float
+FRACTION_MODULES = {"roots", "stats"}
+
+
+def _rooted_at_path(node: ast.expr) -> bool:
+    """Whether node is built from a `Path(...)` call, so that `/` on it
+    joins paths."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.BinOp)):
+        node = (node.value if isinstance(node, ast.Attribute) else
+                node.func if isinstance(node, ast.Call) else node.left)
+    return isinstance(node, ast.Name) and node.id == "Path"
+
+
+def test_no_true_division_on_integer_data():
+    """Integral values are stored as ints, so `/` or `/=` on them would
+    give a float; an exact quotient is built as `polys.rational(n, d)` or
+    an explicit Fraction."""
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem in FRACTION_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                left = node.left
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                left = node.target
+            else:
+                continue
+            if not _rooted_at_path(left):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
 def _traced_layers():
     tree = ast.parse(TRACER.read_text(), str(TRACER))
     for node in tree.body:
@@ -293,8 +329,10 @@ def test_traced_layers_resolve():
         assert callable(obj), (module, attr)
 
 
-# argv, the module bodies it runs, and the HEAVY modules it may load: only
-# the lower-bound routes build Fractions
+LOWER_BOUND_MODULES = ({p.stem for p in PACKAGE_DIR.glob("*.py")}
+                       - {"__init__", "__main__", "stats", "cyclosig", "roots"})
+# argv, the module bodies it runs, and the HEAVY modules it may load: integer
+# data stay ints, so only a --y0 that is not an integer builds a Fraction
 ROUTES = {
     "washington": (["washington", "--m", "1..300"],
                    {"cli", "arith", "stores", "bounds"}, set()),
@@ -302,12 +340,12 @@ ROUTES = {
                  {"cli", "arith", "f2", "cyclosig"}, set()),
     "sophie-lower": (["sophie", "--q", "11", "--lower"],
                      {"cli", "arith", "f2", "stores", "bounds", "polys",
-                      "numberfield"},
-                     {"fractions", "decimal"}),
-    "lower-bound": (["lower-bound", "--poly", "1,-4,1,1"],
-                    {p.stem for p in PACKAGE_DIR.glob("*.py")}
-                    - {"__init__", "__main__", "stats", "cyclosig", "roots"},
-                    {"fractions", "decimal"}),
+                      "numberfield"}, set()),
+    "lower-bound": (["lower-bound", "--poly", "1,-4,1,1", "--y0", "1"],
+                    LOWER_BOUND_MODULES, set()),
+    "lower-bound-rational-y0": (
+        ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1/2"],
+        LOWER_BOUND_MODULES, {"fractions", "decimal"}),
 }
 
 
