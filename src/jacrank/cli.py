@@ -199,10 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="signature-matrix certificates for all pairs up to max-q")
     r.add_argument("--max-q", type=int, required=True, metavar="N")
     r.add_argument("--threads", type=int, default=0, metavar="T",
-                   help="worker processes certifying pairs in parallel: "
-                        "1 runs serially, 0 (default) one per available "
-                        "CPU, larger values are clamped to the CPUs and "
-                        "pairs; the output never depends on it")
+                   help="forked child processes certifying pairs in "
+                        "parallel: 1 runs serially, 0 (default) one per "
+                        "available CPU, larger values are clamped to the "
+                        "CPUs and pairs; the output never depends on it")
     r.set_defaults(func=_cmd_scan_rho)
 
     lb = sub.add_parser("lower-bound",

@@ -80,11 +80,10 @@ No step is probabilistic: every route is exact.
 
 The scan spreads the pairs over forked worker processes: the routes are pure
 Python, so threads would share one core under the interpreter lock. When
-the workers take every CPU of the process's affinity mask, each is pinned
-to a CPU of its own: the scheduler tends to keep a short-lived forked
-child on its parent's CPU, where the two shares would run one after the
-other, and pinning the child alone leaves the parent free to follow it
-there. The placement is best effort, and the caller's mask is restored.
+the workers take every CPU of the process's affinity mask, each child is
+pinned to a CPU of its own, best effort: the scheduler tends to keep a
+short-lived forked child on its parent's CPU, where two shares would run
+one after the other. The parent only waits, so it is never pinned.
 """
 
 from __future__ import annotations
@@ -528,35 +527,28 @@ def _read_to_eof(fd: int) -> bytes:
 
 def _scan_forked(pairs: List[SophieGermainPair], workers: int,
                  cpus: Optional[List[int]]) -> List[RhoInftyCertificate]:
-    """The parent certifies the first share while a forked child certifies
-    each other one. Given cpus, child k is pinned to cpus[k] and the parent
-    to cpus[0]; the parent's mask is restored and every child reaped before
+    """A forked child certifies each share, pinned to cpus[k] for share k
+    if cpus is given, while the parent waits; every child is reaped before
     this returns or raises."""
-    shares = _shares(pairs, workers)
-    own = list(shares[0])
+    d_infty = {}
     children: List[Tuple[int, int, List[int]]] = []  # pid, read end, share
     outputs: List[bytes] = []
-    saved = None if cpus is None else os.sched_getaffinity(0)
     try:
-        for k, share in enumerate(shares[1:], 1):
+        for k, share in enumerate(_shares(pairs, workers)):
             try:
                 pid, read_end = _fork_share(
                     pairs, share, None if cpus is None else cpus[k])
             except OSError:  # no process or pipe to spare: certify it here
-                own += share
+                d_infty.update((i, certify_rho_infty(pairs[i]).d_infty)
+                               for i in share)
                 continue
             children.append((pid, read_end, share))
-        if cpus is not None:  # after the forks, which must not inherit it
-            _place({cpus[0]})
-        d_infty = {i: certify_rho_infty(pairs[i]).d_infty for i in own}
         outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
     except BaseException:
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        if saved is not None:
-            _place(saved)
         statuses = []
         for pid, read_end, _ in children:
             os.close(read_end)
@@ -573,15 +565,14 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int,
 def scan_sophie_germain(q_max: int, workers: int = 1) -> List[RhoInftyCertificate]:
     """Certify every pair with q <= q_max, in ascending q.
 
-    workers > 1 forks up to workers - 1 child processes, never more than
-    the pairs or the CPUs available to the process allow, and the parent
-    certifies one share itself; workers = 0 means one per available CPU.
-    When the workers take every CPU of the sorted affinity mask cpus,
-    child k is pinned to cpus[k] and the parent, for its own share, to
-    cpus[0], best effort: a forked child left to the scheduler tends to
-    share its parent's CPU. The caller's mask is restored before this
-    returns or raises, workers <= 1 makes no affinity call, and with CPUs
-    to spare (a case not measured) the scheduler places the workers. The
+    workers > 1 forks up to workers child processes, one per share, never
+    more than the pairs or the CPUs available to the process allow, and
+    the parent only waits; workers = 0 means one per available CPU. When
+    the workers take every CPU of the sorted affinity mask cpus, child k
+    is pinned to cpus[k], best effort: a forked child left to the
+    scheduler tends to share its parent's CPU. The caller's own mask is
+    never changed, workers <= 1 makes no affinity call, and with CPUs to
+    spare (a case not measured) the scheduler places the workers. The
     result does not depend on workers. A child that fails has its share
     certified again by the parent, so an exception surfaces as on the
     serial path. A caller running other threads should keep workers = 1:

@@ -1,7 +1,5 @@
 """Shared fixtures, built once per session: the serial certified scan, and
-the reference F2 gcd that the tests check the production gcd against; and
-one per test, the check that the test leaves the CPU affinity mask as it
-found it.
+the reference F2 gcd that the tests check the production gcd against.
 
 The reference is `_f2core.c` beside this file, a C schoolbook gcd compiled
 into pytest's temporary directory when a C compiler is present; the package
@@ -75,19 +73,3 @@ def certified_scan():
     certs = scan_sophie_germain(92459)
     return certs, time.monotonic() - start
 
-
-@pytest.fixture(autouse=True)
-def affinity_mask_kept():
-    """Fail a test that leaves the process pinned to other CPUs than it
-    found, and undo the pin so the next test starts clean: a forked scan
-    pins the caller for its own share and must give it its mask back.
-    Autouse fixtures are set up before a test's monkeypatch, so this reads
-    the real mask on both sides."""
-    get = getattr(os, "sched_getaffinity", None)
-    before = get(0) if get else None
-    yield
-    after = get(0) if get else None
-    if after != before:
-        os.sched_setaffinity(0, before)
-        pytest.fail(f"CPU affinity mask left as {sorted(after)}, "
-                    f"found as {sorted(before)}")

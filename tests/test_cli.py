@@ -146,7 +146,7 @@ def test_scan_rho_threads_clamped_to_cpus(capsys, monkeypatch):
         code, out, _ = run(capsys, "scan-rho", "--max-q", "300",
                            "--threads", "1000000")
     assert code == 0 and out == serial
-    assert len(forks) == 3  # four workers: the parent and three children
+    assert len(forks) == 4  # four workers, each a forked child
 
 
 def test_scan_rho_negative_threads_is_invalid(capsys):

@@ -627,7 +627,7 @@ def test_scan_certifies_unforked_shares_in_parent(monkeypatch):
 def test_scan_finds_each_order_once(monkeypatch):
     """ord_p(2) is found once per pair, from the group order p - 1: on the
     serial path by certify_rho_infty, on the forked path by `_shares` in
-    the parent, whose cache the parent's own share and the children use."""
+    the parent, whose cache the children inherit."""
     monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     calls = []
 
@@ -656,11 +656,24 @@ def test_scan_shares_balance_estimated_work():
     assert max(work) - min(work) <= max(estimate)
 
 
-@pytest.mark.parametrize("share", [0, 1], ids=["parent-share", "child-share"])
-def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
-    real_mask = getattr(os, "sched_getaffinity", lambda pid: None)
-    before = real_mask(0)
+@pytest.mark.parametrize("share, refused", [(0, False), (1, False), (1, True)],
+                         ids=["first-share", "child-share", "refused-fork"])
+def test_scan_worker_failure_surfaces_as_serial(share, refused, monkeypatch,
+                                                capsys):
+    """A failure in a child's share, or in a share the parent certifies
+    because its fork was refused (while the first share's child runs),
+    raises the serial path's exception and exits 3 with empty stdout."""
     monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
+    if refused:
+        real_fork, forks = os.fork, []
+
+        def second_refused():
+            forks.append(1)
+            if len(forks) % 2 == 0:
+                raise BlockingIOError("no process to spare")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
     pairs = sophie_germain_pairs(2000)
     bad = pairs[_shares(pairs, 2)[share][0]]
     real = cyclosig.certify_rho_infty
@@ -676,10 +689,10 @@ def test_scan_worker_failure_surfaces_as_serial(share, monkeypatch, capsys):
         scan_sophie_germain(2000)
     with pytest.raises(RuntimeError, match=message), deadline(60):
         scan_sophie_germain(2000, workers=2)
-    assert real_mask(0) == before  # the caller's mask, also on a raise
     with deadline(60):
         assert cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"]) == 3
-    assert real_mask(0) == before
+    if refused:
+        assert len(forks) == 4  # one child and one refused fork per scan
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"certification failure: {message}\n"
@@ -702,9 +715,8 @@ def read_placements(path):
 def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
     """Every os.sched_setaffinity call, in the parent or a forked child,
     appends a line to a file. Given three CPUs, the process's own where its
-    mask has three, a three-worker scan pins each worker to one of them, a
-    different one each, and the parent's last call gives it back the mask
-    it had."""
+    mask has three, a three-worker scan pins each child to one of them, a
+    different one each, and never calls it in the parent."""
     real_get, real_set = os.sched_getaffinity, os.sched_setaffinity
     before = real_get(0)
     cpus = sorted(before)[:3] if len(before) >= 3 else [0, 1, 2]
@@ -726,16 +738,10 @@ def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
     assert certs == [certify_rho_infty(pr) for pr in pairs]
     assert real_get(0) == before
     calls = read_placements(log)
-    parent = os.getpid()
-    first = {}
-    for pid, asked, _ in calls:
-        first.setdefault(pid, asked)
-    assert len(first) == 3 and first[parent] == {cpus[0]}
-    assert sorted(min(asked) for asked in first.values()) == cpus
-    assert all(len(asked) == 1 for asked in first.values())
-    assert [asked for pid, asked, _ in calls if pid == parent] == [
-        {cpus[0]}, before]
-    assert len(calls) == 4  # twice in the parent, once in each child
+    assert os.getpid() not in {pid for pid, _, _ in calls}
+    assert len({pid for pid, _, _ in calls}) == len(calls) == 3  # one a child
+    assert sorted(min(asked) for _, asked, _ in calls) == cpus
+    assert all(len(asked) == 1 for _, asked, _ in calls)
     # the kernel did as asked wherever the CPUs are the process's own
     assert all(asked == got for _, asked, got in calls if asked <= before)
 
@@ -744,7 +750,7 @@ def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
 def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
                                                       capsys):
     """A refused placement changes no certificate, output or exit code, and
-    the parent certifies only its own share: no child fails for it."""
+    the parent certifies nothing: no child fails for it."""
     monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
     serial = cli_main(["scan-rho", "--max-q", "2000", "--threads", "1"]), \
         capsys.readouterr()
@@ -758,7 +764,6 @@ def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
     pairs = sophie_germain_pairs(2000)
     expected = [certify_rho_infty(pr) for pr in pairs]
-    own = [pairs[i] for i in _shares(pairs, 2)[0]]
     parent, calls = os.getpid(), []
     real = cyclosig.certify_rho_infty
 
@@ -770,13 +775,12 @@ def test_scan_runs_unplaced_when_placement_is_refused(refusal, monkeypatch,
     monkeypatch.setattr(cyclosig, "certify_rho_infty", counted)
     with deadline(60):
         assert scan_sophie_germain(2000, workers=2) == expected
-    assert calls == own
-    del calls[:]
+    assert calls == []
     with deadline(60):
         code = cli_main(["scan-rho", "--max-q", "2000", "--threads", "2"])
     assert (code, capsys.readouterr()) == serial
     assert serial[0] == 0 and serial[1].err == ""
-    assert calls == own
+    assert calls == []
 
 
 def test_scan_makes_no_affinity_call_unless_workers_take_every_cpu(
