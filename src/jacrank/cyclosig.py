@@ -532,6 +532,7 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int,
     this returns or raises."""
     d_infty = {}
     children: List[Tuple[int, int, List[int]]] = []  # pid, read end, share
+    refused: List[int] = []
     outputs: List[bytes] = []
     try:
         for k, share in enumerate(_shares(pairs, workers)):
@@ -539,10 +540,11 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int,
                 pid, read_end = _fork_share(
                     pairs, share, None if cpus is None else cpus[k])
             except OSError:  # no process or pipe to spare: certify it here
-                d_infty.update((i, certify_rho_infty(pairs[i]).d_infty)
-                               for i in share)
+                refused.extend(share)
                 continue
             children.append((pid, read_end, share))
+        # after every fork, so the children run alongside it
+        d_infty.update((i, certify_rho_infty(pairs[i]).d_infty) for i in refused)
         outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
     except BaseException:
         for pid, _, _ in children:

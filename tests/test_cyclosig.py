@@ -700,6 +700,37 @@ def test_scan_worker_failure_surfaces_as_serial(share, refused, monkeypatch,
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
 
+def test_scan_certifies_a_refused_share_after_every_fork(monkeypatch):
+    """When the first fork is refused, the parent certifies that share only
+    after it has forked the others, so they run alongside it."""
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1, 2])
+    monkeypatch.setattr(cyclosig, "_place", lambda cpus: None)
+    real_fork, forks = os.fork, []
+
+    def first_refused():
+        forks.append(1)
+        if len(forks) == 1:
+            raise BlockingIOError("no process to spare")
+        return real_fork()
+
+    pairs = sophie_germain_pairs(2000)
+    expected = [certify_rho_infty(pr) for pr in pairs]
+    parent, forks_seen = os.getpid(), []
+    real = cyclosig.certify_rho_infty
+
+    def counted(pair, method="gcd"):
+        if os.getpid() == parent:
+            forks_seen.append(len(forks))
+        return real(pair, method)
+
+    monkeypatch.setattr(os, "fork", first_refused)
+    monkeypatch.setattr(cyclosig, "certify_rho_infty", counted)
+    with deadline(60):
+        assert scan_sophie_germain(2000, workers=3) == expected
+    assert len(forks_seen) == len(_shares(pairs, 3)[0])
+    assert set(forks_seen) == {3}
+
+
 def read_placements(path):
     """(pid, requested CPUs, mask after the call) per logged call."""
     calls = []
@@ -739,7 +770,8 @@ def test_scan_places_each_worker_on_its_own_cpu(monkeypatch, tmp_path):
     assert real_get(0) == before
     calls = read_placements(log)
     assert os.getpid() not in {pid for pid, _, _ in calls}
-    assert len({pid for pid, _, _ in calls}) == len(calls) == 3  # one a child
+    # one call in each of the three children
+    assert len({pid for pid, _, _ in calls}) == len(calls) == 3
     assert sorted(min(asked) for _, asked, _ in calls) == cpus
     assert all(len(asked) == 1 for _, asked, _ in calls)
     # the kernel did as asked wherever the CPUs are the process's own
