@@ -186,8 +186,6 @@ def two_inert_in_real_cyclotomic(p: int) -> bool:
     i.e. the order of 2 in (Z/p)^x modulo {+-1} equals (p-1)/2."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    if p == 3:
-        return True  # degree-one field
     order = order_dividing(2, p, p - 1)
     if order % 2 == 0 and pow(2, order // 2, p) == p - 1:
         order //= 2  # -1 lies in <2>, halving the order in the quotient

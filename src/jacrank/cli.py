@@ -66,6 +66,8 @@ def _cmd_washington(args: argparse.Namespace) -> int:
 
 
 def _cmd_sophie(args: argparse.Namespace) -> int:
+    if args.scan_bound < 0:
+        raise ValueError(f"scan-bound must be non-negative, got {args.scan_bound}")
     qs = [int(part) for part in args.q.split(",")]
     store = _load_store(args.clgroups)
     invalid = partial = False

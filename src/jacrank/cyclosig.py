@@ -21,15 +21,12 @@ The gcd route reads w off the binary digits of 1/q, packed in the order the
 digits come (bit p-1-k = w_k), which as a polynomial is the reversal
 x^(p-1) w(1/x). Since x -> 1/x is an automorphism of F2[x]/(x^p - 1) and x
 a unit there, the reversal has the gcd degree of w; below, w stands for
-the packed word. The degree of the gcd is found in one of four exact
+the packed word. The degree of the gcd is found in one of three exact
 ways. Let m = ord_p(2) and e = (p-1)/m. Over F2, x^p - 1 is x + 1 times
 one irreducible factor of degree m for each of the e cosets C_0, ...,
 C_{e-1} of H = <2> in (Z/p)^x: the roots zeta^n, n in C_i, are one
 Frobenius orbit (Lidl & Niederreiter, Finite Fields, Thm 2.47).
 
-- e = 1 (2 is a primitive root mod p): x^p - 1 = (x + 1) Phi_p with Phi_p
-  irreducible, so the gcd is fixed by the parity of w and by whether w is
-  0 or all-ones.
 - Coset probe. In R = F2[x]/(x^p - 1) let D_i = sum of x^n over n in C_i.
   Since a(x)^2 = a(x^2) over F2, the elements with coefficients constant
   on {0} and on each C_i, that is the span A of 1, D_0, ..., D_{e-1}, are
@@ -47,18 +44,19 @@ Frobenius orbit (Lidl & Niederreiter, Finite Fields, Thm 2.47).
   the cosets relabelled by n -> -n) and bit e = w_j. The e coset bits of
   row j sum to the parity of w off position j, w_j + wt w mod 2, so adding
   the other columns to column e - 1 turns it into the constant wt w mod 2
-  and leaves the rank as it was: the last coset is never labelled. Rows
-  j = 0, 1, ... are eliminated until the rank reaches e + 1 - [wt w even],
-  which proves deg gcd = [wt w even]. All p rows give dim w A, as do any
-  k consecutive ones, k = dim R w, since they are an information set of
-  the cyclic code R w (a column operation keeps the rank of every set of
-  rows); on the certified range the rank is reached within e + 10 rows,
-  and within e + 6 for e > 2. After e + 64 rows, unless that is all p of
-  them, the word goes to the general gcd. The coset masks come from a walk
-  of half of <2> or less, completed by doublings n -> 2n, and each coset
-  from the one before by n -> gn, each such map a few slices of an array
-  of p digits (`_coset_masks`). The rows cost about e^2 AND-popcounts of
-  p bits.
+  and leaves the rank as it was: the last coset is never labelled, and
+  when e = 1 (2 a primitive root mod p) none is, each row being (w_j,
+  wt w mod 2). Rows j = 0, 1, ... are eliminated until the rank reaches
+  e + 1 - [wt w even], which proves deg gcd = [wt w even]. All p rows give
+  dim w A, as do any k consecutive ones, k = dim R w, since they are an
+  information set of the cyclic code R w (a column operation keeps the
+  rank of every set of rows); on the certified range the rank is reached
+  within e + 10 rows, and within e + 6 for e > 2. After e + 64 rows,
+  unless that is all p of them, the word goes to the general gcd. The
+  coset masks come from a walk of half of <2> or less, completed by
+  doublings n -> 2n, and each coset from the one before by n -> gn, each
+  such map a few slices of an array of p digits (`_coset_masks`). The rows
+  cost about e^2 AND-popcounts of p bits.
 - Coset probe built column by column, for large e (`_probe_columns`): the
   same matrix, its first R = 64 L >= e + 1 + 8 rows at once. Bit j of
   coset column i is the parity of w over C_i + j, which is bit j of the
@@ -139,14 +137,12 @@ class RhoInftyCertificate(NamedTuple):
 
 def sophie_germain_pairs(q_max: int) -> List[SophieGermainPair]:
     """All pairs (p, q) with q <= q_max, q = 2p+1, both prime, p odd."""
-    if q_max < 7:
-        return []
     primes = primes_upto(q_max)
     sieve = set(primes)
     out = []
     for q in primes:
         p = (q - 1) // 2
-        if q >= 7 and q % 2 == 1 and p in sieve:
+        if q >= 7 and p in sieve:
             # the sieve proved p and q prime: build without the checks
             out.append(_SophieGermainPair.__new__(SophieGermainPair, p, q))
     return out
@@ -215,10 +211,9 @@ _COLUMN_SPARE_ROWS = 8
 _WALK_STEPS_PER_DOUBLING = 64
 # measured cost of each route in bit operations of the gcd's p-bit
 # shift-xors (pure Python, 2-core host, the pairs with q <= 92459): the
-# closed form per bit of p; the probe's rows per e^2 p and its labelling
-# per p; the column-wise probe's gathers per lane and p, its windows and
-# positions per p, and its elimination per lane and e^2
-_PRIMITIVE_WORK = 20
+# probe's rows per e^2 p and its labelling, when e > 1, per p; the
+# column-wise probe's gathers per lane and p, its windows and positions per
+# p, and its elimination per lane and e^2
 _PROBE_ROW_WORK, _PROBE_LABEL_WORK = 6, 700
 _LANE_WORK, _COLUMN_WORK, _ELIMINATION_WORK = 3300, 1800, 80
 
@@ -231,18 +226,20 @@ def _column_lanes(e: int) -> int:
 @lru_cache(maxsize=None)
 def _route(p: int) -> Tuple[str, int, int]:
     """How certify_rho_infty finds deg gcd(w, x^p - 1) for the prime p: the
-    route ("primitive", "probe", "columns" or "gcd"), m = ord_p(2), and
+    route ("probe", "columns" or "gcd"), m = ord_p(2), and
     the route's estimated work in bit operations, which `_shares`
     balances. It is cached, so a scan finds each order once: `_shares` in
     the parent, then `certify_rho_infty` in the parent or in a forked
     child, which inherits the cache.
 
     The gcd runs about p shift-xors of p-bit words, p^2 bit operations.
-    The probe's rows cost about e^2 AND-and-popcounts of p bits plus its
-    coset labelling; it is preferred to the gcd when 8 e^2 <= p, where it
-    measured (pure Python, pairs with q <= 92459) a median 3x faster than
-    the gcd below p = 2000 and 17x above p = 30000, and slower only at
-    p = 41, 911 and 1013, by under 0.1 ms. The column-wise probe costs
+    The probe's rows cost about e^2 AND-and-popcounts of p bits plus, when
+    e > 1, its coset labelling; it is preferred to the gcd when 8 e^2 <= p.
+    There it measured (pure Python, pairs with q <= 92459) for e > 1 a
+    median 3x faster than the gcd below p = 2000 and 17x above p = 30000,
+    and slower only at p = 41, 911 and 1013, by under 0.1 ms; for e = 1,
+    a few rows of two bits, it took 3 to 13 us a pair, slower than the gcd
+    only at p = 11, by 0.1 us. The column-wise probe costs
     about p gathers of 64-bit windows per lane of 64 rows, a walk and the
     positions of the cosets, and an elimination on e + 1 columns; it is
     taken where its estimate is below that of the probe or gcd so chosen.
@@ -250,15 +247,15 @@ def _route(p: int) -> Tuple[str, int, int]:
     329, where it measured (best of 5, two sweeps) 1.4x to 2.8x faster
     than the route it replaced for e >= 40 and within the host's noise at
     e = 32 and 329; at e = 1285 (p = 43691) the gcd stays 3-4x cheaper.
-    The primitive-root closed form reads the word and its weight. The
-    constants above put each estimate within about 30 % of its route's
-    measured time on those pairs above p = 1500."""
+    The constants above put each estimate within about 30 % of its route's
+    measured time on those pairs above p = 1500, but for the probe at
+    e = 1, whose microseconds are mostly fixed costs left out of its
+    estimate; all 280 such pairs together take about 2 ms."""
     m = order_dividing(2, p, p - 1)  # p is prime: (Z/p)^x has order p - 1
     e = (p - 1) // m
-    if e == 1:
-        return "primitive", m, _PRIMITIVE_WORK * p
     if 8 * e * e <= p:
-        route, work = "probe", (_PROBE_ROW_WORK * e * e + _PROBE_LABEL_WORK) * p
+        label = _PROBE_LABEL_WORK if e > 1 else 0
+        route, work = "probe", (_PROBE_ROW_WORK * e * e + label) * p
     else:
         route, work = "gcd", p * p
     lanes = _column_lanes(e)
@@ -266,14 +263,6 @@ def _route(p: int) -> Tuple[str, int, int]:
     if columns < work:
         return "columns", m, columns
     return route, m, work
-
-
-def _primitive_gcd_degree(w: int, p: int) -> int:
-    """deg gcd(w, x^p - 1) over F2 for a length-p word w, when 2 is a
-    primitive root mod p: x + 1 divides w iff its weight is even, and the
-    irreducible Phi_p of degree p-1 divides w iff w is 0 or all-ones. This
-    is the e = 1 case of the probe's identity."""
-    return (w.bit_count() % 2 == 0) + (p - 1) * (w in (0, (1 << p) - 1))
 
 
 def _poly_gcd_degree(w: int, p: int) -> int:
@@ -304,8 +293,8 @@ def _quotient_generator(p: int, e: int) -> int:
 
 def _coset_masks(p: int, m: int) -> List[int]:
     """The masks sum of 2^n over n in C of the cosets C = H, gH, ...,
-    g^(e-2)H of H = <2> in (Z/p)^x, all but the last of the e = (p-1)/m >= 2;
-    the probe needs no mask of the last (`_probe_rows`).
+    g^(e-2)H of H = <2> in (Z/p)^x, all but the last of the e = (p-1)/m,
+    so none when e = 1; the probe needs no mask of the last (`_probe_rows`).
 
     Each coset C is built as the p ASCII digits of -C, digit n' being 1
     exactly when n' is in -C. Read as a binary number, digit 0 the highest,
@@ -322,6 +311,8 @@ def _coset_masks(p: int, m: int) -> List[int]:
     dilations and e - 1 conversions of p digits, and holds O(p) bytes
     besides the masks."""
     e = (p - 1) // m
+    if e == 1:
+        return []
     half = m if m % 2 else m // 2
     d = max(1, isqrt(_WALK_STEPS_PER_DOUBLING * half // p))
     step = pow(2, d, p)
@@ -445,9 +436,7 @@ def certify_rho_infty(pair: SophieGermainPair, method: str = "gcd") -> RhoInftyC
     if method == "gcd":
         w = orbit_word(pair)
         route, m, _ = _route(p)
-        if route == "primitive":
-            d = p - _primitive_gcd_degree(w, p)
-        elif route in ("probe", "columns"):
+        if route in ("probe", "columns"):
             d = p - _probe_gcd_degree(w, p, m, columns=route == "columns")
         else:
             d = p - _poly_gcd_degree(w, p)

@@ -5,9 +5,9 @@ Oracles: exact real-root isolation for the canonical unit's signs
 floating-point conjugates, checked to lie well apart and away from 0, the
 matrix-rank route as an independent check of the gcd route,
 the doubling-loop orbit word and the general F2 gcd as references for the
-closed-form word, the primitive-root shortcut and the coset probe, row by
-row and column by column, on the whole certified range, on seeded random
-words and on words built to vanish on a coset, the walk of <2> as the
+closed-form word and the coset probe, row by row and column by column, on
+the whole certified range, on seeded random words (2 a primitive root mod
+p included) and on words built to vanish on a coset, the walk of <2> as the
 reference coset labelling, the row-wise probe matrix as the reference for
 its column-wise build, and frozen small cases worked by hand.
 """
@@ -34,7 +34,6 @@ from jacrank.cyclosig import (
     _column_lanes,
     _coset_masks,
     _poly_gcd_degree,
-    _primitive_gcd_degree,
     _probe_columns,
     _probe_gcd_degree,
     _probe_rows,
@@ -330,7 +329,7 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, refere
     assert len(pairs) == CERTIFIED_PAIRS
     certs, _ = certified_scan
     assert [c.pair for c in certs] == pairs
-    routes = {"primitive": 0, "probe": 0, "columns": 0, "gcd": 0}
+    routes = {"probe": 0, "columns": 0, "gcd": 0}
     for pair, cert in zip(pairs, certs):
         w = orbit_word(pair)
         assert w == loop_orbit_word(pair), pair  # digit order: bit p-1-k = w_k
@@ -339,20 +338,17 @@ def test_closed_form_word_and_shortcut_on_certified_range(certified_scan, refere
         assert m == order_oracle(2, pair.p)
         # every route, the probe included, equals the general gcd
         assert cert.d_infty == pair.p - gcd_degree(w, pair.p, reference_gcd), pair
-        if route == "primitive":
-            assert cert.d_infty == pair.p - _primitive_gcd_degree(w, pair.p)
-    assert routes == {"primitive": 282, "probe": 323, "columns": 14, "gcd": 11}
+    assert routes == {"probe": 603, "columns": 14, "gcd": 13}
 
 
 def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(reference_gcd, monkeypatch):
     """x -> 1/x is an automorphism of F2[x]/(x^p - 1), so no route may see
     the order in which the orbit word is packed: on every pair with
     q <= 1000, on a seeded sample of the certified range above it and on
-    every pair of the column-wise probe's route, the general gcd, the
-    closed form where 2 is primitive and the coset probe where e > 1, row
-    by row and column by column, give one degree for w and for w read
-    backwards. The column-wise probe settles each of these words without
-    the gcd."""
+    every pair of the column-wise probe's route, the general gcd and the
+    coset probe, row by row and column by column, give one degree for w
+    and for w read backwards. The column-wise probe settles each of these
+    words without the gcd."""
     pairs = sophie_germain_pairs(CERTIFIED_MAX_Q)
     small = [pr for pr in pairs if pr.q <= 1000]
     sample = random.Random(16).sample(pairs[len(small):], 12)
@@ -366,18 +362,15 @@ def test_gcd_degree_is_the_same_for_a_word_and_its_reversal(reference_gcd, monke
         w = orbit_word(pair)
         for word in (w, reversed_word(w, p)):
             degrees = {_poly_gcd_degree(word, p)}
-            if m == p - 1:
-                degrees.add(_primitive_gcd_degree(word, p))
-            else:
-                if pair.q <= 1000 or route == "probe":
-                    degrees.add(_probe_gcd_degree(word, p, m))
-                if pair.q <= 1000 or route == "columns":
-                    del calls[:]
-                    degrees.add(_probe_gcd_degree(word, p, m, columns=True))
-                    assert calls == [], pair
+            if pair.q <= 1000 or route == "probe":
+                degrees.add(_probe_gcd_degree(word, p, m))
+            if pair.q <= 1000 or route == "columns":
+                del calls[:]
+                degrees.add(_probe_gcd_degree(word, p, m, columns=True))
+                assert calls == [], pair
             assert degrees == {gcd_degree(w, p, reference_gcd)}, pair
     assert len(columnwise) == 14
-    assert routes == {"primitive", "probe", "columns", "gcd"}
+    assert routes == {"probe", "columns", "gcd"}
 
 
 def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypatch):
@@ -387,10 +380,18 @@ def test_parallel_scan_equals_serial_on_certified_range(certified_scan, monkeypa
     assert certs == certified_scan[0]
 
 
-def test_primitive_shortcut_branches():
+def test_primitive_shortcut_branches(monkeypatch):
+    """Where 2 is a primitive root mod p (e = 1) the probe labels no coset,
+    its rows being (w_j, wt w mod 2), and matches the general gcd on words
+    of either weight parity and on 0 and the all-ones word. Those two never
+    reach the probe's target rank, so they take the gcd fallback once p
+    exceeds the e + 64 rows read; the orbit word of each pair among these p
+    is certified as the gcd says."""
     rng = random.Random(5)
-    for p in (3, 5, 11, 13, 19, 29):
+    calls = counting_poly_gcd(monkeypatch)
+    for p in (3, 5, 11, 13, 19, 29, 83, 131):
         assert order_oracle(2, p) == p - 1
+        assert _coset_masks(p, p - 1) == []
         ones = (1 << p) - 1
         words = [0, ones]
         while len(words) < 12:
@@ -398,9 +399,14 @@ def test_primitive_shortcut_branches():
             if w.bit_count() % 2 == len(words) % 2:
                 words.append(w)  # alternately even and odd weight
         for w in words:
-            assert _primitive_gcd_degree(w, p) == gcd_degree(w, p), (p, w)
-        assert _primitive_gcd_degree(0, p) == p
-        assert _primitive_gcd_degree(ones, p) == p - 1
+            assert _probe_gcd_degree(w, p, p - 1) == gcd_degree(w, p), (p, w)
+        del calls[:]
+        assert _probe_gcd_degree(0, p, p - 1) == p
+        assert _probe_gcd_degree(ones, p, p - 1) == p - 1
+        assert len(calls) == (2 if p > 1 + cyclosig._PROBE_SPARE_ROWS else 0), p
+        if p in (3, 5, 11, 29, 83, 131):  # 2p + 1 is prime
+            pair = SophieGermainPair(p, 2 * p + 1)
+            assert certify_rho_infty(pair).d_infty == p - gcd_degree(orbit_word(pair), p)
 
 
 def all_coset_masks(p: int, m: int) -> list:

@@ -196,8 +196,8 @@ def test_backends_agree_when_compiled_present(compiled_core, reference_gcd):
             pairs += [(a, b), (b, a)]
             known.update({(a, clmul(a, b)): a, (clmul(a, b), b): b})
     pairs += list(known)
-    # orbit words with 2 not primitive mod p, the words the probe and the
-    # gcd route of certify_rho_infty handle
+    # orbit words with 2 not primitive mod p (e > 1), whose gcd with
+    # x^p - 1 can have factors of degree m < p - 1
     pairs += [(orbit_word(pr), (1 << pr.p) | 1) for pr in sophie_germain_pairs(20000)
               if order_oracle(2, pr.p) != pr.p - 1]
 

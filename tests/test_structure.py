@@ -148,7 +148,8 @@ def _public_functions() -> dict:
 # runs every subcommand in this process under sys.setprofile, then the two
 # calls the benchmark makes directly, and prints each route's exit code and
 # the (file, first line) of every package function that ran; a forked scan
-# child's calls are lost, but the parent certifies a share of its own
+# child's calls are lost, so `--threads 2` covers only the parent's side
+# (shares, forks, pipes) and `--threads 1` the certificate functions
 PROFILED_RUN = """
 import contextlib, io, json, os, sys
 import jacrank
