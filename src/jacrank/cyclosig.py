@@ -87,9 +87,9 @@ one after the other. The parent only waits, so it is never pinned.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 from array import array
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import islice
 from math import isqrt
@@ -136,13 +136,23 @@ class RhoInftyCertificate(NamedTuple):
 
 
 def sophie_germain_pairs(q_max: int) -> List[SophieGermainPair]:
-    """All pairs (p, q) with q <= q_max, q = 2p+1, both prime, p odd."""
+    """All pairs (p, q) with q <= q_max, q = 2p+1, both prime, p odd.
+
+    The sorted prime list of the one sieve answers the membership test: a
+    merge walk takes p over the odd primes and looks q = 2p + 1 up by
+    bisection from the index of the last lookup, as q grows with p, so no
+    set of primes is built."""
     primes = primes_upto(q_max)
-    sieve = set(primes)
     out = []
-    for q in primes:
-        p = (q - 1) // 2
-        if q >= 7 and p in sieve:
+    k = 0
+    for p in islice(primes, 1, None):
+        q = 2 * p + 1
+        if q > q_max:
+            break
+        k = bisect_left(primes, q, k)
+        # k = len(primes) when q <= q_max lies above the largest prime, as
+        # q = 15 does at q_max = 16
+        if k < len(primes) and primes[k] == q:
             # the sieve proved p and q prime: build without the checks
             out.append(_SophieGermainPair.__new__(SophieGermainPair, p, q))
     return out
@@ -536,6 +546,7 @@ def _scan_forked(pairs: List[SophieGermainPair], workers: int,
         d_infty.update((i, certify_rho_infty(pairs[i]).d_infty) for i in refused)
         outputs = [_read_to_eof(read_end) for _, read_end, _ in children]
     except BaseException:
+        import signal  # only here, so that a normal run never loads it
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise

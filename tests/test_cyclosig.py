@@ -21,12 +21,14 @@ import math
 import os
 import random
 import signal
+import time
+import tracemalloc
 from itertools import islice
 
 import pytest
 
 from jacrank import cyclosig
-from jacrank.arith import order_dividing, primes_upto
+from jacrank.arith import is_prime, order_dividing, primes_upto
 from jacrank.cli import main as cli_main
 from jacrank.cyclosig import (
     RhoInftyCertificate,
@@ -213,6 +215,44 @@ def test_pair_enumeration():
     assert sophie_germain_pairs(6) == []
     qs = [pr.q for pr in sophie_germain_pairs(200)]
     assert qs == [7, 11, 23, 47, 59, 83, 107, 167, 179]
+
+
+def test_pair_enumeration_equals_primality_test():
+    """The merge walk over the sieve gives the pairs that Miller-Rabin on p
+    and q gives, at every bound to 2000 and at the scan's bounds, among
+    them bounds such as 16, where q = 2 * 7 + 1 <= 16 lies above the
+    largest prime <= 16 and the bisection returns the end of the list."""
+    top = 100003
+    expected = [(p, 2 * p + 1) for p in range(3, (top - 1) // 2 + 1, 2)
+                if is_prime(p) and is_prime(2 * p + 1)]
+    assert primes_upto(16)[-1] < 2 * 7 + 1 <= 16
+    for n in [*range(2001), 60000, 92459, top]:
+        pairs = sophie_germain_pairs(n)
+        assert [(pr.p, pr.q) for pr in pairs] == \
+            [pq for pq in expected if pq[1] <= n], n
+        assert all(type(pr) is SophieGermainPair for pr in pairs)
+
+
+def traced_peak(f, n: int) -> int:
+    """The tracemalloc peak, in bytes, of one call f(n)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        f(n)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [60000, 92459])
+def test_pair_enumeration_allocates_no_more_than_its_sieve(n):
+    """The sorted prime list answers the membership test: enumerating the
+    pairs allocates about what the sieve does, no set of primes besides."""
+    assert traced_peak(sophie_germain_pairs, n) <= 1.1 * traced_peak(primes_upto, n)
 
 
 def test_canonical_signature_frozen():
@@ -702,6 +742,26 @@ def test_scan_worker_failure_surfaces_as_serial(share, refused, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"certification failure: {message}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+
+def test_scan_kills_and_reaps_its_children_on_interrupt(monkeypatch):
+    """An interrupt while the parent reads the pipes kills every child
+    before it is reaped, so the exception surfaces at once: left alive,
+    each child would hold the reap for its 60 s share."""
+    monkeypatch.setattr(cyclosig, "_available_cpus", lambda: [0, 1])
+
+    def stalled(pair, method="gcd"):
+        time.sleep(60)
+
+    def interrupted(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cyclosig, "certify_rho_infty", stalled)
+    monkeypatch.setattr(cyclosig, "_read_to_eof", interrupted)
+    with pytest.raises(KeyboardInterrupt), deadline(10):
+        scan_sophie_germain(2000, workers=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
 

@@ -34,10 +34,11 @@ RAN = ("print(' '.join(sorted(k[len('jacrank.'):] "
        "for k, m in sys.modules.items() if k.startswith('jacrank.') "
        "and type(m) is types.ModuleType)))")
 # standard modules whose import start-up pays for: process pools and
-# pickling, the class generation of `dataclasses` with what it imports, and
-# `fractions` with `decimal`
+# pickling, the class generation of `dataclasses` with what it imports,
+# `fractions` with `decimal`, and `signal` (its enum conversions), which
+# only a scan interrupted while its children run needs
 HEAVY = ("multiprocessing", "concurrent.futures", "subprocess", "pickle",
-         "dataclasses", "inspect", "fractions", "decimal")
+         "dataclasses", "inspect", "fractions", "decimal", "signal")
 # HEAVY modules loaded, printed as the second-to-last line by `modules_run`
 LOADED = f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
 
