@@ -66,8 +66,6 @@ def _cmd_washington(args: argparse.Namespace) -> int:
 
 
 def _cmd_sophie(args: argparse.Namespace) -> int:
-    if args.scan_bound < 0:
-        raise ValueError(f"scan-bound must be non-negative, got {args.scan_bound}")
     qs = [int(part) for part in args.q.split(",")]
     store = _load_store(args.clgroups)
     invalid = partial = False
@@ -75,8 +73,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
     for q in qs:
         try:
             report = bounds.sophie_upper_bound(
-                q, store, assume_davis_taussky=args.assume_davis_taussky,
-                scan_bound=args.scan_bound)
+                q, store, assume_davis_taussky=args.assume_davis_taussky)
         except ValueError as exc:
             print(f"error: q={q}: {exc}", file=sys.stderr)
             invalid = True
@@ -192,8 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="append a p q upper lower summary table")
     s.add_argument("--assume-davis-taussky", action="store_true",
                    help="assume the Davis-Taussky conjecture (flagged conditional)")
-    s.add_argument("--scan-bound", type=int, default=92459, metavar="N",
-                   help="largest q for the signature-matrix certificate route")
     s.add_argument("--verbose", action="store_true")
     s.set_defaults(func=_cmd_sophie)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacrank import bounds, f2
+from jacrank import bounds, cyclosig, f2
 from jacrank.arith import prime_factors, squarefree_prime_factors
 from jacrank.bounds import (
     BoundReport,
@@ -306,38 +306,48 @@ def test_sophie_davis_taussky_route_needs_no_oracle():
 
 def test_sophie_scan_route():
     # p = 41: 2 is not inert in the real cyclotomic field, so the matrix
-    # certificate is the only unconditional route
+    # certificate is the only unconditional route, and it assumes nothing
     key = ",".join(str(c) for c in min_poly_2cos(83, 41 % 4 == 3).int_coeffs())
     store = clg(f"poly={key} cl2=1 source=synthetic-test")
-    report = sophie_upper_bound(83, store, scan_bound=100)
+    report = sophie_upper_bound(83, store)
     assert report.rho_infty == "0"
     assert report.upper_bound == 20 + 1  # g + cl2
-    assert report.hypotheses == ("q-below-scan-bound",)
+    assert report.hypotheses == ()
+    assert "upper bound is unconditional" in report.describe()
 
 
-def test_sophie_fallback_with_narrow_data():
+@pytest.fixture
+def certificate_fails(monkeypatch):
+    """The signature certificate leaves rho_infty open at every pair, so
+    a q where 2 is not inert reaches the fallback ladder."""
+    def certify(pair):
+        return cyclosig.RhoInftyCertificate(pair, 0, False)
+    monkeypatch.setattr(cyclosig, "certify_rho_infty", certify)
+
+
+def test_sophie_fallback_with_narrow_data(certificate_fails):
     key = ",".join(str(c) for c in min_poly_2cos(83, 41 % 4 == 3).int_coeffs())
     store = clg(f"poly={key} cl2=1 narrow_cl2=2 source=synthetic-test")
-    report = sophie_upper_bound(83, store, scan_bound=0)
+    report = sophie_upper_bound(83, store)
     assert report.rho_infty == "unk"
     assert report.upper_bound == 40 + 2  # (p-1) + narrow_cl2
     assert report.hypotheses == ()
 
 
-def test_sophie_fallback_even_order_substitutes_plain_cl2():
+def test_sophie_fallback_even_order_substitutes_plain_cl2(certificate_fails):
     # ord(2 mod 41) = 20 is even, so the plain 2-rank stands in for narrow
     key = ",".join(str(c) for c in min_poly_2cos(83, 41 % 4 == 3).int_coeffs())
     store = clg(f"poly={key} cl2=1 source=synthetic-test")
-    report = sophie_upper_bound(83, store, scan_bound=0)
+    report = sophie_upper_bound(83, store)
     assert report.upper_bound == 40 + 1
     assert report.hypotheses == ("order-of-2-even",)
 
 
-def test_sophie_fallback_no_narrow_odd_order():
+def test_sophie_fallback_no_narrow_odd_order(certificate_fails):
     # ord(2 mod 89) = 11 is odd: only narrow <= rho_inf + cl2 is available
     key = ",".join(str(c) for c in min_poly_2cos(179, 89 % 4 == 3).int_coeffs())
     store = clg(f"poly={key} cl2=0 source=synthetic-test")
-    report = sophie_upper_bound(179, store, scan_bound=0)
+    report = sophie_upper_bound(179, store)
     assert report.upper_bound == 2 * 88 + 0
     assert report.hypotheses == ("narrow-data-missing",)
 

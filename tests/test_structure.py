@@ -4,7 +4,8 @@ function or method that no subcommand runs, no module reading the
 environment, no generated or Cython source, no file in the package but
 Python modules and data tables, no module importing `dataclasses`, a CLI
 import that pulls in no process-pool, pickling, class-generation or
-Fraction machinery, each subcommand running only the module bodies of its
+Fraction machinery, no test importing a third-party module that the `test`
+extra does not declare, each subcommand running only the module bodies of its
 route, no true division outside the modules whose values are Fractions, a
 lazy public API, and every layer the traced benchmark wraps by name still
 exists and is traced."""
@@ -249,21 +250,44 @@ def test_package_ships_only_python_modules_and_data():
     assert offenders == []
 
 
+def _absolute_imports(path: Path):
+    """(line, dotted name) of each module that `import` or an absolute
+    `from ... import` in the source file `path` names."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
 def test_no_module_imports_dataclasses():
     """Records are NamedTuples and value types are slotted classes: a
     dataclass generates and compiles its methods at import."""
-    offenders = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name.split(".")[0] == "dataclasses"]
+    offenders = [f"{path.name}:{line} {name}"
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 for line, name in _absolute_imports(path)
+                 if name.split(".")[0] == "dataclasses"]
     assert offenders == []
+
+
+def test_tests_import_only_declared_modules():
+    """A fresh `pip install -e ".[test]"` collects every test module: each
+    top-level module that `tests/*.py` imports is in the standard library,
+    is `jacrank` or a test module beside it, or is named in the `test`
+    extra of pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    tests_dir = Path(__file__).resolve().parent
+    with (tests_dir.parent / "pyproject.toml").open("rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in extra}
+    local = {path.stem for path in tests_dir.glob("*.py")} | {"jacrank"}
+    known = sys.stdlib_module_names | local | declared
+    undeclared = [f"{path.name}:{line} {name}"
+                  for path in sorted(tests_dir.glob("*.py"))
+                  for line, name in _absolute_imports(path)
+                  if name.split(".")[0] not in known]
+    assert undeclared == []
 
 
 def test_cli_import_stays_flat():
