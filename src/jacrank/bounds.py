@@ -22,19 +22,22 @@ square-free (`washington_bad_primes`); no number field is built and no F2
 span is taken. The Sophie Germain local certificate likewise checks only
 the modulus.
 
-Lower bounds take odd-degree f. Class-group 2-ranks are external inputs
+Lower bounds take odd-degree f: from a rational point in general, and for
+the Sophie Germain curves from the signs of the closed-form classes at the
+real places, with no number field. Class-group 2-ranks are external inputs
 carried by a ClassGroupStore.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
+from operator import xor
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, \
     Union
 
 # used qualified, so the washington route never runs these modules
-from . import cyclosig, factor, numberfield, polys
+from . import cyclosig, f2, factor, numberfield, polys
 from .arith import is_prime, order_dividing, squarefree_prime_factors
 from .stores import ClassGroupStore
 
@@ -47,6 +50,7 @@ __all__ = [
     "curve_min_poly",
     "lower_bound_from_points",
     "sophie_local_certificate",
+    "sophie_lower_bound",
     "sophie_upper_bound",
     "two_inert_in_real_cyclotomic",
     "washington_bad_primes",
@@ -272,6 +276,30 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
                        j_infty_bound=g if rho_zero else p - 1,
                        cl2_used=cl2, cl2_source=rec.source, g_kernel_dim=0,
                        upper_bound=upper, lower_bound=None, hypotheses=hyp)
+
+
+def sophie_lower_bound(q: int
+                       ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """Constructive lower bound for the curve y^2 = f(x) of q from the point
+    (0, 1), with its evidence: (bound, indices d, sign vectors).
+
+    f - 1 is the product of the Psi_d, d in `polys.split_indices(q)`, and
+    the class (-1)^deg(Psi_d) Psi_d(theta) has the sign vector
+    `polys.split_sign_vector(q, d)` at the p real places. The sign at a
+    real place is a homomorphism L*/L*^2 -> F2, so the F2 rank of the
+    vectors bounds the dimension the classes span from below, and so the
+    rank, as in `lower_bound_from_points`. Two exact checks raise
+    RuntimeError: the product against f - 1, and the XOR of the vectors,
+    which is 0 as the product of the classes, (-1)^p (f(theta) - 1) = 1,
+    is positive at every real place."""
+    indices = tuple(polys.split_indices(q))
+    one = polys.RationalPoly([1])
+    if prod(map(polys.psi, indices), start=one) != curve_min_poly(q) - one:
+        raise RuntimeError(f"the Psi_d of q = {q} do not multiply to f - 1")
+    vectors = tuple(polys.split_sign_vector(q, d) for d in indices)
+    if reduce(xor, vectors):
+        raise RuntimeError(f"the sign vectors of q = {q} do not XOR to 0")
+    return f2.echelon_rank(vectors), indices, vectors
 
 
 # -- lower bounds from a rational point --------------------------------------

@@ -83,9 +83,7 @@ def _cmd_sophie(args: argparse.Namespace) -> int:
             partial = True
             continue
         if args.lower:
-            lower, _ = bounds.lower_bound_from_points(
-                bounds.curve_min_poly(q),
-                factors=polys.min_poly_2cos_split(q))
+            lower, _, _ = bounds.sophie_lower_bound(q)
             report = report._replace(lower_bound=lower)
         rows.append(((q - 1) // 2, q, report.upper_bound, report.lower_bound))
         print(report.describe() if args.verbose else report.line())

@@ -12,7 +12,8 @@ polynomial division in the package is the one pseudo-division over Z,
 minimal polynomials of 2cos(2*pi/d) are built in integers: the curve
 polynomials of the Sophie Germain family from binomials, their roots mod
 each split prime from one Lucas value, and the factors of their f - 1 from
-cyclotomic polynomials.
+cyclotomic polynomials, with the signs of those factors at the real roots
+of f read off exact comparisons of integers.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ __all__ = [
     "min_poly_2cos",
     "min_poly_2cos_coeffs",
     "min_poly_2cos_roots",
-    "min_poly_2cos_split",
+    "psi",
+    "split_indices",
+    "split_sign_vector",
     "format_poly",
 ]
 
@@ -164,7 +167,9 @@ class RationalPoly(Frozen):
 def clear_denominators(coeffs: Sequence[Union[int, Fraction]]
                        ) -> Tuple[int, List[int]]:
     """(d, [d * c for c in coeffs]) for d the least common denominator, the
-    scaled coefficients as ints."""
+    scaled coefficients as ints; (1, a copy) when every one is an int."""
+    if all(c.__class__ is int for c in coeffs):
+        return 1, list(coeffs)
     d = lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
@@ -342,28 +347,28 @@ def _cyclotomic(d: int) -> List[int]:
     return _compose_power(phi, d // s)
 
 
-def _psi(d: int) -> List[int]:
-    """Psi_d, the minimal polynomial of 2cos(2*pi/d) for d >= 1, ascending:
-    x - 2 and x + 2 for d = 1, 2, and of degree phi(d)/2 for d >= 3, where
-    it is read off the cyclotomic polynomial by Phi_d(z) = z^h Psi_d(z + 1/z),
+def psi(d: int) -> RationalPoly:
+    """Psi_d, the minimal polynomial of 2cos(2*pi/d) for d >= 1: x - 2 and
+    x + 2 for d = 1, 2, and of degree phi(d)/2 for d >= 3, where it is read
+    off the cyclotomic polynomial by Phi_d(z) = z^h Psi_d(z + 1/z),
     h = phi(d)/2. With c_i the coefficient of z^(h+i) of the palindromic
     Phi_d, Psi_d = c_0 + sum c_i D_i(y), where D_i(z + 1/z) = z^i + z^-i, so
     D_0 = 2, D_1 = y and D_(i+1) = y D_i - D_(i-1). For a prime d >= 5 it is
     min_poly_2cos(d, False)."""
     if d <= 2:
-        return [-2, 1] if d == 1 else [2, 1]
+        return RationalPoly([-2, 1] if d == 1 else [2, 1])
     phi = _cyclotomic(d)
     h = (len(phi) - 1) // 2
-    psi = [phi[h]] + [0] * h
+    out = [phi[h]] + [0] * h
     prev, cur = [2], [0, 1]
     for i in range(1, h + 1):
         for j, c in enumerate(cur):
-            psi[j] += phi[h + i] * c
+            out[j] += phi[h + i] * c
         nxt = [0] + cur
         for j, c in enumerate(prev):
             nxt[j] -= c
         prev, cur = cur, nxt
-    return psi
+    return RationalPoly(out)
 
 
 def _tau(d: int) -> int:
@@ -373,12 +378,12 @@ def _tau(d: int) -> int:
     return d // 2 if d % 4 == 2 else d
 
 
-def min_poly_2cos_split(q: int) -> List[RationalPoly]:
-    """The irreducible factors of f - 1 for the curve polynomial
-    f = min_poly_2cos(q, p % 4 == 3), q = 2p + 1 with p and q prime, in
-    closed form and sorted as `factor_over_Q` sorts them. With Psi_d the
-    minimal polynomial of 2cos(2 pi/d) (`_psi`; D. H. Lehmer, Amer. Math.
-    Monthly 40, 1933):
+def split_indices(q: int) -> List[int]:
+    """The indices d, p first, of the closed-form split f - 1 = prod Psi_d
+    for the curve polynomial f = min_poly_2cos(q, p % 4 == 3), q = 2p + 1
+    with p and q prime; ValueError for any other q. With Psi_d the minimal
+    polynomial of 2cos(2 pi/d) (`psi`; D. H. Lehmer, Amer. Math. Monthly
+    40, 1933):
 
       p = 1 mod 4:  f - 1 = Psi_p * prod_{m | (p+1)/2} Psi_4m,
       p = 3 mod 4:  f - 1 = Psi_p * prod_{d | p+1, d > 1} Psi_tau(d),
@@ -403,19 +408,46 @@ def min_poly_2cos_split(q: int) -> List[RationalPoly]:
     d | p + 1 and a prime to d, and (d - 2a)/(2d) has exact denominator
     tau(d): the roots of the Psi_tau(d).
 
-    `bounds.lower_bound_from_points` checks the product against f - 1
-    exactly."""
+    Every index is at most 2p + 2 = q + 1, and none is q, which is odd and
+    prime to p + 1. `bounds.sophie_lower_bound` checks the product against
+    f - 1 exactly."""
     p = (q - 1) // 2
     if q < 7 or not is_prime(q) or not is_prime(p):
         raise ValueError(f"q = {q} is not 2p + 1 with p and q prime, q >= 7")
     if p % 4 == 1:
-        indices = [4 * m for m in range(1, (p + 3) // 2)
-                   if (p + 1) // 2 % m == 0]
-    else:
-        indices = [_tau(d) for d in range(2, p + 2) if (p + 1) % d == 0]
-    factors = [RationalPoly(_psi(d)) for d in [p] + indices]
-    factors.sort(key=lambda g: (g.deg(), g.coeffs))
-    return factors
+        return [p] + [4 * m for m in range(1, (p + 3) // 2)
+                      if (p + 1) // 2 % m == 0]
+    return [p] + [_tau(d) for d in range(2, p + 2) if (p + 1) % d == 0]
+
+
+def split_sign_vector(q: int, d: int) -> int:
+    """The signs of the class (-1)^deg(Psi_d) Psi_d(theta) at the real roots
+    theta_k = s 2cos(2 pi k/q), k = 1..p, of the curve polynomial
+    min_poly_2cos(q, p % 4 == 3), s = 1 when p = 1 mod 4 and -1 otherwise:
+    bit k - 1 is set where the class is negative. d is an index of
+    `split_indices(q)`.
+
+    Proof. Psi_d is monic with the roots r_b = 2cos(2 pi b/d),
+    0 <= b <= d/2, gcd(b, d) = 1, so (-1)^deg(Psi_d) Psi_d(t) =
+    prod (r_b - t) is negative exactly when an odd number of r_b lie below
+    t. As cos falls on [0, pi], for s = 1 r_b lies below theta_k exactly
+    when k/q < b/d, that is k <= bq // d. For s = -1,
+    theta_k = 2cos(2 pi (q - 2k)/(2q)), and r_b lies below it exactly when
+    b/d > (q - 2k)/(2q), that is k > q(d - 2b) // (2d). Neither is ever an
+    equality: kd = bq or 2kd = q(d - 2b) with 0 < k < q would need q | d,
+    and no index is a multiple of q. So each r_b marks the prefix
+    k <= m of the k, or its complement, and the vector is the XOR of the
+    prefixes, complemented when s = -1 and deg Psi_d is odd."""
+    p = (q - 1) // 2
+    vector, degree = 0, 0
+    for b in range(d // 2 + 1):
+        if gcd(b, d) == 1:
+            m = b * q // d if p % 4 == 1 else q * (d - 2 * b) // (2 * d)
+            vector ^= (1 << m) - 1
+            degree += 1
+    if p % 4 == 3 and degree % 2:
+        vector ^= (1 << p) - 1
+    return vector
 
 
 def format_poly(f: RationalPoly) -> str:

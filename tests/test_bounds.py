@@ -3,7 +3,9 @@ class-group data, and lower bounds from delta-classes of points."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,6 +17,7 @@ from jacrank.bounds import (
     curve_min_poly,
     lower_bound_from_points,
     sophie_local_certificate,
+    sophie_lower_bound,
     sophie_upper_bound,
     two_inert_in_real_cyclotomic,
     washington_bad_primes,
@@ -26,10 +29,16 @@ from jacrank.cli import main as cli_main
 from jacrank.cyclosig import sophie_germain_pairs
 from jacrank.modpoly import PrimePoly, is_irreducible_mod_p
 from jacrank.numberfield import NumberField
-from jacrank.polys import RationalPoly, min_poly_2cos, min_poly_2cos_split
+from jacrank.polys import (
+    RationalPoly,
+    min_poly_2cos,
+    psi,
+    split_indices,
+    split_sign_vector,
+)
 from jacrank.stores import builtin_class_groups, parse_class_groups
 from test_arith import is_squarefree_integer, order_oracle
-from test_polys import compose, to_sympy
+from test_polys import compose, min_poly_2cos_split, to_sympy
 
 
 def washington_curve_poly(m: int) -> RationalPoly:
@@ -424,21 +433,75 @@ def test_lower_bound_fractional_y0():
 
 
 def test_sophie_lower_bounds_past_table_4():
-    # every Sophie Germain q with 59 < q <= 1019: the witnessed values up to
-    # q = 503 and the earlier prototype's past it; at q = 479, 20 classes, a
-    # fixed 20 residue symbols without the real signs give 17, and k + 20
-    # give 18
-    table = {83: 4, 107: 4, 167: 10, 179: 6, 227: 4, 263: 10, 347: 4,
+    # every Sophie Germain q with q <= 1019: Table 4 up to q = 59, the
+    # witnessed values up to q = 503 and the earlier prototype's past it;
+    # at q = 479, 20 classes, a fixed 20 residue symbols without the real
+    # signs give 17, and k + 20 give 18. The sign-vector bound equals the
+    # character-table bound of `lower_bound_from_points` at every one.
+    table = {7: 1, 11: 2, 23: 4, 47: 6, 59: 4,
+             83: 4, 107: 4, 167: 10, 179: 6, 227: 4, 263: 10, 347: 4,
              359: 16, 383: 12, 467: 6, 479: 18, 503: 16, 563: 4, 587: 6,
              719: 22, 839: 22, 863: 18, 887: 10, 983: 10, 1019: 8}
-    assert sorted(table) == [pr.q for pr in sophie_germain_pairs(1019)
-                             if pr.q > 59]
+    assert sorted(table) == [pr.q for pr in sophie_germain_pairs(1019)]
     for q, want in table.items():
         factors = min_poly_2cos_split(q)
         lower, classes = lower_bound_from_points(curve_min_poly(q),
                                                  factors=factors)
         assert lower == want, q
         assert len(classes.representatives) == len(factors)
+        assert sophie_lower_bound(q)[0] == lower, q
+
+
+def test_sophie_sign_vectors_match_field_signatures():
+    """At the Table-4 q each sign vector is the signature of its class in
+    the curve field, from Sturm root isolation: ascending, the real roots
+    are theta_p, ..., theta_1 when p = 1 mod 4 and theta_1, ..., theta_p
+    otherwise."""
+    for q in (7, 11, 23, 47, 59):
+        p = (q - 1) // 2
+        field = NumberField(curve_min_poly(q))
+        _, indices, vectors = sophie_lower_bound(q)
+        for d, vector in zip(indices, vectors):
+            g = psi(d)
+            cls = field.from_poly(g)
+            signs = field.signature(-cls if g.deg() % 2 else cls)
+            ks = range(p, 0, -1) if p % 4 == 1 else range(1, p + 1)
+            assert vector == sum(1 << (k - 1) for k, sign in zip(ks, signs)
+                                 if sign < 0), (q, d)
+
+
+def divisor_count(n):
+    return sum(2 - (k * k == n) for k in range(1, isqrt(n) + 1) if n % k == 0)
+
+
+def test_sophie_sign_rank_follows_the_divisor_law():
+    """An observed law, kept as an oracle: the sign rank is tau((p + 1)/2)
+    when p = 1 mod 4 and tau(p + 1) - 2 otherwise, tau counting divisors,
+    on a seeded sample of the Sophie Germain q <= 92459 (vectors and rank
+    only: the curve polynomial there has O(p^2) bits)."""
+    pairs = sophie_germain_pairs(92459)
+    for pair in random.Random(36).sample(pairs, 20):
+        q, p = pair.q, pair.p
+        vectors = [split_sign_vector(q, d) for d in split_indices(q)]
+        law = divisor_count((p + 1) // 2) if p % 4 == 1 \
+            else divisor_count(p + 1) - 2
+        assert f2.echelon_rank(vectors) == law, q
+        xor = 0
+        for v in vectors:
+            xor ^= v
+        assert xor == 0, q
+
+
+def test_sophie_lower_at_most_upper_on_builtin_records():
+    """lower <= upper for every builtin Sophie Germain record: two
+    independent certified computations."""
+    store = builtin_class_groups()
+    found = [q for q in (pr.q for pr in sophie_germain_pairs(1019))
+             if store.get(curve_min_poly(q).int_coeffs()) is not None]
+    assert found == [7, 11, 23, 47, 59]
+    for q in found:
+        assert sophie_lower_bound(q)[0] \
+            <= sophie_upper_bound(q, store).upper_bound, q
 
 
 @pytest.mark.parametrize("q", [11, 23, 47, 59, 83, 479])

@@ -168,10 +168,35 @@ def test_scan_rho_negative_max_q_is_invalid(capsys):
 
 def test_sophie_lower_wrong_lucas_root_is_a_certification_failure(
         capsys, monkeypatch):
+    # `lower-bound` on the curve polynomial of q = 11 walks the split
+    # primes of its field with Lucas roots
     monkeypatch.setattr(polys, "_lucas_v", lambda n, P, ell: 0)
+    code, out, err = run(capsys, "lower-bound", "--poly", "1,3,-3,-4,1,1")
+    assert code == 3 and "lower=" not in out
+    assert err.startswith("certification failure:") and "not a root" in err
+
+
+def test_sophie_lower_wrong_factors_are_a_certification_failure(
+        capsys, monkeypatch):
+    # one index dropped: the Psi_d no longer multiply to f - 1
+    monkeypatch.setattr(polys, "split_indices", lambda q: [5, 12])
     code, out, err = run(capsys, "sophie", "--q", "11", "--lower")
     assert code == 3 and "curve=" not in out
-    assert err.startswith("certification failure:") and "not a root" in err
+    assert err == ("certification failure: the Psi_d of q = 11 do not "
+                   "multiply to f - 1\n")
+
+
+def test_sophie_lower_sign_vectors_that_do_not_cancel_are_a_failure(
+        capsys, monkeypatch):
+    # one sign of the class of Psi_4 flipped: the product of the classes
+    # would be negative at theta_1
+    right = polys.split_sign_vector
+    monkeypatch.setattr(polys, "split_sign_vector",
+                        lambda q, d: right(q, d) ^ 1 if d == 4 else right(q, d))
+    code, out, err = run(capsys, "sophie", "--q", "11", "--lower")
+    assert code == 3 and "curve=" not in out
+    assert err == ("certification failure: the sign vectors of q = 11 do "
+                   "not XOR to 0\n")
 
 
 def test_scan_rho_too_large_for_memory_is_invalid():

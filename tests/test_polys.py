@@ -11,7 +11,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import comb, cos, gcd, pi
+from bisect import bisect_left
+from math import comb, cos, gcd, lcm, pi
 
 import pytest
 import sympy
@@ -22,14 +23,16 @@ from jacrank.cyclosig import sophie_germain_pairs
 from jacrank.factor import factor_over_Q
 from jacrank.polys import (
     RationalPoly,
+    clear_denominators,
     format_poly,
-    _psi,
     min_poly_2cos,
     min_poly_2cos_roots,
-    min_poly_2cos_split,
     pdivmod,
+    psi,
     rational,
     resultant,
+    split_indices,
+    split_sign_vector,
 )
 
 X = sympy.symbols("x")
@@ -181,6 +184,24 @@ def test_int_and_fraction_inputs_build_one_value():
                   pickle.loads(pickle.dumps(f))):
             assert g == f and hash(g) == hash(f)
             assert [type(c) for c in g.coeffs] == [type(c) for c in f.coeffs]
+
+
+def test_clear_denominators_int_shortcut_equals_general_path():
+    """All-int coefficients come back as (1, a copy) at once; that equals
+    the general result, the least common denominator with the scaled
+    numerators, which int, Fraction and mixed inputs are checked against."""
+    rng = random.Random(11)
+    inputs = [[], [0], [3, -7, 0, 12], [Fraction(3), Fraction(-4, 2)],
+              [Fraction(1, 2), 3, Fraction(-5, 6)], [4, Fraction(7, 4), 0]]
+    inputs += [list(random_poly(rng, 6, max_den=den).coeffs)
+               for den in (1, 1, 5, 9)]
+    for coeffs in inputs:
+        d = lcm(*(Fraction(c).denominator for c in coeffs))
+        got = clear_denominators(coeffs)
+        assert got == (d, [int(c * d) for c in coeffs]), coeffs
+        assert all(type(v) is int for v in got[1])
+    ints = [4, -1, 9]
+    assert clear_denominators(ints)[1] is not ints
 
 
 def test_arithmetic_identities():
@@ -358,7 +379,7 @@ def test_psi_poly_has_the_conjugates_of_2cos_as_roots():
     for d in range(1, 121):
         roots = [2 * cos(2 * pi * k / d) for k in range(1, d // 2 + 1)
                  if gcd(k, d) == 1] or [2.0]
-        got = [float(c) for c in _psi(d)]
+        got = [float(c) for c in psi(d).coeffs]
         assert got[-1] == 1 and len(got) == len(roots) + 1, d
         want = [1.0]
         for r in roots:
@@ -369,7 +390,7 @@ def test_psi_poly_has_the_conjugates_of_2cos_as_roots():
 
 def test_psi_poly_at_primes_is_min_poly_2cos():
     for q in primes_upto(400)[2:]:
-        assert RationalPoly(_psi(q)) == min_poly_2cos(q, negate=False), q
+        assert psi(q) == min_poly_2cos(q, negate=False), q
 
 
 def int_product(factors):
@@ -394,6 +415,13 @@ def test_min_poly_2cos_is_irreducible_for_both_signs():
             assert factor_over_Q(f) == [f], (pair.q, negate)
 
 
+def min_poly_2cos_split(q):
+    """Reference: the closed-form factors of f - 1, the Psi_d over
+    `split_indices(q)`, sorted as `factor_over_Q` sorts them."""
+    return sorted(map(psi, split_indices(q)),
+                  key=lambda g: (g.deg(), g.coeffs))
+
+
 def test_min_poly_2cos_split_equals_factor_over_Q():
     for pair in sophie_germain_pairs(179):
         f = curve_min_poly(pair.q)
@@ -414,6 +442,37 @@ def test_min_poly_2cos_split_rejects_bad_q():
     for q in (1, 3, 5, 9, 13, 17, 29):  # not 2p + 1 with p, q prime, q >= 7
         with pytest.raises(ValueError):
             min_poly_2cos_split(q)
+
+
+def sign_vector_by_ordering(q, d):
+    """Reference for `split_sign_vector`: each root theta_k of the curve
+    polynomial placed among the roots r_b of Psi_d by exact comparisons.
+    All are 2cos(2 pi x) with x in [0, 1/2], where cos falls, and x is kept
+    as the integer 2qd x: 2qb for r_b = 2cos(2 pi b/d), 2kd for
+    theta_k = 2cos(2 pi k/q) when p = 1 mod 4, and (q - 2k) d for
+    theta_k = -2cos(2 pi k/q) = 2cos(2 pi (q - 2k)/(2q)) otherwise. Bit
+    k - 1 is set when an odd number of r_b lie below theta_k."""
+    p = (q - 1) // 2
+    roots = sorted(2 * q * b for b in range(d // 2 + 1) if gcd(b, d) == 1)
+    vector = 0
+    for k in range(1, p + 1):
+        x = 2 * k * d if p % 4 == 1 else (q - 2 * k) * d
+        at = bisect_left(roots, x)
+        assert at == len(roots) or roots[at] != x, (q, d, k)  # no tie
+        if (len(roots) - at) % 2:
+            vector |= 1 << (k - 1)
+    return vector
+
+
+def test_split_sign_vectors_equal_exact_comparisons():
+    """The prefix masks of `split_sign_vector` equal the root-by-root
+    placement for every index of every Sophie Germain q <= 2099."""
+    pairs = sophie_germain_pairs(2099)
+    assert len(pairs) == 40
+    for pair in pairs:
+        for d in split_indices(pair.q):
+            assert split_sign_vector(pair.q, d) \
+                == sign_vector_by_ordering(pair.q, d), (pair.q, d)
 
 
 def test_format_poly_frozen():

@@ -151,7 +151,9 @@ def _public_functions() -> dict:
 # calls the benchmark makes directly, and prints each route's exit code and
 # the (file, first line) of every package function that ran; a forked scan
 # child's calls are lost, so `--threads 2` covers only the parent's side
-# (shares, forks, pipes) and `--threads 1` the certificate functions
+# (shares, forks, pipes) and `--threads 1` the certificate functions; the
+# curve polynomial of q = 11 takes `lower-bound` through the split-prime
+# walk with Lucas roots, which `sophie --lower` no longer uses
 PROFILED_RUN = """
 import contextlib, io, json, os, sys
 import jacrank
@@ -175,6 +177,7 @@ routes = [
     ["scan-rho", "--max-q", "3000", "--threads", "2"],
     ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1/3", "--verbose"],
     ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1"],
+    ["lower-bound", "--poly", "1,3,-3,-4,1,1"],
     ["minpoly", "--q", "23"],
     ["stats", "--ranks", os.path.join(data, "synthetic_ranks.txt")],
 ]
@@ -202,7 +205,7 @@ def test_every_public_function_runs_on_a_route(tmp_path):
     codes, ran = json.loads(proc.stdout)
     # data is missing for some m <= 30 and for q = 83 and 1019 without the
     # Davis-Taussky assumption: exit 1, every other route 0
-    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
     ran = {(str(Path(path).resolve()), line) for path, line in ran}
     exempt = {f"{module}.{attr}" for module, attr in _traced_layers()}
     never = sorted(name for key, name in _public_functions().items()
@@ -365,8 +368,8 @@ ROUTES = {
     "scan-rho": (["scan-rho", "--max-q", "300", "--threads", "1"],
                  {"cli", "arith", "f2", "cyclosig"}, set()),
     "sophie-lower": (["sophie", "--q", "11", "--lower"],
-                     {"cli", "arith", "f2", "stores", "bounds", "polys",
-                      "numberfield"}, set()),
+                     {"cli", "arith", "f2", "stores", "bounds", "polys"},
+                     set()),
     "lower-bound": (["lower-bound", "--poly", "1,-4,1,1", "--y0", "1"],
                     LOWER_BOUND_MODULES, set()),
     "lower-bound-rational-y0": (
@@ -400,8 +403,7 @@ def test_package_import_runs_no_module_body_and_registers_layers():
 
 @pytest.mark.parametrize("argv,span", [
     (["washington", "--m", "1..30"], "bounds.washington_local_certificate"),
-    (["sophie", "--q", "11", "--lower"],
-     "numberfield.independence_rank_mod_squares"),
+    (["sophie", "--q", "11", "--lower"], "bounds.sophie_upper_bound"),
 ], ids=["washington", "sophie-lower"])
 def test_traced_run_prints_the_same_and_spans_its_layers(argv, span, tmp_path):
     spans = tmp_path / "spans.jsonl"
