@@ -243,9 +243,10 @@ def sophie_upper_bound(q: int, oracle: ClassGroupStore,
                            upper_bound=g, lower_bound=None,
                            hypotheses=("davis-taussky-assumed",))
 
-    # the key is f itself, O(p^2) bits, so it is built only here and the
-    # message names the curve instead
-    rec = oracle.get(curve_min_poly(q).int_coeffs())
+    # the key is f itself, O(p^2) bits, so it is built only here, only when
+    # a record of degree p exists, and the message names the curve instead
+    rec = (oracle.get(curve_min_poly(q).int_coeffs())
+           if p in oracle.degrees else None)
     if rec is None:
         raise LookupError(f"class group unknown for cyclo-q{q} (degree {p})")
 

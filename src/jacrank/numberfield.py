@@ -3,10 +3,7 @@
 Elements are coordinate vectors over the power basis 1, theta, ...,
 theta^(deg-1). Everything is exact: norms via resultants, embedding signs via
 Sturm intervals, and square classes in odd degree by quadratic characters.
-
-f is irreducible by construction when it is the minimal polynomial
-min_poly_2cos(q, s) of +-2cos(2 pi/q) for the prime q = 2 deg + 1, which is
-recognized by one exact comparison; every other f is factored over Q.
+f is proved irreducible by factoring it over Q.
 
 The rank of a set of k classes comes from an F2 matrix of quadratic
 characters (homomorphisms L*/L*^2 -> F2, so they kill squares): residue
@@ -28,11 +25,10 @@ each kernel basis product is a square, so that the character rank is the
 dimension of the span on the fields they cover.
 
 A field finds its split primes, with the roots of f mod each, once, and
-reuses them for every element. Each field kind has one walk over the primes
-in ascending order: for min_poly_2cos(q, s) it steps over the ell = +-1 mod
-q, each with its roots from one Lucas value; for other f it takes every odd
-prime ell not dividing disc(f) = +-Res(f, f'), with the roots the t < ell
-at which ell divides f(t), no Frobenius power mod ell.
+reuses them for every element. One walk takes the odd primes ell in
+ascending order, with the roots the t < ell at which ell divides f(t), no
+Frobenius power mod ell, and keeps those with a root at which f is
+squarefree mod ell.
 """
 
 from __future__ import annotations
@@ -43,13 +39,11 @@ from math import gcd, isqrt, prod
 from typing import (TYPE_CHECKING, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-# used qualified: a lazy module's body runs only when a route reaches it, and
-# factoring over Q or F_ell is needed by no Sophie Germain lower bound
+# used qualified: a lazy module's body runs only when a route reaches it
 from . import factor, modpoly
 from .f2 import kernel_basis
 from .polys import (Frozen, RationalPoly, clear_denominators, int_resultant,
-                    min_poly_2cos_coeffs, min_poly_2cos_roots, pdivmod,
-                    rational, resultant)
+                    pdivmod, rational)
 from .arith import CheckedRecord, is_prime, jacobi
 
 if TYPE_CHECKING:
@@ -68,25 +62,6 @@ class SquarenessUndetermined(RuntimeError):
     exact witness or a sound obstruction."""
 
 
-def _is_min_poly_2cos(poly: RationalPoly) -> Optional[int]:
-    """1 if poly is min_poly_2cos(q, False) and -1 if it is
-    min_poly_2cos(q, True), for q = 2 deg + 1 prime, else None; in the
-    first two cases it is irreducible with no factoring. The
-    roots of min_poly_2cos(q, False) are the p = (q - 1)/2 distinct
-    conjugates 2cos(2 pi k/q), k = 1..p, the whole Galois orbit of
-    2cos(2 pi/q) (see its docstring): a monic polynomial of degree p that
-    vanishes on the orbit is the minimal polynomial of 2cos(2 pi/q). The
-    negated one is its image under y -> -y, the minimal polynomial of
-    -2cos(2 pi/q)."""
-    q = 2 * poly.deg() + 1
-    if is_prime(q):
-        coeffs = poly.int_coeffs()
-        for sign in (1, -1):
-            if coeffs == min_poly_2cos_coeffs(q, sign < 0):
-                return sign
-    return None
-
-
 class NumberField:
     def __init__(self, poly: RationalPoly) -> None:
         if poly.deg() < 2:
@@ -95,20 +70,17 @@ class NumberField:
             raise ValueError("defining polynomial must be monic")
         if not poly.is_integral():
             raise ValueError("defining polynomial must have integer coefficients")
-        sign = _is_min_poly_2cos(poly)
-        if sign is None:
-            try:
-                irreducible = len(factor.factor_over_Q(poly)) == 1
-            except ValueError:  # a repeated factor
-                irreducible = False
-            if not irreducible:
-                raise ValueError("defining polynomial must be irreducible")
+        try:
+            irreducible = len(factor.factor_over_Q(poly)) == 1
+        except ValueError:  # a repeated factor
+            irreducible = False
+        if not irreducible:
+            raise ValueError("defining polynomial must be irreducible")
         self.poly = poly
         self.degree = poly.deg()
         # the split primes found so far, and the walk that finds the next
         self._split_primes: List[Tuple[int, List[int]]] = []
-        self._walk = (_value_split_primes(poly) if sign is None else
-                      _curve_split_primes(2 * self.degree + 1, sign < 0))
+        self._walk = _value_split_primes(poly)
 
     def __reduce__(self):
         # the walk, a generator, cannot be copied: rebuild from poly
@@ -291,30 +263,17 @@ class NumberField:
             "every character passed but no witness found at precision cap")
 
 
-def _curve_split_primes(q: int, negate: bool
-                        ) -> Iterator[Tuple[int, List[int]]]:
-    """The split primes of min_poly_2cos(q, negate): the ell = +-1 mod q,
-    ascending, that is ell = k q +- 1 for even k (q ramifies, and no other
-    ell has a degree-one ideal), with their roots from one Lucas value."""
-    k = 0
-    while True:
-        k += 2
-        for ell in (k * q - 1, k * q + 1):
-            if is_prime(ell):
-                yield ell, min_poly_2cos_roots(q, negate, ell)
-
-
 def _value_split_primes(f: RationalPoly) -> Iterator[Tuple[int, List[int]]]:
     """The split primes of the monic integer f: (ell, sorted roots of f mod
     ell) for the odd primes ell, ascending, that do not divide disc(f) and
     at which f has a root. For monic f, ell does not divide disc(f) exactly
-    when f is squarefree mod ell.
+    when f is squarefree mod ell, which is tested only where f has a root.
 
     Dedekind-Kummer: the degree-one primes over an unramified ell are the
     (ell, theta - r) with f(r) = 0 mod ell, so the roots are the t < ell
     with ell | f(t), read off the values f(t), each computed once."""
-    disc = resultant(f, f.derivative()).numerator
-    rev = f.int_coeffs()[::-1]
+    coeffs = f.int_coeffs()
+    rev = coeffs[::-1]
     values: List[int] = []
     ell = 1
     while True:
@@ -324,9 +283,9 @@ def _value_split_primes(f: RationalPoly) -> Iterator[Tuple[int, List[int]]]:
             for c in rev:
                 v = v * t + c
             values.append(v)
-        if disc % ell and is_prime(ell):
+        if is_prime(ell):
             roots = [t for t, v in enumerate(values) if v % ell == 0]
-            if roots:
+            if roots and modpoly.is_squarefree_mod_p(coeffs, ell):
                 yield ell, roots
 
 

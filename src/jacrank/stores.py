@@ -21,7 +21,7 @@ bound; `status=exact` asserts that `lo` is the true rank.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Set, Tuple, Union
 
 __all__ = [
     "ClassGroupRecord",
@@ -62,6 +62,9 @@ class RankRecord(NamedTuple):
 class ClassGroupStore:
     def __init__(self) -> None:
         self._records: Dict[Tuple[int, ...], ClassGroupRecord] = {}
+        # the degrees of the keys, so that a caller whose key is costly to
+        # build can first ask whether any record could match it
+        self.degrees: Set[int] = set()
 
     def get(self, poly: Tuple[int, ...]) -> Optional[ClassGroupRecord]:
         return self._records.get(tuple(poly))
@@ -151,6 +154,7 @@ def parse_class_groups(text: str, name: str = "<string>") -> ClassGroupStore:
         if existing is not None and existing != record:
             _fail(name, lineno, f"conflicting duplicate for poly={fields['poly']}")
         store._records[poly] = record
+        store.degrees.add(len(poly) - 1)
     return store
 
 

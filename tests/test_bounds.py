@@ -38,6 +38,7 @@ from jacrank.polys import (
 )
 from jacrank.stores import builtin_class_groups, parse_class_groups
 from test_arith import is_squarefree_integer, order_oracle
+from test_numberfield import CurveField
 from test_polys import compose, min_poly_2cos_split, to_sympy
 
 
@@ -378,6 +379,26 @@ def test_davis_taussky_route_builds_no_store_key(monkeypatch):
         4034, ("davis-taussky-assumed",))
 
 
+def test_store_key_is_built_only_for_a_record_of_its_degree(monkeypatch):
+    """A store with no key of degree p answers `class group unknown`
+    without f; with one, f is built and looked up, and a degree-p key that
+    is not f finds nothing."""
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return min_poly_2cos(q, (q - 1) // 2 % 4 == 3)
+    monkeypatch.setattr(bounds, "curve_min_poly", counted)
+    cubic = clg("poly=1,-4,1,1 cl2=0 source=synthetic-test")
+    with pytest.raises(LookupError, match="cyclo-q16139"):
+        sophie_upper_bound(16139, cubic)
+    assert built == []
+    other = ",".join(["1"] * 42)  # degree 41, not the curve polynomial
+    with pytest.raises(LookupError, match="cyclo-q83"):
+        sophie_upper_bound(83, clg(f"poly={other} cl2=0 source=synthetic-test"))
+    assert built == [83]
+
+
 # -- lower bounds from points ----------------------------------------------
 
 
@@ -432,12 +453,14 @@ def test_lower_bound_fractional_y0():
     assert ok
 
 
-def test_sophie_lower_bounds_past_table_4():
+def test_sophie_lower_bounds_past_table_4(monkeypatch):
     # every Sophie Germain q with q <= 1019: Table 4 up to q = 59, the
     # witnessed values up to q = 503 and the earlier prototype's past it;
     # at q = 479, 20 classes, a fixed 20 residue symbols without the real
     # signs give 17, and k + 20 give 18. The sign-vector bound equals the
-    # character-table bound of `lower_bound_from_points` at every one.
+    # character-table bound of `lower_bound_from_points` at every one, in
+    # curve fields that take their split primes from the Lucas walk.
+    monkeypatch.setattr(bounds.numberfield, "NumberField", CurveField)
     table = {7: 1, 11: 2, 23: 4, 47: 6, 59: 4,
              83: 4, 107: 4, 167: 10, 179: 6, 227: 4, 263: 10, 347: 4,
              359: 16, 383: 12, 467: 6, 479: 18, 503: 16, 563: 4, 587: 6,
@@ -505,9 +528,10 @@ def test_sophie_lower_at_most_upper_on_builtin_records():
 
 
 @pytest.mark.parametrize("q", [11, 23, 47, 59, 83, 479])
-def test_lower_bound_same_for_int_and_fraction_y0(q):
+def test_lower_bound_same_for_int_and_fraction_y0(q, monkeypatch):
     """y0 = 1 and y0 = Fraction(1) give the same bound and the same
-    classes, whose coordinates are all ints."""
+    classes, whose coordinates are all ints (in curve fields, as above)."""
+    monkeypatch.setattr(bounds.numberfield, "NumberField", CurveField)
     f, factors = curve_min_poly(q), min_poly_2cos_split(q)
     lower, classes = lower_bound_from_points(f, 1, factors=factors)
     assert lower_bound_from_points(f, Fraction(1), factors=factors) \

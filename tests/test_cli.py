@@ -79,8 +79,8 @@ def test_sophie_lower_and_table(capsys):
 
 
 def test_sophie_lower_builds_each_curve_polynomial_once(capsys, monkeypatch):
-    """The store key and the lower bound of a q share one curve polynomial,
-    and the number field recognises it from its integer coefficients."""
+    """The store key and the product check of the lower bound of a q share
+    one curve polynomial."""
     from jacrank import bounds
 
     built = []
@@ -166,16 +166,6 @@ def test_scan_rho_negative_max_q_is_invalid(capsys):
         assert code == 0 and out == "pairs=0 certified=0 failures=0\n"
 
 
-def test_sophie_lower_wrong_lucas_root_is_a_certification_failure(
-        capsys, monkeypatch):
-    # `lower-bound` on the curve polynomial of q = 11 walks the split
-    # primes of its field with Lucas roots
-    monkeypatch.setattr(polys, "_lucas_v", lambda n, P, ell: 0)
-    code, out, err = run(capsys, "lower-bound", "--poly", "1,3,-3,-4,1,1")
-    assert code == 3 and "lower=" not in out
-    assert err.startswith("certification failure:") and "not a root" in err
-
-
 def test_sophie_lower_wrong_factors_are_a_certification_failure(
         capsys, monkeypatch):
     # one index dropped: the Psi_d no longer multiply to f - 1
@@ -211,6 +201,20 @@ def test_scan_rho_too_large_for_memory_is_invalid():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: --max-q 1000000000000000: not enough "
                            "memory to sieve the primes up to it\n")
+
+
+def test_sophie_without_class_data_runs_in_bounded_memory():
+    # the store key at q = 200087 would have O(p^2) bits; with no record of
+    # degree p it is never built, so a 256 MiB address-space cap suffices
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+             "from jacrank.cli import main\n"
+             "sys.exit(main(['sophie', '--q', '200087']))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("q=200087: class group unknown for cyclo-q200087 "
+                           "(degree 100043)\n")
 
 
 def test_lower_bound_command(capsys):

@@ -1,8 +1,9 @@
 """Tests for exact number field arithmetic, squareness, and delta classes.
 
 Oracles: hand-reduced products in small fields, the resultant identity
-norm(theta) = (-1)^deg f(0), multiplicativity laws on random elements, and
-exactly verified square witnesses.
+norm(theta) = (-1)^deg f(0), multiplicativity laws on random elements,
+exactly verified square witnesses, and the split primes of curve fields
+from Lucas values, which `CurveField` gives the tests at large q.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd, prod
 
 import pytest
 
-from jacrank import factor, modpoly, numberfield
+from jacrank import modpoly, numberfield
 from jacrank.arith import is_prime, jacobi, primes_upto
 from jacrank.bounds import curve_min_poly, lower_bound_from_points
 from jacrank.cyclosig import SophieGermainPair, build_M_infty
@@ -57,24 +58,9 @@ def test_field_validation():
         NumberField(RationalPoly([-1, -1, 1, 1]))  # (x + 1)^2 (x - 1)
     with pytest.raises(ValueError):
         NumberField(RationalPoly([3, 1]))  # degree 1
-    # degree 5 and 2 * 5 + 1 = 11 prime, but not a curve polynomial: factored
     with pytest.raises(ValueError, match="must be irreducible"):
         NumberField(RationalPoly([-1, 1, 0, 0, -1, 1]))  # (x - 1)(x^4 + 1)
     assert Q7.degree == 3 and Q11.degree == 5
-
-
-def test_minimal_polynomials_of_2cos_are_not_factored(monkeypatch):
-    """min_poly_2cos(q, s) is irreducible by construction, for either sign
-    and every prime q, so building its field factors nothing."""
-    def no_factoring(f):
-        raise AssertionError(f"factored {f}")
-
-    monkeypatch.setattr(factor, "factor_over_Q", no_factoring)
-    for q in primes_upto(180)[2:]:
-        for negate in (False, True):
-            assert NumberField(min_poly_2cos(q, negate)).degree == (q - 1) // 2
-    with pytest.raises(AssertionError, match="factored"):
-        NumberField(RationalPoly([1, -146, 143, 1]))
 
 
 def test_power_basis_reduction():
@@ -312,7 +298,7 @@ def test_witness_walk_stops_below_ten_thousand(monkeypatch):
     assert tried == primes_upto(10000)[1:]
 
 
-# -- split primes: the two walks against the Frobenius reference ------------
+# -- split primes: the value walk against two references ---------------------
 
 
 def frobenius_split_primes(coeffs, lo, hi):
@@ -372,19 +358,140 @@ def test_split_prime_matches_frobenius_reference():
         assert walked_split_primes(field, 600) == want, f
 
 
-def test_curve_walk_matches_the_value_walk():
-    """For every prime 5 <= q <= 131 and both signs, the first four split
-    primes of min_poly_2cos(q, s), walked over ell = +-1 mod q with Lucas
-    roots, equal the value walk's; the q include non-Sophie ones such as
-    17, 19 and 31."""
-    for q in primes_upto(131)[2:]:
+def lucas_v(n, P, ell):
+    """V_n(P, 1) mod ell, V_0 = 2, V_1 = P, V_(k+1) = P V_k - V_(k-1), by the
+    Lucas ladder on (V_k, V_(k+1)): V_2k = V_k^2 - 2, V_(2k+1) = V_k V_(k+1) - P
+    (Crandall & Pomerance, Prime Numbers, Ch. 3)."""
+    v, w = 2, P % ell
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            v, w = (v * w - P) % ell, (w * w - 2) % ell
+        else:
+            v, w = (v * v - 2) % ell, (v * w - P) % ell
+    return v
+
+
+def min_poly_2cos_roots(q, negate, ell, lucas=lucas_v):
+    """Reference: the p = (q - 1)/2 roots of min_poly_2cos(q, negate) mod a
+    prime ell = e mod q, e = +-1, ascending. These ell are the primes that
+    split in Q(zeta_q)^+ (Washington, Introduction to Cyclotomic Fields,
+    Ch. 2).
+
+    Proof. Take the least P >= 3 with (P^2 - 4 | ell) = e. The roots a, 1/a
+    of x^2 - P x + 1 lie in F_ell when e = 1, and when e = -1 they are
+    conjugate in F_(ell^2), a^ell = 1/a; either way a^(ell - e) = 1. So
+    z = a^((ell - e)/q) has z^q = 1, and r = z + 1/z = V_((ell - e)/q)(P, 1).
+    r = 2 exactly when z = 1, and then the next P is tried; otherwise z has
+    order q, and reducing zeta_q -> z maps 2cos(2 pi k/q) = zeta_q^k +
+    zeta_q^-k to V_k(r, 1) = z^k + z^-k, so f splits mod ell into the
+    y - V_k(r, 1), k = 1..p, distinct as z^k + z^-k = z^j + z^-j only for
+    j = +-k mod q. For negate=True the roots are the -V_k(r, 1).
+
+    Each root is checked by Horner, and the roots for distinctness; a
+    failure raises RuntimeError."""
+    f = min_poly_2cos(q, negate).int_coeffs()[::-1]
+    if ell % q not in (1, q - 1) or not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not a prime = +-1 mod {q}")
+    e = 1 if ell % q == 1 else -1
+    P = 3
+    while True:
+        if jacobi(P * P - 4, ell) == e:
+            r = lucas((ell - e) // q, P, ell)
+            if r != 2:
+                break
+        P += 1
+    roots, prev, cur = [], 2, r
+    for _ in range(len(f) - 1):
+        roots.append(-cur % ell if negate else cur)
+        prev, cur = cur, (r * cur - prev) % ell
+    for t in roots:
+        v = 0
+        for c in f:
+            v = (v * t + c) % ell
+        if v:
+            raise RuntimeError(f"{t} is not a root of min_poly_2cos({q}) "
+                               f"mod {ell}")
+    if len(set(roots)) != len(roots):
+        raise RuntimeError(f"repeated root of min_poly_2cos({q}) mod {ell}")
+    return sorted(roots)
+
+
+def curve_split_primes(q, negate, lucas=lucas_v):
+    """Reference: the split primes of min_poly_2cos(q, negate), the
+    ell = +-1 mod q, ascending, that is ell = k q +- 1 for even k (q
+    ramifies, and no other ell has a degree-one ideal), with their roots
+    from one Lucas value."""
+    k = 0
+    while True:
+        k += 2
+        for ell in (k * q - 1, k * q + 1):
+            if is_prime(ell):
+                yield ell, min_poly_2cos_roots(q, negate, ell, lucas)
+
+
+class CurveField(NumberField):
+    """The field of min_poly_2cos(q, s), irreducible by theorem
+    (`test_min_poly_2cos_is_irreducible_for_both_signs` checks it by
+    factoring), with its split primes from `curve_split_primes`. It factors
+    nothing and evaluates f at no prime, so the tests that build curve
+    fields at large q use it in place of `NumberField`, which at q = 1019
+    spends seconds factoring f and at q = 839 evaluates f at the 8389
+    points below its first split prime."""
+
+    def __init__(self, poly):
+        q = 2 * poly.deg() + 1
+        negate = poly != min_poly_2cos(q, False)
+        if negate and poly != min_poly_2cos(q, True):
+            raise ValueError(f"{poly} is not a curve polynomial")
+        self.poly, self.degree = poly, poly.deg()
+        self._split_primes = []
+        self._walk = curve_split_primes(q, negate)
+
+
+def test_min_poly_2cos_roots_reject_other_ell_and_q():
+    for q, ell in ((11, 13), (11, 11), (11, 21), (11, 45), (9, 17), (3, 5)):
+        with pytest.raises(ValueError):
+            min_poly_2cos_roots(q, False, ell)
+
+
+def check_curve_walk_against_value_walk(qs, lucas=lucas_v):
+    """For each prime q in qs and both signs, the first four split primes
+    of min_poly_2cos(q, s) from the Lucas walk equal the value walk's."""
+    for q in qs:
         for negate in (False, True):
-            f = min_poly_2cos(q, negate)
-            curve = numberfield._curve_split_primes(q, negate)
-            value = numberfield._value_split_primes(f)
+            curve = curve_split_primes(q, negate, lucas)
+            value = numberfield._value_split_primes(min_poly_2cos(q, negate))
             assert list(itertools.islice(curve, 4)) \
                 == list(itertools.islice(value, 4)), (q, negate)
-            assert NumberField(f)._walk.__name__ == "_curve_split_primes"
+
+
+def test_curve_walk_matches_the_value_walk():
+    """Every prime 5 <= q <= 131, which includes non-Sophie q such as 17,
+    19 and 31."""
+    check_curve_walk_against_value_walk(primes_upto(131)[2:])
+
+
+def test_curve_walk_with_a_wrong_lucas_root_fails():
+    """Mutation: a Lucas value off by one is not a root, and the reference
+    says so rather than walk on."""
+    def wrong(n, P, ell):
+        return (lucas_v(n, P, ell) + 1) % ell
+
+    with pytest.raises(RuntimeError, match="not a root"):
+        check_curve_walk_against_value_walk([11], wrong)
+
+
+def test_curve_field_walks_like_the_production_field():
+    """The curve field of a Table-4 q equals, and walks the same split
+    primes as, the field that `NumberField` builds by factoring."""
+    for q in (11, 23):
+        f = curve_min_poly(q)
+        curve, field = CurveField(f), NumberField(f)
+        assert curve == field
+        assert walked_split_primes(curve, 800) \
+            == walked_split_primes(field, 800), q
+    with pytest.raises(ValueError, match="not a curve polynomial"):
+        CurveField(RationalPoly([-1, 1, 0, 0, -1, 1]))
 
 
 def test_value_walk_small_fields():

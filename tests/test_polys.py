@@ -26,7 +26,6 @@ from jacrank.polys import (
     clear_denominators,
     format_poly,
     min_poly_2cos,
-    min_poly_2cos_roots,
     pdivmod,
     psi,
     rational,
@@ -336,12 +335,6 @@ def test_min_poly_2cos_matches_binomial_formula(q):
     assert min_poly_2cos(q, False).coeffs == want
 
 
-def test_min_poly_2cos_roots_reject_other_ell_and_q():
-    for q, ell in ((11, 13), (11, 11), (11, 21), (11, 45), (9, 17), (3, 5)):
-        with pytest.raises(ValueError):
-            min_poly_2cos_roots(q, False, ell)
-
-
 def test_min_poly_2cos_shape():
     for q in (5, 7, 11, 13, 23, 29, 47, 59):
         for negate in (False, True):
@@ -407,8 +400,9 @@ def int_product(factors):
 
 
 def test_min_poly_2cos_is_irreducible_for_both_signs():
-    """The proof `NumberField` relies on, checked by factoring: the minimal
-    polynomials of 2cos(2 pi/q) and of its negative are irreducible."""
+    """The proof the curve fields of the tests rely on, checked by
+    factoring: the minimal polynomials of 2cos(2 pi/q) and of its negative
+    are irreducible."""
     for pair in sophie_germain_pairs(179):
         for negate in (False, True):
             f = min_poly_2cos(pair.q, negate)

@@ -41,6 +41,7 @@ def test_parse_class_groups_basic():
     assert rec2.cl2_rank == 4
     assert rec2.narrow_cl2_rank == 4
     assert store.get((1, 2, 3)) is None
+    assert store.degrees == {3}
 
 
 def test_class_group_source_may_contain_spaces():
@@ -116,6 +117,7 @@ def test_class_group_empty_file_is_empty_store():
     store = parse_class_groups("clgroup v1\n")
     assert store.get((1, 0, 1)) is None
     assert store.get((1, -4, 1, 1)) is None
+    assert store.degrees == set()
 
 
 def test_ingest_class_groups_roundtrip(tmp_path):

@@ -152,8 +152,8 @@ def _public_functions() -> dict:
 # the (file, first line) of every package function that ran; a forked scan
 # child's calls are lost, so `--threads 2` covers only the parent's side
 # (shares, forks, pipes) and `--threads 1` the certificate functions; the
-# curve polynomial of q = 11 takes `lower-bound` through the split-prime
-# walk with Lucas roots, which `sophie --lower` no longer uses
+# curve polynomial of q = 11 takes `lower-bound` through the value walk of
+# a degree-5 field, a route `sophie --lower` does not run
 PROFILED_RUN = """
 import contextlib, io, json, os, sys
 import jacrank
