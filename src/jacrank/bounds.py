@@ -33,8 +33,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import prod
 from operator import xor
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, \
-    Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple, Union
 
 # used qualified, so the washington route never runs these modules
 from . import cyclosig, f2, factor, numberfield, polys
@@ -307,21 +306,15 @@ def sophie_lower_bound(q: int
 
 
 def lower_bound_from_points(f: polys.RationalPoly,
-                            y0: Union[int, Fraction] = 1,
-                            factors: Optional[Sequence[polys.RationalPoly]]
-                            = None) -> Tuple[int, numberfield.SquareClassSet]:
+                            y0: Union[int, Fraction] = 1
+                            ) -> Tuple[int, numberfield.SquareClassSet]:
     """Constructive rank lower bound from the point (x two-torsion free): the
     irreducible factors g of f - y0^2 map to square classes
     (-1)^deg(g) g(theta), and the number of independent classes bounds the
     rank from below. f must have odd degree: then the curve has one point at
-    infinity, J(Q) has no 2-torsion and the descent map is injective.
-
-    The factors are `factor_over_Q(f - y0^2)` unless given, as from a closed
-    form; given factors must be monic and multiply to f - y0^2 exactly, or
-    RuntimeError is raised. Any factorization over Q gives valid classes: a
-    coarser one only bounds the rank less tightly. Either way each factor g
-    divides f - y0^2, so g(theta) is nonzero: a common root theta of g and
-    f would give 0 = f(theta) = y0^2."""
+    infinity, J(Q) has no 2-torsion and the descent map is injective. Each
+    factor g divides f - y0^2, so g(theta) is nonzero: a common root theta
+    of g and f would give 0 = f(theta) = y0^2."""
     y0 = polys.rational(y0)
     if y0 == 0:
         raise ValueError("y0 must be nonzero; factors of f itself would "
@@ -330,16 +323,10 @@ def lower_bound_from_points(f: polys.RationalPoly,
     if field.degree % 2 == 0:
         raise ValueError("f must have odd degree for a square-class lower "
                          f"bound, got degree {field.degree}")
-    split = f - polys.RationalPoly([y0 * y0])
-    if factors is None:
-        try:
-            factors = factor.factor_over_Q(split)
-        except ValueError:  # a repeated factor
-            raise ValueError("f - y0^2 must be square-free") from None
-    elif not all(g.is_monic() for g in factors) \
-            or prod(factors, start=polys.RationalPoly([1])) != split:
-        raise RuntimeError("the given factors are not monic or do not "
-                           "multiply to f - y0^2")
+    try:
+        factors = factor.factor_over_Q(f - polys.RationalPoly([y0 * y0]))
+    except ValueError:  # a repeated factor
+        raise ValueError("f - y0^2 must be square-free") from None
     classes = tuple(-a if g.deg() % 2 else a
                     for g, a in zip(factors, map(field.from_poly, factors)))
     class_set = numberfield.SquareClassSet(field, classes)

@@ -2,7 +2,7 @@
 
 Output is machine-readable, one line per curve, and byte-identical across
 runs. Exit codes: 0 success, 1 partial (missing data, or stdout closed by its
-reader), 2 invalid input, 3 certification failure.
+reader), 2 invalid input (or too large for memory), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -244,6 +244,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARTIAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:  # the input asks for more than the process may hold
+        print(f"error: {args.command}: not enough memory for this input",
+              file=sys.stderr)
         return EXIT_INVALID
     except RuntimeError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """Exact irreducible factorization over Q of squarefree polynomials.
 
-The input must be squarefree. That is decided once, exactly, by
-Res(f, f') != 0; a repeated factor raises ValueError, as the zero polynomial
-does. Pipeline: the primitive part is monicized via G(y) = lc^(n-1) f(y/lc)
-(the identity when lc = 1), so every lifted object is monic; reduction at a
-good prime (smallest of five candidates, each with G squarefree mod it,
-giving the fewest modular factors, counted from the distinct-degree blocks;
-only the chosen prime is factored fully); quadratic Hensel lifting to a
-modulus m past twice the Mignotte bound, first of one half of the factors
-against the other, then of each half recursively; then subset
-recombination in increasing cardinality. A candidate is read in balanced
-form mod m, which is exact because m exceeds twice the bound on any
-factor's coefficients; it is monic, so one exact division over Z both tests
-it (zero remainder) and gives the cofactor.
+A repeated factor raises ValueError, as the zero polynomial does. Pipeline:
+the primitive part is monicized via G(y) = lc^(n-1) f(y/lc) (the identity
+when lc = 1), so every lifted object is monic; reduction at a good prime
+(smallest of five candidates, each with G squarefree mod it, giving the
+fewest modular factors, counted from the distinct-degree blocks; only the
+chosen prime is factored fully); quadratic Hensel lifting to a modulus m
+past twice the Mignotte bound, first of one half of the factors against
+the other, then of each half recursively; then subset recombination in
+increasing cardinality. A candidate is read in balanced form mod m, which
+is exact because m exceeds twice the bound on any factor's coefficients;
+it is monic, so one exact division over Z both tests it (zero remainder)
+and gives the cofactor. Squarefreeness is decided at the primes tried: G
+squarefree mod one proves it over Q (MCA, sections 14.6 and 15), and only
+after five failures is Res(G, G') computed, once; zero means a repeated
+factor, nonzero that those primes divide disc(G), and the search goes on.
 """
 
 from __future__ import annotations
@@ -77,18 +79,24 @@ def _balanced(c: int, m: int) -> int:
 
 
 def _good_prime(coeffs: List[int]) -> Tuple[int, List[List[int]]]:
-    """Smallest of the first five usable primes with the fewest modular
-    factors, and the factors there; only that prime is factored fully."""
+    """Smallest of the first five primes at which the monic G = coeffs is
+    squarefree with the fewest modular factors, and the factors there; only
+    that prime is factored fully. After five primes with G not squarefree
+    mod each, and none with it, raises ValueError when Res(G, G') = 0."""
     best = None
-    found = 0
+    found = failed = 0
     p = 1
     while found < 5:
         p += 1
         while not is_prime(p):
             p += 1
-        if coeffs[-1] % p == 0:
-            continue
         if not is_squarefree_mod_p(coeffs, p):
+            failed += 1
+            if failed == 5 and not found:
+                g = RationalPoly(coeffs)
+                if resultant(g, g.derivative()) == 0:
+                    raise ValueError("cannot factor a polynomial with a "
+                                     "repeated factor")
             continue
         count = factor_count_mod_p(PrimePoly(p, coeffs))
         found += 1
@@ -146,13 +154,11 @@ def factor_over_Q(f: RationalPoly) -> List[RationalPoly]:
     """The monic irreducible factors of a squarefree f, sorted by degree, then
     by ascending coefficient tuple; their product times lc(f) is f. A
     nonzero constant has no factors. Raises ValueError on the zero
-    polynomial and on an f with a repeated factor, Res(f, f') = 0."""
+    polynomial and on an f with a repeated factor (see `_good_prime`)."""
     if f.deg() < 0:
         raise ValueError("cannot factor the zero polynomial")
     if f.deg() == 0:
         return []
-    if resultant(f, f.derivative()) == 0:
-        raise ValueError("cannot factor a polynomial with a repeated factor")
     _, prim = f.primitive()
     icoeffs = prim.int_coeffs()
     lc, n = icoeffs[-1], len(icoeffs) - 1

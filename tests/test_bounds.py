@@ -453,13 +453,28 @@ def test_lower_bound_fractional_y0():
     assert ok
 
 
+def split_by_closed_form(monkeypatch, q):
+    """The curve polynomial f of q, with `bounds` factoring f - 1 by the
+    closed form, the Psi_d, in place of `factor_over_Q`, which takes about
+    7 s at q = 503 alone; the fake checks that it is asked for f - 1."""
+    f = curve_min_poly(q)
+
+    def fake(g):
+        assert g == f - RationalPoly([1]), q
+        return min_poly_2cos_split(q)
+
+    monkeypatch.setattr(bounds.factor, "factor_over_Q", fake)
+    return f
+
+
 def test_sophie_lower_bounds_past_table_4(monkeypatch):
     # every Sophie Germain q with q <= 1019: Table 4 up to q = 59, the
     # witnessed values up to q = 503 and the earlier prototype's past it;
     # at q = 479, 20 classes, a fixed 20 residue symbols without the real
     # signs give 17, and k + 20 give 18. The sign-vector bound equals the
     # character-table bound of `lower_bound_from_points` at every one, in
-    # curve fields that take their split primes from the Lucas walk.
+    # curve fields that take their split primes from the Lucas walk, with
+    # f - 1 factored by the closed form.
     monkeypatch.setattr(bounds.numberfield, "NumberField", CurveField)
     table = {7: 1, 11: 2, 23: 4, 47: 6, 59: 4,
              83: 4, 107: 4, 167: 10, 179: 6, 227: 4, 263: 10, 347: 4,
@@ -467,11 +482,10 @@ def test_sophie_lower_bounds_past_table_4(monkeypatch):
              719: 22, 839: 22, 863: 18, 887: 10, 983: 10, 1019: 8}
     assert sorted(table) == [pr.q for pr in sophie_germain_pairs(1019)]
     for q, want in table.items():
-        factors = min_poly_2cos_split(q)
-        lower, classes = lower_bound_from_points(curve_min_poly(q),
-                                                 factors=factors)
+        lower, classes = lower_bound_from_points(
+            split_by_closed_form(monkeypatch, q))
         assert lower == want, q
-        assert len(classes.representatives) == len(factors)
+        assert len(classes.representatives) == len(split_indices(q))
         assert sophie_lower_bound(q)[0] == lower, q
 
 
@@ -530,31 +544,14 @@ def test_sophie_lower_at_most_upper_on_builtin_records():
 @pytest.mark.parametrize("q", [11, 23, 47, 59, 83, 479])
 def test_lower_bound_same_for_int_and_fraction_y0(q, monkeypatch):
     """y0 = 1 and y0 = Fraction(1) give the same bound and the same
-    classes, whose coordinates are all ints (in curve fields, as above)."""
+    classes, whose coordinates are all ints (in curve fields, with the
+    closed-form factors, as above)."""
     monkeypatch.setattr(bounds.numberfield, "NumberField", CurveField)
-    f, factors = curve_min_poly(q), min_poly_2cos_split(q)
-    lower, classes = lower_bound_from_points(f, 1, factors=factors)
-    assert lower_bound_from_points(f, Fraction(1), factors=factors) \
-        == (lower, classes)
+    f = split_by_closed_form(monkeypatch, q)
+    lower, classes = lower_bound_from_points(f, 1)
+    assert lower_bound_from_points(f, Fraction(1)) == (lower, classes)
     assert all(type(c) is int
                for a in classes.representatives for c in a.coords)
-
-
-def test_lower_bound_rejects_factors_with_a_wrong_product():
-    f = curve_min_poly(23)
-    factors = min_poly_2cos_split(23)
-    with pytest.raises(RuntimeError, match="do not multiply"):
-        lower_bound_from_points(f, factors=factors[1:])
-    with pytest.raises(RuntimeError, match="do not multiply"):
-        lower_bound_from_points(f, factors=[factors[0]] + factors)
-    with pytest.raises(RuntimeError, match="do not multiply"):
-        lower_bound_from_points(f, Fraction(2), factors=factors)
-    # the right product from non-monic factors, whose classes would be off
-    # by rational constants
-    two, half = RationalPoly([2]), RationalPoly([Fraction(1, 2)])
-    scaled = [factors[0] * two, factors[1] * half] + factors[2:]
-    with pytest.raises(RuntimeError, match="not monic"):
-        lower_bound_from_points(f, factors=scaled)
 
 
 def test_lower_at_most_upper_on_shipped_family():

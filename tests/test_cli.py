@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from jacrank import cyclosig, numberfield, polys
 from jacrank.cli import main
 from test_cyclosig import deadline
-from test_structure import modules_run
+from test_structure import ENV, modules_run
 
 SYNTH_PATH = str(resources.files("jacrank").joinpath("data/synthetic_ranks.txt"))
 
@@ -197,7 +197,7 @@ def test_scan_rho_too_large_for_memory_is_invalid():
              "from jacrank.cli import main\n"
              "sys.exit(main(['scan-rho', '--max-q', '1000000000000000']))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, env=ENV, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: --max-q 1000000000000000: not enough "
                            "memory to sieve the primes up to it\n")
@@ -211,10 +211,23 @@ def test_sophie_without_class_data_runs_in_bounded_memory():
              "from jacrank.cli import main\n"
              "sys.exit(main(['sophie', '--q', '200087']))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, env=ENV, timeout=60)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("q=200087: class group unknown for cyclo-q200087 "
                            "(degree 100043)\n")
+
+
+def test_out_of_memory_is_one_error_line():
+    # the curve polynomial at q = 200087 has O(p^2) bits: under a 128 MiB
+    # address-space cap building it fails, and that is one error line
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))\n"
+             "from jacrank.cli import main\n"
+             "sys.exit(main(['minpoly', '--q', '200087']))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=ENV, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: minpoly: not enough memory for this input\n"
 
 
 def test_lower_bound_command(capsys):
@@ -295,7 +308,7 @@ def test_lower_bound_zero_denominator_is_invalid_input():
     proc = subprocess.run(
         [sys.executable, "-m", "jacrank", "lower-bound", "--poly", "1,-4,1,1",
          "--y0", "1/0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "y0" in proc.stderr
@@ -309,7 +322,7 @@ def test_lower_bound_even_degree_is_invalid_input(poly):
     # witness cannot produce
     proc = subprocess.run(
         [sys.executable, "-m", "jacrank", "lower-bound", f"--poly={poly}"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
     assert "lower=" not in proc.stdout
     assert proc.stderr.startswith("error:") and "odd degree" in proc.stderr
@@ -320,7 +333,7 @@ def test_lower_bound_even_degree_is_reported_before_the_split():
     # f - 1 = x^2 is not square-free either, but the fault is the degree
     proc = subprocess.run(
         [sys.executable, "-m", "jacrank", "lower-bound", "--poly=1,0,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == ("error: f must have odd degree for a square-class "
@@ -365,7 +378,7 @@ def test_stats_missing_file(capsys):
                          ids=["washington", "stats"])
 def test_directory_as_data_file_is_invalid_input(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "jacrank", *argv, str(tmp_path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -382,7 +395,7 @@ def test_closed_stdout_is_partial_output_not_invalid_input(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "jacrank", "washington", "--m", "1..2000",
          "--clgroups", str(clgroups)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -442,7 +455,7 @@ def test_unknown_subcommand(capsys):
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "jacrank", "minpoly", "--q", "7"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^3 - x^2 - 2x + 1"
 

@@ -20,7 +20,8 @@ from jacrank.arith import is_prime
 from jacrank.bounds import curve_min_poly
 from jacrank.factor import factor_over_Q
 from jacrank.modpoly import PrimePoly, factor_mod_p, is_squarefree_mod_p
-from jacrank.polys import RationalPoly
+from jacrank.polys import RationalPoly, resultant
+from test_cyclosig import deadline
 from test_polys import canonical
 
 
@@ -236,6 +237,39 @@ def test_squarefree_but_not_mod_any_small_prime():
     assert check_against_sympy(f)
     assert factor_over_Q(f) == [f]
     assert not check_against_sympy(f * f * RationalPoly([-n, 1]))
+
+
+def test_resultant_only_after_five_primes_fail(monkeypatch):
+    # disc(x^2 - 2310) = 9240 = 2^3 3 5 7 11: the first five primes fail,
+    # and one nonzero resultant lets the search go on from 13
+    calls = []
+
+    def counted(f, g):
+        calls.append(f)
+        return resultant(f, g)
+
+    monkeypatch.setattr(factor, "resultant", counted)
+    f = RationalPoly([-2310, 0, 1])
+    assert factor_over_Q(f) == [f]
+    assert calls == [f]
+
+
+def test_repeated_factor_needs_the_resultant():
+    # (x + 1)^2 (x - 1) is not squarefree mod any prime: only the resultant
+    # ends the search, so the deadline turns a skipped one into a failure
+    with deadline(10), pytest.raises(ValueError, match="repeated factor"):
+        factor_over_Q(RationalPoly([-1, -1, 1, 1]))
+
+
+def test_curve_polynomial_needs_no_resultant(monkeypatch):
+    """The curve polynomial of q = 503 is squarefree mod 2, which proves it
+    squarefree: no resultant is computed."""
+    def refuse(f, g):
+        raise AssertionError("resultant computed")
+
+    monkeypatch.setattr(factor, "resultant", refuse)
+    f = curve_min_poly(503)
+    assert factor_over_Q(f) == [f]
 
 
 def test_good_prime_matches_full_factorization_reference():

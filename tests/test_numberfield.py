@@ -241,18 +241,10 @@ def test_delta_classes_example():
     # f - 1 = x (x^2 - 3)(x^2 + x - 1) on Q11: the classes are -theta and
     # the two quadratics, in the order of the factors
     th = Q11.element([0, 1])
-    g1 = RationalPoly([0, 1])
     g2 = RationalPoly([-3, 0, 1])
     g3 = RationalPoly([-1, 1, 1])
     _, classes = lower_bound_from_points(Q11.poly)
     assert classes.representatives == (-th, Q11.from_poly(g2), Q11.from_poly(g3))
-    _, classes = lower_bound_from_points(Q11.poly, factors=[g3, g1, g2])
-    assert classes.representatives == (Q11.from_poly(g3), -th, Q11.from_poly(g2))
-    with pytest.raises(RuntimeError):
-        lower_bound_from_points(Q11.poly, factors=[Q11.poly])  # shares roots
-    with pytest.raises(RuntimeError):
-        lower_bound_from_points(Q11.poly, factors=[RationalPoly([1, 1]), g2,
-                                                   g3])  # not a factor
 
 
 def test_delta_product_is_square():

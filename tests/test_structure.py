@@ -153,7 +153,9 @@ def _public_functions() -> dict:
 # child's calls are lost, so `--threads 2` covers only the parent's side
 # (shares, forks, pipes) and `--threads 1` the certificate functions; the
 # curve polynomial of q = 11 takes `lower-bound` through the value walk of
-# a degree-5 field, a route `sophie --lower` does not run
+# a degree-5 field, a route `sophie --lower` does not run, and
+# (x - 1)(x + 1)^2, squarefree mod no prime, through the resultant that
+# rejects it
 PROFILED_RUN = """
 import contextlib, io, json, os, sys
 import jacrank
@@ -178,6 +180,7 @@ routes = [
     ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1/3", "--verbose"],
     ["lower-bound", "--poly", "1,-4,1,1", "--y0", "1"],
     ["lower-bound", "--poly", "1,3,-3,-4,1,1"],
+    ["lower-bound", "--poly=-1,-1,1,1"],
     ["minpoly", "--q", "23"],
     ["stats", "--ranks", os.path.join(data, "synthetic_ranks.txt")],
 ]
@@ -204,8 +207,9 @@ def test_every_public_function_runs_on_a_route(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, ran = json.loads(proc.stdout)
     # data is missing for some m <= 30 and for q = 83 and 1019 without the
-    # Davis-Taussky assumption: exit 1, every other route 0
-    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+    # Davis-Taussky assumption: exit 1; the reducible polynomial is invalid
+    # input: exit 2; every other route 0
+    assert codes == [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0]
     ran = {(str(Path(path).resolve()), line) for path, line in ran}
     exempt = {f"{module}.{attr}" for module, attr in _traced_layers()}
     never = sorted(name for key, name in _public_functions().items()
